@@ -12,6 +12,7 @@ the manifest's created_utc field differs between reruns.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -107,9 +108,14 @@ def _write_manifest(out_dir: Path, command: str, params: dict, inputs: list[str]
 # --- config ------------------------------------------------------------------
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Flags override JSON config-file values; None means 'not given'."""
+    """Flags override JSON config-file values; None means 'not given'.
+
+    Each config key must name a flag of the subcommand, and its value goes
+    through that flag's declaration in OPTIONS: the same type and choices,
+    and only JSON true/false for an on/off flag. JSON null means 'not given'.
+    """
     cfg: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         _require_file(args.config)
         with open(args.config, "r", encoding="utf-8") as handle:
             try:
@@ -118,12 +124,35 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 raise InputError(f"bad config file {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise InputError(f"config file {args.config} must hold a JSON object")
-        cfg.update(loaded)
+        flags = {flag[2:].replace("-", "_"): flag for flag in COMMANDS[args.command][2]}
+        for key, value in loaded.items():
+            if key not in flags:
+                raise InputError(
+                    f"config file {args.config}: {args.command} has no option {key!r}"
+                )
+            if value is not None:
+                cfg[key] = _config_value(args.config, key, value, OPTIONS[flags[key]])
     for key, value in vars(args).items():
-        if key in ("config", "func", "command") or value is None:
-            continue
-        cfg[key] = value
+        if key not in ("config", "command") and value is not None:
+            cfg[key] = value
     return cfg
+
+
+def _config_value(path: str, key: str, value, spec: dict):
+    if spec.get("action") == "store_const":
+        if not isinstance(value, bool):
+            raise InputError(f"config file {path}: {key} must be true or false, got {value!r}")
+        return value
+    try:
+        value = spec.get("type", lambda v: v)(value)
+    except (TypeError, ValueError):
+        raise InputError(f"config file {path}: bad {key} value {value!r}") from None
+    if "choices" in spec and value not in spec["choices"]:
+        raise InputError(
+            f"config file {path}: {key} must be one of {', '.join(spec['choices'])}, "
+            f"got {value!r}"
+        )
+    return value
 
 
 def _require_file(path: str) -> str:
@@ -141,7 +170,7 @@ def _require(cfg: dict, key: str):
 
 def _parse_window(text: str) -> tuple[int, int]:
     try:
-        start, end = text.split(":")
+        start, end = str(text).split(":")
         window = (int(start), int(end))
     except ValueError:
         raise InputError(f"bad window {text!r}, expected START_MS:END_MS") from None
@@ -150,17 +179,25 @@ def _parse_window(text: str) -> tuple[int, int]:
     return window
 
 
-def _parse_list(text, kind=float) -> list:
-    if isinstance(text, (list, tuple)):
-        return [kind(v) for v in text]
+def _parse_range(text: str) -> tuple[float, float]:
     try:
-        return [kind(v) for v in str(text).split(",") if v.strip()]
+        lo, hi = str(text).split(":")
+        return float(lo), float(hi)
     except ValueError:
+        raise InputError(f"bad fit range {text!r}, expected LO:HI") from None
+
+
+def _parse_list(text, kind=float) -> list:
+    try:
+        if isinstance(text, (list, tuple)):
+            return [kind(v) for v in text]
+        return [kind(v) for v in str(text).split(",") if v.strip()]
+    except (TypeError, ValueError):
         raise InputError(f"bad list value {text!r}") from None
 
 
 def _fee_from_bps(cfg: dict) -> float:
-    bps = float(_require(cfg, "fee_bps"))
+    bps = _require(cfg, "fee_bps")
     fee = bps / 1e4
     if not (0.0 <= fee < 1.0):
         raise InputError(f"fee-bps {bps} is outside [0, 10000)")
@@ -170,11 +207,15 @@ def _fee_from_bps(cfg: dict) -> float:
 # --- feed / schedule assembly -------------------------------------------------
 
 def _load_feed(cfg: dict):
-    """Quote series + metadata from --quotes (bid/ask) or --klines (mid)."""
+    """Quote series + metadata from --quotes (bid/ask) or --klines (mid).
+
+    The last item is the parsed --blocks timestamps when klines were aligned
+    to them, so that the schedule reuses them; otherwise None.
+    """
     pair = cfg.get("pair", "")
     if cfg.get("quotes"):
         quotes = load_quote_updates(_require_file(cfg["quotes"]), pair=pair, source="quotes")
-        return quotes, "bid_ask", [cfg["quotes"]], {}
+        return quotes, "bid_ask", [cfg["quotes"]], {}, None
     if cfg.get("klines"):
         prices = load_klines(_require_file(cfg["klines"]), pair=pair, source="klines")
         if cfg.get("blocks"):
@@ -183,43 +224,65 @@ def _load_feed(cfg: dict):
             quotes = quotes_from_prices(aligned)
             return quotes, "mid", [cfg["klines"], cfg["blocks"]], {
                 "block_price_fills": fills, "blocks": int(len(blocks)),
-            }
-        return quotes_from_prices(prices), "mid", [cfg["klines"]], {}
+            }, blocks
+        return quotes_from_prices(prices), "mid", [cfg["klines"]], {}, None
     raise InputError("a price feed is required: give --quotes or --klines")
 
 
-def _make_schedule(cfg: dict, quotes) -> BlockSchedule:
+def _make_schedule(cfg: dict, quotes, blocks) -> BlockSchedule:
     if cfg.get("blocks"):
-        return BlockSchedule.from_blocks(load_block_timestamps(_require_file(cfg["blocks"])))
-    if cfg.get("interval_ms"):
-        interval = int(cfg["interval_ms"])
+        if blocks is None:
+            blocks = load_block_timestamps(_require_file(cfg["blocks"]))
+        return BlockSchedule.from_blocks(blocks)
+    if cfg.get("interval_ms") is not None:
         if cfg.get("window"):
             window = _parse_window(cfg["window"])
         else:
             window = (int(quotes.timestamps[0]), int(quotes.timestamps[-1]))
-        return BlockSchedule.fixed(interval, *window)
+        return BlockSchedule.fixed(cfg["interval_ms"], *window)
     raise InputError("a schedule is required: give --blocks or --interval-ms")
 
 
-def _initial_state(cfg: dict, quotes, schedule, fee: float) -> PoolState:
+def _initial_state(cfg: dict, quotes, start_ms: int, fee: float) -> PoolState:
+    """Pool at the --initial-price, or at the quote mid prevailing at start_ms."""
     price = cfg.get("initial_price")
     if price is None:
-        idx = int(np.searchsorted(quotes.timestamps, schedule.timestamps[0], side="right")) - 1
+        idx = int(np.searchsorted(quotes.timestamps, start_ms, side="right")) - 1
         if idx < 0:
             raise InputError("no quote at or before the first schedule instant")
         price = 0.5 * (float(quotes.bids[idx]) + float(quotes.asks[idx]))
-    price = float(price)
     if price <= 0:
         raise InputError(f"initial price must be positive, got {price}")
-    reserve_x = float(cfg.get("initial_reserve_x", 1.0))
+    reserve_x = cfg.get("initial_reserve_x", 1.0)
     return PoolState(reserve_x, reserve_x * price, fee)
 
 
 def _concentration(cfg: dict) -> float:
-    k = float(cfg.get("concentration_k", 1.0))
+    k = cfg.get("concentration_k", 1.0)
     if k < 1.0:
         raise InputError(f"concentration-k must be >= 1, got {k}")
     return k
+
+
+def _arb_run(cfg: dict, fee: float, factor: float):
+    """Losses of the feed replayed over the schedule, scaled by the factor k."""
+    quotes, feed_kind, inputs, counters, blocks = _load_feed(cfg)
+    schedule = _make_schedule(cfg, quotes, blocks)
+    initial = _initial_state(cfg, quotes, schedule.timestamps[0], fee)
+    run = run_arb_sim(initial, quotes, schedule).scaled(factor)
+    return run, schedule, feed_kind, inputs, counters
+
+
+def _fee_ledger(cfg: dict, factor: float):
+    """Fee ledger of the --swaps position, its returns scaled by the factor k."""
+    swaps_path = _require_file(_require(cfg, "swaps"))
+    records = load_swap_records(swaps_path)
+    liquidity = cfg.get("position_liquidity", 1.0)
+    ledger = attribute_fees(records, liquidity, per_block=cfg.get("per_block", False))
+    ledger = accumulate(
+        PositionLedger(liquidity), concentration_scale(ledger.returns, factor), ledger.timestamps
+    )
+    return ledger, swaps_path, len(records)
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -234,12 +297,7 @@ def cmd_simulate_arb(cfg: dict) -> int:
     out = _out_dir(cfg)
     fee = _fee_from_bps(cfg)
     factor = _concentration(cfg)
-    quotes, feed_kind, inputs, counters = _load_feed(cfg)
-    schedule = _make_schedule(cfg, quotes)
-    initial = _initial_state(cfg, quotes, schedule, fee)
-    run = run_arb_sim(initial, quotes, schedule)
-    if factor != 1.0:
-        run = run.scaled(factor)
+    run, schedule, feed_kind, inputs, counters = _arb_run(cfg, fee, factor)
 
     loss_by_instant = np.zeros(len(schedule.timestamps))
     profit_by_instant = np.zeros(len(schedule.timestamps))
@@ -273,28 +331,23 @@ def cmd_simulate_arb(cfg: dict) -> int:
 def cmd_fees(cfg: dict) -> int:
     out = _out_dir(cfg)
     factor = _concentration(cfg)
-    swaps_path = _require_file(_require(cfg, "swaps"))
-    records = load_swap_records(swaps_path)
-    liquidity = float(cfg.get("position_liquidity", 1.0))
-    per_block = bool(cfg.get("per_block", False))
-    ledger = attribute_fees(records, liquidity, per_block=per_block)
-    returns = concentration_scale(ledger.returns, factor)
-    growth = np.cumprod(1.0 + returns) if len(returns) else np.array([])
+    ledger, swaps_path, n_records = _fee_ledger(cfg, factor)
+    growth = np.cumprod(1.0 + ledger.returns)
     _write_table(
         out / "fee_returns.csv",
         ["schema_version", "timestamp_ms", "relative_fee_return", "cumulative_growth"],
         (
             (SCHEMA_VERSION, ts, r, g)
-            for ts, r, g in zip(ledger.timestamps, returns, growth)
+            for ts, r, g in zip(ledger.timestamps, ledger.returns, growth)
         ),
     )
-    total_growth = float(growth[-1]) if len(growth) else 1.0
     _write_manifest(
         out, "fees",
-        {"pair": cfg.get("pair", ""), "position_liquidity": liquidity,
-         "per_block": per_block, "concentration_k": factor},
-        [swaps_path], {"n_records": len(records)},
-        {"cumulative_fee_return": total_growth - 1.0, "n_periods": int(len(returns))},
+        {"pair": cfg.get("pair", ""), "position_liquidity": ledger.position_liquidity,
+         "per_block": cfg.get("per_block", False), "concentration_k": factor},
+        [swaps_path], {"n_records": n_records},
+        {"cumulative_fee_return": float(ledger.cumulative_growth) - 1.0,
+         "n_periods": int(len(ledger.returns))},
     )
     return 0
 
@@ -303,23 +356,9 @@ def cmd_compare(cfg: dict) -> int:
     out = _out_dir(cfg)
     fee = _fee_from_bps(cfg)
     factor = _concentration(cfg)
-    swaps_path = _require_file(_require(cfg, "swaps"))
-    records = load_swap_records(swaps_path)
-    liquidity = float(cfg.get("position_liquidity", 1.0))
-    ledger = attribute_fees(records, liquidity, per_block=bool(cfg.get("per_block", False)))
-
-    quotes, feed_kind, inputs, counters = _load_feed(cfg)
-    schedule = _make_schedule(cfg, quotes)
-    initial = _initial_state(cfg, quotes, schedule, fee)
-    run = run_arb_sim(initial, quotes, schedule)
-    if factor != 1.0:
-        run = run.scaled(factor)
-        ledger = accumulate(
-            PositionLedger(liquidity),
-            concentration_scale(ledger.returns, factor),
-            ledger.timestamps,
-        )
-    window_ms = int(float(cfg.get("ratio_window_days", 30)) * DAY_MS)
+    ledger, swaps_path, _ = _fee_ledger(cfg, factor)
+    run, _, feed_kind, inputs, counters = _arb_run(cfg, fee, factor)
+    window_ms = int(cfg.get("ratio_window_days", 30.0) * DAY_MS)
     report = fees_vs_losses(ledger, run, window_ms)
     _write_table(
         out / "comparison.csv",
@@ -336,7 +375,7 @@ def cmd_compare(cfg: dict) -> int:
     _write_manifest(
         out, "compare",
         {"pair": cfg.get("pair", ""), "fee": fee, "feed_kind": feed_kind,
-         "concentration_k": factor, "position_liquidity": liquidity,
+         "concentration_k": factor, "position_liquidity": ledger.position_liquidity,
          "ratio_window_ms": window_ms},
         inputs + [swaps_path], counters, report.totals,
     )
@@ -365,62 +404,39 @@ def _write_sweep(out: Path, sweep, fit_range) -> dict:
     return fit
 
 
-def cmd_sweep_blocktime(cfg: dict) -> int:
+def cmd_sweep(command: str, cfg: dict) -> int:
+    """sweep-blocktime or sweep-fee: total loss per grid value on one feed."""
     out = _out_dir(cfg)
-    fee = _fee_from_bps(cfg)
-    quotes, feed_kind, inputs, counters = _load_feed(cfg)
-    if cfg.get("intervals_ms"):
-        intervals = _parse_list(cfg["intervals_ms"], int)
-    elif cfg.get("extended"):
-        intervals = list(EXTENDED_INTERVALS_MS)
+    quotes, feed_kind, inputs, counters, _ = _load_feed(cfg)
+    window = _parse_window(cfg["window"]) if cfg.get("window") else None
+    start_ms = window[0] if window else int(quotes.timestamps[0])
+    fit_range = _parse_range(cfg["fit_range"]) if cfg.get("fit_range") else None
+    if command == "sweep-fee":
+        interval = _require(cfg, "interval_ms")
+        fees_bps = _parse_list(cfg.get("fees_bps", "10,20,30,50,100"), float)
+        # only the reserves are used; each grid point sets its own fee
+        pool = _initial_state(cfg, quotes, start_ms, 0.0)
+        sweep = fee_sweep(pool.reserve_x, pool.reserve_y, quotes, interval,
+                          [bps / 1e4 for bps in fees_bps], window)
+        if fit_range:
+            fit_range = (fit_range[0] / 1e4, fit_range[1] / 1e4)
+        grid = {"interval_ms": interval, "fees_bps": fees_bps}
     else:
-        intervals = list(DEFAULT_INTERVALS_MS)
-    window = _parse_window(cfg["window"]) if cfg.get("window") else None
-    schedule_probe = BlockSchedule.fixed(
-        intervals[0],
-        *(window or (int(quotes.timestamps[0]), int(quotes.timestamps[-1]))),
-    )
-    initial = _initial_state(cfg, quotes, schedule_probe, fee)
-    sweep = blocktime_sweep(initial, quotes, intervals, window)
-    fit_range = None
-    if cfg.get("fit_range"):
-        lo, hi = _parse_window(cfg["fit_range"])
-        fit_range = (float(lo), float(hi))
+        fee = _fee_from_bps(cfg)
+        if cfg.get("intervals_ms"):
+            intervals = _parse_list(cfg["intervals_ms"], int)
+        elif cfg.get("extended"):
+            intervals = list(EXTENDED_INTERVALS_MS)
+        else:
+            intervals = list(DEFAULT_INTERVALS_MS)
+        sweep = blocktime_sweep(_initial_state(cfg, quotes, start_ms, fee), quotes,
+                                intervals, window)
+        grid = {"fee": fee, "intervals_ms": intervals}
     fit = _write_sweep(out, sweep, fit_range)
     _write_manifest(
-        out, "sweep-blocktime",
-        {"pair": cfg.get("pair", ""), "fee": fee, "feed_kind": feed_kind,
-         "intervals_ms": intervals, "window": list(window) if window else None,
-         "seed": cfg.get("seed"), "fit": fit},
-        inputs, counters,
-        {"total_losses": [float(v) for v in sweep.total_losses]},
-    )
-    return 0
-
-
-def cmd_sweep_fee(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    quotes, feed_kind, inputs, counters = _load_feed(cfg)
-    interval = int(_require(cfg, "interval_ms"))
-    fees_bps = _parse_list(cfg.get("fees_bps", "10,20,30,50,100"), float)
-    fees = [bps / 1e4 for bps in fees_bps]
-    window = _parse_window(cfg["window"]) if cfg.get("window") else None
-    price = cfg.get("initial_price")
-    if price is None:
-        price = 0.5 * (float(quotes.bids[0]) + float(quotes.asks[0]))
-    reserve_x = float(cfg.get("initial_reserve_x", 1.0))
-    sweep = fee_sweep(reserve_x, reserve_x * float(price), quotes, interval, fees, window)
-    fit_range = None
-    if cfg.get("fit_range"):
-        lo, hi = cfg["fit_range"].split(":")
-        fit_range = (float(lo) / 1e4, float(hi) / 1e4)
-    fit = _write_sweep(out, sweep, fit_range)
-    _write_manifest(
-        out, "sweep-fee",
-        {"pair": cfg.get("pair", ""), "interval_ms": interval,
-         "fees_bps": fees_bps, "feed_kind": feed_kind,
-         "window": list(window) if window else None, "seed": cfg.get("seed"),
-         "fit": fit},
+        out, command,
+        {**grid, "pair": cfg.get("pair", ""), "feed_kind": feed_kind,
+         "window": list(window) if window else None, "seed": cfg.get("seed"), "fit": fit},
         inputs, counters,
         {"total_losses": [float(v) for v in sweep.total_losses]},
     )
@@ -429,42 +445,34 @@ def cmd_sweep_fee(cfg: dict) -> int:
 
 def cmd_synth_gbm(cfg: dict) -> int:
     out = _out_dir(cfg)
-    sigma = float(_require(cfg, "sigma"))
+    sigma = _require(cfg, "sigma")
     series = gbm_generate(
         sigma=sigma,
-        mu=float(cfg.get("mu", 0.0)),
-        step_ms=int(_require(cfg, "step_ms")),
-        horizon_ms=int(_require(cfg, "horizon_ms")),
-        seed=int(cfg.get("seed", 0)),
-        price0=float(cfg.get("price0", 1.0)),
-        start_ms=int(cfg.get("start_ms", 0)),
+        mu=cfg.get("mu", 0.0),
+        step_ms=_require(cfg, "step_ms"),
+        horizon_ms=_require(cfg, "horizon_ms"),
+        seed=cfg.get("seed", 0),
+        price0=cfg.get("price0", 1.0),
+        start_ms=cfg.get("start_ms", 0),
         pair=cfg.get("pair", "synthetic"),
     )
     fmt = cfg.get("format", "klines")
     # synthetic feeds are written in the exact ingestion schemas so they can
     # be fed straight back into the other subcommands
     if fmt == "klines":
-        _write_table(
-            out / "gbm_klines.csv",
-            ["timestamp_ms", "open", "high", "low", "close", "volume"],
-            ((ts, p, p, p, p, 0.0) for ts, p in zip(series.timestamps, series.prices)),
-        )
-        written = "gbm_klines.csv"
-    elif fmt == "quotes":
-        _write_table(
-            out / "gbm_quotes.csv",
-            ["timestamp_ms", "bid", "ask"],
-            ((ts, p, p) for ts, p in zip(series.timestamps, series.prices)),
-        )
-        written = "gbm_quotes.csv"
+        header = ["timestamp_ms", "open", "high", "low", "close", "volume"]
+        rows = ((ts, p, p, p, p, 0.0) for ts, p in zip(series.timestamps, series.prices))
     else:
-        raise InputError(f"unknown synth format {fmt!r}, expected klines or quotes")
+        header = ["timestamp_ms", "bid", "ask"]
+        rows = ((ts, p, p) for ts, p in zip(series.timestamps, series.prices))
+    written = f"gbm_{fmt}.csv"
+    _write_table(out / written, header, rows)
     _write_manifest(
         out, "synth-gbm",
         {"pair": cfg.get("pair", "synthetic"), "sigma": sigma,
-         "mu": float(cfg.get("mu", 0.0)), "step_ms": int(cfg["step_ms"]),
-         "horizon_ms": int(cfg["horizon_ms"]), "seed": int(cfg.get("seed", 0)),
-         "price0": float(cfg.get("price0", 1.0)), "format": fmt, "file": written},
+         "mu": cfg.get("mu", 0.0), "step_ms": cfg["step_ms"],
+         "horizon_ms": cfg["horizon_ms"], "seed": cfg.get("seed", 0),
+         "price0": cfg.get("price0", 1.0), "format": fmt, "file": written},
         [],
         {"n_points": len(series)},
     )
@@ -473,22 +481,68 @@ def cmd_synth_gbm(cfg: dict) -> int:
 
 # --- parser --------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--pair", help="trading pair label for outputs")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--seed", type=int, help="random seed (recorded in the manifest)")
+# Every flag is declared once; a subcommand lists the flags it takes, and a
+# config-file key is checked against that list and converted by this entry.
+OPTIONS = {
+    "--config": {"help": "JSON config file; flags override its values"},
+    "--pair": {"help": "trading pair label for outputs"},
+    "--out": {"help": "output directory"},
+    "--seed": {"type": int, "help": "random seed (recorded in the manifest)"},
+    "--quotes": {"help": "bid/ask update CSV (timestamp_ms,bid,ask)"},
+    "--klines": {"help": "kline CSV (timestamp_ms,open,...)"},
+    "--blocks": {"help": "block timestamp CSV (block_number,timestamp_s)"},
+    "--window": {"help": "schedule window START_MS:END_MS"},
+    "--initial-price": {"type": float,
+                        "help": "initial pool price (default: first prevailing quote mid)"},
+    "--initial-reserve-x": {"type": float,
+                            "help": "initial X reserve (losses are scale-invariant; default 1)"},
+    "--fee-bps": {"type": float, "help": "pool fee in basis points"},
+    "--interval-ms": {"type": int, "help": "fixed block interval"},
+    "--concentration-k": {"type": float,
+                          "help": "concentration factor applied to relative losses and fees"},
+    "--swaps": {"help": "swap record CSV"},
+    "--position-liquidity": {"type": float, "help": "position size in L units (default 1)"},
+    "--per-block": {"action": "store_const", "const": True,
+                    "help": "aggregate swaps per block with end-of-block liquidity"},
+    "--ratio-window-days": {"type": float, "help": "trailing ratio window in days (default 30)"},
+    "--intervals-ms": {"help": "comma-separated interval grid (default 100ms..16s)"},
+    "--extended": {"action": "store_const", "const": True,
+                   "help": "use the extended grid up to 300s"},
+    "--fees-bps": {"help": "comma-separated fee grid in bps (default 10,20,30,50,100)"},
+    "--fit-range": {"help": "log-log fit range LO:HI in the grid's unit (ms or bps)"},
+    "--sigma": {"type": float, "help": "volatility per sqrt(year)"},
+    "--mu": {"type": float, "help": "drift per year (default 0)"},
+    "--step-ms": {"type": int},
+    "--horizon-ms": {"type": int},
+    "--price0": {"type": float, "help": "initial price (default 1)"},
+    "--start-ms": {"type": int},
+    "--format": {"choices": ("klines", "quotes"), "help": "output schema (default klines)"},
+}
 
+_COMMON = ("--config", "--pair", "--out", "--seed")
+_FEED = ("--quotes", "--klines", "--blocks", "--window", "--initial-price",
+         "--initial-reserve-x")
 
-def _add_feed(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--quotes", help="bid/ask update CSV (timestamp_ms,bid,ask)")
-    sub.add_argument("--klines", help="kline CSV (timestamp_ms,open,...)")
-    sub.add_argument("--blocks", help="block timestamp CSV (block_number,timestamp_s)")
-    sub.add_argument("--window", help="schedule window START_MS:END_MS")
-    sub.add_argument("--initial-price", dest="initial_price", type=float,
-                     help="initial pool price (default: first prevailing quote mid)")
-    sub.add_argument("--initial-reserve-x", dest="initial_reserve_x", type=float,
-                     help="initial X reserve (losses are scale-invariant; default 1)")
+COMMANDS = {  # name -> (function, help, flags)
+    "simulate-arb": (cmd_simulate_arb, "replay arbitrage losses over a schedule",
+                     _COMMON + _FEED + ("--fee-bps", "--interval-ms", "--concentration-k")),
+    "fees": (cmd_fees, "attribute historical swap fees to a position",
+             _COMMON + ("--swaps", "--position-liquidity", "--per-block",
+                        "--concentration-k")),
+    "compare": (cmd_compare, "fees versus arbitrage losses over time",
+                _COMMON + _FEED + ("--swaps", "--fee-bps", "--interval-ms",
+                                   "--position-liquidity", "--per-block",
+                                   "--ratio-window-days", "--concentration-k")),
+    "sweep-blocktime": (functools.partial(cmd_sweep, "sweep-blocktime"),
+                        "total loss per block interval",
+                        _COMMON + _FEED + ("--fee-bps", "--intervals-ms", "--extended",
+                                           "--fit-range")),
+    "sweep-fee": (functools.partial(cmd_sweep, "sweep-fee"), "total loss per pool fee",
+                  _COMMON + _FEED + ("--interval-ms", "--fees-bps", "--fit-range")),
+    "synth-gbm": (cmd_synth_gbm, "generate a synthetic GBM feed",
+                  _COMMON + ("--sigma", "--mu", "--step-ms", "--horizon-ms", "--price0",
+                             "--start-ms", "--format")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,71 +552,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sim = commands.add_parser("simulate-arb", help="replay arbitrage losses over a schedule")
-    _add_common(sim)
-    _add_feed(sim)
-    sim.add_argument("--fee-bps", dest="fee_bps", type=float, help="pool fee in basis points")
-    sim.add_argument("--interval-ms", dest="interval_ms", type=int, help="fixed block interval")
-    sim.add_argument("--concentration-k", dest="concentration_k", type=float,
-                     help="concentration factor applied to relative losses")
-    sim.set_defaults(func=cmd_simulate_arb)
-
-    fees_cmd = commands.add_parser("fees", help="attribute historical swap fees to a position")
-    _add_common(fees_cmd)
-    fees_cmd.add_argument("--swaps", help="swap record CSV")
-    fees_cmd.add_argument("--position-liquidity", dest="position_liquidity", type=float,
-                          help="position size in L units (default 1)")
-    fees_cmd.add_argument("--per-block", dest="per_block", action="store_const", const=True,
-                          help="aggregate swaps per block with end-of-block liquidity")
-    fees_cmd.add_argument("--concentration-k", dest="concentration_k", type=float)
-    fees_cmd.set_defaults(func=cmd_fees)
-
-    cmp_cmd = commands.add_parser("compare", help="fees versus arbitrage losses over time")
-    _add_common(cmp_cmd)
-    _add_feed(cmp_cmd)
-    cmp_cmd.add_argument("--swaps", help="swap record CSV")
-    cmp_cmd.add_argument("--fee-bps", dest="fee_bps", type=float)
-    cmp_cmd.add_argument("--interval-ms", dest="interval_ms", type=int)
-    cmp_cmd.add_argument("--position-liquidity", dest="position_liquidity", type=float)
-    cmp_cmd.add_argument("--per-block", dest="per_block", action="store_const", const=True)
-    cmp_cmd.add_argument("--ratio-window-days", dest="ratio_window_days", type=float,
-                         help="trailing ratio window in days (default 30)")
-    cmp_cmd.add_argument("--concentration-k", dest="concentration_k", type=float)
-    cmp_cmd.set_defaults(func=cmd_compare)
-
-    swb = commands.add_parser("sweep-blocktime", help="total loss per block interval")
-    _add_common(swb)
-    _add_feed(swb)
-    swb.add_argument("--fee-bps", dest="fee_bps", type=float)
-    swb.add_argument("--intervals-ms", dest="intervals_ms",
-                     help="comma-separated interval grid (default 100ms..16s)")
-    swb.add_argument("--extended", action="store_const", const=True,
-                     help="use the extended grid up to 300s")
-    swb.add_argument("--fit-range", dest="fit_range", help="log-log fit range LO:HI in ms")
-    swb.set_defaults(func=cmd_sweep_blocktime)
-
-    swf = commands.add_parser("sweep-fee", help="total loss per pool fee")
-    _add_common(swf)
-    _add_feed(swf)
-    swf.add_argument("--interval-ms", dest="interval_ms", type=int)
-    swf.add_argument("--fees-bps", dest="fees_bps",
-                     help="comma-separated fee grid in bps (default 10,20,30,50,100)")
-    swf.add_argument("--fit-range", dest="fit_range", help="log-log fit range LO:HI in bps")
-    swf.set_defaults(func=cmd_sweep_fee)
-
-    synth = commands.add_parser("synth-gbm", help="generate a synthetic GBM feed")
-    _add_common(synth)
-    synth.add_argument("--sigma", type=float, help="volatility per sqrt(year)")
-    synth.add_argument("--mu", type=float, help="drift per year (default 0)")
-    synth.add_argument("--step-ms", dest="step_ms", type=int)
-    synth.add_argument("--horizon-ms", dest="horizon_ms", type=int)
-    synth.add_argument("--price0", type=float, help="initial price (default 1)")
-    synth.add_argument("--start-ms", dest="start_ms", type=int)
-    synth.add_argument("--format", choices=("klines", "quotes"),
-                       help="output schema (default klines)")
-    synth.set_defaults(func=cmd_synth_gbm)
-
+    for name, (_, help_text, flags) in COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        for flag in flags:
+            sub.add_argument(flag, **OPTIONS[flag])
     return parser
 
 
@@ -571,7 +564,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args)
-        return args.func(cfg)
+        return COMMANDS[args.command][0](cfg)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

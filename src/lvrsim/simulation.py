@@ -81,8 +81,17 @@ class LossSeries:
         return 1.0 - self.multiplier
 
     def scaled(self, factor_k: float) -> "LossSeries":
-        """Loss series of a position with concentration factor k."""
+        """Loss series of a position with concentration factor k.
+
+        A scaled loss of 1 or more would take the whole position, so the
+        price has left its range and the scaling no longer holds: rejected.
+        """
         scaled = concentration_scale(self.losses, factor_k)
+        if np.any(scaled >= 1.0):
+            raise InputError(
+                f"concentration factor {factor_k} scales a loss of "
+                f"{float(np.max(self.losses))} to >= 1; the position leaves its range"
+            )
         mult = 1.0
         for loss in scaled:
             mult *= 1.0 - loss
@@ -99,9 +108,6 @@ class SweepResult:
     annualized_losses: np.ndarray
     n_events: np.ndarray
     window_ms: int
-    slope: Optional[float] = None
-    slope_residual: Optional[float] = None
-    fit_range: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
         if np.any(np.diff(self.values) <= 0):
@@ -211,6 +217,40 @@ def _quote_resolution_ms(quotes: QuoteSeries) -> int:
     return int(np.diff(quotes.timestamps).min())
 
 
+def _sweep(
+    parameter: str,
+    values: Sequence[float],
+    points: Sequence[tuple[PoolState, int]],
+    quotes: QuoteSeries,
+    window: Optional[tuple[int, int]],
+) -> SweepResult:
+    """One arb simulation per (pool state, block interval) point on identical quotes."""
+    shortest = min(interval for _, interval in points)
+    resolution = _quote_resolution_ms(quotes)
+    if resolution and shortest < resolution:
+        raise InputError(
+            f"interval {shortest}ms is below the quote-update resolution of {resolution}ms"
+        )
+    if window is None:
+        window = (int(quotes.timestamps[0]), int(quotes.timestamps[-1]))
+    totals, annuals, counts = [], [], []
+    span = 0
+    for state, interval in points:
+        run = run_arb_sim(state, quotes, BlockSchedule.fixed(interval, *window))
+        totals.append(run.total_relative_loss)
+        annuals.append(_annualized(run.total_relative_loss, run.window_ms))
+        counts.append(len(run.losses))
+        span = max(span, run.window_ms)
+    return SweepResult(
+        parameter=parameter,
+        values=np.array(values, dtype=float),
+        total_losses=np.array(totals),
+        annualized_losses=np.array(annuals),
+        n_events=np.array(counts, dtype=np.int64),
+        window_ms=span,
+    )
+
+
 def blocktime_sweep(
     initial: PoolState,
     quotes: QuoteSeries,
@@ -222,30 +262,8 @@ def blocktime_sweep(
         raise InputError("at least one interval is required")
     if list(intervals_ms) != sorted(set(int(v) for v in intervals_ms)):
         raise InputError("intervals must be strictly increasing")
-    resolution = _quote_resolution_ms(quotes)
-    if resolution and min(intervals_ms) < resolution:
-        raise InputError(
-            f"interval {min(intervals_ms)}ms is below the quote-update "
-            f"resolution of {resolution}ms"
-        )
-    if window is None:
-        window = (int(quotes.timestamps[0]), int(quotes.timestamps[-1]))
-    totals, annuals, counts = [], [], []
-    span = 0
-    for interval in intervals_ms:
-        run = run_arb_sim(initial, quotes, BlockSchedule.fixed(interval, *window))
-        totals.append(run.total_relative_loss)
-        annuals.append(_annualized(run.total_relative_loss, run.window_ms))
-        counts.append(len(run.losses))
-        span = max(span, run.window_ms)
-    return SweepResult(
-        parameter="interval_ms",
-        values=np.array(intervals_ms, dtype=float),
-        total_losses=np.array(totals),
-        annualized_losses=np.array(annuals),
-        n_events=np.array(counts, dtype=np.int64),
-        window_ms=span,
-    )
+    points = [(initial, interval) for interval in intervals_ms]
+    return _sweep("interval_ms", intervals_ms, points, quotes, window)
 
 
 def fee_sweep(
@@ -264,31 +282,8 @@ def fee_sweep(
             raise InputError(f"fee must be in [0, 1), got {fee}")
     if list(fees) != sorted(set(fees)):
         raise InputError("fees must be strictly increasing")
-    resolution = _quote_resolution_ms(quotes)
-    if resolution and interval_ms < resolution:
-        raise InputError(
-            f"interval {interval_ms}ms is below the quote-update resolution "
-            f"of {resolution}ms"
-        )
-    if window is None:
-        window = (int(quotes.timestamps[0]), int(quotes.timestamps[-1]))
-    schedule = BlockSchedule.fixed(interval_ms, *window)
-    totals, annuals, counts = [], [], []
-    span = 0
-    for fee in fees:
-        run = run_arb_sim(PoolState(reserve_x, reserve_y, fee), quotes, schedule)
-        totals.append(run.total_relative_loss)
-        annuals.append(_annualized(run.total_relative_loss, run.window_ms))
-        counts.append(len(run.losses))
-        span = max(span, run.window_ms)
-    return SweepResult(
-        parameter="fee",
-        values=np.array(fees, dtype=float),
-        total_losses=np.array(totals),
-        annualized_losses=np.array(annuals),
-        n_events=np.array(counts, dtype=np.int64),
-        window_ms=span,
-    )
+    points = [(PoolState(reserve_x, reserve_y, fee), interval_ms) for fee in fees]
+    return _sweep("fee", fees, points, quotes, window)
 
 
 def gbm_generate(

@@ -265,3 +265,131 @@ class TestQuotesFeed:
                        "--fee-bps", 10, "--out", out) == 0
         rows = (out / "losses.csv").read_text().strip().splitlines()[1:]
         assert [r.split(",")[1] for r in rows] == ["10000", "30000", "60000", "90000"]
+
+
+def manifest_results(out):
+    return json.loads((out / "manifest.json").read_text())["results"]
+
+
+def sweep_totals(out):
+    rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+    return [(float(r.split(",")[1]), float(r.split(",")[2])) for r in rows]
+
+
+class TestSweepsMatchSimulateArb:
+    WINDOW = "3600000:7200000"
+
+    @pytest.fixture()
+    def two_hour_klines(self, tmp_path):
+        out = tmp_path / "synth2h"
+        assert run_cli("synth-gbm", "--sigma", 0.8, "--step-ms", 1000,
+                       "--horizon-ms", 7_200_000, "--seed", 31, "--price0", 2000,
+                       "--out", out) == 0
+        return out / "gbm_klines.csv"
+
+    def simulate(self, tmp_path, klines, fee_bps, interval_ms):
+        out = tmp_path / f"sim_{fee_bps}_{interval_ms}"
+        assert run_cli("simulate-arb", "--klines", klines, "--fee-bps", fee_bps,
+                       "--interval-ms", interval_ms, "--window", self.WINDOW,
+                       "--out", out) == 0
+        return manifest_results(out)["total_relative_loss"]
+
+    def test_sweep_fee_rows_equal_simulate_arb(self, tmp_path, two_hour_klines):
+        out = tmp_path / "fsweep"
+        assert run_cli("sweep-fee", "--klines", two_hour_klines, "--interval-ms", 12_000,
+                       "--fees-bps", "10,30", "--window", self.WINDOW, "--out", out) == 0
+        rows = sweep_totals(out)
+        assert [fee for fee, _ in rows] == [0.001, 0.003]
+        for (fee, total), bps in zip(rows, (10, 30)):
+            assert total > 0
+            assert total == self.simulate(tmp_path, two_hour_klines, bps, 12_000)
+
+    def test_sweep_blocktime_rows_equal_simulate_arb(self, tmp_path, two_hour_klines):
+        out = tmp_path / "bsweep"
+        assert run_cli("sweep-blocktime", "--klines", two_hour_klines, "--fee-bps", 10,
+                       "--intervals-ms", "4000,12000", "--window", self.WINDOW,
+                       "--out", out) == 0
+        for interval, total in sweep_totals(out):
+            assert total > 0
+            assert total == self.simulate(tmp_path, two_hour_klines, 10, int(interval))
+
+
+class TestBadInputExits2:
+    def write_config(self, tmp_path, **values):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"out": str(tmp_path / "out"), **values}))
+        return path
+
+    @pytest.mark.parametrize("command, key", [
+        ("simulate-arb", "fee_bp"), ("fees", "concentraton_k"), ("fees", "fee_bps"),
+    ])
+    def test_undeclared_config_key(self, tmp_path, capsys, command, key):
+        config = self.write_config(tmp_path, **{key: 30})
+        assert run_cli(command, "--config", config) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("fee_bps", "abc"), ("interval_ms", "2s"), ("concentration_k", [2]),
+        ("window", [0, 60_000]),
+    ])
+    def test_config_value_the_flag_rejects(self, tmp_path, gbm_klines, capsys, key, value):
+        config = self.write_config(tmp_path, **{"klines": str(gbm_klines), "fee_bps": 30,
+                                                "interval_ms": 2000, key: value})
+        assert run_cli("simulate-arb", "--config", config) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [("fees", "per_block"),
+                                              ("sweep-blocktime", "extended")])
+    def test_on_off_config_values_must_be_json_booleans(self, tmp_path, capsys, command, key):
+        config = self.write_config(tmp_path, **{key: "false"})
+        assert run_cli(command, "--config", config) == 2
+        assert key in capsys.readouterr().err
+
+    def test_per_block_json_booleans_match_flag(self, tmp_path):
+        periods = {}
+        for value in (True, False):
+            config = self.write_config(tmp_path, swaps=str(FIXTURE), per_block=value,
+                                       position_liquidity=500)
+            assert run_cli("fees", "--config", config) == 0
+            periods[value] = manifest_results(tmp_path / "out")["n_periods"]
+        assert periods == {True: 417, False: 1000}
+
+    def test_fit_range_not_a_range(self, tmp_path, gbm_klines, capsys):
+        code = run_cli("sweep-fee", "--klines", gbm_klines, "--interval-ms", 2000,
+                       "--fit-range", "abc", "--out", tmp_path / "bad")
+        assert code == 2
+        assert "fit range" in capsys.readouterr().err
+
+    def test_zero_interval_names_the_interval(self, tmp_path, gbm_klines, capsys):
+        code = run_cli("simulate-arb", "--klines", gbm_klines, "--fee-bps", 30,
+                       "--interval-ms", 0, "--out", tmp_path / "bad")
+        assert code == 2
+        assert "interval must be positive" in capsys.readouterr().err
+
+    def test_concentration_taking_whole_position(self, tmp_path, gbm_klines, capsys):
+        code = run_cli("simulate-arb", "--klines", gbm_klines, "--fee-bps", 10,
+                       "--interval-ms", 2000, "--concentration-k", 1e9,
+                       "--out", tmp_path / "bad")
+        assert code == 2
+        assert "leaves its range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate-arb", "compare"])
+def test_blocks_file_parsed_once(tmp_path, monkeypatch, command):
+    import lvrsim.cli
+
+    calls = []
+    original = lvrsim.cli.load_block_timestamps
+
+    def counting(path):
+        calls.append(path)
+        return original(path)
+
+    monkeypatch.setattr(lvrsim.cli, "load_block_timestamps", counting)
+    klines = TestCompare().write_inputs(tmp_path)
+    blocks = tmp_path / "blocks.csv"
+    blocks.write_text("block_number,timestamp_s\n1,1672531212\n2,1672531224\n3,1672531248\n")
+    extra = ["--swaps", FIXTURE, "--position-liquidity", 500] if command == "compare" else []
+    assert run_cli(command, "--klines", klines, "--blocks", blocks, "--fee-bps", 30,
+                   "--out", tmp_path / "out", *extra) == 0
+    assert len(calls) == 1

@@ -166,6 +166,13 @@ class TestRunArbSim:
         expected = (1 - 0.01) * (1 - 0.02) * (1 - 0.005)
         assert scaled.multiplier == pytest.approx(expected, rel=1e-12)
 
+    def test_scaled_rejects_loss_of_whole_position(self):
+        run = loss_series([0, 1000, 2000], [0.001, 0.02, 0.0005])
+        assert run.scaled(49.0).multiplier > 0
+        for factor in (50.0, 60.0):  # 50 * 0.02 == 1 exactly
+            with pytest.raises(InputError, match="leaves its range"):
+                run.scaled(factor)
+
 
 class TestBlocktimeSweep:
     def test_degenerate_single_interval(self):
