@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,6 +28,7 @@ import numpy as np
 from . import __version__
 from .errors import FitError, InputError
 from .feeds import (
+    QuoteSeries,
     align_to_blocks,
     load_block_timestamps,
     load_klines,
@@ -143,6 +145,9 @@ def _config_value(path: str, key: str, value, spec: dict):
         if not isinstance(value, bool):
             raise InputError(f"config file {path}: {key} must be true or false, got {value!r}")
         return value
+    text = (str, list) if key in ("intervals_ms", "fees_bps") else str  # a grid may be a list
+    if "type" not in spec and not isinstance(value, text):
+        raise InputError(f"config file {path}: {key} must be a JSON string, got {value!r}")
     try:
         value = spec.get("type", lambda v: v)(value)
     except (TypeError, ValueError):
@@ -206,40 +211,57 @@ def _fee_from_bps(cfg: dict) -> float:
 
 # --- feed / schedule assembly -------------------------------------------------
 
-def _load_feed(cfg: dict):
-    """Quote series + metadata from --quotes (bid/ask) or --klines (mid).
+@dataclass(frozen=True)
+class Feed:
+    """The quotes a run replays, every file read for them, and the --window."""
 
-    The last item is the parsed --blocks timestamps when klines were aligned
-    to them, so that the schedule reuses them; otherwise None.
-    """
+    quotes: QuoteSeries
+    kind: str  # "bid_ask" (--quotes) or "mid" (--klines)
+    inputs: list  # each file read, hashed into the manifest
+    counters: dict
+    blocks: np.ndarray | None  # --blocks timestamps in ms
+    window: tuple[int, int] | None  # --window
+
+    @property
+    def span(self) -> tuple[int, int]:
+        """The --window, or else the span of the quotes."""
+        return self.window or (int(self.quotes.timestamps[0]), int(self.quotes.timestamps[-1]))
+
+
+def _load_feed(cfg: dict) -> Feed:
+    """Parse --quotes or --klines, and --blocks and --window when given, once each."""
     pair = cfg.get("pair", "")
     if cfg.get("quotes"):
-        quotes = load_quote_updates(_require_file(cfg["quotes"]), pair=pair, source="quotes")
-        return quotes, "bid_ask", [cfg["quotes"]], {}, None
-    if cfg.get("klines"):
-        prices = load_klines(_require_file(cfg["klines"]), pair=pair, source="klines")
-        if cfg.get("blocks"):
-            blocks = load_block_timestamps(_require_file(cfg["blocks"]))
-            aligned, fills = align_to_blocks(prices, blocks)
-            quotes = quotes_from_prices(aligned)
-            return quotes, "mid", [cfg["klines"], cfg["blocks"]], {
-                "block_price_fills": fills, "blocks": int(len(blocks)),
-            }, blocks
-        return quotes_from_prices(prices), "mid", [cfg["klines"]], {}, None
-    raise InputError("a price feed is required: give --quotes or --klines")
-
-
-def _make_schedule(cfg: dict, quotes, blocks) -> BlockSchedule:
+        kind, inputs = "bid_ask", [cfg["quotes"]]
+        series = load_quote_updates(_require_file(cfg["quotes"]), pair=pair, source="quotes")
+    elif cfg.get("klines"):
+        kind, inputs = "mid", [cfg["klines"]]
+        series = load_klines(_require_file(cfg["klines"]), pair=pair, source="klines")
+    else:
+        raise InputError("a price feed is required: give --quotes or --klines")
+    blocks, counters = None, {}
     if cfg.get("blocks"):
-        if blocks is None:
-            blocks = load_block_timestamps(_require_file(cfg["blocks"]))
+        blocks = load_block_timestamps(_require_file(cfg["blocks"]))
+        inputs.append(cfg["blocks"])
+        if kind == "mid":
+            series, fills = align_to_blocks(series, blocks)  # all blocks, not the window
+            counters = {"block_price_fills": fills, "blocks": int(len(blocks))}
+    quotes = series if kind == "bid_ask" else quotes_from_prices(series)
+    window = _parse_window(cfg["window"]) if cfg.get("window") else None
+    return Feed(quotes, kind, inputs, counters, blocks, window)
+
+
+def _make_schedule(cfg: dict, feed: Feed) -> BlockSchedule:
+    """The blocks inside the window, or the fixed grid over the window."""
+    if feed.blocks is not None:
+        if cfg.get("interval_ms") is not None:
+            raise InputError("give --blocks or --interval-ms, not both")
+        blocks = feed.blocks
+        if feed.window:
+            blocks = blocks[(blocks >= feed.window[0]) & (blocks <= feed.window[1])]
         return BlockSchedule.from_blocks(blocks)
     if cfg.get("interval_ms") is not None:
-        if cfg.get("window"):
-            window = _parse_window(cfg["window"])
-        else:
-            window = (int(quotes.timestamps[0]), int(quotes.timestamps[-1]))
-        return BlockSchedule.fixed(cfg["interval_ms"], *window)
+        return BlockSchedule.fixed(cfg["interval_ms"], *feed.span)
     raise InputError("a schedule is required: give --blocks or --interval-ms")
 
 
@@ -266,11 +288,10 @@ def _concentration(cfg: dict) -> float:
 
 def _arb_run(cfg: dict, fee: float, factor: float):
     """Losses of the feed replayed over the schedule, scaled by the factor k."""
-    quotes, feed_kind, inputs, counters, blocks = _load_feed(cfg)
-    schedule = _make_schedule(cfg, quotes, blocks)
-    initial = _initial_state(cfg, quotes, schedule.timestamps[0], fee)
-    run = run_arb_sim(initial, quotes, schedule).scaled(factor)
-    return run, schedule, feed_kind, inputs, counters
+    feed = _load_feed(cfg)
+    schedule = _make_schedule(cfg, feed)
+    initial = _initial_state(cfg, feed.quotes, schedule.timestamps[0], fee)
+    return run_arb_sim(initial, feed.quotes, schedule).scaled(factor), schedule, feed
 
 
 def _fee_ledger(cfg: dict, factor: float):
@@ -297,7 +318,7 @@ def cmd_simulate_arb(cfg: dict) -> int:
     out = _out_dir(cfg)
     fee = _fee_from_bps(cfg)
     factor = _concentration(cfg)
-    run, schedule, feed_kind, inputs, counters = _arb_run(cfg, fee, factor)
+    run, schedule, feed = _arb_run(cfg, fee, factor)
 
     loss_by_instant = np.zeros(len(schedule.timestamps))
     profit_by_instant = np.zeros(len(schedule.timestamps))
@@ -318,10 +339,10 @@ def cmd_simulate_arb(cfg: dict) -> int:
     )
     _write_manifest(
         out, "simulate-arb",
-        {"pair": cfg.get("pair", ""), "fee": fee, "feed_kind": feed_kind,
+        {"pair": cfg.get("pair", ""), "fee": fee, "feed_kind": feed.kind,
          "concentration_k": factor, "interval_ms": schedule.interval_ms,
          "n_instants": int(run.n_instants), "seed": cfg.get("seed")},
-        inputs, counters,
+        feed.inputs, feed.counters,
         {"total_relative_loss": run.total_relative_loss,
          "n_events": int(len(run.losses)), "window_ms": run.window_ms},
     )
@@ -357,7 +378,7 @@ def cmd_compare(cfg: dict) -> int:
     fee = _fee_from_bps(cfg)
     factor = _concentration(cfg)
     ledger, swaps_path, _ = _fee_ledger(cfg, factor)
-    run, _, feed_kind, inputs, counters = _arb_run(cfg, fee, factor)
+    run, _, feed = _arb_run(cfg, fee, factor)
     window_ms = int(cfg.get("ratio_window_days", 30.0) * DAY_MS)
     report = fees_vs_losses(ledger, run, window_ms)
     _write_table(
@@ -374,10 +395,10 @@ def cmd_compare(cfg: dict) -> int:
     )
     _write_manifest(
         out, "compare",
-        {"pair": cfg.get("pair", ""), "fee": fee, "feed_kind": feed_kind,
+        {"pair": cfg.get("pair", ""), "fee": fee, "feed_kind": feed.kind,
          "concentration_k": factor, "position_liquidity": ledger.position_liquidity,
          "ratio_window_ms": window_ms},
-        inputs + [swaps_path], counters, report.totals,
+        feed.inputs + [swaps_path], feed.counters, report.totals,
     )
     return 0
 
@@ -407,17 +428,17 @@ def _write_sweep(out: Path, sweep, fit_range) -> dict:
 def cmd_sweep(command: str, cfg: dict) -> int:
     """sweep-blocktime or sweep-fee: total loss per grid value on one feed."""
     out = _out_dir(cfg)
-    quotes, feed_kind, inputs, counters, _ = _load_feed(cfg)
-    window = _parse_window(cfg["window"]) if cfg.get("window") else None
-    start_ms = window[0] if window else int(quotes.timestamps[0])
+    if cfg.get("quotes") and cfg.get("blocks"):
+        raise InputError("sweeps take --blocks only with --klines, to align them")
+    feed = _load_feed(cfg)
     fit_range = _parse_range(cfg["fit_range"]) if cfg.get("fit_range") else None
     if command == "sweep-fee":
         interval = _require(cfg, "interval_ms")
         fees_bps = _parse_list(cfg.get("fees_bps", "10,20,30,50,100"), float)
         # only the reserves are used; each grid point sets its own fee
-        pool = _initial_state(cfg, quotes, start_ms, 0.0)
-        sweep = fee_sweep(pool.reserve_x, pool.reserve_y, quotes, interval,
-                          [bps / 1e4 for bps in fees_bps], window)
+        pool = _initial_state(cfg, feed.quotes, feed.span[0], 0.0)
+        sweep = fee_sweep(pool.reserve_x, pool.reserve_y, feed.quotes, interval,
+                          [bps / 1e4 for bps in fees_bps], feed.span)
         if fit_range:
             fit_range = (fit_range[0] / 1e4, fit_range[1] / 1e4)
         grid = {"interval_ms": interval, "fees_bps": fees_bps}
@@ -429,15 +450,15 @@ def cmd_sweep(command: str, cfg: dict) -> int:
             intervals = list(EXTENDED_INTERVALS_MS)
         else:
             intervals = list(DEFAULT_INTERVALS_MS)
-        sweep = blocktime_sweep(_initial_state(cfg, quotes, start_ms, fee), quotes,
-                                intervals, window)
+        sweep = blocktime_sweep(_initial_state(cfg, feed.quotes, feed.span[0], fee),
+                                feed.quotes, intervals, feed.span)
         grid = {"fee": fee, "intervals_ms": intervals}
     fit = _write_sweep(out, sweep, fit_range)
     _write_manifest(
         out, command,
-        {**grid, "pair": cfg.get("pair", ""), "feed_kind": feed_kind,
-         "window": list(window) if window else None, "seed": cfg.get("seed"), "fit": fit},
-        inputs, counters,
+        {**grid, "pair": cfg.get("pair", ""), "feed_kind": feed.kind,
+         "window": feed.window, "seed": cfg.get("seed"), "fit": fit},
+        feed.inputs, feed.counters,
         {"total_losses": [float(v) for v in sweep.total_losses]},
     )
     return 0

@@ -78,8 +78,8 @@ class QuoteSeries:
             raise InputError("timestamps, bids and asks must have equal length")
         if len(self.timestamps) and np.any(np.diff(self.timestamps) <= 0):
             raise InputError("quote series timestamps must be strictly increasing")
-        if np.any(self.bids <= 0) or np.any(self.asks < self.bids):
-            raise InputError("quotes must satisfy 0 < bid <= ask")
+        if not np.all((0 < self.bids) & (self.bids <= self.asks) & (self.asks < np.inf)):
+            raise InputError("quotes must be finite and satisfy 0 < bid <= ask")
 
     def __len__(self) -> int:
         return len(self.timestamps)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -330,7 +331,7 @@ class TestBadInputExits2:
 
     @pytest.mark.parametrize("key, value", [
         ("fee_bps", "abc"), ("interval_ms", "2s"), ("concentration_k", [2]),
-        ("window", [0, 60_000]),
+        ("window", [0, 60_000]), ("out", 5), ("pair", 3),
     ])
     def test_config_value_the_flag_rejects(self, tmp_path, gbm_klines, capsys, key, value):
         config = self.write_config(tmp_path, **{"klines": str(gbm_klines), "fee_bps": 30,
@@ -353,6 +354,16 @@ class TestBadInputExits2:
             assert run_cli("fees", "--config", config) == 0
             periods[value] = manifest_results(tmp_path / "out")["n_periods"]
         assert periods == {True: 417, False: 1000}
+
+    def test_grid_config_values_may_be_json_lists(self, tmp_path, gbm_klines):
+        config = self.write_config(tmp_path, klines=str(gbm_klines), interval_ms=2000,
+                                   fees_bps=[10, 30])
+        assert run_cli("sweep-fee", "--config", config) == 0
+        assert [fee for fee, _ in sweep_totals(tmp_path / "out")] == [0.001, 0.003]
+        config = self.write_config(tmp_path, klines=str(gbm_klines), fee_bps=10,
+                                   intervals_ms=[1000, 4000])
+        assert run_cli("sweep-blocktime", "--config", config) == 0
+        assert [ms for ms, _ in sweep_totals(tmp_path / "out")] == [1000.0, 4000.0]
 
     def test_fit_range_not_a_range(self, tmp_path, gbm_klines, capsys):
         code = run_cli("sweep-fee", "--klines", gbm_klines, "--interval-ms", 2000,
@@ -393,3 +404,81 @@ def test_blocks_file_parsed_once(tmp_path, monkeypatch, command):
     assert run_cli(command, "--klines", klines, "--blocks", blocks, "--fee-bps", 30,
                    "--out", tmp_path / "out", *extra) == 0
     assert len(calls) == 1
+
+
+class TestFeedStep:
+    """Each input is read once and recorded; --window limits a --blocks schedule."""
+
+    WINDOW = "3600000:7200000"
+
+    @pytest.fixture()
+    def feed(self, tmp_path):
+        """A 2 h GBM path as klines and as quotes, 12 s blocks, and the blocks in WINDOW."""
+        for fmt in ("klines", "quotes"):
+            assert run_cli("synth-gbm", "--sigma", 0.8, "--step-ms", 1000,
+                           "--horizon-ms", 7_200_000, "--seed", 3, "--price0", 2000,
+                           "--format", fmt, "--out", tmp_path / "synth") == 0
+        seconds = range(0, 7_201, 12)
+        blocks, inside = tmp_path / "blocks.csv", tmp_path / "blocks_in_window.csv"
+        blocks.write_text("".join(f"{i},{t}\n" for i, t in enumerate(seconds)))
+        inside.write_text("".join(f"{i},{t}\n" for i, t in enumerate(seconds)
+                                  if 3_600 <= t <= 7_200))
+        return {"klines": tmp_path / "synth" / "gbm_klines.csv",
+                "quotes": tmp_path / "synth" / "gbm_quotes.csv",
+                "blocks": blocks, "inside": inside}
+
+    @staticmethod
+    def extra(command):
+        return ["--swaps", FIXTURE, "--position-liquidity", 500] if command == "compare" else []
+
+    @pytest.mark.parametrize("command", ["simulate-arb", "compare"])
+    def test_quotes_with_blocks_records_blocks_parsed_once(self, tmp_path, monkeypatch,
+                                                           feed, command):
+        import lvrsim.cli
+
+        calls = []
+        original = lvrsim.cli.load_block_timestamps
+
+        def counting(path):
+            calls.append(path)
+            return original(path)
+
+        monkeypatch.setattr(lvrsim.cli, "load_block_timestamps", counting)
+        out = tmp_path / "out"
+        assert run_cli(command, "--quotes", feed["quotes"], "--blocks", feed["blocks"],
+                       "--fee-bps", 30, "--out", out, *self.extra(command)) == 0
+        assert len(calls) == 1
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        digest = hashlib.sha256(feed["blocks"].read_bytes()).hexdigest()
+        assert inputs[str(feed["blocks"])]["sha256"] == digest
+
+    @pytest.mark.parametrize("command, grid", [("sweep-fee", ["--interval-ms", 12_000]),
+                                               ("sweep-blocktime", ["--fee-bps", 30])],
+                             ids=["sweep-fee", "sweep-blocktime"])
+    def test_sweep_rejects_blocks_with_quotes(self, tmp_path, capsys, feed, command, grid):
+        assert run_cli(command, "--quotes", feed["quotes"], "--blocks", feed["blocks"],
+                       *grid, "--out", tmp_path / "out") == 2
+        assert "--blocks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate-arb", "compare"])
+    def test_window_limits_block_schedule(self, tmp_path, feed, command):
+        results = []
+        for name, blocks, window in (("windowed", feed["blocks"], ["--window", self.WINDOW]),
+                                     ("inside", feed["inside"], [])):
+            out = tmp_path / name
+            assert run_cli(command, "--klines", feed["klines"], "--blocks", blocks,
+                           "--fee-bps", 30, "--out", out, *window, *self.extra(command)) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            results.append((manifest["results"]["total_relative_loss"],
+                            manifest["results"].get("n_events"),
+                            manifest["parameters"].get("n_instants")))
+        assert results[0] == results[1]
+        assert results[0][0] > 0
+
+    @pytest.mark.parametrize("command", ["simulate-arb", "compare"])
+    def test_blocks_with_interval_rejected(self, tmp_path, capsys, feed, command):
+        assert run_cli(command, "--klines", feed["klines"], "--blocks", feed["blocks"],
+                       "--interval-ms", 4000, "--fee-bps", 30, "--out", tmp_path / "out",
+                       *self.extra(command)) == 2
+        err = capsys.readouterr().err
+        assert "--blocks" in err and "--interval-ms" in err

@@ -254,3 +254,15 @@ class TestQuotesFromPrices:
         out = quotes_from_prices(series)
         assert np.array_equal(out.bids, out.asks)
         assert out.pair == "A/B"
+
+
+class TestQuoteSeriesValidation:
+    @pytest.mark.parametrize("columns, value", [
+        (("bids",), np.nan), (("asks",), np.nan), (("bids", "asks"), np.inf),
+    ], ids=["nan-bid", "nan-ask", "inf"])
+    def test_non_finite_quote_rejected(self, columns, value):
+        quotes = {"bids": np.array([1.0, 2.0, 3.0]), "asks": np.array([1.0, 2.0, 3.0])}
+        for column in columns:
+            quotes[column][1] = value
+        with pytest.raises(InputError, match="finite"):
+            QuoteSeries(np.array([0, 1, 2]), quotes["bids"], quotes["asks"])
