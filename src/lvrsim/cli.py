@@ -55,21 +55,16 @@ SCHEMA_VERSION = 1
 
 # --- output helpers ---------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, (np.floating, float)):
-        value = float(value)
-        return "" if math.isnan(value) else repr(value)
-    if isinstance(value, (np.integer, int)):
-        return str(int(value))
-    return str(value)
+# rows formatted and written at a time; a whole table is never held as text
+_CHUNK_ROWS = 8192
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -77,11 +72,30 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _write_table(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _cells(column: np.ndarray) -> list[str]:
+    """A float is its shortest repr (NaN an empty cell); anything else its str."""
+    if column.dtype.kind == "f":
+        return ["" if v != v else repr(v) for v in column.tolist()]
+    return [str(v) for v in column.tolist()]
+
+
+def _write_table(path: Path, columns: dict) -> None:
+    """CSV of header -> column; a column is an array, or a scalar filling every row."""
+    columns = {name: np.asarray(column) for name, column in columns.items()}
+    lengths = {len(c) for c in columns.values() if c.ndim}
+    if len(lengths) > 1:
+        raise ValueError(f"{path.name}: columns of unequal lengths {sorted(lengths)}")
+    n_rows = lengths.pop() if lengths else 0
+
+    def chunks():
+        yield ",".join(columns) + "\n"
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            size = min(_CHUNK_ROWS, n_rows - start)
+            cells = [_cells(c[start:start + size]) if c.ndim else _cells(c.reshape(1)) * size
+                     for c in columns.values()]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    _atomic_write(path, chunks())
 
 
 def _sha256(path: str) -> dict:
@@ -104,7 +118,7 @@ def _write_manifest(out_dir: Path, command: str, params: dict, inputs: list[str]
         "results": results or {},
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    _atomic_write(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True))
+    _atomic_write(out_dir / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True)])
 
 
 # --- config ------------------------------------------------------------------
@@ -232,13 +246,15 @@ def _load_feed(cfg: dict) -> Feed:
     """Parse --quotes or --klines, and --blocks and --window when given, once each."""
     pair = cfg.get("pair", "")
     if cfg.get("quotes"):
-        kind, inputs = "bid_ask", [cfg["quotes"]]
-        series = load_quote_updates(_require_file(cfg["quotes"]), pair=pair, source="quotes")
+        kind, source, load = "bid_ask", "quotes", load_quote_updates
     elif cfg.get("klines"):
-        kind, inputs = "mid", [cfg["klines"]]
-        series = load_klines(_require_file(cfg["klines"]), pair=pair, source="klines")
+        kind, source, load = "mid", "klines", load_klines
     else:
         raise InputError("a price feed is required: give --quotes or --klines")
+    inputs = [cfg[source]]
+    series = load(_require_file(cfg[source]), pair=pair, source=source)
+    if not len(series):
+        raise InputError(f"feed file {cfg[source]} holds no data rows")
     blocks, counters = None, {}
     if cfg.get("blocks"):
         blocks = load_block_timestamps(_require_file(cfg["blocks"]))
@@ -325,18 +341,11 @@ def cmd_simulate_arb(cfg: dict) -> int:
     event_idx = np.searchsorted(schedule.timestamps, run.timestamps)
     loss_by_instant[event_idx] = run.losses
     profit_by_instant[event_idx] = run.profits
-    cumulative = 1.0 - np.cumprod(1.0 - loss_by_instant)
-    _write_table(
-        out / "losses.csv",
-        ["schema_version", "timestamp_ms", "lp_relative_loss", "arb_profit",
-         "cumulative_relative_loss"],
-        (
-            (SCHEMA_VERSION, ts, loss, profit, cum)
-            for ts, loss, profit, cum in zip(
-                schedule.timestamps, loss_by_instant, profit_by_instant, cumulative
-            )
-        ),
-    )
+    _write_table(out / "losses.csv", {
+        "schema_version": SCHEMA_VERSION, "timestamp_ms": schedule.timestamps,
+        "lp_relative_loss": loss_by_instant, "arb_profit": profit_by_instant,
+        "cumulative_relative_loss": 1.0 - np.cumprod(1.0 - loss_by_instant),
+    })
     _write_manifest(
         out, "simulate-arb",
         {"pair": cfg.get("pair", ""), "fee": fee, "feed_kind": feed.kind,
@@ -353,15 +362,11 @@ def cmd_fees(cfg: dict) -> int:
     out = _out_dir(cfg)
     factor = _concentration(cfg)
     ledger, swaps_path, n_records = _fee_ledger(cfg, factor)
-    growth = np.cumprod(1.0 + ledger.returns)
-    _write_table(
-        out / "fee_returns.csv",
-        ["schema_version", "timestamp_ms", "relative_fee_return", "cumulative_growth"],
-        (
-            (SCHEMA_VERSION, ts, r, g)
-            for ts, r, g in zip(ledger.timestamps, ledger.returns, growth)
-        ),
-    )
+    _write_table(out / "fee_returns.csv", {
+        "schema_version": SCHEMA_VERSION, "timestamp_ms": ledger.timestamps,
+        "relative_fee_return": ledger.returns,
+        "cumulative_growth": np.cumprod(1.0 + ledger.returns),
+    })
     _write_manifest(
         out, "fees",
         {"pair": cfg.get("pair", ""), "position_liquidity": ledger.position_liquidity,
@@ -377,22 +382,19 @@ def cmd_compare(cfg: dict) -> int:
     out = _out_dir(cfg)
     fee = _fee_from_bps(cfg)
     factor = _concentration(cfg)
+    days = cfg.get("ratio_window_days", 30.0)
+    if not (math.isfinite(days) and days * DAY_MS >= 1):
+        raise InputError(f"--ratio-window-days must be finite and at least 1 ms, got {days}")
+    window_ms = int(days * DAY_MS)
     ledger, swaps_path, _ = _fee_ledger(cfg, factor)
     run, _, feed = _arb_run(cfg, fee, factor)
-    window_ms = int(cfg.get("ratio_window_days", 30.0) * DAY_MS)
     report = fees_vs_losses(ledger, run, window_ms)
-    _write_table(
-        out / "comparison.csv",
-        ["schema_version", "timestamp_ms", "fee_return", "loss_return",
-         "cumulative_difference", "trailing_ratio"],
-        (
-            (SCHEMA_VERSION, ts, f, l, d, r)
-            for ts, f, l, d, r in zip(
-                report.timestamps, report.fee_returns, report.loss_returns,
-                report.cumulative_difference, report.trailing_ratio,
-            )
-        ),
-    )
+    _write_table(out / "comparison.csv", {
+        "schema_version": SCHEMA_VERSION, "timestamp_ms": report.timestamps,
+        "fee_return": report.fee_returns, "loss_return": report.loss_returns,
+        "cumulative_difference": report.cumulative_difference,
+        "trailing_ratio": report.trailing_ratio,
+    })
     _write_manifest(
         out, "compare",
         {"pair": cfg.get("pair", ""), "fee": fee, "feed_kind": feed.kind,
@@ -411,17 +413,11 @@ def _write_sweep(out: Path, sweep, fit_range) -> dict:
                [float(sweep.values[0]), float(sweep.values[-1])]}
     except FitError as exc:
         fit = {"slope": None, "residual": None, "error": str(exc)}
-    _write_table(
-        out / "sweep.csv",
-        ["schema_version", sweep.parameter, "total_relative_loss",
-         "annualized_loss", "n_events"],
-        (
-            (SCHEMA_VERSION, v, t, a, n)
-            for v, t, a, n in zip(
-                sweep.values, sweep.total_losses, sweep.annualized_losses, sweep.n_events
-            )
-        ),
-    )
+    _write_table(out / "sweep.csv", {
+        "schema_version": SCHEMA_VERSION, sweep.parameter: sweep.values,
+        "total_relative_loss": sweep.total_losses,
+        "annualized_loss": sweep.annualized_losses, "n_events": sweep.n_events,
+    })
     return fit
 
 
@@ -481,13 +477,11 @@ def cmd_synth_gbm(cfg: dict) -> int:
     # synthetic feeds are written in the exact ingestion schemas so they can
     # be fed straight back into the other subcommands
     if fmt == "klines":
-        header = ["timestamp_ms", "open", "high", "low", "close", "volume"]
-        rows = ((ts, p, p, p, p, 0.0) for ts, p in zip(series.timestamps, series.prices))
+        prices = {**dict.fromkeys(("open", "high", "low", "close"), series.prices), "volume": 0.0}
     else:
-        header = ["timestamp_ms", "bid", "ask"]
-        rows = ((ts, p, p) for ts, p in zip(series.timestamps, series.prices))
+        prices = dict.fromkeys(("bid", "ask"), series.prices)
     written = f"gbm_{fmt}.csv"
-    _write_table(out / written, header, rows)
+    _write_table(out / written, {"timestamp_ms": series.timestamps, **prices})
     _write_manifest(
         out, "synth-gbm",
         {"pair": cfg.get("pair", "synthetic"), "sigma": sigma,

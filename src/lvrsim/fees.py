@@ -93,14 +93,18 @@ def fee_earned(record: SwapRecord, position_liquidity: float) -> float:
     return record.fee_rate * record.amount_in * share
 
 
+def _fee_in_y(record: SwapRecord, fee_amount: float) -> float:
+    """A fee in the swap's input token, converted to Y at the post-swap price."""
+    return fee_amount * record.post_swap_price if record.input_token == TOKEN_X else fee_amount
+
+
 def relative_fee_return(
     record: SwapRecord, fee_amount: float, position_value_y: float
 ) -> float:
     """Fee amount converted to Y at the post-swap price, over position value."""
     if position_value_y <= 0:
         raise InputError(f"position value must be positive, got {position_value_y}")
-    fee_y = fee_amount * record.post_swap_price if record.input_token == TOKEN_X else fee_amount
-    return fee_y / position_value_y
+    return _fee_in_y(record, fee_amount) / position_value_y
 
 
 def accumulate(
@@ -171,8 +175,7 @@ def attribute_fees(
             fee_y = 0.0
             for r in records[i:j]:
                 block_view = replace(r, post_swap_liquidity=last.post_swap_liquidity)
-                fee = fee_earned(block_view, position_liquidity)
-                fee_y += fee * r.post_swap_price if r.input_token == TOKEN_X else fee
+                fee_y += _fee_in_y(r, fee_earned(block_view, position_liquidity))
             value = position_value_of_liquidity(position_liquidity, last.post_swap_price)
             returns.append(fee_y / value)
             stamps.append(last.timestamp)

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lvrsim.cli import main
+from lvrsim.cli import _CHUNK_ROWS, SCHEMA_VERSION, _write_table, main
 
 FIXTURE = Path(__file__).parent / "data" / "swaps_fixture.csv"
 
@@ -384,6 +385,30 @@ class TestBadInputExits2:
         assert code == 2
         assert "leaves its range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("days", ["nan", "inf", "0", "-1", "1e-12"])
+    def test_ratio_window_days_out_of_range(self, tmp_path, gbm_klines, capsys, days):
+        code = run_cli("compare", "--klines", gbm_klines, "--swaps", FIXTURE,
+                       "--fee-bps", 30, "--interval-ms", 2000, "--position-liquidity", 500,
+                       "--ratio-window-days", days, "--out", tmp_path / "bad")
+        assert code == 2
+        assert "--ratio-window-days" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, args", [
+        ("simulate-arb", ["--klines", "--fee-bps", 30, "--interval-ms", 1000]),
+        ("compare", ["--klines", "--fee-bps", 30, "--interval-ms", 1000,
+                     "--swaps", FIXTURE, "--position-liquidity", 500]),
+        ("sweep-fee", ["--klines", "--interval-ms", 1000]),
+        ("sweep-blocktime", ["--quotes", "--fee-bps", 30]),
+    ], ids=["simulate-arb", "compare", "sweep-fee", "sweep-blocktime"])
+    def test_feed_without_data_rows(self, tmp_path, capsys, command, args):
+        header = ("timestamp_ms,bid,ask" if args[0] == "--quotes"
+                  else "timestamp_ms,open,high,low,close,volume")
+        feed = tmp_path / "header_only.csv"
+        feed.write_text(header + "\n")
+        assert run_cli(command, args[0], feed, *args[1:], "--out", tmp_path / "bad") == 2
+        err = capsys.readouterr().err
+        assert str(feed) in err and "Traceback" not in err
+
 
 @pytest.mark.parametrize("command", ["simulate-arb", "compare"])
 def test_blocks_file_parsed_once(tmp_path, monkeypatch, command):
@@ -482,3 +507,45 @@ class TestFeedStep:
                        *self.extra(command)) == 2
         err = capsys.readouterr().err
         assert "--blocks" in err and "--interval-ms" in err
+
+
+class TestColumnWriter:
+    """_write_table gives the bytes of the per-cell rule it replaced."""
+
+    @staticmethod
+    def per_cell(value) -> str:
+        if isinstance(value, (float, np.floating)):
+            return "" if math.isnan(value) else repr(float(value))
+        return str(int(value))
+
+    def expected(self, header, rows) -> bytes:
+        lines = [",".join(header)] + [",".join(map(self.per_cell, row)) for row in rows]
+        return ("\n".join(lines) + "\n").encode()
+
+    def test_bytes_match_per_cell_rule(self, tmp_path):
+        n = 2 * _CHUNK_ROWS + 1
+        rng = np.random.default_rng(0)
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1]
+        floats[:7] = special
+        floats[_CHUNK_ROWS - 3:_CHUNK_ROWS + 4] = special  # across a chunk boundary
+        floats[-1] = math.nan
+        ints = 2**53 + 1 + np.arange(n, dtype=np.int64) * 1_000_003
+        ints[1::2] *= -1
+        path = tmp_path / "table.csv"
+        _write_table(path, {"schema_version": SCHEMA_VERSION, "x": floats, "n": ints,
+                            "volume": 0.0})
+        rows = [(SCHEMA_VERSION, f, k, 0.0) for f, k in zip(floats, ints)]
+        assert path.read_bytes() == self.expected(["schema_version", "x", "n", "volume"], rows)
+
+    def test_header_only_table(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        _write_table(path, {"schema_version": SCHEMA_VERSION, "timestamp_ms":
+                            np.array([], dtype=np.int64), "loss": np.array([])})
+        assert path.read_bytes() == b"schema_version,timestamp_ms,loss\n"
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="unequal"):
+            _write_table(path, {"a": np.zeros(3), "b": np.zeros(2), "c": 1})
+        assert list(tmp_path.iterdir()) == []
