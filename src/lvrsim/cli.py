@@ -267,6 +267,24 @@ def _load_feed(cfg: dict) -> Feed:
     return Feed(quotes, kind, inputs, counters, blocks, window)
 
 
+def _check_grid(feed: Feed, interval_ms: int) -> None:
+    """Exit 2 naming --window when the fixed grid over it leaves the quotes.
+
+    run_arb_sim rejects such a grid as well, but only once it is built; the
+    grid's first and last instants are found here without building it.
+    """
+    if feed.window is None or interval_ms <= 0:  # BlockSchedule.fixed names the interval
+        return
+    start, end = feed.window
+    last = start + (end - start) // interval_ms * interval_ms
+    first_quote, last_quote = (int(t) for t in feed.quotes.timestamps[[0, -1]])
+    if start < first_quote or last > last_quote:
+        raise InputError(
+            f"--window {start}:{end} puts {interval_ms} ms blocks over [{start}, {last}], "
+            f"but the quotes cover [{first_quote}, {last_quote}]"
+        )
+
+
 def _make_schedule(cfg: dict, feed: Feed) -> BlockSchedule:
     """The blocks inside the window, or the fixed grid over the window."""
     if feed.blocks is not None:
@@ -277,6 +295,7 @@ def _make_schedule(cfg: dict, feed: Feed) -> BlockSchedule:
             blocks = blocks[(blocks >= feed.window[0]) & (blocks <= feed.window[1])]
         return BlockSchedule.from_blocks(blocks)
     if cfg.get("interval_ms") is not None:
+        _check_grid(feed, cfg["interval_ms"])
         return BlockSchedule.fixed(cfg["interval_ms"], *feed.span)
     raise InputError("a schedule is required: give --blocks or --interval-ms")
 
@@ -430,6 +449,7 @@ def cmd_sweep(command: str, cfg: dict) -> int:
     fit_range = _parse_range(cfg["fit_range"]) if cfg.get("fit_range") else None
     if command == "sweep-fee":
         interval = _require(cfg, "interval_ms")
+        _check_grid(feed, interval)
         fees_bps = _parse_list(cfg.get("fees_bps", "10,20,30,50,100"), float)
         # only the reserves are used; each grid point sets its own fee
         pool = _initial_state(cfg, feed.quotes, feed.span[0], 0.0)
@@ -446,6 +466,8 @@ def cmd_sweep(command: str, cfg: dict) -> int:
             intervals = list(EXTENDED_INTERVALS_MS)
         else:
             intervals = list(DEFAULT_INTERVALS_MS)
+        for interval in intervals:
+            _check_grid(feed, interval)
         sweep = blocktime_sweep(_initial_state(cfg, feed.quotes, feed.span[0], fee),
                                 feed.quotes, intervals, feed.span)
         grid = {"fee": fee, "intervals_ms": intervals}

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import gzip
 import io
+import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -48,7 +49,7 @@ class PriceSeries:
         object.__setattr__(self, "prices", np.asarray(self.prices, dtype=float))
         if self.timestamps.shape != self.prices.shape:
             raise InputError("timestamps and prices must have equal length")
-        if len(self.timestamps) and np.any(np.diff(self.timestamps) <= 0):
+        if np.any(self.timestamps[1:] <= self.timestamps[:-1]):  # np.diff can wrap
             raise InputError("price series timestamps must be strictly increasing")
         if np.any(self.prices <= 0) or not np.all(np.isfinite(self.prices)):
             raise InputError("prices must be finite and positive")
@@ -76,7 +77,7 @@ class QuoteSeries:
         object.__setattr__(self, "asks", np.asarray(self.asks, dtype=float))
         if not (self.timestamps.shape == self.bids.shape == self.asks.shape):
             raise InputError("timestamps, bids and asks must have equal length")
-        if len(self.timestamps) and np.any(np.diff(self.timestamps) <= 0):
+        if np.any(self.timestamps[1:] <= self.timestamps[:-1]):  # np.diff can wrap
             raise InputError("quote series timestamps must be strictly increasing")
         if not np.all((0 < self.bids) & (self.bids <= self.asks) & (self.asks < np.inf)):
             raise InputError("quotes must be finite and satisfy 0 < bid <= ask")
@@ -124,11 +125,65 @@ def _iter_rows(path: str, n_columns: int, exact: bool = True):
             yield lineno, row
 
 
-def _parse_int(path: str, lineno: int, text: str, name: str) -> int:
+def _unquoted(lines):
+    """The lines, failing at the first '"'.
+
+    csv.reader reads a quoted cell on across line breaks and np.loadtxt does
+    not, so a file whose unparsed columns hold a quote goes to the row parser.
+    """
+    for line in lines:
+        if '"' in line:
+            raise ValueError("quoted cell")
+        yield line
+
+
+def _read_columns(path: str, n_columns: int, exact: bool, dtypes) -> tuple | None:
+    """The leading len(dtypes) columns of a CSV, read in one np.loadtxt call.
+
+    This is the fast path of every loader; None means loadtxt rejected the
+    file, and the loader then re-reads it with _iter_rows, whose ParseError
+    names the file and line. The header is found by the same first-line
+    test. dtypes holds one dtype per column read, from the first; with
+    exact=True that is every column, and a quote fails a conversion or the
+    loader's checks. With exact=False, column n_columns - 1 is read as well,
+    unparsed, so that a short row fails here too.
+    """
+    fields = [(f"c{i}", dtype) for i, dtype in enumerate(dtypes)]
+    usecols = None
+    if not exact:
+        usecols = (*range(len(fields)), n_columns - 1)
+        fields.append(("last", "U1"))
+    with _open_text(path) as handle:
+        line = handle.readline()
+        if '"' in line:  # csv.reader unquotes the header test's cell
+            return None
+        if line.strip():
+            try:
+                float(line.split(",", 1)[0])
+            except ValueError:
+                line = handle.readline()  # header
+        while line and not line.strip():
+            line = handle.readline()
+        if not line:  # loadtxt would warn that the file holds no data
+            return tuple(np.empty(0, dtype) for dtype in dtypes)
+        lines = itertools.chain([line], handle)
+        try:
+            # comments=None: the row parser rejects what '#' would skip
+            table = np.loadtxt(lines if exact else _unquoted(lines), dtype=fields,
+                               delimiter=",", comments=None, usecols=usecols, ndmin=1)
+        except ValueError:
+            return None
+    return tuple(np.ascontiguousarray(table[name]) for name, _ in fields[:len(dtypes)])
+
+
+def _parse_int(path: str, lineno: int, text: str, name: str, int64: bool = True) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ParseError(str(path), lineno, f"bad {name}: {text!r}") from None
+    if int64 and not -(2**63) <= value < 2**63:
+        raise ParseError(str(path), lineno, f"bad {name}: {text!r} does not fit in 64 bits")
+    return value
 
 
 def _parse_float(path: str, lineno: int, text: str, name: str) -> float:
@@ -141,12 +196,22 @@ def _parse_float(path: str, lineno: int, text: str, name: str) -> float:
     return value
 
 
+def _positive(values: np.ndarray) -> bool:
+    """Every value finite and above zero (NaN fails both comparisons)."""
+    return bool(np.all((values > 0) & (values < np.inf)))
+
+
 def load_klines(path: str, pair: str = "", source: str = "") -> PriceSeries:
     """Load per-second open prices from a kline CSV.
 
     Only timestamp_ms and open are consumed. Rows must be strictly
     increasing in time; duplicates are rejected.
     """
+    columns = _read_columns(path, 6, False, (np.int64, np.float64))
+    if columns is not None:
+        ts, opens = columns
+        if np.all(ts[1:] > ts[:-1]) and _positive(opens):
+            return PriceSeries(ts, opens, pair, source)
     ts, opens = [], []
     for lineno, row in _iter_rows(path, 6, exact=False):
         t = _parse_int(path, lineno, row[0], "timestamp_ms")
@@ -170,6 +235,17 @@ def load_quote_updates(path: str, pair: str = "", source: str = "") -> QuoteSeri
     millisecond collapse to the last one (exchange dumps emit them in
     sequence); the number dropped is logged.
     """
+    columns = _read_columns(path, 3, True, (np.int64, np.float64, np.float64))
+    if columns is not None:
+        ts, bids, asks = columns
+        if (np.all(ts[1:] >= ts[:-1]) and _positive(bids) and np.all(bids <= asks)
+                and _positive(asks)):
+            keep = np.ones(len(ts), dtype=bool)
+            keep[:-1] = ts[1:] > ts[:-1]  # the last update of each millisecond
+            if not keep.all():
+                logger.warning("%s: dropped %d earlier duplicate-timestamp updates",
+                               path, len(ts) - np.count_nonzero(keep))
+            return QuoteSeries(ts[keep], bids[keep], asks[keep], pair, source)
     ts, bids, asks = [], [], []
     dropped = 0
     for lineno, row in _iter_rows(path, 3):
@@ -196,6 +272,11 @@ def load_quote_updates(path: str, pair: str = "", source: str = "") -> QuoteSeri
 
 def load_block_timestamps(path: str) -> np.ndarray:
     """Load block timestamps (seconds) and return them in milliseconds."""
+    columns = _read_columns(path, 2, True, (np.int64, np.int64))
+    if columns is not None:
+        numbers, ts = columns
+        if np.all(numbers[1:] > numbers[:-1]) and np.all(ts[1:] > ts[:-1]):
+            return ts * 1000
     numbers, ts = [], []
     for lineno, row in _iter_rows(path, 2):
         n = _parse_int(path, lineno, row[0], "block_number")

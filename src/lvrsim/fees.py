@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, ParseError
-from .feeds import _iter_rows, _parse_float, _parse_int
+from .feeds import _iter_rows, _parse_float, _parse_int, _positive, _read_columns
 from .pool import position_value_of_liquidity
 
 TOKEN_X = "X"
@@ -183,8 +183,23 @@ def attribute_fees(
     return accumulate(ledger, returns, stamps)
 
 
+# rows turned into records at a time, so that no whole column is held as objects
+_RECORD_CHUNK = 8192
+
+
 def load_swap_records(path: str) -> list[SwapRecord]:
     """Load swap records from the canonical CSV schema."""
+    columns = _read_columns(path, 7, True, (np.int64, np.int64, object) + (np.float64,) * 4)
+    if columns is not None:
+        _, ts, token, amount, fee_rate, price, liquidity = columns
+        if (np.all((token == TOKEN_X) | (token == TOKEN_Y)) and _positive(amount)
+                and np.all((fee_rate > 0) & (fee_rate < 1)) and _positive(price)
+                and _positive(liquidity) and np.all(ts[1:] >= ts[:-1])):
+            records = []
+            for start in range(0, len(ts), _RECORD_CHUNK):
+                chunk = (column[start:start + _RECORD_CHUNK].tolist() for column in columns)
+                records.extend(map(SwapRecord, *chunk))
+            return records
     records: list[SwapRecord] = []
     for lineno, row in _iter_rows(path, 7):
         try:
@@ -258,7 +273,7 @@ def convert_raw_swap_export(
             ts = _parse_int(src, lineno, row[1], "timestamp_ms")
             amount_x = _parse_float(src, lineno, row[2], "amount_x")
             amount_y = _parse_float(src, lineno, row[3], "amount_y")
-            sqrt_px = _parse_int(src, lineno, row[4], "sqrt_price_x96")
+            sqrt_px = _parse_int(src, lineno, row[4], "sqrt_price_x96", int64=False)
             liquidity = _parse_float(src, lineno, row[5], "liquidity")
             if amount_x > 0:
                 token, amount = TOKEN_X, amount_x / scale_x

@@ -42,7 +42,7 @@ class BlockSchedule:
         object.__setattr__(self, "timestamps", ts)
         if len(ts) == 0:
             raise InputError("schedule must contain at least one instant")
-        if np.any(np.diff(ts) <= 0):
+        if np.any(ts[1:] <= ts[:-1]):  # np.diff can wrap
             raise InputError("schedule instants must be strictly increasing")
 
     @classmethod

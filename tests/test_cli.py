@@ -410,6 +410,33 @@ class TestBadInputExits2:
         assert str(feed) in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("window", [
+        "0:99999999999999999999999", "0:9000000000000000000", "-12000:60000",
+        "-99999999999999999999999:60000",
+    ])
+    @pytest.mark.parametrize("command, args", [
+        ("simulate-arb", ["--fee-bps", 30, "--interval-ms", 12000]),
+        ("compare", ["--fee-bps", 30, "--interval-ms", 12000, "--swaps", FIXTURE,
+                     "--position-liquidity", 500]),
+        ("sweep-fee", ["--interval-ms", 12000]),
+        ("sweep-blocktime", ["--fee-bps", 30, "--intervals-ms", "1000,12000"]),
+    ], ids=["simulate-arb", "compare", "sweep-fee", "sweep-blocktime"])
+    def test_window_beyond_the_quotes(self, tmp_path, gbm_klines, capsys, command, args, window):
+        code = run_cli(command, "--klines", gbm_klines, *args, f"--window={window}",
+                       "--out", tmp_path / "bad")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--window" in err and "Traceback" not in err
+
+    def test_timestamp_beyond_int64_names_file_and_line(self, tmp_path, capsys):
+        klines = tmp_path / "k.csv"
+        klines.write_text("1000,2.0,2,2,2,1\n99999999999999999999,2.0,2,2,2,1\n")
+        code = run_cli("simulate-arb", "--klines", klines, "--fee-bps", 30,
+                       "--interval-ms", 1000, "--out", tmp_path / "bad")
+        assert code == 2
+        assert f"{klines}:2: bad timestamp_ms" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["simulate-arb", "compare"])
 def test_blocks_file_parsed_once(tmp_path, monkeypatch, command):
     import lvrsim.cli

@@ -1,9 +1,14 @@
 import gzip
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import lvrsim.feeds as feeds
 from lvrsim import (
+    BlockSchedule,
     InputError,
     InsufficientDataError,
     ParseError,
@@ -110,6 +115,237 @@ class TestLoadBlocks:
         path = write(tmp_path, "b.csv", "100,12\n101,12\n")
         with pytest.raises(ParseError):
             load_block_timestamps(path)
+
+
+# --- the columnar fast path against the row parser --------------------------
+
+LOADERS = {"klines": load_klines, "quotes": load_quote_updates, "blocks": load_block_timestamps}
+
+
+def row_path(load, path):
+    """What the loader gives with its columnar fast path switched off."""
+    with mock.patch.object(feeds, "_read_columns", lambda *args: None):
+        return load(path)
+
+
+def columnar_only(load, path):
+    """What the loader gives when reaching the row parser is an error."""
+    with mock.patch.object(feeds, "_iter_rows", side_effect=AssertionError("row parser reached")):
+        return load(path)
+
+
+def assert_bitwise_equal(a, b):
+    def arrays(result):
+        if isinstance(result, np.ndarray):
+            return [result]
+        return [getattr(result, name) for name in ("timestamps", "prices", "bids", "asks")
+                if hasattr(result, name)]
+
+    for x, y in zip(arrays(a), arrays(b), strict=True):
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+KLINE = "1000,2.5,3,2,2.6,1\n"
+
+MALFORMED = {
+    "klines": {
+        "nan": "1000,nan,3,2,2.6,1\n",
+        "inf": KLINE + "2000,inf,3,2,2.6,1\n",
+        "zero-price": KLINE + "2000,0,3,2,2.6,1\n",
+        "underflow-to-zero": KLINE + "2000,1e-400,3,2,2.6,1\n",
+        "decreasing": "2000,2.5,3,2,2.6,1\n" + KLINE,
+        "duplicate": KLINE + "1000,2.6,3,2,2.7,1\n",
+        "wraps-past-int64": "9223372036854775807,2.5,1,1,1,1\n-9223372036854775808,2.5,1,1,1,1\n",
+        "short-row": KLINE + "2000,2.6,3,2,2.7\n",
+        "int64-overflow": "99999999999999999999,2.0,2,2,2,1\n",
+        "int64-underflow": "-9223372036854775809,2.0,2,2,2,1\n",
+        "float-timestamp": "1e3,2.5,3,2,2.6,1\n",
+        "comment-line": KLINE + "# 2000,2.6,3,2,2.7,1\n",
+        "comment-in-cell": "1000,2.5#x,3,2,2.6,1\n",
+        "header-not-first": "\ntimestamp_ms,open,high,low,close,volume\n" + KLINE,
+    },
+    "quotes": {
+        "nan": "0,nan,101\n",
+        "inf": "0,99,101\n1,99,inf\n",
+        "zero-bid": "0,0,101\n",
+        "bid-above-ask": "0,99,101\n1,101,99\n",
+        "decreasing": "5,99,101\n4,99,101\n",
+        "short-row": "0,99\n",
+        "extra-column": "0,99,101,7\n",
+        "extra-column-later": "0,99,101\n1,99,101,7\n",
+        "int64-overflow": "99999999999999999999,99,101\n",
+        "comment-line": "0,99,101\n#1,99,101\n",
+    },
+    "blocks": {
+        "duplicate-second": "100,12\n101,12\n",
+        "duplicate-number": "100,12\n100,24\n",
+        "decreasing": "100,24\n101,12\n",
+        "short-row": "100\n",
+        "extra-column": "100,12,5\n",
+        "block-number-overflow": "99999999999999999999,12\n",
+        "int64-overflow": "100,99999999999999999999\n",
+        "comment-line": "100,12\n# 101,24\n",
+        "float-seconds": "100,12.0\n",
+    },
+}
+
+# files the row parser accepts and np.loadtxt does not
+LOADTXT_REJECTS = {
+    "klines": {
+        "quoted-cells": '"1000","2.5",3,2,2.6,1\n2000,2.6,3,2,2.7,1\n',
+        "quoted-cell-over-two-lines": KLINE + '2000,2.5,3,2,2.6,"a\n3000,3.0,1,1,1,b"\n',
+        "quoted-header": '"timestamp_ms",open,high,low,close,volume\n' + KLINE,
+        "underscore": "1_000,2.5,3,2,2.6,1\n",
+        "whitespace-line": KLINE + "   \n2000,2.6,3,2,2.7,1\n",
+    },
+    "quotes": {
+        "quoted-cells": '0,"99",101\n',
+        "underscore": "0,99,1_01\n",
+        "whitespace-line": "0,99,101\n \t \n1,99,101\n",
+    },
+    "blocks": {
+        "quoted-cells": '"100",12\n',
+        "underscore": "1_00,12\n",
+        "whitespace-line": "100,12\n  \n101,24\n",
+    },
+}
+
+
+def cases(table):
+    return [pytest.param(kind, text, id=f"{kind}-{name}")
+            for kind, files in table.items() for name, text in files.items()]
+
+
+class TestColumnarParity:
+    @pytest.mark.parametrize("kind, text", cases(MALFORMED))
+    def test_malformed_file_raises_the_row_parser_error(self, tmp_path, kind, text):
+        path = write(tmp_path, "f.csv", text)
+        with pytest.raises(ParseError) as expected:
+            row_path(LOADERS[kind], path)
+        with pytest.raises(ParseError) as err:
+            LOADERS[kind](path)
+        assert str(err.value) == str(expected.value)
+
+    @pytest.mark.parametrize("kind, text", cases(LOADTXT_REJECTS))
+    def test_file_loadtxt_rejects_loads_through_row_parser(self, tmp_path, kind, text):
+        path = write(tmp_path, "f.csv", text)
+        with mock.patch.object(feeds, "_iter_rows", wraps=feeds._iter_rows) as rows:
+            result = LOADERS[kind](path)
+        assert rows.called and len(result) > 0
+        assert_bitwise_equal(result, row_path(LOADERS[kind], path))
+
+    def test_cr_line_ends(self, tmp_path):
+        path = write(tmp_path, "k.csv", "1000,2.5,3,2,2.6,1\r2000,2.6,3,2,2.7,1\r")
+        assert_bitwise_equal(columnar_only(load_klines, path), row_path(load_klines, path))
+
+    def test_quoted_cell_over_two_lines_is_one_row(self, tmp_path):
+        path = write(tmp_path, "k.csv", LOADTXT_REJECTS["klines"]["quoted-cell-over-two-lines"])
+        assert load_klines(path).timestamps.tolist() == [1000, 2000]
+
+    def test_int64_overflow_names_file_and_line(self, tmp_path):
+        path = write(tmp_path, "k.csv", KLINE + "99999999999999999999,2.0,2,2,2,1\n")
+        with pytest.raises(ParseError) as err:
+            load_klines(path)
+        assert str(err.value) == (
+            f"{path}:2: bad timestamp_ms: '99999999999999999999' does not fit in 64 bits"
+        )
+
+    @pytest.mark.parametrize("text", ["", "timestamp_ms,bid,ask\n", "\n\n", "timestamp_ms\r\n\r\n"])
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_file_without_rows_is_empty_without_warning(self, tmp_path, kind, text):
+        path = write(tmp_path, "f.csv", text)
+        assert_bitwise_equal(columnar_only(LOADERS[kind], path), row_path(LOADERS[kind], path))
+
+    def test_same_millisecond_collapse_logged_alike(self, tmp_path, caplog):
+        path = write(tmp_path, "q.csv", "0,99,101\n5,99,100\n5,98,102\n5,97,103\n6,1,2\n")
+        with caplog.at_level("WARNING", logger="lvrsim.feeds"):
+            fast = columnar_only(load_quote_updates, path)
+            slow = row_path(load_quote_updates, path)
+        assert_bitwise_equal(fast, slow)
+        assert fast.bids.tolist() == [99, 97, 1]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: dropped 2 earlier duplicate-timestamp updates"] * 2
+
+
+# Numbers in every layout both parsers read to the same value, and unparsed
+# kline cells of any text without a delimiter, quote or line break.
+INTS = st.integers(-(2**63), 2**63 - 1)
+POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
+INT_TEXT = st.sampled_from(["{}", "{:+d}", " {} ", "{:05d}", "\t{}"]).map(
+    lambda layout: layout.format)
+FLOAT_TEXT = st.sampled_from(["{!r}", "{:.17e}", "{:+.17g}", " {!r}\t", "{:.17E}"]).map(
+    lambda layout: layout.format)
+CELL = st.text(st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",)),
+               max_size=4)
+
+
+@st.composite
+def csv_file(draw, rows, header):
+    """(text, gzip) of the rows, with blank lines and optionally a header and CRLF."""
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    if draw(st.booleans()):
+        lines.insert(0, header)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + (newline if lines else ""), draw(st.booleans())
+
+
+def save(directory, content):
+    text, compress = content
+    path = directory / ("f.csv.gz" if compress else "f.csv")
+    data = text.encode("utf-8")
+    path.write_bytes(gzip.compress(data, mtime=0) if compress else data)
+    return str(path)
+
+
+@st.composite
+def kline_files(draw):
+    stamps = sorted(draw(st.lists(INTS, max_size=20, unique=True)))
+    rows = [[draw(INT_TEXT)(t), draw(FLOAT_TEXT)(draw(POSITIVE)),
+             *draw(st.lists(CELL, min_size=4, max_size=7))] for t in stamps]
+    return draw(csv_file(rows, "timestamp_ms,open,high,low,close,volume"))
+
+
+@st.composite
+def quote_files(draw):
+    stamps = sorted(draw(st.lists(INTS, max_size=12, unique=True)))
+    rows = []
+    for t in stamps:
+        for _ in range(draw(st.integers(1, 3))):  # updates in the same millisecond
+            bid, ask = sorted(draw(st.lists(POSITIVE, min_size=2, max_size=2)))
+            rows.append([draw(INT_TEXT)(t), draw(FLOAT_TEXT)(bid), draw(FLOAT_TEXT)(ask)])
+    return draw(csv_file(rows, "timestamp_ms,bid,ask"))
+
+
+@st.composite
+def block_files(draw):
+    n = draw(st.integers(0, 20))
+    numbers = sorted(draw(st.lists(INTS, min_size=n, max_size=n, unique=True)))
+    seconds = sorted(draw(st.lists(INTS, min_size=n, max_size=n, unique=True)))
+    rows = [[draw(INT_TEXT)(b), draw(INT_TEXT)(s)] for b, s in zip(numbers, seconds)]
+    return draw(csv_file(rows, "block_number,timestamp_s"))
+
+
+class TestColumnarProperty:
+    """Valid files: the fast path alone gives the row parser's arrays, bit for bit."""
+
+    @given(content=kline_files())
+    def test_klines(self, tmp_path_factory, content):
+        path = save(tmp_path_factory.mktemp("k"), content)
+        assert_bitwise_equal(columnar_only(load_klines, path), row_path(load_klines, path))
+
+    @given(content=quote_files())
+    def test_quotes(self, tmp_path_factory, content):
+        path = save(tmp_path_factory.mktemp("q"), content)
+        assert_bitwise_equal(columnar_only(load_quote_updates, path),
+                             row_path(load_quote_updates, path))
+
+    @given(content=block_files())
+    def test_blocks(self, tmp_path_factory, content):
+        path = save(tmp_path_factory.mktemp("b"), content)
+        assert_bitwise_equal(columnar_only(load_block_timestamps, path),
+                             row_path(load_block_timestamps, path))
 
 
 def quotes(ts, bids, asks=None):
@@ -266,3 +502,14 @@ class TestQuoteSeriesValidation:
             quotes[column][1] = value
         with pytest.raises(InputError, match="finite"):
             QuoteSeries(np.array([0, 1, 2]), quotes["bids"], quotes["asks"])
+
+
+@pytest.mark.parametrize("make", [
+    lambda ts: PriceSeries(ts, np.ones(2)),
+    lambda ts: QuoteSeries(ts, np.ones(2), np.ones(2)),
+    BlockSchedule.from_blocks,
+], ids=["price", "quote", "schedule"])
+def test_time_order_check_does_not_wrap(make):
+    make(np.array([-(2**63), 0]))  # increasing by more than the int64 range
+    with pytest.raises(InputError):
+        make(np.array([2**63 - 1, -(2**63)]))  # np.diff wraps this to +1

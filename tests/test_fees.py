@@ -1,9 +1,15 @@
+import dataclasses
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_feeds import FLOAT_TEXT, INT_TEXT, INTS, POSITIVE, cases, csv_file, save
 
+import lvrsim.fees as fees
 from lvrsim import (
     InputError,
     ParseError,
@@ -154,6 +160,109 @@ class TestLoadSwapRecords:
         assert err.value.line == 1
 
 
+def row_path(path):
+    """Swap records with the columnar fast path switched off."""
+    with mock.patch.object(fees, "_read_columns", lambda *args: None):
+        return load_swap_records(path)
+
+
+def columnar_only(path):
+    """Swap records when reaching the row parser is an error."""
+    with mock.patch.object(fees, "_iter_rows", side_effect=AssertionError("row parser reached")):
+        return load_swap_records(path)
+
+
+def typed(records):
+    """Each record with the type of each field, so that 1 and 1.0 differ."""
+    return [(r, *map(type, dataclasses.astuple(r))) for r in records]
+
+
+SWAP = "1,1000,X,5.0,0.003,2000.0,1e6\n"
+
+MALFORMED_SWAPS = {
+    "nan-amount": "1,1000,X,nan,0.003,2000.0,1e6\n",
+    "inf-price": SWAP + "1,1000,Y,5.0,0.003,inf,1e6\n",
+    "zero-amount": "1,1000,X,0,0.003,2000.0,1e6\n",
+    "zero-price": "1,1000,X,5.0,0.003,0,1e6\n",
+    "zero-fee": "1,1000,X,5.0,0,2000.0,1e6\n",
+    "fee-of-one": "1,1000,X,5.0,1,2000.0,1e6\n",
+    "nan-fee": "1,1000,X,5.0,nan,2000.0,1e6\n",
+    "negative-liquidity": "1,1000,X,5.0,0.003,2000.0,-1e6\n",
+    "inf-liquidity": "1,1000,X,5.0,0.003,2000.0,inf\n",
+    "decreasing": SWAP + "2,999,Y,5.0,0.003,2000.0,1e6\n",
+    "short-row": "1,1000,X,5.0,0.003,2000.0\n",
+    "extra-column": SWAP + "1,1000,X,5.0,0.003,2000.0,1e6,7\n",
+    "token-XY": "1,1000,XY,5.0,0.003,2000.0,1e6\n",
+    "token-X-tab-tab-Q": "1,1000,X\t\tQ,5.0,0.003,2000.0,1e6\n",
+    "token-Y-nul": "1,1000,Y\x00,5.0,0.003,2000.0,1e6\n",
+    "token-empty": "1,1000,,5.0,0.003,2000.0,1e6\n",
+    "token-lowercase": "1,1000,x,5.0,0.003,2000.0,1e6\n",
+    "block-int64-overflow": "99999999999999999999,1000,X,5.0,0.003,2000.0,1e6\n",
+    "timestamp-int64-overflow": "1,99999999999999999999,X,5.0,0.003,2000.0,1e6\n",
+    "float-block-number": "1.0,1000,X,5.0,0.003,2000.0,1e6\n",
+    "comment-line": SWAP + "#1,1000,X,5.0,0.003,2000.0,1e6\n",
+}
+
+# files the row parser accepts and the fast path hands to it
+FALLBACK_SWAPS = {
+    "padded-token": "1,1000, X ,5.0,0.003,2000.0,1e6\n",
+    "quoted-token": '1,1000,"Y",5.0,0.003,2000.0,1e6\n',
+    "underscore": "1,1_000,X,5.0,0.003,2000.0,1e6\n",
+    "whitespace-line": SWAP + "  \n" + SWAP,
+}
+
+
+class TestSwapColumnarParity:
+    @pytest.mark.parametrize("kind, text", cases({"swaps": MALFORMED_SWAPS}))
+    def test_malformed_file_raises_the_row_parser_error(self, tmp_path, kind, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as expected:
+            row_path(str(path))
+        with pytest.raises(ParseError) as err:
+            load_swap_records(str(path))
+        assert str(err.value) == str(expected.value)
+
+    @pytest.mark.parametrize("kind, text", cases({"swaps": FALLBACK_SWAPS}))
+    def test_fallback_file_loads_through_row_parser(self, tmp_path, kind, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        with mock.patch.object(fees, "_iter_rows", wraps=fees._iter_rows) as rows:
+            records = load_swap_records(str(path))
+        assert rows.called and records
+        assert typed(records) == typed(row_path(str(path)))
+
+    def test_fixture_takes_the_fast_path(self):
+        assert typed(columnar_only(str(FIXTURE))) == typed(row_path(str(FIXTURE)))
+
+    def test_records_built_across_chunks(self, tmp_path):
+        n = 2 * fees._RECORD_CHUNK + 3
+        path = tmp_path / "s.csv"
+        path.write_text("".join(f"{i // 2},{i // 3},{'XY'[i % 2]},{i + 1}.5,0.003,2000.0,1e6\n"
+                                for i in range(n)))
+        records = columnar_only(str(path))
+        assert len(records) == n
+        assert typed(records) == typed(row_path(str(path)))
+
+
+@st.composite
+def swap_files(draw):
+    stamps = sorted(draw(st.lists(INTS, max_size=20)))  # repeats allowed: one block, one ms
+    fee = st.floats(0, 1, exclude_min=True, exclude_max=True)
+    rows = [[draw(INT_TEXT)(draw(INTS)), draw(INT_TEXT)(t), draw(st.sampled_from("XY")),
+             draw(FLOAT_TEXT)(draw(POSITIVE)), draw(FLOAT_TEXT)(draw(fee)),
+             draw(FLOAT_TEXT)(draw(POSITIVE)), draw(FLOAT_TEXT)(draw(POSITIVE))]
+            for t in stamps]
+    return draw(csv_file(rows, "block_number,timestamp_ms,input_token,amount_in,fee_rate,"
+                               "post_swap_price,post_swap_liquidity"))
+
+
+@given(content=swap_files())
+def test_valid_swaps_fast_path_equals_row_parser(tmp_path_factory, content):
+    path = save(tmp_path_factory.mktemp("s"), content)
+    assert typed(columnar_only(path)) == typed(row_path(path))
+
+
 class TestRawConversion:
     def test_sqrt_price_identity_decimals(self):
         # sqrtPriceX96 = 2^96 means price 1.0 at equal decimals
@@ -182,3 +291,10 @@ class TestRawConversion:
         assert records[1].amount_in == pytest.approx(2010.0)
         assert records[0].post_swap_price == pytest.approx(2000.0, rel=1e-9)
         assert records[0].post_swap_liquidity == pytest.approx(5000.0)
+
+    def test_block_number_beyond_int64_names_line(self, tmp_path):
+        src = tmp_path / "raw.csv"
+        src.write_text(f"99999999999999999999,1000,1,-1,{2**96},1\n")
+        with pytest.raises(ParseError) as err:
+            convert_raw_swap_export(str(src), str(tmp_path / "swaps.csv"), fee_rate=0.003)
+        assert str(err.value).startswith(f"{src}:1: bad block_number")
