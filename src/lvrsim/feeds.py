@@ -109,20 +109,23 @@ def _iter_rows(path: str, n_columns: int, exact: bool = True):
     """
     with _open_text(path) as handle:
         reader = csv.reader(handle)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if lineno == 1:
-                try:
-                    float(row[0])
-                except ValueError:
-                    continue  # header
-            if len(row) < n_columns or (exact and len(row) != n_columns):
-                expected = str(n_columns) if exact else f"at least {n_columns}"
-                raise ParseError(
-                    str(path), lineno, f"expected {expected} columns, got {len(row)}"
-                )
-            yield lineno, row
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if lineno == 1:
+                    try:
+                        float(row[0])
+                    except ValueError:
+                        continue  # header
+                if len(row) < n_columns or (exact and len(row) != n_columns):
+                    expected = str(n_columns) if exact else f"at least {n_columns}"
+                    raise ParseError(
+                        str(path), lineno, f"expected {expected} columns, got {len(row)}"
+                    )
+                yield lineno, row
+        except csv.Error as err:  # e.g. a cell over csv.field_size_limit()
+            raise ParseError(str(path), reader.line_num, f"unreadable row: {err}") from None
 
 
 def _unquoted(lines):
@@ -270,17 +273,26 @@ def load_quote_updates(path: str, pair: str = "", source: str = "") -> QuoteSeri
     return QuoteSeries(np.array(ts, dtype=np.int64), np.array(bids), np.array(asks), pair, source)
 
 
+# block seconds whose milliseconds fit in int64
+_BLOCK_S_LIMIT = 2**63 // 1000
+
+
 def load_block_timestamps(path: str) -> np.ndarray:
     """Load block timestamps (seconds) and return them in milliseconds."""
     columns = _read_columns(path, 2, True, (np.int64, np.int64))
     if columns is not None:
         numbers, ts = columns
-        if np.all(numbers[1:] > numbers[:-1]) and np.all(ts[1:] > ts[:-1]):
+        if (np.all(numbers[1:] > numbers[:-1]) and np.all(ts[1:] > ts[:-1])
+                and np.all((-_BLOCK_S_LIMIT < ts) & (ts < _BLOCK_S_LIMIT))):
             return ts * 1000
     numbers, ts = [], []
     for lineno, row in _iter_rows(path, 2):
         n = _parse_int(path, lineno, row[0], "block_number")
         t = _parse_int(path, lineno, row[1], "timestamp_s")
+        if not -_BLOCK_S_LIMIT < t < _BLOCK_S_LIMIT:
+            raise ParseError(
+                str(path), lineno, f"bad timestamp_s: {t} does not fit in 64 bits in milliseconds"
+            )
         if numbers and n <= numbers[-1]:
             raise ParseError(str(path), lineno, f"block numbers not increasing at {n}")
         if ts and t <= ts[-1]:

@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arbitrage import Quote, apply_arbitrage, no_arb_band, optimal_arb_trade
 from .errors import FitError, InputError, InsufficientDataError
 from .feeds import PriceSeries, QuoteSeries
 from .fees import PositionLedger
@@ -28,6 +27,9 @@ DAY_MS = 86400 * 1000
 # default sweep grid; the extended grid reaches 5-minute blocks
 DEFAULT_INTERVALS_MS = (100, 250, 500, 1000, 2000, 4000, 8000, 12000, 16000)
 EXTENDED_INTERVALS_MS = DEFAULT_INTERVALS_MS + (32000, 60000, 120000, 300000)
+
+# instants the replay checks one at a time before it scans numpy chunks
+_SCALAR_SCAN = 16
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,7 @@ class LossSeries:
     initial_state: PoolState
     final_state: PoolState
     window_ms: int
+    n_dropped: int = 0  # band exits whose trade the profit guard discarded
 
     @property
     def total_relative_loss(self) -> float:
@@ -136,6 +139,10 @@ def run_arb_sim(
 
     The prevailing quote at each instant is the last update at or before
     it. The quote series must cover the whole schedule window.
+
+    The pool is kept as plain floats. Each step uses the expressions of
+    no_arb_band, optimal_arb_trade and swap_exact_in in their operation
+    order, so the result is bit-identical to replaying those per instant.
     """
     grid = schedule.timestamps
     if len(quotes) == 0:
@@ -148,24 +155,31 @@ def run_arb_sim(
     pos = np.searchsorted(quotes.timestamps, grid, side="right") - 1
     bids = quotes.bids[pos]
     asks = quotes.asks[pos]
+    bid_at = memoryview(bids)  # indexing gives Python floats
+    ask_at = memoryview(asks)
 
-    state = initial
+    rx, ry, fee = initial.reserve_x, initial.reserve_y, initial.fee
+    omf = 1.0 - fee
     multiplier = 1.0
-    ev_ts: list[int] = []
-    ev_loss: list[float] = []
-    ev_profit: list[float] = []
+    events: list[int] = []
+    losses: list[float] = []
+    profits: list[float] = []
+    dropped = 0
 
     n = len(grid)
     i = 0
     while i < n:
-        lower, upper = no_arb_band(state)
-        # single-step check first: after a trade the very next instant often
-        # exits the band again (zero-fee feeds trade at every price change)
-        if bids[i] > upper or asks[i] < lower:
-            j = i
-        else:
+        p = ry / rx
+        lower, upper = p * omf, p / omf
+        # after a trade the next instants often exit the band again (zero-fee
+        # feeds trade at every price change): look at a few in Python first
+        j = i
+        stop = min(i + _SCALAR_SCAN, n)
+        while j < stop and not (bid_at[j] > upper or ask_at[j] < lower):
+            j += 1
+        if j == stop:
             j = -1
-            s = i + 1
+            s = stop
             chunk = 64
             while s < n:
                 e = min(s + chunk, n)
@@ -178,26 +192,43 @@ def run_arb_sim(
                 chunk = min(chunk * 2, 1 << 16)
             if j < 0:
                 break
-        trade = optimal_arb_trade(
-            state, Quote(int(grid[j]), float(bids[j]), float(asks[j]))
-        )
-        if trade is not None:
-            state = apply_arbitrage(state, trade)
-            multiplier *= 1.0 - trade.lp_relative_loss
-            ev_ts.append(int(grid[j]))
-            ev_loss.append(trade.lp_relative_loss)
-            ev_profit.append(trade.arb_profit)
+        k = rx * ry
+        price = bid_at[j]
+        if price > upper:  # sell Y to the pool, the X out at the bid
+            amount_in = (math.sqrt(omf * k * price) - ry) / omf
+            new_x = k / (ry + omf * amount_in)
+            new_y = ry + amount_in
+            profit = price * (rx - new_x) - amount_in
+        else:  # sell X to the pool, bought at the ask
+            price = ask_at[j]
+            amount_in = (math.sqrt(omf * k / price) - rx) / omf
+            new_y = k / (rx + omf * amount_in)
+            new_x = rx + amount_in
+            profit = (ry - new_y) - price * amount_in
+        # guard against degenerate trades just outside the band at float noise
+        if amount_in > 0 and profit > 0:
+            if not (0.0 < new_x < math.inf and 0.0 < new_y < math.inf):
+                PoolState(new_x, new_y, fee)  # raises the InputError naming the reserve
+            loss = profit / (rx * price + ry)
+            multiplier *= 1.0 - loss
+            events.append(j)
+            losses.append(loss)
+            profits.append(profit)
+            rx, ry = new_x, new_y
+        else:
+            dropped += 1
         i = j + 1
 
     return LossSeries(
-        timestamps=np.array(ev_ts, dtype=np.int64),
-        losses=np.array(ev_loss, dtype=float),
-        profits=np.array(ev_profit, dtype=float),
+        timestamps=grid[np.array(events, dtype=np.intp)],
+        losses=np.array(losses, dtype=float),
+        profits=np.array(profits, dtype=float),
         multiplier=multiplier,
         n_instants=n,
         initial_state=initial,
-        final_state=state,
+        final_state=PoolState(rx, ry, fee),
         window_ms=schedule.span_ms,
+        n_dropped=dropped,
     )
 
 

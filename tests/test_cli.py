@@ -437,6 +437,26 @@ class TestBadInputExits2:
         assert f"{klines}:2: bad timestamp_ms" in capsys.readouterr().err
 
 
+    def test_block_second_beyond_int64_milliseconds(self, tmp_path, gbm_klines, capsys):
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text("block_number,timestamp_s\n1,12\n2,9223372036854776\n")
+        code = run_cli("simulate-arb", "--klines", gbm_klines, "--blocks", blocks,
+                       "--fee-bps", 30, "--out", tmp_path / "bad")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{blocks}:3: bad timestamp_s" in err and "Traceback" not in err
+
+    def test_cell_over_the_csv_field_limit(self, tmp_path, capsys):
+        # the quote sends the file to the row parser, whose csv.reader refuses the cell
+        klines = tmp_path / "k.csv"
+        klines.write_text('1000,2.0,2,2,2,1\n2000,2.0,2,2,2,"' + "x" * 200_000 + '"\n')
+        code = run_cli("simulate-arb", "--klines", klines, "--fee-bps", 30,
+                       "--interval-ms", 1000, "--out", tmp_path / "bad")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{klines}:2: unreadable row" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["simulate-arb", "compare"])
 def test_blocks_file_parsed_once(tmp_path, monkeypatch, command):
     import lvrsim.cli

@@ -256,6 +256,32 @@ class TestColumnarParity:
         path = write(tmp_path, "f.csv", text)
         assert_bitwise_equal(columnar_only(LOADERS[kind], path), row_path(LOADERS[kind], path))
 
+    @pytest.mark.parametrize("seconds", [2**63 // 1000, -(2**63 // 1000), 2**63 - 1])
+    def test_block_seconds_beyond_int64_milliseconds(self, tmp_path, seconds):
+        path = write(tmp_path, "b.csv", f"100,12\n101,{seconds}\n")
+        with pytest.raises(ParseError) as expected:
+            row_path(load_block_timestamps, path)
+        with pytest.raises(ParseError) as err:
+            load_block_timestamps(path)
+        assert str(err.value) == str(expected.value) == (
+            f"{path}:2: bad timestamp_s: {seconds} does not fit in 64 bits in milliseconds"
+        )
+
+    def test_last_block_second_in_range_loads_exactly(self, tmp_path):
+        last = 2**63 // 1000 - 1
+        path = write(tmp_path, "b.csv", f"100,{-last}\n101,{last}\n")
+        assert columnar_only(load_block_timestamps, path).tolist() == [-last * 1000, last * 1000]
+        assert row_path(load_block_timestamps, path).tolist() == [-last * 1000, last * 1000]
+
+    def test_cell_over_the_csv_field_limit_names_file_and_line(self, tmp_path):
+        # the quote sends the file to the row parser, whose csv.reader refuses the cell
+        path = write(tmp_path, "k.csv", KLINE + '2000,2.0,2,2,2,"' + "x" * 200_000 + '"\n')
+        with pytest.raises(ParseError) as err:
+            load_klines(path)
+        assert str(err.value) == (
+            f"{path}:2: unreadable row: field larger than field limit (131072)"
+        )
+
     def test_same_millisecond_collapse_logged_alike(self, tmp_path, caplog):
         path = write(tmp_path, "q.csv", "0,99,101\n5,99,100\n5,98,102\n5,97,103\n6,1,2\n")
         with caplog.at_level("WARNING", logger="lvrsim.feeds"):
@@ -322,7 +348,9 @@ def quote_files(draw):
 def block_files(draw):
     n = draw(st.integers(0, 20))
     numbers = sorted(draw(st.lists(INTS, min_size=n, max_size=n, unique=True)))
-    seconds = sorted(draw(st.lists(INTS, min_size=n, max_size=n, unique=True)))
+    # seconds whose milliseconds fit in int64; the rest are rejected
+    in_range = st.integers(-(2**63 // 1000) + 1, 2**63 // 1000 - 1)
+    seconds = sorted(draw(st.lists(in_range, min_size=n, max_size=n, unique=True)))
     rows = [[draw(INT_TEXT)(b), draw(INT_TEXT)(s)] for b, s in zip(numbers, seconds)]
     return draw(csv_file(rows, "block_number,timestamp_s"))
 
