@@ -19,7 +19,6 @@ from .arbitrage import (
 )
 from .errors import FitError, InputError, InsufficientDataError, ParseError
 from .feeds import (
-    PricePoint,
     PriceSeries,
     QuoteSeries,
     align_to_blocks,
@@ -81,7 +80,6 @@ __all__ = [
     "ParseError",
     "PoolState",
     "PositionLedger",
-    "PricePoint",
     "PriceSeries",
     "Quote",
     "QuoteSeries",

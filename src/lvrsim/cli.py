@@ -332,8 +332,10 @@ def _arb_run(cfg: dict, fee: float, factor: float):
 def _fee_ledger(cfg: dict, factor: float):
     """Fee ledger of the --swaps position, its returns scaled by the factor k."""
     swaps_path = _require_file(_require(cfg, "swaps"))
-    records = load_swap_records(swaps_path)
     liquidity = cfg.get("position_liquidity", 1.0)
+    if not (math.isfinite(liquidity) and liquidity > 0):
+        raise InputError(f"--position-liquidity must be finite and positive, got {liquidity}")
+    records = load_swap_records(swaps_path)
     ledger = attribute_fees(records, liquidity, per_block=cfg.get("per_block", False))
     ledger = accumulate(
         PositionLedger(liquidity), concentration_scale(ledger.returns, factor), ledger.timestamps

@@ -30,12 +30,6 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class PricePoint:
-    timestamp: int  # ms
-    price: float
-
-
-@dataclass(frozen=True)
 class PriceSeries:
     """Mid/open price series, strictly increasing in time."""
 
@@ -56,9 +50,6 @@ class PriceSeries:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def __getitem__(self, i: int) -> PricePoint:
-        return PricePoint(int(self.timestamps[i]), float(self.prices[i]))
 
 
 @dataclass(frozen=True)
@@ -105,12 +96,15 @@ def _open_text(path: str) -> io.TextIOBase:
 def _iter_rows(path: str, n_columns: int, exact: bool = True):
     """Yield (line_number, row) for each data row; a header row is skipped.
 
-    exact=False allows extra trailing columns (exchange dumps append them).
+    The line number is the physical line the row starts on. exact=False
+    allows extra trailing columns (exchange dumps append them).
     """
     with _open_text(path) as handle:
         reader = csv.reader(handle)
+        line = 1  # where the next row starts
         try:
-            for lineno, row in enumerate(reader, start=1):
+            for row in reader:
+                lineno, line = line, reader.line_num + 1
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 if lineno == 1:
@@ -120,12 +114,11 @@ def _iter_rows(path: str, n_columns: int, exact: bool = True):
                         continue  # header
                 if len(row) < n_columns or (exact and len(row) != n_columns):
                     expected = str(n_columns) if exact else f"at least {n_columns}"
-                    raise ParseError(
-                        str(path), lineno, f"expected {expected} columns, got {len(row)}"
-                    )
+                    raise ParseError(str(path), lineno,
+                                     f"expected {expected} columns, got {len(row)}")
                 yield lineno, row
         except csv.Error as err:  # e.g. a cell over csv.field_size_limit()
-            raise ParseError(str(path), reader.line_num, f"unreadable row: {err}") from None
+            raise ParseError(str(path), line, f"unreadable row: {err}") from None
 
 
 def _unquoted(lines):
@@ -141,15 +134,10 @@ def _unquoted(lines):
 
 
 def _read_columns(path: str, n_columns: int, exact: bool, dtypes) -> tuple | None:
-    """The leading len(dtypes) columns of a CSV, read in one np.loadtxt call.
+    """The leading len(dtypes) columns of a CSV in one np.loadtxt call, or None.
 
-    This is the fast path of every loader; None means loadtxt rejected the
-    file, and the loader then re-reads it with _iter_rows, whose ParseError
-    names the file and line. The header is found by the same first-line
-    test. dtypes holds one dtype per column read, from the first; with
-    exact=True that is every column, and a quote fails a conversion or the
-    loader's checks. With exact=False, column n_columns - 1 is read as well,
-    unparsed, so that a short row fails here too.
+    None means loadtxt rejected the file. With exact=False, column
+    n_columns - 1 is read as well, unparsed, so that a short row fails here too.
     """
     fields = [(f"c{i}", dtype) for i, dtype in enumerate(dtypes)]
     usecols = None
@@ -193,15 +181,68 @@ def _parse_float(path: str, lineno: int, text: str, name: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise ParseError(str(path), lineno, f"bad {name}: {text!r}") from None
+        value = math.nan
     if not math.isfinite(value):
         raise ParseError(str(path), lineno, f"bad {name}: {text!r}")
     return value
 
 
-def _positive(values: np.ndarray) -> bool:
-    """Every value finite and above zero (NaN fails both comparisons)."""
-    return bool(np.all((values > 0) & (values < np.inf)))
+def _load_columns(path: str, n_columns: int, exact: bool, columns, rules) -> tuple:
+    """The leading columns of a CSV as arrays, or the ParseError of its first faulty row.
+
+    columns holds a (name, cell parser, dtype) per column; rules(*arrays) gives
+    the loader's ordered (row mask, message for row i) pairs. Unless a mask
+    fires on the loadtxt columns, _iter_rows reads the rows again through the
+    cell parsers, and the rules run on those columns once they hold the row
+    flagged (or 8192 rows), then at each doubling. The first faulty row wins;
+    within it a cell that does not parse, then the first rule.
+    """
+    dtypes = [dtype for _, _, dtype in columns]
+    fast = _read_columns(path, n_columns, exact, dtypes)
+    fault = None if fast is None else _first_fault(rules(*fast))
+    if fast is not None and fault is None:
+        return fast
+    check_at = 8192 if fault is None else fault[0] + 1
+    values, lines, error = tuple([] for _ in columns), [], None
+
+    def arrays():
+        return tuple(np.array(column, dtype) for column, dtype in zip(values, dtypes))
+
+    try:
+        for line, row in _iter_rows(path, n_columns, exact):
+            cells = [parse(path, line, text, name) for (name, parse, _), text in zip(columns, row)]
+            for column, cell in zip(values, cells):
+                column.append(cell)
+            lines.append(line)
+            if len(lines) == check_at:
+                if _first_fault(rules(*arrays())):
+                    break
+                check_at *= 2
+    except ParseError as err:
+        error = err
+    fault = _first_fault(rules(*(result := arrays())))
+    if fault or error:  # a rule fault lies on a row before the one that does not parse
+        raise ParseError(str(path), lines[fault[0]], fault[1]) if fault else error
+    return result
+
+
+def _first_fault(rules) -> tuple | None:
+    """(row, message) of the first row a mask flags, the earlier rule on a tie."""
+    hits = [(int(mask.argmax()), n) for n, (mask, _) in enumerate(rules) if mask.any()]
+    if hits:
+        i, n = min(hits)
+        return i, rules[n][1](i)
+
+
+def _not_positive(values: np.ndarray) -> np.ndarray:
+    return ~((values > 0) & (values < np.inf))  # NaN fails both comparisons
+
+
+def _vs_previous(values: np.ndarray, fault) -> np.ndarray:
+    """Row mask of fault(previous value, value); the first row has no previous."""
+    mask = np.zeros(len(values), dtype=bool)
+    mask[1:] = fault(values[:-1], values[1:])
+    return mask
 
 
 def load_klines(path: str, pair: str = "", source: str = "") -> PriceSeries:
@@ -210,25 +251,14 @@ def load_klines(path: str, pair: str = "", source: str = "") -> PriceSeries:
     Only timestamp_ms and open are consumed. Rows must be strictly
     increasing in time; duplicates are rejected.
     """
-    columns = _read_columns(path, 6, False, (np.int64, np.float64))
-    if columns is not None:
-        ts, opens = columns
-        if np.all(ts[1:] > ts[:-1]) and _positive(opens):
-            return PriceSeries(ts, opens, pair, source)
-    ts, opens = [], []
-    for lineno, row in _iter_rows(path, 6, exact=False):
-        t = _parse_int(path, lineno, row[0], "timestamp_ms")
-        p = _parse_float(path, lineno, row[1], "open")
-        if p <= 0:
-            raise ParseError(str(path), lineno, f"open price must be positive, got {p}")
-        if ts and t <= ts[-1]:
-            raise ParseError(
-                str(path), lineno,
-                f"timestamps not strictly increasing: {t} after {ts[-1]}",
-            )
-        ts.append(t)
-        opens.append(p)
-    return PriceSeries(np.array(ts, dtype=np.int64), np.array(opens), pair, source)
+    ts, opens = _load_columns(
+        path, 6, False, [("timestamp_ms", _parse_int, np.int64),
+                         ("open", _parse_float, np.float64)],
+        lambda ts, opens: [
+            (_not_positive(opens), lambda i: f"open price must be positive, got {opens[i]}"),
+            (_vs_previous(ts, np.greater_equal),
+             lambda i: f"timestamps not strictly increasing: {ts[i]} after {ts[i - 1]}")])
+    return PriceSeries(ts, opens, pair, source)
 
 
 def load_quote_updates(path: str, pair: str = "", source: str = "") -> QuoteSeries:
@@ -238,39 +268,20 @@ def load_quote_updates(path: str, pair: str = "", source: str = "") -> QuoteSeri
     millisecond collapse to the last one (exchange dumps emit them in
     sequence); the number dropped is logged.
     """
-    columns = _read_columns(path, 3, True, (np.int64, np.float64, np.float64))
-    if columns is not None:
-        ts, bids, asks = columns
-        if (np.all(ts[1:] >= ts[:-1]) and _positive(bids) and np.all(bids <= asks)
-                and _positive(asks)):
-            keep = np.ones(len(ts), dtype=bool)
-            keep[:-1] = ts[1:] > ts[:-1]  # the last update of each millisecond
-            if not keep.all():
-                logger.warning("%s: dropped %d earlier duplicate-timestamp updates",
-                               path, len(ts) - np.count_nonzero(keep))
-            return QuoteSeries(ts[keep], bids[keep], asks[keep], pair, source)
-    ts, bids, asks = [], [], []
-    dropped = 0
-    for lineno, row in _iter_rows(path, 3):
-        t = _parse_int(path, lineno, row[0], "timestamp_ms")
-        bid = _parse_float(path, lineno, row[1], "bid")
-        ask = _parse_float(path, lineno, row[2], "ask")
-        if bid <= 0 or ask < bid:
-            raise ParseError(str(path), lineno, f"invalid quote bid={bid} ask={ask}")
-        if ts and t < ts[-1]:
-            raise ParseError(
-                str(path), lineno, f"timestamps decreasing: {t} after {ts[-1]}"
-            )
-        if ts and t == ts[-1]:
-            bids[-1], asks[-1] = bid, ask
-            dropped += 1
-            continue
-        ts.append(t)
-        bids.append(bid)
-        asks.append(ask)
-    if dropped:
-        logger.warning("%s: dropped %d earlier duplicate-timestamp updates", path, dropped)
-    return QuoteSeries(np.array(ts, dtype=np.int64), np.array(bids), np.array(asks), pair, source)
+    ts, bids, asks = _load_columns(
+        path, 3, True, [("timestamp_ms", _parse_int, np.int64), ("bid", _parse_float, np.float64),
+                        ("ask", _parse_float, np.float64)],
+        lambda ts, bids, asks: [
+            (~((0 < bids) & (bids <= asks) & (asks < np.inf)),
+             lambda i: f"invalid quote bid={bids[i]} ask={asks[i]}"),
+            (_vs_previous(ts, np.greater),
+             lambda i: f"timestamps decreasing: {ts[i]} after {ts[i - 1]}")])
+    keep = np.ones(len(ts), dtype=bool)
+    keep[:-1] = ts[1:] > ts[:-1]  # the last update of each millisecond
+    if not keep.all():
+        logger.warning("%s: dropped %d earlier duplicate-timestamp updates",
+                       path, len(ts) - np.count_nonzero(keep))
+    return QuoteSeries(ts[keep], bids[keep], asks[keep], pair, source)
 
 
 # block seconds whose milliseconds fit in int64
@@ -279,27 +290,17 @@ _BLOCK_S_LIMIT = 2**63 // 1000
 
 def load_block_timestamps(path: str) -> np.ndarray:
     """Load block timestamps (seconds) and return them in milliseconds."""
-    columns = _read_columns(path, 2, True, (np.int64, np.int64))
-    if columns is not None:
-        numbers, ts = columns
-        if (np.all(numbers[1:] > numbers[:-1]) and np.all(ts[1:] > ts[:-1])
-                and np.all((-_BLOCK_S_LIMIT < ts) & (ts < _BLOCK_S_LIMIT))):
-            return ts * 1000
-    numbers, ts = [], []
-    for lineno, row in _iter_rows(path, 2):
-        n = _parse_int(path, lineno, row[0], "block_number")
-        t = _parse_int(path, lineno, row[1], "timestamp_s")
-        if not -_BLOCK_S_LIMIT < t < _BLOCK_S_LIMIT:
-            raise ParseError(
-                str(path), lineno, f"bad timestamp_s: {t} does not fit in 64 bits in milliseconds"
-            )
-        if numbers and n <= numbers[-1]:
-            raise ParseError(str(path), lineno, f"block numbers not increasing at {n}")
-        if ts and t <= ts[-1]:
-            raise ParseError(str(path), lineno, f"block timestamps not increasing at {t}")
-        numbers.append(n)
-        ts.append(t)
-    return np.array(ts, dtype=np.int64) * 1000
+    _, seconds = _load_columns(
+        path, 2, True,
+        [("block_number", _parse_int, np.int64), ("timestamp_s", _parse_int, np.int64)],
+        lambda numbers, ts: [
+            ((ts <= -_BLOCK_S_LIMIT) | (ts >= _BLOCK_S_LIMIT),
+             lambda i: f"bad timestamp_s: {ts[i]} does not fit in 64 bits in milliseconds"),
+            (_vs_previous(numbers, np.greater_equal),
+             lambda i: f"block numbers not increasing at {numbers[i]}"),
+            (_vs_previous(ts, np.greater_equal),
+             lambda i: f"block timestamps not increasing at {ts[i]}")])
+    return seconds * 1000
 
 
 def resample_locf(

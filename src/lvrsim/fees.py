@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, ParseError
-from .feeds import _iter_rows, _parse_float, _parse_int, _positive, _read_columns
+from .feeds import _iter_rows, _load_columns, _not_positive, _parse_float, _parse_int, _vs_previous
 from .pool import position_value_of_liquidity
 
 TOKEN_X = "X"
@@ -68,12 +68,16 @@ class PositionLedger:
     timestamps: np.ndarray = None
 
     def __post_init__(self):
-        if self.position_liquidity <= 0:
-            raise InputError("position_liquidity must be positive")
+        _check_position_liquidity(self.position_liquidity)
         if self.returns is None:
             object.__setattr__(self, "returns", np.array([], dtype=float))
         if self.timestamps is None:
             object.__setattr__(self, "timestamps", np.array([], dtype=np.int64))
+
+
+def _check_position_liquidity(value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise InputError(f"position_liquidity must be finite and positive, got {value}")
 
 
 def fee_earned(record: SwapRecord, position_liquidity: float) -> float:
@@ -82,8 +86,7 @@ def fee_earned(record: SwapRecord, position_liquidity: float) -> float:
     The position must not exceed the pool's in-range liquidity (the
     simulation assumes it is small enough not to change trader behavior).
     """
-    if position_liquidity <= 0:
-        raise InputError("position_liquidity must be positive")
+    _check_position_liquidity(position_liquidity)
     if position_liquidity > record.post_swap_liquidity:
         raise InputError(
             f"position liquidity {position_liquidity} exceeds pool in-range "
@@ -146,11 +149,9 @@ def attribute_fees(
     end-of-block liquidity, and one return per block is compounded against
     the position value at the end-of-block price.
     """
-    last_ts = None
-    for r in records:
-        if last_ts is not None and r.timestamp < last_ts:
+    for previous, r in zip(records, records[1:]):
+        if r.timestamp < previous.timestamp:
             raise InputError(f"swap records out of order at timestamp {r.timestamp}")
-        last_ts = r.timestamp
 
     ledger = PositionLedger(position_liquidity)
     if not records:
@@ -187,38 +188,35 @@ def attribute_fees(
 _RECORD_CHUNK = 8192
 
 
+_SWAP_COLUMNS = [("block_number", _parse_int, np.int64), ("timestamp_ms", _parse_int, np.int64),
+                 ("input_token", lambda path, lineno, text, name: text.strip(), object),
+                 *((name, _parse_float, np.float64) for name in
+                   ("amount_in", "fee_rate", "post_swap_price", "post_swap_liquidity"))]
+
+
+def _swap_rules(*columns):
+    """Rows SwapRecord rejects, with its message; then a timestamp out of order."""
+    _, ts, token, amount, fee_rate, price, liquidity = columns
+
+    def record_error(i):
+        try:
+            SwapRecord(*(column[i] for column in columns))
+        except InputError as exc:
+            return str(exc)
+
+    invalid = (~((token == TOKEN_X) | (token == TOKEN_Y)) | ~((fee_rate > 0) & (fee_rate < 1))
+               | _not_positive(amount) | _not_positive(price) | _not_positive(liquidity))
+    return [(invalid, record_error),
+            (_vs_previous(ts, np.greater), lambda i: "timestamps not sorted")]
+
+
 def load_swap_records(path: str) -> list[SwapRecord]:
     """Load swap records from the canonical CSV schema."""
-    columns = _read_columns(path, 7, True, (np.int64, np.int64, object) + (np.float64,) * 4)
-    if columns is not None:
-        _, ts, token, amount, fee_rate, price, liquidity = columns
-        if (np.all((token == TOKEN_X) | (token == TOKEN_Y)) and _positive(amount)
-                and np.all((fee_rate > 0) & (fee_rate < 1)) and _positive(price)
-                and _positive(liquidity) and np.all(ts[1:] >= ts[:-1])):
-            records = []
-            for start in range(0, len(ts), _RECORD_CHUNK):
-                chunk = (column[start:start + _RECORD_CHUNK].tolist() for column in columns)
-                records.extend(map(SwapRecord, *chunk))
-            return records
-    records: list[SwapRecord] = []
-    for lineno, row in _iter_rows(path, 7):
-        try:
-            record = SwapRecord(
-                block_number=_parse_int(path, lineno, row[0], "block_number"),
-                timestamp=_parse_int(path, lineno, row[1], "timestamp_ms"),
-                input_token=row[2].strip(),
-                amount_in=_parse_float(path, lineno, row[3], "amount_in"),
-                fee_rate=_parse_float(path, lineno, row[4], "fee_rate"),
-                post_swap_price=_parse_float(path, lineno, row[5], "post_swap_price"),
-                post_swap_liquidity=_parse_float(path, lineno, row[6], "post_swap_liquidity"),
-            )
-        except InputError as exc:
-            if isinstance(exc, ParseError):
-                raise
-            raise ParseError(str(path), lineno, str(exc)) from None
-        if records and record.timestamp < records[-1].timestamp:
-            raise ParseError(str(path), lineno, "timestamps not sorted")
-        records.append(record)
+    columns = _load_columns(path, 7, True, _SWAP_COLUMNS, _swap_rules)
+    records = []
+    for start in range(0, len(columns[0]), _RECORD_CHUNK):
+        chunk = (column[start:start + _RECORD_CHUNK].tolist() for column in columns)
+        records.extend(map(SwapRecord, *chunk))
     return records
 
 

@@ -456,6 +456,22 @@ class TestBadInputExits2:
         err = capsys.readouterr().err
         assert f"{klines}:2: unreadable row" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("liquidity", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("swaps", ["header", "fixture"])
+    def test_position_liquidity_not_finite_and_positive(self, tmp_path, capsys, liquidity,
+                                                        swaps):
+        path = FIXTURE
+        if swaps == "header":
+            path = tmp_path / "swaps.csv"
+            path.write_text("block_number,timestamp_ms,input_token,amount_in,fee_rate,"
+                            "post_swap_price,post_swap_liquidity\n")
+        code = run_cli("fees", "--swaps", path, f"--position-liquidity={liquidity}",
+                       "--out", tmp_path / "bad")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--position-liquidity" in err and "Traceback" not in err
+        assert not (tmp_path / "bad" / "manifest.json").exists()
+
 
 @pytest.mark.parametrize("command", ["simulate-arb", "compare"])
 def test_blocks_file_parsed_once(tmp_path, monkeypatch, command):

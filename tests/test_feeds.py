@@ -38,14 +38,14 @@ class TestLoadKlines:
                      "1672531201000,1205.00,1210,1200,1207,12.0\n")
         series = load_klines(path)
         assert len(series) == 2
-        assert series[0].timestamp == 1672531200000
-        assert series[0].price == 1200.50
+        assert series.timestamps[0] == 1672531200000
+        assert series.prices[0] == 1200.50
 
     def test_header_detected(self, tmp_path):
         path = write(tmp_path, "k.csv",
                      "timestamp_ms,open,high,low,close,volume\n1000,2.5,3,2,2.6,1\n")
         series = load_klines(path)
-        assert len(series) == 1 and series[0].price == 2.5
+        assert len(series) == 1 and series.prices[0] == 2.5
 
     def test_empty_file(self, tmp_path):
         assert len(load_klines(write(tmp_path, "k.csv", ""))) == 0
@@ -75,7 +75,7 @@ class TestLoadKlines:
 
     def test_extra_exchange_columns_tolerated(self, tmp_path):
         path = write(tmp_path, "k.csv", "1000,2.5,3,2,2.6,1,99,98,97\n")
-        assert load_klines(path)[0].price == 2.5
+        assert load_klines(path).prices[0] == 2.5
 
     def test_quote_file_rejected_as_klines(self, tmp_path):
         path = write(tmp_path, "q.csv", "1000,99,101\n")
@@ -281,6 +281,44 @@ class TestColumnarParity:
         assert str(err.value) == (
             f"{path}:2: unreadable row: field larger than field limit (131072)"
         )
+
+    def test_line_after_a_cell_over_two_lines_is_the_physical_line(self, tmp_path):
+        path = write(tmp_path, "k.csv",
+                     '1000,2.5,3,2,2.6,"a\nb"\n2000,2.5,3,2,2.6,1\n3000,-1,3,2,2.6,1\n')
+        with pytest.raises(ParseError) as err:
+            load_klines(path)
+        assert str(err.value) == f"{path}:4: open price must be positive, got -1.0"
+
+    def test_bad_row_over_two_lines_names_the_line_it_starts_on(self, tmp_path):
+        path = write(tmp_path, "k.csv", KLINE + '2000,-1,3,2,2.6,"a\nb"\n3000,2.5,3,2,2.6,1\n')
+        with pytest.raises(ParseError) as err:
+            load_klines(path)
+        assert str(err.value) == f"{path}:2: open price must be positive, got -1.0"
+
+    def test_cell_over_the_csv_field_limit_after_a_cell_over_two_lines(self, tmp_path):
+        path = write(tmp_path, "k.csv", '1000,2.5,3,2,2.6,"a\nb"\n2000,2.0,2,2,2,"'
+                     + "x" * 200_000 + '"\n')
+        with pytest.raises(ParseError) as err:
+            load_klines(path)
+        assert str(err.value) == (
+            f"{path}:3: unreadable row: field larger than field limit (131072)"
+        )
+
+    def test_rule_fault_stops_the_row_pass_at_its_row(self, tmp_path):
+        path = write(tmp_path, "k.csv", "".join(
+            f"{1000 * i},{-1 if i == 1 else 2.5},3,2,2.6,1\n" for i in range(10_000)))
+        iter_rows, consumed = feeds._iter_rows, []
+
+        def counting(*args):
+            for row in iter_rows(*args):
+                consumed.append(row)
+                yield row
+
+        with mock.patch.object(feeds, "_iter_rows", counting):
+            with pytest.raises(ParseError) as err:
+                load_klines(path)
+        assert str(err.value) == f"{path}:2: open price must be positive, got -1.0"
+        assert len(consumed) <= 2
 
     def test_same_millisecond_collapse_logged_alike(self, tmp_path, caplog):
         path = write(tmp_path, "q.csv", "0,99,101\n5,99,100\n5,98,102\n5,97,103\n6,1,2\n")

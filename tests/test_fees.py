@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_feeds import FLOAT_TEXT, INT_TEXT, INTS, POSITIVE, cases, csv_file, save
 
+import lvrsim.feeds as feeds
 import lvrsim.fees as fees
 from lvrsim import (
     InputError,
@@ -64,6 +65,13 @@ class TestFeeEarned:
     def test_rejects_position_larger_than_pool(self):
         with pytest.raises(InputError):
             fee_earned(record(), 2_000_000.0)
+
+    @pytest.mark.parametrize("liquidity", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_position_not_finite_and_positive(self, liquidity):
+        with pytest.raises(InputError, match="finite and positive"):
+            fee_earned(record(), liquidity)
+        with pytest.raises(InputError, match="finite and positive"):
+            PositionLedger(liquidity)
 
     def test_linear_in_amount_and_share(self):
         r1 = fee_earned(record(amount_in=5000.0), 10_000.0)
@@ -162,13 +170,13 @@ class TestLoadSwapRecords:
 
 def row_path(path):
     """Swap records with the columnar fast path switched off."""
-    with mock.patch.object(fees, "_read_columns", lambda *args: None):
+    with mock.patch.object(feeds, "_read_columns", lambda *args: None):
         return load_swap_records(path)
 
 
 def columnar_only(path):
     """Swap records when reaching the row parser is an error."""
-    with mock.patch.object(fees, "_iter_rows", side_effect=AssertionError("row parser reached")):
+    with mock.patch.object(feeds, "_iter_rows", side_effect=AssertionError("row parser reached")):
         return load_swap_records(path)
 
 
@@ -227,7 +235,7 @@ class TestSwapColumnarParity:
     def test_fallback_file_loads_through_row_parser(self, tmp_path, kind, text):
         path = tmp_path / "s.csv"
         path.write_text(text)
-        with mock.patch.object(fees, "_iter_rows", wraps=fees._iter_rows) as rows:
+        with mock.patch.object(feeds, "_iter_rows", wraps=feeds._iter_rows) as rows:
             records = load_swap_records(str(path))
         assert rows.called and records
         assert typed(records) == typed(row_path(str(path)))

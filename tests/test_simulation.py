@@ -270,6 +270,88 @@ class TestReplayKernel:
         assert run.n_dropped == dropped
 
 
+FEES = (0.0, 0.0005, 0.003, 0.01)
+
+
+@st.composite
+def short_replays(draw, fees=FEES):
+    """(pool, quotes, schedule): up to 60 instants of GBM at a random fee and spread.
+
+    The quotes run one step past the schedule, so that an instant 1 ms after
+    the last one still has the quote of the last one.
+    """
+    interval = draw(st.sampled_from([1000, 2000, 5000]))
+    end = draw(st.integers(1, 59)) * interval
+    prices = gbm_generate(draw(st.floats(2.0, 50.0)), 0.0, 1000, end + 1000,
+                          seed=draw(st.integers(0, 2**32 - 1)), price0=2000.0)
+    half = 0.5 * draw(st.sampled_from([0.0, 0.0005, 0.004]))
+    quotes = QuoteSeries(prices.timestamps, prices.prices * (1.0 - half),
+                         prices.prices * (1.0 + half))
+    fee = draw(st.sampled_from(fees))
+    pool = PoolState(draw(st.floats(0.01, 100.0)), 2000.0 * draw(st.floats(0.5, 2.0)), fee)
+    return pool, quotes, BlockSchedule.fixed(interval, 0, end)
+
+
+def assert_one_ms_later_adds_no_event(pool, quotes, schedule):
+    run = run_arb_sim(pool, quotes, schedule)
+    doubled = np.sort(np.concatenate([schedule.timestamps, schedule.timestamps + 1]))
+    again = run_arb_sim(pool, quotes, BlockSchedule.from_blocks(doubled))
+    assert again.timestamps.tobytes() == run.timestamps.tobytes()
+    assert again.losses.tobytes() == run.losses.tobytes()
+    assert again.profits.tobytes() == run.profits.tobytes()
+    assert again.final_state == run.final_state and again.multiplier == run.multiplier
+
+
+class TestReplayInvariants:
+    @given(case=short_replays())
+    def test_losses_in_unit_interval_and_k_never_decreases(self, case):
+        pool, quotes, schedule = case
+        run = run_arb_sim(pool, quotes, schedule)
+        assert np.all((run.losses >= 0.0) & (run.losses < 1.0))
+        # the replay one instant at a time: each run ends where the next starts
+        state, k = pool, [pool.reserve_x * pool.reserve_y]
+        for t in schedule.timestamps:
+            state = run_arb_sim(state, quotes, BlockSchedule.from_blocks([t])).final_state
+            k.append(state.reserve_x * state.reserve_y)
+        assert state == run.final_state
+        # the fee stays in the pool; at zero fee k is kept up to a few roundings
+        k = np.array(k)
+        assert np.all(k[1:] >= k[:-1] * (1.0 - 4 * np.finfo(float).eps))
+
+    @given(case=short_replays(fees=FEES[1:]))
+    def test_instant_one_ms_later_adds_no_event(self, case):
+        assert_one_ms_later_adds_no_event(*case)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="zero-width band: the pool ends a rounding away from the quote "
+                              "and the profit guard lets a dust trade through")
+    def test_zero_fee_instant_one_ms_later_adds_no_event(self):
+        # one trade at 0 to the quote; at 1 ms the same quote trades a loss of 1.9e-18
+        assert_one_ms_later_adds_no_event(PoolState(1.0, 1000.0, 0.0), constant_quotes(2000.0),
+                                          BlockSchedule.from_blocks([0]))
+
+    @given(case=short_replays(), scale=st.floats(1e-3, 1e3), power=st.integers(-30, 30))
+    def test_reserve_scale_leaves_events_unchanged(self, case, scale, power):
+        pool, quotes, schedule = case
+        run = run_arb_sim(pool, quotes, schedule)
+
+        def scaled(c):
+            return run_arb_sim(PoolState(c * pool.reserve_x, c * pool.reserve_y, pool.fee),
+                               quotes, schedule)
+
+        # a loss is a difference of reserve-sized terms over the pool value, so
+        # rescaling changes its rounding by a few ulps of 1, not of the loss
+        other = scaled(scale)
+        assert other.timestamps.tobytes() == run.timestamps.tobytes()
+        assert np.all(np.abs(other.losses - run.losses) <= 8 * np.finfo(float).eps)
+        # a power of two scales every operation exactly
+        exact = scaled(2.0**power)
+        assert exact.timestamps.tobytes() == run.timestamps.tobytes()
+        assert exact.losses.tobytes() == run.losses.tobytes()
+        assert exact.profits.tobytes() == (2.0**power * run.profits).tobytes()
+        assert exact.multiplier == run.multiplier and exact.n_dropped == run.n_dropped
+
+
 def test_zero_fee_loss_matches_lvr_formula():
     # LVR = sigma^2/8 of pool value per year (Milionis, Moallemi, Roughgarden,
     # Zhang, arXiv:2208.06046). At zero fee each 1 s step trades, and
