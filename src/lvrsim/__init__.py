@@ -33,6 +33,7 @@ from .feeds import (
 from .fees import (
     PositionLedger,
     SwapRecord,
+    SwapTable,
     accumulate,
     attribute_fees,
     convert_raw_swap_export,
@@ -84,6 +85,7 @@ __all__ = [
     "Quote",
     "QuoteSeries",
     "SwapRecord",
+    "SwapTable",
     "SwapResult",
     "SweepResult",
     "accumulate",

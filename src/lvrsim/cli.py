@@ -335,12 +335,12 @@ def _fee_ledger(cfg: dict, factor: float):
     liquidity = cfg.get("position_liquidity", 1.0)
     if not (math.isfinite(liquidity) and liquidity > 0):
         raise InputError(f"--position-liquidity must be finite and positive, got {liquidity}")
-    records = load_swap_records(swaps_path)
-    ledger = attribute_fees(records, liquidity, per_block=cfg.get("per_block", False))
+    swaps = load_swap_records(swaps_path)
+    ledger = attribute_fees(swaps, liquidity, per_block=cfg.get("per_block", False))
     ledger = accumulate(
         PositionLedger(liquidity), concentration_scale(ledger.returns, factor), ledger.timestamps
     )
-    return ledger, swaps_path, len(records)
+    return ledger, swaps_path, len(swaps)
 
 
 def _out_dir(cfg: dict) -> Path:

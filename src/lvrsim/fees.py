@@ -11,21 +11,25 @@ liquidity and does not alter pool behavior. Note that scaling both the fee
 share and the position value by the ledger growth cancels, so this yields
 the same relative returns as re-depositing earned fees each period.
 
-Swap-record CSV schema:
+Swaps are held as columns (SwapTable) and attributed on them in one array
+path, whose expressions and operation order are those of fee_earned,
+relative_fee_return and position_value_of_liquidity. SwapRecord and those
+functions are the readable reference and the test oracle.
+
+Swap-record CSV schema, rows in order of timestamp and of block number:
   block_number,timestamp_ms,input_token,amount_in,fee_rate,post_swap_price,post_swap_liquidity
 """
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError, ParseError
 from .feeds import _iter_rows, _load_columns, _not_positive, _parse_float, _parse_int, _vs_previous
-from .pool import position_value_of_liquidity
 
 TOKEN_X = "X"
 TOKEN_Y = "Y"
@@ -59,20 +63,39 @@ class SwapRecord:
 
 
 @dataclass(frozen=True)
+class SwapTable:
+    """Swaps as columns, in file order; indexing gives one SwapRecord."""
+
+    block_numbers: np.ndarray  # int64
+    timestamps: np.ndarray  # int64 ms
+    input_tokens: np.ndarray  # str objects, "X" or "Y"
+    amounts_in: np.ndarray
+    fee_rates: np.ndarray
+    post_swap_prices: np.ndarray
+    post_swap_liquidities: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __getitem__(self, i: int) -> SwapRecord:
+        return SwapRecord(
+            int(self.block_numbers[i]), int(self.timestamps[i]), self.input_tokens[i],
+            float(self.amounts_in[i]), float(self.fee_rates[i]),
+            float(self.post_swap_prices[i]), float(self.post_swap_liquidities[i]),
+        )
+
+
+@dataclass(frozen=True)
 class PositionLedger:
     """Compounded fee returns of one position; fees only ever add value."""
 
     position_liquidity: float
     cumulative_growth: float = 1.0
-    returns: np.ndarray = None
-    timestamps: np.ndarray = None
+    returns: np.ndarray = field(default_factory=lambda: np.array([], dtype=float))
+    timestamps: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
 
     def __post_init__(self):
         _check_position_liquidity(self.position_liquidity)
-        if self.returns is None:
-            object.__setattr__(self, "returns", np.array([], dtype=float))
-        if self.timestamps is None:
-            object.__setattr__(self, "timestamps", np.array([], dtype=np.int64))
 
 
 def _check_position_liquidity(value: float) -> None:
@@ -96,9 +119,9 @@ def fee_earned(record: SwapRecord, position_liquidity: float) -> float:
     return record.fee_rate * record.amount_in * share
 
 
-def _fee_in_y(record: SwapRecord, fee_amount: float) -> float:
-    """A fee in the swap's input token, converted to Y at the post-swap price."""
-    return fee_amount * record.post_swap_price if record.input_token == TOKEN_X else fee_amount
+def _fee_in_y(input_token, fee_amount, post_swap_price):
+    """Fees in the swaps' input tokens, converted to Y at the post-swap prices."""
+    return np.where(input_token == TOKEN_X, fee_amount * post_swap_price, fee_amount)
 
 
 def relative_fee_return(
@@ -107,7 +130,7 @@ def relative_fee_return(
     """Fee amount converted to Y at the post-swap price, over position value."""
     if position_value_y <= 0:
         raise InputError(f"position value must be positive, got {position_value_y}")
-    return _fee_in_y(record, fee_amount) / position_value_y
+    return _fee_in_y(record.input_token, fee_amount, record.post_swap_price) / position_value_y
 
 
 def accumulate(
@@ -122,70 +145,58 @@ def accumulate(
     growth = ledger.cumulative_growth
     for r in new:
         growth *= 1.0 + r
-    if timestamps is None:
-        ts = np.concatenate([ledger.timestamps, np.zeros(new.size, dtype=np.int64)])
-    else:
-        ts = np.concatenate([ledger.timestamps, np.asarray(timestamps, dtype=np.int64)])
-        if ts.size != ledger.returns.size + new.size:
-            raise InputError("timestamps and returns must have equal length")
+    stamps = np.asarray(np.zeros(new.size) if timestamps is None else timestamps, dtype=np.int64)
+    if stamps.size != new.size:
+        raise InputError("timestamps and returns must have equal length")
     return replace(
         ledger,
         cumulative_growth=growth,
         returns=np.concatenate([ledger.returns, new]),
-        timestamps=ts,
+        timestamps=np.concatenate([ledger.timestamps, stamps]),
     )
 
 
 def attribute_fees(
-    records: Sequence[SwapRecord],
+    swaps: SwapTable | Sequence[SwapRecord],
     position_liquidity: float,
     per_block: bool = False,
 ) -> PositionLedger:
-    """Run fee attribution over chronological swap records.
+    """Run fee attribution over chronological swaps, as a table or as records.
 
     per_block=False compounds one return per swap, using each swap's own
     post-swap liquidity and price. per_block=True assumes liquidity is
     constant over each block instead: all swaps of a block share the
     end-of-block liquidity, and one return per block is compounded against
-    the position value at the end-of-block price.
+    the position value at the end-of-block price. Both take one array path.
     """
-    for previous, r in zip(records, records[1:]):
-        if r.timestamp < previous.timestamp:
-            raise InputError(f"swap records out of order at timestamp {r.timestamp}")
+    if not isinstance(swaps, SwapTable):
+        swaps = SwapTable(*(np.array([getattr(r, f.name) for r in swaps], dtype)
+                            for f, (_, _, dtype) in zip(fields(SwapRecord), _SWAP_COLUMNS)))
+    for name, column in (("timestamp", swaps.timestamps), ("block", swaps.block_numbers)):
+        back = _vs_previous(column, np.greater)
+        if back.any():
+            raise InputError(f"swap records out of order at {name} {column[back.argmax()]}")
 
     ledger = PositionLedger(position_liquidity)
-    if not records:
-        return ledger
-
-    returns: list[float] = []
-    stamps: list[int] = []
-    if not per_block:
-        for r in records:
-            fee = fee_earned(r, position_liquidity)
-            value = position_value_of_liquidity(position_liquidity, r.post_swap_price)
-            returns.append(relative_fee_return(r, fee, value))
-            stamps.append(r.timestamp)
-    else:
-        i = 0
-        n = len(records)
-        while i < n:
-            j = i
-            while j < n and records[j].block_number == records[i].block_number:
-                j += 1
-            last = records[j - 1]
-            fee_y = 0.0
-            for r in records[i:j]:
-                block_view = replace(r, post_swap_liquidity=last.post_swap_liquidity)
-                fee_y += _fee_in_y(r, fee_earned(block_view, position_liquidity))
-            value = position_value_of_liquidity(position_liquidity, last.post_swap_price)
-            returns.append(fee_y / value)
-            stamps.append(last.timestamp)
-            i = j
-    return accumulate(ledger, returns, stamps)
-
-
-# rows turned into records at a time, so that no whole column is held as objects
-_RECORD_CHUNK = 8192
+    ends = np.ones(len(swaps), dtype=bool)  # per swap, each swap is a block of one
+    if per_block:
+        ends[:-1] = swaps.block_numbers[1:] != swaps.block_numbers[:-1]
+    last = np.flatnonzero(ends)
+    size = np.diff(last, prepend=-1)
+    liquidity = np.repeat(swaps.post_swap_liquidities[last], size)
+    over = position_liquidity > liquidity
+    if over.any():
+        raise InputError(f"position liquidity {position_liquidity} exceeds pool in-range "
+                         f"liquidity {float(liquidity[over.argmax()])}")
+    fee = swaps.fee_rates * swaps.amounts_in * (position_liquidity / liquidity)
+    fee_y = _fee_in_y(swaps.input_tokens, fee, swaps.post_swap_prices)
+    sums = np.zeros(len(last))
+    periods = np.arange(len(last))
+    for k in range(size.max(initial=0)):  # in file order, as a loop adds them
+        periods = periods[size[periods] > k]
+        sums[periods] += fee_y[last[periods] - size[periods] + 1 + k]
+    value = 2.0 * position_liquidity * np.sqrt(swaps.post_swap_prices[last])
+    return accumulate(ledger, sums / value, swaps.timestamps[last])
 
 
 _SWAP_COLUMNS = [("block_number", _parse_int, np.int64), ("timestamp_ms", _parse_int, np.int64),
@@ -195,8 +206,8 @@ _SWAP_COLUMNS = [("block_number", _parse_int, np.int64), ("timestamp_ms", _parse
 
 
 def _swap_rules(*columns):
-    """Rows SwapRecord rejects, with its message; then a timestamp out of order."""
-    _, ts, token, amount, fee_rate, price, liquidity = columns
+    """Rows SwapRecord rejects, with its message; then a timestamp or block out of order."""
+    blocks, ts, token, amount, fee_rate, price, liquidity = columns
 
     def record_error(i):
         try:
@@ -207,17 +218,14 @@ def _swap_rules(*columns):
     invalid = (~((token == TOKEN_X) | (token == TOKEN_Y)) | ~((fee_rate > 0) & (fee_rate < 1))
                | _not_positive(amount) | _not_positive(price) | _not_positive(liquidity))
     return [(invalid, record_error),
-            (_vs_previous(ts, np.greater), lambda i: "timestamps not sorted")]
+            (_vs_previous(ts, np.greater), lambda i: "timestamps not sorted"),
+            (_vs_previous(blocks, np.greater),
+             lambda i: f"block numbers decreasing: {blocks[i]} after {blocks[i - 1]}")]
 
 
-def load_swap_records(path: str) -> list[SwapRecord]:
-    """Load swap records from the canonical CSV schema."""
-    columns = _load_columns(path, 7, True, _SWAP_COLUMNS, _swap_rules)
-    records = []
-    for start in range(0, len(columns[0]), _RECORD_CHUNK):
-        chunk = (column[start:start + _RECORD_CHUNK].tolist() for column in columns)
-        records.extend(map(SwapRecord, *chunk))
-    return records
+def load_swap_records(path: str) -> SwapTable:
+    """Load the swaps of a CSV in the canonical schema as columns."""
+    return SwapTable(*_load_columns(path, 7, True, _SWAP_COLUMNS, _swap_rules))
 
 
 # --- raw export conversion ------------------------------------------------
@@ -262,10 +270,7 @@ def convert_raw_swap_export(
     written = 0
     with open(dest, "w", encoding="utf-8", newline="") as out:
         writer = csv.writer(out)
-        writer.writerow(
-            ["block_number", "timestamp_ms", "input_token", "amount_in",
-             "fee_rate", "post_swap_price", "post_swap_liquidity"]
-        )
+        writer.writerow(name for name, _, _ in _SWAP_COLUMNS)
         for lineno, row in _iter_rows(src, 6):
             block = _parse_int(src, lineno, row[0], "block_number")
             ts = _parse_int(src, lineno, row[1], "timestamp_ms")

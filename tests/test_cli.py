@@ -456,6 +456,17 @@ class TestBadInputExits2:
         err = capsys.readouterr().err
         assert f"{klines}:2: unreadable row" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("per_block", [[], ["--per-block"]])
+    def test_block_number_going_back_names_file_and_line(self, tmp_path, capsys, per_block):
+        swaps = tmp_path / "swaps.csv"
+        swaps.write_text("5,1000,X,5.0,0.003,2000.0,1e6\n4,2000,Y,5.0,0.003,2000.0,1e6\n"
+                         "5,3000,X,5.0,0.003,2000.0,1e6\n")
+        code = run_cli("fees", "--swaps", swaps, "--position-liquidity", 500, *per_block,
+                       "--out", tmp_path / "bad")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{swaps}:2: block numbers decreasing: 4 after 5" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("liquidity", ["nan", "inf", "-inf", "0", "-1"])
     @pytest.mark.parametrize("swaps", ["header", "fixture"])
     def test_position_liquidity_not_finite_and_positive(self, tmp_path, capsys, liquidity,

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from pathlib import Path
 from unittest import mock
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from test_feeds import FLOAT_TEXT, INT_TEXT, INTS, POSITIVE, cases, csv_file, save
 
 import lvrsim.feeds as feeds
-import lvrsim.fees as fees
 from lvrsim import (
     InputError,
     ParseError,
@@ -21,6 +21,7 @@ from lvrsim import (
     convert_raw_swap_export,
     fee_earned,
     load_swap_records,
+    position_value_of_liquidity,
     relative_fee_return,
     sqrt_price_x96_to_price,
 )
@@ -153,6 +154,28 @@ class TestAttributeFees:
         with pytest.raises(InputError):
             attribute_fees(records, 1.0)
 
+    def test_rejects_block_numbers_going_back(self):
+        records = [record(block_number=5), record(block_number=4, timestamp=2000),
+                   record(block_number=5, timestamp=3000)]
+        for per_block in (False, True):
+            with pytest.raises(InputError, match="out of order at block 4$"):
+                attribute_fees(records, 1.0, per_block=per_block)
+
+    def test_timestamp_order_checked_before_block_order(self):
+        records = [record(block_number=5), record(block_number=4, timestamp=900)]
+        with pytest.raises(InputError, match="out of order at timestamp 900$"):
+            attribute_fees(records, 1.0)
+
+    @pytest.mark.parametrize("per_block, liquidity", [(False, 3.0), (True, 2.0)])
+    def test_position_above_pool_liquidity_names_it(self, per_block, liquidity):
+        # per block, each swap is checked against the end-of-block liquidity
+        records = [record(post_swap_liquidity=3.0), record(post_swap_liquidity=9.0),
+                   record(block_number=2, post_swap_liquidity=2.0)]
+        with pytest.raises(InputError) as err:
+            attribute_fees(records, 4.0, per_block=per_block)
+        assert str(err.value) == ("position liquidity 4.0 exceeds pool in-range "
+                                  f"liquidity {liquidity}")
+
     def test_returns_scale_with_amounts(self):
         records = [record(), record(timestamp=2000, amount_in=20_000.0)]
         ledger = attribute_fees(records, 500.0)
@@ -166,6 +189,22 @@ class TestLoadSwapRecords:
         with pytest.raises(ParseError) as err:
             load_swap_records(str(path))
         assert err.value.line == 1
+
+    def test_block_number_going_back_names_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(MALFORMED_SWAPS["block-decreasing"])
+        with pytest.raises(ParseError) as err:
+            load_swap_records(str(path))
+        assert str(err.value) == f"{path}:2: block numbers decreasing: 4 after 5"
+
+    def test_table_rows_are_records(self):
+        table = load_swap_records(str(FIXTURE))
+        records = list(table)
+        assert len(table) == len(records) == 1000
+        assert table[-1] == records[999] and table[-1000] == records[0]
+        assert typed([table[-1]]) == typed(records[-1:])
+        with pytest.raises(IndexError):
+            table[1000]
 
 
 def row_path(path):
@@ -198,6 +237,8 @@ MALFORMED_SWAPS = {
     "negative-liquidity": "1,1000,X,5.0,0.003,2000.0,-1e6\n",
     "inf-liquidity": "1,1000,X,5.0,0.003,2000.0,inf\n",
     "decreasing": SWAP + "2,999,Y,5.0,0.003,2000.0,1e6\n",
+    "block-decreasing": ("5,1000,X,5.0,0.003,2000.0,1e6\n4,2000,Y,5.0,0.003,2000.0,1e6\n"
+                         "5,3000,X,5.0,0.003,2000.0,1e6\n"),
     "short-row": "1,1000,X,5.0,0.003,2000.0\n",
     "extra-column": SWAP + "1,1000,X,5.0,0.003,2000.0,1e6,7\n",
     "token-XY": "1,1000,XY,5.0,0.003,2000.0,1e6\n",
@@ -244,7 +285,7 @@ class TestSwapColumnarParity:
         assert typed(columnar_only(str(FIXTURE))) == typed(row_path(str(FIXTURE)))
 
     def test_records_built_across_chunks(self, tmp_path):
-        n = 2 * fees._RECORD_CHUNK + 3
+        n = 16_387  # past the row reader's rule checks at 8192 and 16 384 rows
         path = tmp_path / "s.csv"
         path.write_text("".join(f"{i // 2},{i // 3},{'XY'[i % 2]},{i + 1}.5,0.003,2000.0,1e6\n"
                                 for i in range(n)))
@@ -255,12 +296,14 @@ class TestSwapColumnarParity:
 
 @st.composite
 def swap_files(draw):
-    stamps = sorted(draw(st.lists(INTS, max_size=20)))  # repeats allowed: one block, one ms
+    # repeats allowed: several swaps in one block or in one ms
+    stamps = sorted(draw(st.lists(INTS, max_size=20)))
+    blocks = sorted(draw(st.lists(INTS, min_size=len(stamps), max_size=len(stamps))))
     fee = st.floats(0, 1, exclude_min=True, exclude_max=True)
-    rows = [[draw(INT_TEXT)(draw(INTS)), draw(INT_TEXT)(t), draw(st.sampled_from("XY")),
+    rows = [[draw(INT_TEXT)(b), draw(INT_TEXT)(t), draw(st.sampled_from("XY")),
              draw(FLOAT_TEXT)(draw(POSITIVE)), draw(FLOAT_TEXT)(draw(fee)),
              draw(FLOAT_TEXT)(draw(POSITIVE)), draw(FLOAT_TEXT)(draw(POSITIVE))]
-            for t in stamps]
+            for b, t in zip(blocks, stamps)]
     return draw(csv_file(rows, "block_number,timestamp_ms,input_token,amount_in,fee_rate,"
                                "post_swap_price,post_swap_liquidity"))
 
@@ -269,6 +312,76 @@ def swap_files(draw):
 def test_valid_swaps_fast_path_equals_row_parser(tmp_path_factory, content):
     path = save(tmp_path_factory.mktemp("s"), content)
     assert typed(columnar_only(path)) == typed(row_path(path))
+
+
+def record_loop_ledger(records, position_liquidity, per_block):
+    """The ledger of a loop over the record functions, the oracle of attribute_fees.
+
+    Per block, each swap takes the end-of-block liquidity and its fee in Y is
+    added in file order; relative_fee_return over a value of 1 is that fee.
+    """
+    returns, stamps = [], []
+    if not per_block:
+        for r in records:
+            value = position_value_of_liquidity(position_liquidity, r.post_swap_price)
+            returns.append(relative_fee_return(r, fee_earned(r, position_liquidity), value))
+            stamps.append(r.timestamp)
+    else:
+        for _, group in itertools.groupby(records, lambda r: r.block_number):
+            block = list(group)
+            last = block[-1]
+            fee_y = 0.0
+            for r in block:
+                r = dataclasses.replace(r, post_swap_liquidity=last.post_swap_liquidity)
+                fee_y += relative_fee_return(r, fee_earned(r, position_liquidity), 1.0)
+            value = position_value_of_liquidity(position_liquidity, last.post_swap_price)
+            returns.append(fee_y / value)
+            stamps.append(last.timestamp)
+    return accumulate(PositionLedger(position_liquidity), returns, stamps)
+
+
+@st.composite
+def block_swap_files(draw):
+    """(file, position liquidity): blocks of 1 to 14 swaps, X and Y mixed.
+
+    Amounts and prices span twelve orders of magnitude, so that adding a
+    block's fees in any order but file order changes the sum.
+    """
+    liquidities = st.floats(1.0, 1e9)
+    rows, block, ts = [], 18_000_000, 1_700_000_000_000
+    for size in draw(st.lists(st.integers(1, 14), max_size=6)):
+        block += draw(st.integers(1, 3))
+        for _ in range(size):
+            ts += draw(st.integers(0, 2))
+            rows.append([str(block), str(ts), draw(st.sampled_from("XY")),
+                         *map(repr, [draw(st.floats(1e-6, 1e6)), draw(st.floats(1e-4, 0.05)),
+                                     draw(st.floats(1e-6, 1e6)), draw(liquidities)])])
+        ts += draw(st.integers(1, 12_000))
+    # a liquidity of the file, or one no swap is below
+    pool = [float(row[6]) for row in rows]
+    position = draw(st.sampled_from(pool) if pool and draw(st.booleans()) else st.floats(1e-3, 1.0))
+    content = draw(csv_file(rows, "block_number,timestamp_ms,input_token,amount_in,fee_rate,"
+                                  "post_swap_price,post_swap_liquidity"))
+    return content, position
+
+
+@given(case=block_swap_files())
+def test_attribution_equals_record_loop(tmp_path_factory, case):
+    content, position = case
+    table = load_swap_records(save(tmp_path_factory.mktemp("s"), content))
+    records = list(table)
+    for per_block, swaps in itertools.product((False, True), (table, records)):
+        try:
+            expected = record_loop_ledger(records, position, per_block)
+        except InputError as exc:  # a position above some pool liquidity
+            with pytest.raises(InputError) as err:
+                attribute_fees(swaps, position, per_block=per_block)
+            assert str(err.value) == str(exc)
+            continue
+        ledger = attribute_fees(swaps, position, per_block=per_block)
+        assert ledger.returns.tobytes() == expected.returns.tobytes()
+        assert ledger.timestamps.tobytes() == expected.timestamps.tobytes()
+        assert ledger.cumulative_growth == expected.cumulative_growth
 
 
 class TestRawConversion:
