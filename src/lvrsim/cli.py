@@ -308,16 +308,18 @@ def _initial_state(cfg: dict, quotes, start_ms: int, fee: float) -> PoolState:
         if idx < 0:
             raise InputError("no quote at or before the first schedule instant")
         price = 0.5 * (float(quotes.bids[idx]) + float(quotes.asks[idx]))
-    if price <= 0:
-        raise InputError(f"initial price must be positive, got {price}")
+    elif not (math.isfinite(price) and price > 0):
+        raise InputError(f"--initial-price must be finite and positive, got {price}")
     reserve_x = cfg.get("initial_reserve_x", 1.0)
+    if not (math.isfinite(reserve_x) and reserve_x > 0):
+        raise InputError(f"--initial-reserve-x must be finite and positive, got {reserve_x}")
     return PoolState(reserve_x, reserve_x * price, fee)
 
 
 def _concentration(cfg: dict) -> float:
     k = cfg.get("concentration_k", 1.0)
-    if k < 1.0:
-        raise InputError(f"concentration-k must be >= 1, got {k}")
+    if not (math.isfinite(k) and k >= 1.0):
+        raise InputError(f"--concentration-k must be finite and >= 1, got {k}")
     return k
 
 

@@ -74,6 +74,21 @@ class SwapTable:
     post_swap_prices: np.ndarray
     post_swap_liquidities: np.ndarray
 
+    def __post_init__(self):
+        columns = [np.asarray(getattr(self, f.name), dtype)
+                   for f, (_, _, dtype) in zip(fields(self), _SWAP_COLUMNS)]
+        if len({c.shape for c in columns}) > 1:
+            raise InputError("swap columns must have equal length")
+        for f, column in zip(fields(self), columns):
+            object.__setattr__(self, f.name, column)
+        invalid, record_error = _record_rule(*columns)
+        if invalid.any():
+            raise InputError(record_error(invalid.argmax()))
+        for name, column in (("timestamp", self.timestamps), ("block", self.block_numbers)):
+            back = _vs_previous(column, np.greater)
+            if back.any():
+                raise InputError(f"swap records out of order at {name} {column[back.argmax()]}")
+
     def __len__(self) -> int:
         return len(self.timestamps)
 
@@ -90,12 +105,16 @@ class PositionLedger:
     """Compounded fee returns of one position; fees only ever add value."""
 
     position_liquidity: float
-    cumulative_growth: float = 1.0
     returns: np.ndarray = field(default_factory=lambda: np.array([], dtype=float))
     timestamps: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
 
     def __post_init__(self):
         _check_position_liquidity(self.position_liquidity)
+
+    @property
+    def cumulative_growth(self) -> float:
+        """prod(1 + r_t), folded left to right; 1.0 without returns."""
+        return float(np.cumprod(np.append(1.0, 1.0 + self.returns))[-1])
 
 
 def _check_position_liquidity(value: float) -> None:
@@ -138,19 +157,15 @@ def accumulate(
     returns: Sequence[float],
     timestamps: Sequence[int] | None = None,
 ) -> PositionLedger:
-    """Append per-period returns to the ledger, compounding the growth."""
+    """Append per-period returns to the ledger; its growth is folded from them."""
     new = np.asarray(returns, dtype=float)
     if new.size and (not np.all(np.isfinite(new)) or np.any(new <= -1.0)):
         raise InputError("returns must be finite and > -1")
-    growth = ledger.cumulative_growth
-    for r in new:
-        growth *= 1.0 + r
     stamps = np.asarray(np.zeros(new.size) if timestamps is None else timestamps, dtype=np.int64)
     if stamps.size != new.size:
         raise InputError("timestamps and returns must have equal length")
     return replace(
         ledger,
-        cumulative_growth=growth,
         returns=np.concatenate([ledger.returns, new]),
         timestamps=np.concatenate([ledger.timestamps, stamps]),
     )
@@ -170,13 +185,7 @@ def attribute_fees(
     the position value at the end-of-block price. Both take one array path.
     """
     if not isinstance(swaps, SwapTable):
-        swaps = SwapTable(*(np.array([getattr(r, f.name) for r in swaps], dtype)
-                            for f, (_, _, dtype) in zip(fields(SwapRecord), _SWAP_COLUMNS)))
-    for name, column in (("timestamp", swaps.timestamps), ("block", swaps.block_numbers)):
-        back = _vs_previous(column, np.greater)
-        if back.any():
-            raise InputError(f"swap records out of order at {name} {column[back.argmax()]}")
-
+        swaps = SwapTable(*([getattr(r, f.name) for r in swaps] for f in fields(SwapRecord)))
     ledger = PositionLedger(position_liquidity)
     ends = np.ones(len(swaps), dtype=bool)  # per swap, each swap is a block of one
     if per_block:
@@ -205,9 +214,9 @@ _SWAP_COLUMNS = [("block_number", _parse_int, np.int64), ("timestamp_ms", _parse
                    ("amount_in", "fee_rate", "post_swap_price", "post_swap_liquidity"))]
 
 
-def _swap_rules(*columns):
-    """Rows SwapRecord rejects, with its message; then a timestamp or block out of order."""
-    blocks, ts, token, amount, fee_rate, price, liquidity = columns
+def _record_rule(*columns):
+    """Rows SwapRecord rejects, with its message."""
+    _, _, token, amount, fee_rate, price, liquidity = columns
 
     def record_error(i):
         try:
@@ -217,7 +226,13 @@ def _swap_rules(*columns):
 
     invalid = (~((token == TOKEN_X) | (token == TOKEN_Y)) | ~((fee_rate > 0) & (fee_rate < 1))
                | _not_positive(amount) | _not_positive(price) | _not_positive(liquidity))
-    return [(invalid, record_error),
+    return invalid, record_error
+
+
+def _swap_rules(*columns):
+    """Rows SwapRecord rejects, with its message; then a timestamp or block out of order."""
+    blocks, ts = columns[:2]
+    return [_record_rule(*columns),
             (_vs_previous(ts, np.greater), lambda i: "timestamps not sorted"),
             (_vs_previous(blocks, np.greater),
              lambda i: f"block numbers decreasing: {blocks[i]} after {blocks[i - 1]}")]

@@ -111,8 +111,8 @@ def concentration_scale(relative_returns, factor_k: float) -> np.ndarray:
 
     A position holding k-times less capital for the same in-range liquidity
     earns k-times the relative fee return and suffers k-times the relative
-    loss, as long as the price stays in range. Compounding must be
-    recomputed on the scaled series by the caller.
+    loss, as long as the price stays in range. The compounded totals of
+    LossSeries and PositionLedger are folded from the scaled series.
     """
     if not (math.isfinite(factor_k) and factor_k >= 1.0):
         raise InputError(f"concentration factor must be >= 1, got {factor_k}")

@@ -72,12 +72,16 @@ class LossSeries:
     timestamps: np.ndarray  # int64 ms of each arbitrage event
     losses: np.ndarray  # per-event relative LP loss
     profits: np.ndarray  # per-event arbitrageur profit, Y units
-    multiplier: float  # prod(1 - loss_t)
     n_instants: int
     initial_state: PoolState
     final_state: PoolState
     window_ms: int
     n_dropped: int = 0  # band exits whose trade the profit guard discarded
+
+    @property
+    def multiplier(self) -> float:
+        """prod(1 - loss_t), folded left to right; 1.0 without events."""
+        return float(np.cumprod(np.append(1.0, 1.0 - self.losses))[-1])
 
     @property
     def total_relative_loss(self) -> float:
@@ -95,10 +99,7 @@ class LossSeries:
                 f"concentration factor {factor_k} scales a loss of "
                 f"{float(np.max(self.losses))} to >= 1; the position leaves its range"
             )
-        mult = 1.0
-        for loss in scaled:
-            mult *= 1.0 - loss
-        return replace(self, losses=scaled, multiplier=mult)
+        return replace(self, losses=scaled)
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,6 @@ def run_arb_sim(
 
     rx, ry, fee = initial.reserve_x, initial.reserve_y, initial.fee
     omf = 1.0 - fee
-    multiplier = 1.0
     events: list[int] = []
     losses: list[float] = []
     profits: list[float] = []
@@ -210,7 +210,6 @@ def run_arb_sim(
             if not (0.0 < new_x < math.inf and 0.0 < new_y < math.inf):
                 PoolState(new_x, new_y, fee)  # raises the InputError naming the reserve
             loss = profit / (rx * price + ry)
-            multiplier *= 1.0 - loss
             events.append(j)
             losses.append(loss)
             profits.append(profit)
@@ -223,7 +222,6 @@ def run_arb_sim(
         timestamps=grid[np.array(events, dtype=np.intp)],
         losses=np.array(losses, dtype=float),
         profits=np.array(profits, dtype=float),
-        multiplier=multiplier,
         n_instants=n,
         initial_state=initial,
         final_state=PoolState(rx, ry, fee),
@@ -268,8 +266,9 @@ def _sweep(
     span = 0
     for state, interval in points:
         run = run_arb_sim(state, quotes, BlockSchedule.fixed(interval, *window))
-        totals.append(run.total_relative_loss)
-        annuals.append(_annualized(run.total_relative_loss, run.window_ms))
+        total = run.total_relative_loss
+        totals.append(total)
+        annuals.append(_annualized(total, run.window_ms))
         counts.append(len(run.losses))
         span = max(span, run.window_ms)
     return SweepResult(
@@ -341,8 +340,10 @@ def gbm_generate(
         raise InputError(
             f"horizon ({horizon_ms}ms) must be a positive multiple of the step ({step_ms}ms)"
         )
-    if price0 <= 0:
-        raise InputError(f"price0 must be positive, got {price0}")
+    if not math.isfinite(mu):
+        raise InputError(f"mu must be finite, got {mu}")
+    if not (math.isfinite(price0) and price0 > 0):
+        raise InputError(f"price0 must be finite and positive, got {price0}")
     n = horizon_ms // step_ms
     dt = step_ms / YEAR_MS
     rng = np.random.default_rng(seed)
@@ -392,19 +393,7 @@ def fees_vs_losses(
     """
     if window_ms <= 0:
         raise InputError(f"window must be positive, got {window_ms}")
-    ts_all = np.concatenate([ledger.timestamps, losses.timestamps])
-    if len(ts_all) == 0:
-        return ComparisonReport(
-            timestamps=np.array([], dtype=np.int64),
-            fee_returns=np.array([]),
-            loss_returns=np.array([]),
-            cumulative_difference=np.array([]),
-            trailing_ratio=np.array([]),
-            window_ms=window_ms,
-            totals={"total_fee_return": float(ledger.cumulative_growth - 1.0),
-                    "total_relative_loss": losses.total_relative_loss},
-        )
-    timeline = np.unique(ts_all)
+    timeline = np.unique(np.concatenate([ledger.timestamps, losses.timestamps]))
     fee_at = np.zeros(len(timeline))
     loss_at = np.zeros(len(timeline))
     np.add.at(fee_at, np.searchsorted(timeline, ledger.timestamps), ledger.returns)
@@ -426,7 +415,7 @@ def fees_vs_losses(
         "total_relative_loss": losses.total_relative_loss,
         "sum_fee_returns": float(np.sum(fee_at)),
         "sum_losses": float(np.sum(loss_at)),
-        "final_difference": float(cumulative[-1]),
+        "final_difference": float(cumulative[-1]) if len(timeline) else 0.0,
     }
     return ComparisonReport(
         timestamps=timeline,

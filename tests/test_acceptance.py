@@ -307,7 +307,7 @@ def test_criterion_8_concentration_scaling():
     direct = 1.0
     for value in ledger.returns:
         direct *= 1.0 + factor * value
-    assert abs(scaled_ledger.cumulative_growth / direct - 1.0) <= 1e-12
+    assert scaled_ledger.cumulative_growth == direct
 
     prices = gbm_generate(SCALING_SIGMA, 0.0, 1000, 2 * 3600 * 1000, seed=808,
                           price0=2000.0)
@@ -321,7 +321,7 @@ def test_criterion_8_concentration_scaling():
     direct = 1.0
     for value in run.losses:
         direct *= 1.0 - factor * value
-    assert abs(scaled_run.multiplier / direct - 1.0) <= 1e-12
+    assert scaled_run.multiplier == direct
     _report(8, "concentration scaling",
             f"k={factor:g} exact on {len(ledger.returns)} fee and {len(run.losses)} loss periods")
 

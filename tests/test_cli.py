@@ -193,6 +193,53 @@ class TestCompare:
         assert all(r.split(",")[ratio_col] == "" for r in rows[1:])
 
 
+    def test_empty_run_writes_every_result_key(self, tmp_path):
+        """No swap and a flat feed: the same results keys as a run with rows."""
+        klines = self.write_inputs(tmp_path)
+        swaps = tmp_path / "swaps.csv"
+        swaps.write_text("block_number,timestamp_ms,input_token,amount_in,fee_rate,"
+                         "post_swap_price,post_swap_liquidity\n")
+        results = {}
+        for name, path in (("empty", swaps), ("full", FIXTURE)):
+            assert run_cli("compare", "--klines", klines, "--swaps", path, "--fee-bps", 30,
+                           "--interval-ms", 500_000, "--position-liquidity", 500,
+                           "--out", tmp_path / name) == 0
+            results[name] = manifest_results(tmp_path / name)
+        assert results["empty"].keys() == results["full"].keys()
+        assert results["empty"] == dict.fromkeys(results["full"], 0.0)
+        assert (tmp_path / "empty" / "comparison.csv").read_text() == (
+            "schema_version,timestamp_ms,fee_return,loss_return,cumulative_difference,"
+            "trailing_ratio\n")
+
+
+class TestTablesAgreeWithManifests:
+    """The last cumulative cell of a table is its manifest total, bit for bit."""
+
+    @staticmethod
+    def last_cell(path, column):
+        rows = path.read_text().strip().splitlines()
+        return float(rows[-1].split(",")[rows[0].split(",").index(column)])
+
+    @pytest.mark.parametrize("factor", [1, 3])
+    def test_losses_table(self, tmp_path, gbm_klines, factor):
+        out = tmp_path / "run"
+        assert run_cli("simulate-arb", "--klines", gbm_klines, "--fee-bps", 5,
+                       "--interval-ms", 2000, "--concentration-k", factor, "--out", out) == 0
+        results = manifest_results(out)
+        assert results["n_events"] > 0
+        last = self.last_cell(out / "losses.csv", "cumulative_relative_loss")
+        assert last == results["total_relative_loss"]
+
+    @pytest.mark.parametrize("per_block", [[], ["--per-block"]])
+    @pytest.mark.parametrize("factor", [1, 3])
+    def test_fee_table(self, tmp_path, factor, per_block):
+        out = tmp_path / "fees"
+        assert run_cli("fees", "--swaps", FIXTURE, "--position-liquidity", 500, *per_block,
+                       "--concentration-k", factor, "--out", out) == 0
+        last = self.last_cell(out / "fee_returns.csv", "cumulative_growth")
+        assert last - 1.0 == manifest_results(out)["cumulative_fee_return"]
+
+
 class TestSweeps:
     def test_blocktime_sweep_reproducible(self, tmp_path, gbm_klines):
         outs = []
@@ -481,6 +528,43 @@ class TestBadInputExits2:
         assert code == 2
         err = capsys.readouterr().err
         assert "--position-liquidity" in err and "Traceback" not in err
+        assert not (tmp_path / "bad" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, option, name", [
+        ("simulate-arb", "--concentration-k", "--concentration-k"),
+        ("fees", "--concentration-k", "--concentration-k"),
+        ("compare", "--concentration-k", "--concentration-k"),
+        ("simulate-arb", "--initial-price", "--initial-price"),
+        ("sweep-blocktime", "--initial-price", "--initial-price"),
+        ("simulate-arb", "--initial-reserve-x", "--initial-reserve-x"),
+        ("sweep-fee", "--initial-reserve-x", "--initial-reserve-x"),
+        ("synth-gbm", "--mu", "mu"), ("synth-gbm", "--price0", "price0"),
+    ])
+    def test_non_finite_option_names_it(self, tmp_path, gbm_klines, capsys, command, option,
+                                        name, value):
+        args = {
+            "simulate-arb": ["--klines", gbm_klines, "--fee-bps", 30, "--interval-ms", 2000],
+            "fees": ["--swaps", FIXTURE, "--position-liquidity", 500],
+            "compare": ["--klines", gbm_klines, "--swaps", FIXTURE, "--fee-bps", 30,
+                        "--interval-ms", 2000, "--position-liquidity", 500],
+            "sweep-blocktime": ["--klines", gbm_klines, "--fee-bps", 30,
+                                "--intervals-ms", "1000,2000"],
+            "sweep-fee": ["--klines", gbm_klines, "--interval-ms", 2000],
+            "synth-gbm": ["--sigma", 0.5, "--step-ms", 1000, "--horizon-ms", 10_000],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(command, *args, f"{option}={value}", "--out", tmp_path / "bad") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must") and "Traceback" not in err
+        assert not (tmp_path / "bad" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_initial_reserve_not_positive_names_it(self, tmp_path, gbm_klines, capsys, value):
+        assert run_cli("simulate-arb", "--klines", gbm_klines, "--fee-bps", 30,
+                       "--interval-ms", 2000, f"--initial-reserve-x={value}",
+                       "--out", tmp_path / "bad") == 2
+        assert capsys.readouterr().err.startswith("error: --initial-reserve-x must")
         assert not (tmp_path / "bad" / "manifest.json").exists()
 
 

@@ -16,6 +16,7 @@ from lvrsim import (
     ParseError,
     PositionLedger,
     SwapRecord,
+    SwapTable,
     accumulate,
     attribute_fees,
     convert_raw_swap_export,
@@ -130,7 +131,62 @@ class TestAccumulate:
         product = 1.0
         for r in returns:
             product *= 1.0 + r
-        assert abs(ledger.cumulative_growth / product - 1.0) <= 1e-12
+        assert ledger.cumulative_growth == product
+
+
+def table(**overrides):
+    """A SwapTable of three valid swaps as plain lists, with columns replaced."""
+    columns = dict(block_numbers=[1, 2, 2], timestamps=[1000, 2000, 2000],
+                   input_tokens=["X", "Y", "Y"], amounts_in=[5.0, 7.0, 1.0],
+                   fee_rates=[0.003] * 3, post_swap_prices=[2000.0, 2001.0, 2002.0],
+                   post_swap_liquidities=[1e6] * 3)
+    columns.update(overrides)
+    return SwapTable(**columns)
+
+
+class TestSwapTable:
+    def test_hand_built_arrays_are_checked(self):
+        # a token that is neither X nor Y, and a negative amount
+        with pytest.raises(InputError, match="^input_token must be X or Y, got 'Z'$"):
+            SwapTable(np.array([1]), np.array([1000]), np.array(["Z"]), np.array([-5.0]),
+                      np.array([0.003]), np.array([2000.0]), np.array([1e6]))
+        with pytest.raises(InputError, match="^amount_in must be positive, got -5.0$"):
+            SwapTable(np.array([1]), np.array([1000]), np.array(["X"]), np.array([-5.0]),
+                      np.array([0.003]), np.array([2000.0]), np.array([1e6]))
+
+    @pytest.mark.parametrize("name, column, bad", [
+        ("input_token", "input_tokens", ["x", "Z"]), ("amount_in", "amounts_in", [-1.0, 0.0]),
+        ("fee_rate", "fee_rates", [1.0, math.nan]),
+        ("post_swap_price", "post_swap_prices", [math.inf, -1.0]),
+        ("post_swap_liquidity", "post_swap_liquidities", [0.0, math.nan]),
+    ])
+    def test_first_rejected_row_gives_the_record_message(self, name, column, bad):
+        with pytest.raises(InputError) as expected:
+            record(**{name: bad[0]})
+        valid = getattr(table(), column)[0]
+        with pytest.raises(InputError) as err:
+            table(**{column: [valid, *bad]})
+        assert str(err.value) == str(expected.value)
+
+    def test_columns_are_coerced(self):
+        swaps = table()
+        assert swaps.block_numbers.dtype == np.int64 and swaps.timestamps.dtype == np.int64
+        assert swaps.input_tokens.dtype == object
+        assert swaps.amounts_in.dtype == np.float64
+        assert swaps[1] == record(block_number=2, timestamp=2000, amount_in=7.0,
+                                  post_swap_price=2001.0)
+
+    @pytest.mark.parametrize("column, values, message", [
+        ("timestamps", [2000, 1000, 3000], "out of order at timestamp 1000$"),
+        ("block_numbers", [2, 1, 2], "out of order at block 1$"),
+    ])
+    def test_order_checked(self, column, values, message):
+        with pytest.raises(InputError, match=message):
+            table(**{column: values})
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(InputError, match="equal length"):
+            table(amounts_in=[5.0])
 
 
 class TestAttributeFees:

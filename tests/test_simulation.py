@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lvrsim import (
@@ -19,6 +19,7 @@ from lvrsim import (
     SweepResult,
     accumulate,
     apply_arbitrage,
+    concentration_scale,
     blocktime_sweep,
     fee_sweep,
     fees_vs_losses,
@@ -46,15 +47,11 @@ def step_quotes(p0, p1, jump_ms, start=0, end=100_000, step=1000):
 
 def loss_series(timestamps, losses):
     losses = np.asarray(losses, float)
-    mult = 1.0
-    for value in losses:
-        mult *= 1.0 - value
     state = PoolState(1.0, 1.0)
     return LossSeries(
         timestamps=np.asarray(timestamps, np.int64),
         losses=losses,
         profits=losses.copy(),
-        multiplier=mult,
         n_instants=len(losses),
         initial_state=state,
         final_state=state,
@@ -110,7 +107,7 @@ class TestRunArbSim:
         product = 1.0
         for loss in run.losses:
             product *= 1.0 - loss
-        assert abs(run.multiplier / product - 1.0) <= 1e-12
+        assert run.multiplier == product
         assert run.total_relative_loss == 1.0 - run.multiplier
 
     def test_loss_independent_of_position_size(self):
@@ -205,6 +202,47 @@ class TestRunArbSim:
         for factor in (50.0, 60.0):  # 50 * 0.02 == 1 exactly
             with pytest.raises(InputError, match="leaves its range"):
                 run.scaled(factor)
+
+
+def left_fold(factors) -> float:
+    """The product of the factors, multiplied in one at a time from the left."""
+    product = 1.0
+    for factor in factors:
+        product *= factor
+    return product
+
+
+# zeros, values down to 1e-300, values near 1 and anything in between
+PER_PERIOD = st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e-6),
+                                st.floats(0.99, 1.0, exclude_max=True),
+                                st.floats(0.0, 1.0, exclude_max=True)), max_size=30)
+
+
+@example(losses=[], factor=1.0)
+@given(losses=PER_PERIOD, factor=st.floats(1.0, 1e3))
+def test_multiplier_is_the_left_fold(losses, factor):
+    run = loss_series(np.arange(len(losses), dtype=np.int64), losses)
+    assert run.multiplier == left_fold(1.0 - loss for loss in losses)
+    assert run.total_relative_loss == 1.0 - run.multiplier
+    if all(factor * loss < 1.0 for loss in losses):
+        scaled = run.scaled(factor)
+        assert scaled.multiplier == left_fold(1.0 - factor * loss for loss in losses)
+    else:
+        with pytest.raises(InputError, match="leaves its range"):
+            run.scaled(factor)
+
+
+@example(parts=[[]], factor=1.0)
+@given(parts=st.lists(PER_PERIOD, min_size=1, max_size=3), factor=st.floats(1.0, 1e3))
+def test_cumulative_growth_is_the_left_fold(parts, factor):
+    """1 to 3 appends, then the k-scaled returns as `fees --concentration-k` takes them."""
+    ledger = PositionLedger(1.0)
+    for part in parts:
+        ledger = accumulate(ledger, part)
+    returns = [r for part in parts for r in part]
+    assert ledger.cumulative_growth == left_fold(1.0 + r for r in returns)
+    scaled = accumulate(PositionLedger(1.0), concentration_scale(ledger.returns, factor))
+    assert scaled.cumulative_growth == left_fold(1.0 + factor * r for r in returns)
 
 
 # The replay checks _SCALAR_SCAN instants in Python, then numpy chunks of 64,
@@ -614,6 +652,14 @@ class TestFeesVsLosses:
         )
         assert math.isnan(report.trailing_ratio[-1])
         assert not math.isnan(report.trailing_ratio[0])
+
+    def test_empty_timeline_takes_the_general_path(self):
+        ts, values = [0, DAY_MS], [1e-4, 2e-4]
+        full = fees_vs_losses(self.ledger(ts, values), loss_series(ts, values))
+        empty = fees_vs_losses(self.ledger([], []), loss_series([], []))
+        assert empty.totals.keys() == full.totals.keys()
+        assert empty.totals == dict.fromkeys(full.totals, 0.0)
+        assert len(empty.timestamps) == 0 and empty.timestamps.dtype == np.int64
 
     def test_difference_is_running_sum(self):
         rng = np.random.default_rng(8)
