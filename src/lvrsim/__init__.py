@@ -22,13 +22,10 @@ from .feeds import (
     PriceSeries,
     QuoteSeries,
     align_to_blocks,
-    derive_cross_pair,
     load_block_timestamps,
     load_klines,
     load_quote_updates,
     quotes_from_prices,
-    resample_locf,
-    substitute_gap,
 )
 from .fees import (
     PositionLedger,
@@ -95,7 +92,6 @@ __all__ = [
     "blocktime_sweep",
     "concentration_scale",
     "convert_raw_swap_export",
-    "derive_cross_pair",
     "fee_earned",
     "fee_sweep",
     "fees_vs_losses",
@@ -113,10 +109,8 @@ __all__ = [
     "quotes_from_prices",
     "rebalancing_portfolio_value",
     "relative_fee_return",
-    "resample_locf",
     "run_arb_sim",
     "spot_price",
     "sqrt_price_x96_to_price",
-    "substitute_gap",
     "swap_exact_in",
 ]

@@ -26,9 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import FitError, InputError
+from .errors import FitError, InputError, InsufficientDataError
 from .feeds import (
     QuoteSeries,
+    _locf_index,
     align_to_blocks,
     load_block_timestamps,
     load_klines,
@@ -304,16 +305,20 @@ def _initial_state(cfg: dict, quotes, start_ms: int, fee: float) -> PoolState:
     """Pool at the --initial-price, or at the quote mid prevailing at start_ms."""
     price = cfg.get("initial_price")
     if price is None:
-        idx = int(np.searchsorted(quotes.timestamps, start_ms, side="right")) - 1
-        if idx < 0:
-            raise InputError("no quote at or before the first schedule instant")
-        price = 0.5 * (float(quotes.bids[idx]) + float(quotes.asks[idx]))
+        i = _locf_index(quotes.timestamps, [start_ms])[0]
+        price = 0.5 * (float(quotes.bids[i]) + float(quotes.asks[i]))
     elif not (math.isfinite(price) and price > 0):
         raise InputError(f"--initial-price must be finite and positive, got {price}")
     reserve_x = cfg.get("initial_reserve_x", 1.0)
     if not (math.isfinite(reserve_x) and reserve_x > 0):
         raise InputError(f"--initial-reserve-x must be finite and positive, got {reserve_x}")
-    return PoolState(reserve_x, reserve_x * price, fee)
+    reserve_y = reserve_x * price
+    if not 0.0 < reserve_y < math.inf:
+        named = (f"--initial-price {price}" if cfg.get("initial_price") is not None
+                 else f"{price}, the --{quotes.source} mid at {start_ms},")
+        raise InputError(f"--initial-reserve-x {reserve_x} times {named} gives a Y reserve "
+                         f"of {reserve_y}; it must be finite and positive")
+    return PoolState(reserve_x, reserve_y, fee)
 
 
 def _concentration(cfg: dict) -> float:
@@ -606,6 +611,10 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         return COMMANDS[args.command][0](cfg)
+    except InsufficientDataError as exc:  # the feed misses an instant of the schedule
+        feed = "quotes" if cfg.get("quotes") else "klines"
+        print(f"error: --{feed} {cfg[feed]}: {exc}", file=sys.stderr)
+        return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

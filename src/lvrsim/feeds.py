@@ -1,4 +1,4 @@
-"""External market data: loading, normalization, derivation, resampling.
+"""External market data: loading, normalization, alignment.
 
 File schemas (CSV, header row optional, gzip detected by .gz suffix):
   klines:        timestamp_ms,open,high,low,close,volume
@@ -7,9 +7,10 @@ File schemas (CSV, header row optional, gzip detected by .gz suffix):
 
 Timestamps are UTC integer milliseconds everywhere inside the package;
 block timestamps (whole seconds) are multiplied by 1000 at ingestion.
-All resampling is last-observation-carried-forward: the most recent known
-quote is the only price an arbitrageur can actually act on, and
-interpolation would leak future information.
+The price at an instant is the last update at or before it (last
+observation carried forward, _locf_index): the most recent known quote is
+the only price an arbitrageur can actually act on, and interpolation would
+leak future information.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import io
 import itertools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -303,91 +304,21 @@ def load_block_timestamps(path: str) -> np.ndarray:
     return seconds * 1000
 
 
-def resample_locf(
-    series: QuoteSeries, interval_ms: int, window: tuple[int, int]
-) -> QuoteSeries:
-    """Sample the series on a regular grid, carrying the last update forward.
+def _locf_index(timestamps: np.ndarray, instants) -> np.ndarray:
+    """Index of the last stamp at or before each instant (last observation carried forward).
 
-    Grid points are start, start+interval, ... up to and including end.
-    Requires at least one update at or before the window start.
+    The instants are in increasing order. An empty series, or a first instant
+    before the first stamp, raises InsufficientDataError; an instant past the
+    last stamp gets the last index.
     """
-    if interval_ms <= 0:
-        raise InputError(f"interval must be positive, got {interval_ms}")
-    start, end = int(window[0]), int(window[1])
-    if end < start:
-        raise InputError(f"window end {end} before start {start}")
-    grid = np.arange(start, end + 1, int(interval_ms), dtype=np.int64)
-    idx = np.searchsorted(series.timestamps, grid, side="right") - 1
-    if len(idx) == 0 or idx[0] < 0:
+    instants = np.asarray(instants, dtype=np.int64)
+    if len(timestamps) == 0:
+        raise InsufficientDataError("the series holds no update to carry forward")
+    if len(instants) and instants[0] < timestamps[0]:
         raise InsufficientDataError(
-            f"no quote update at or before window start {start}"
+            f"no update at or before instant {instants[0]}; the first is at {timestamps[0]}"
         )
-    return QuoteSeries(
-        grid, series.bids[idx], series.asks[idx], series.pair, series.source
-    )
-
-
-def derive_cross_pair(a, b, pair: str = ""):
-    """Cross rate A/B from two series quoted against a common leg.
-
-    Mid/open series divide directly. Bid/ask series combine conservatively:
-    the A/B buyer pays A's ask with B sold at its bid, so
-    bid_A/B = bid_A / ask_B and ask_A/B = ask_A / bid_B.
-    Both inputs must sit on an identical timestamp grid.
-    """
-    if not np.array_equal(a.timestamps, b.timestamps):
-        raise InputError("cross-pair inputs must share the same timestamp grid")
-    if isinstance(a, PriceSeries) and isinstance(b, PriceSeries):
-        return PriceSeries(
-            a.timestamps, a.prices / b.prices, pair, f"{a.source}/{b.source}"
-        )
-    if isinstance(a, QuoteSeries) and isinstance(b, QuoteSeries):
-        return QuoteSeries(
-            a.timestamps, a.bids / b.asks, a.asks / b.bids, pair,
-            f"{a.source}/{b.source}",
-        )
-    raise InputError("cross-pair inputs must both be PriceSeries or both QuoteSeries")
-
-
-def substitute_gap(primary, fallback, gap: tuple[int, int]):
-    """Splice fallback data over [start, end]; primary is used outside it.
-
-    The fallback must span the gap window. An empty interval returns the
-    primary unchanged.
-    """
-    start, end = int(gap[0]), int(gap[1])
-    if start >= end:
-        return primary
-    if type(primary) is not type(fallback):
-        raise InputError("primary and fallback series must be the same type")
-    if (
-        len(fallback) == 0
-        or fallback.timestamps[0] > start
-        or fallback.timestamps[-1] < end
-    ):
-        raise InsufficientDataError(
-            f"fallback does not cover the gap [{start}, {end}]"
-        )
-    keep = (primary.timestamps < start) | (primary.timestamps > end)
-    take = (fallback.timestamps >= start) & (fallback.timestamps <= end)
-    ts = np.concatenate([primary.timestamps[keep], fallback.timestamps[take]])
-    order = np.argsort(ts, kind="stable")
-    logger.info(
-        "substitute_gap [%d, %d]: %d primary rows replaced by %d fallback rows",
-        start, end, int(np.sum(~keep)), int(np.sum(take)),
-    )
-
-    def pick(column_primary, column_fallback):
-        return np.concatenate([column_primary[keep], column_fallback[take]])[order]
-
-    if isinstance(primary, PriceSeries):
-        return replace(primary, timestamps=ts[order], prices=pick(primary.prices, fallback.prices))
-    return replace(
-        primary,
-        timestamps=ts[order],
-        bids=pick(primary.bids, fallback.bids),
-        asks=pick(primary.asks, fallback.asks),
-    )
+    return np.searchsorted(timestamps, instants, side="right") - 1
 
 
 def align_to_blocks(
@@ -400,11 +331,7 @@ def align_to_blocks(
     so runs can report it.
     """
     blocks = np.asarray(block_timestamps_ms, dtype=np.int64)
-    if len(blocks) == 0:
-        return PriceSeries(blocks, np.array([]), series.pair, series.source), 0
-    if len(series) == 0 or blocks[0] < series.timestamps[0]:
-        raise InsufficientDataError("price series does not cover the first block")
-    idx = np.searchsorted(series.timestamps, blocks, side="right") - 1
+    idx = _locf_index(series.timestamps, blocks)
     fills = int(np.sum(series.timestamps[idx] != blocks))
     return (
         PriceSeries(blocks, series.prices[idx], series.pair, series.source),

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FitError, InputError, InsufficientDataError
-from .feeds import PriceSeries, QuoteSeries
+from .feeds import PriceSeries, QuoteSeries, _locf_index
 from .fees import PositionLedger
 from .pool import PoolState, concentration_scale
 
@@ -146,14 +146,12 @@ def run_arb_sim(
     order, so the result is bit-identical to replaying those per instant.
     """
     grid = schedule.timestamps
-    if len(quotes) == 0:
-        raise InsufficientDataError("empty quote series")
-    if quotes.timestamps[0] > grid[0] or quotes.timestamps[-1] < grid[-1]:
+    pos = _locf_index(quotes.timestamps, grid)
+    if quotes.timestamps[-1] < grid[-1]:
         raise InsufficientDataError(
             f"quotes cover [{quotes.timestamps[0]}, {quotes.timestamps[-1]}] but the "
             f"schedule needs [{grid[0]}, {grid[-1]}]"
         )
-    pos = np.searchsorted(quotes.timestamps, grid, side="right") - 1
     bids = quotes.bids[pos]
     asks = quotes.asks[pos]
     bid_at = memoryview(bids)  # indexing gives Python floats

@@ -369,6 +369,13 @@ class TestBadInputExits2:
         path.write_text(json.dumps({"out": str(tmp_path / "out"), **values}))
         return path
 
+    def two_row_feed(self, tmp_path, feed):
+        """A --quotes or --klines file with price 2.0 at 1000 and 2000 ms."""
+        path = tmp_path / "feed.csv"
+        cells = "2.0,2.0" if feed == "quotes" else "2.0,2,2,2,1"
+        path.write_text(f"1000,{cells}\n2000,{cells}\n")
+        return path
+
     @pytest.mark.parametrize("command, key", [
         ("simulate-arb", "fee_bp"), ("fees", "concentraton_k"), ("fees", "fee_bps"),
     ])
@@ -565,6 +572,35 @@ class TestBadInputExits2:
                        "--interval-ms", 2000, f"--initial-reserve-x={value}",
                        "--out", tmp_path / "bad") == 2
         assert capsys.readouterr().err.startswith("error: --initial-reserve-x must")
+        assert not (tmp_path / "bad" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("feed", ["quotes", "klines"])
+    @pytest.mark.parametrize("price, reserve_x, named", [
+        ("1e200", "1e200", "times --initial-price 1e+200 gives a Y reserve of inf"),
+        ("1e-200", "1e-200", "times --initial-price 1e-200 gives a Y reserve of 0.0"),
+        (None, "1e308", "times 2.0, the --{feed} mid at 1000, gives a Y reserve of inf"),
+    ])
+    def test_initial_reserve_y_out_of_range_names_the_flags(self, tmp_path, capsys, feed,
+                                                            price, reserve_x, named):
+        path = self.two_row_feed(tmp_path, feed)
+        given = ["--initial-price", price] if price else []
+        assert run_cli("simulate-arb", f"--{feed}", path, "--interval-ms", 1000, "--fee-bps", 30,
+                       *given, "--initial-reserve-x", reserve_x, "--out", tmp_path / "bad") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --initial-reserve-x") and "Traceback" not in err
+        assert named.format(feed=feed) in err
+        assert not (tmp_path / "bad" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("feed", ["quotes", "klines"])
+    def test_feed_starting_after_the_first_block_names_it(self, tmp_path, capsys, feed):
+        path = self.two_row_feed(tmp_path, feed)
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text("1,0\n2,2\n")
+        assert run_cli("simulate-arb", f"--{feed}", path, "--blocks", blocks, "--fee-bps", 30,
+                       "--out", tmp_path / "bad") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --{feed} {path}: ") and "Traceback" not in err
+        assert "instant 0; the first is at 1000" in err
         assert not (tmp_path / "bad" / "manifest.json").exists()
 
 

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import lvrsim.feeds as feeds
@@ -15,13 +15,10 @@ from lvrsim import (
     PriceSeries,
     QuoteSeries,
     align_to_blocks,
-    derive_cross_pair,
     load_block_timestamps,
     load_klines,
     load_quote_updates,
     quotes_from_prices,
-    resample_locf,
-    substitute_gap,
 )
 
 
@@ -420,108 +417,57 @@ def quotes(ts, bids, asks=None):
                        bids if asks is None else np.asarray(asks, float))
 
 
-class TestResampleLocf:
+@st.composite
+def locf_cases(draw):
+    """(stamps, instants): strictly increasing stamps, instants in increasing order.
+
+    Instants land on stamps, between them, before the first and far past the last.
+    """
+    stamps = sorted(draw(st.sets(st.integers(-1000, 1000), max_size=20)))
+    instant = st.integers(-1010, 1010) | st.integers(2**40, 2**62)
+    if stamps:
+        instant |= st.sampled_from(stamps)
+    instants = sorted(draw(st.lists(instant, max_size=20)))
+    return np.array(stamps, np.int64), np.array(instants, np.int64)
+
+
+class TestLocfIndex:
+    """feeds._locf_index, the one last-observation-carried-forward lookup."""
+
+    @given(case=locf_cases())
+    @example(case=(np.array([], np.int64), np.array([5], np.int64)))
+    @example(case=(np.array([], np.int64), np.array([], np.int64)))
+    @example(case=(np.array([0, 10], np.int64), np.array([], np.int64)))
+    @example(case=(np.array([0, 10], np.int64), np.array([-1, 10, 2**62], np.int64)))
+    @example(case=(np.array([0, 10], np.int64), np.array([0, 10, 11, 2**62], np.int64)))
+    def test_matches_per_instant_loop(self, case):
+        stamps, instants = case
+        ts = stamps.tolist()
+        expected = [max((i for i, s in enumerate(ts) if s <= t), default=-1)
+                    for t in instants.tolist()]
+        if not ts or -1 in expected:  # nothing at or before some instant
+            with pytest.raises(InsufficientDataError):
+                feeds._locf_index(stamps, instants)
+        else:
+            assert feeds._locf_index(stamps, instants).tolist() == expected
+
     def test_hand_example(self):
         series = quotes([0, 5000], [99, 100], [101, 102])
-        out = resample_locf(series, 4000, (0, 8000))
-        assert out.timestamps.tolist() == [0, 4000, 8000]
-        assert out.bids.tolist() == [99, 99, 100]
-        assert out.asks.tolist() == [101, 101, 102]
+        idx = feeds._locf_index(series.timestamps, [0, 4000, 8000])
+        assert series.bids[idx].tolist() == [99, 99, 100]
+        assert series.asks[idx].tolist() == [101, 101, 102]
 
-    def test_interval_larger_than_window(self):
+    def test_constant_quote_carried_across_window(self):
         series = quotes([0], [10.0])
-        out = resample_locf(series, 100_000, (0, 500))
-        assert out.timestamps.tolist() == [0]
+        window = BlockSchedule.fixed(1000, 0, 10_000).timestamps
+        idx = feeds._locf_index(series.timestamps, window)
+        assert len(idx) == 11
+        assert np.all(series.bids[idx] == 10.0)
 
-    def test_constant_quote_sample_count(self):
-        series = quotes([0], [10.0])
-        out = resample_locf(series, 1000, (0, 10_000))
-        assert len(out) == 11
-        assert np.all(out.bids == 10.0)
-
-    def test_requires_update_before_start(self):
-        series = quotes([5000], [10.0])
-        with pytest.raises(InsufficientDataError):
-            resample_locf(series, 1000, (0, 8000))
-
-    def test_grid_is_arithmetic_and_values_subset(self):
-        rng = np.random.default_rng(1)
-        ts = np.cumsum(rng.integers(1, 500, size=200))
-        series = quotes(ts, rng.uniform(10, 11, size=200))
-        out = resample_locf(series, 700, (int(ts[0]), int(ts[-1])))
-        assert np.all(np.diff(out.timestamps) == 700)
-        assert set(out.bids.tolist()) <= set(series.bids.tolist())
-
-    def test_coarsening_consistency(self):
-        # resampling at d then 2d equals direct resampling at 2d
-        rng = np.random.default_rng(2)
-        ts = np.cumsum(rng.integers(1, 900, size=300))
-        series = quotes(ts, rng.uniform(1, 2, size=300))
-        window = (int(ts[0]), int(ts[0]) + 60_000)
-        fine = resample_locf(series, 500, window)
-        coarse_via_fine = resample_locf(fine, 1000, window)
-        coarse = resample_locf(series, 1000, window)
-        assert np.array_equal(coarse_via_fine.bids, coarse.bids)
-        assert np.array_equal(coarse_via_fine.timestamps, coarse.timestamps)
-
-
-class TestDeriveCrossPair:
-    def test_mid_division(self):
-        a = PriceSeries(np.array([0]), np.array([2.5]))
-        b = PriceSeries(np.array([0]), np.array([2500.0]))
-        assert derive_cross_pair(a, b).prices.tolist() == [0.001]
-
-    def test_self_is_unity(self):
-        series = PriceSeries(np.array([0, 1]), np.array([3.0, 4.0]))
-        assert derive_cross_pair(series, series).prices.tolist() == [1.0, 1.0]
-
-    def test_bid_ask_conservative(self):
-        a = quotes([0], [2.4], [2.6])
-        b = quotes([0], [2400.0], [2600.0])
-        out = derive_cross_pair(a, b)
-        assert out.bids[0] == pytest.approx(2.4 / 2600, rel=1e-15)
-        assert out.asks[0] == pytest.approx(2.6 / 2400, rel=1e-15)
-
-    def test_self_quote_brackets_unity(self):
-        series = quotes([0, 1], [99.0, 100.0], [101.0, 102.0])
-        out = derive_cross_pair(series, series)
-        assert np.all(out.bids <= 1.0) and np.all(out.asks >= 1.0)
-
-    def test_grid_mismatch_rejected(self):
-        a = PriceSeries(np.array([0]), np.array([1.0]))
-        b = PriceSeries(np.array([1]), np.array([1.0]))
-        with pytest.raises(InputError):
-            derive_cross_pair(a, b)
-
-
-class TestSubstituteGap:
-    def test_splice(self):
-        primary = PriceSeries(np.array([0, 1000, 5000, 6000]),
-                              np.array([1.0, 1.1, 1.5, 1.6]))
-        fallback = PriceSeries(np.array([1000, 2000, 3000, 4000, 5000]),
-                               np.array([2.0, 2.1, 2.2, 2.3, 2.4]))
-        out = substitute_gap(primary, fallback, (2000, 4000))
-        assert out.timestamps.tolist() == [0, 1000, 2000, 3000, 4000, 5000, 6000]
-        assert out.prices.tolist() == [1.0, 1.1, 2.1, 2.2, 2.3, 1.5, 1.6]
-
-    def test_empty_gap_is_identity(self):
-        primary = PriceSeries(np.array([0, 1000]), np.array([1.0, 1.1]))
-        fallback = PriceSeries(np.array([0]), np.array([9.0]))
-        assert substitute_gap(primary, fallback, (500, 500)) is primary
-
-    def test_fills_hole_in_primary(self):
-        primary = PriceSeries(np.array([0, 10_000]), np.array([1.0, 1.2]))
-        fallback = PriceSeries(np.array([0, 2000, 4000, 6000, 8000, 10_000]),
-                               np.array([1.0, 1.02, 1.05, 1.1, 1.15, 1.2]))
-        out = substitute_gap(primary, fallback, (1000, 9000))
-        assert len(out) == 6
-        assert np.all(np.diff(out.timestamps) > 0)
-
-    def test_missing_coverage_rejected(self):
-        primary = PriceSeries(np.array([0, 10_000]), np.array([1.0, 1.2]))
-        fallback = PriceSeries(np.array([2000, 3000]), np.array([1.0, 1.1]))
-        with pytest.raises(InsufficientDataError):
-            substitute_gap(primary, fallback, (1000, 9000))
+    def test_requires_update_at_or_before_start(self):
+        with pytest.raises(InsufficientDataError, match="instant 0; the first is at 5000"):
+            feeds._locf_index(np.array([5000]), [0, 8000])
+        assert feeds._locf_index(np.array([5000]), [5000, 8000]).tolist() == [0, 0]
 
 
 class TestAlignToBlocks:
