@@ -495,6 +495,17 @@ class TestAlignToBlocks:
         with pytest.raises(InsufficientDataError):
             align_to_blocks(series, np.array([11_000]))
 
+    def test_blocks_past_the_last_stamp_carry_it_forward_as_fills(self):
+        series = PriceSeries(np.array([12_000, 13_000]), np.array([5.0, 6.0]))
+        out, fills = align_to_blocks(series, np.array([13_000, 20_000, 30_000]))
+        assert out.prices.tolist() == [6.0, 6.0, 6.0]
+        assert fills == 2
+
+    def test_empty_series_rejected_even_without_blocks(self):
+        series = PriceSeries(np.array([], np.int64), np.array([], float))
+        with pytest.raises(InsufficientDataError, match="no update"):
+            align_to_blocks(series, np.array([], dtype=np.int64))
+
 
 class TestQuotesFromPrices:
     def test_zero_spread(self):

@@ -145,6 +145,11 @@ class TestRunArbSim:
         with pytest.raises(InsufficientDataError):
             run_arb_sim(PoolState(1.0, 2000.0), quotes, BlockSchedule.fixed(1000, 0, 50_000))
 
+    def test_rejects_schedule_past_the_last_quote(self):
+        quotes = constant_quotes(2000.0, start=0, end=40_000)
+        with pytest.raises(InsufficientDataError, match="schedule needs"):
+            run_arb_sim(PoolState(1.0, 2000.0), quotes, BlockSchedule.fixed(1000, 0, 50_000))
+
     @pytest.mark.parametrize("spread", [0.0, 0.002])
     def test_matches_naive_per_instant_loop(self, spread):
         from lvrsim import Direction, apply_arbitrage, optimal_arb_trade
