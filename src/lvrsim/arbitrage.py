@@ -93,6 +93,10 @@ def optimal_arb_trade(state: PoolState, quote: Quote) -> Optional[ArbTrade]:
 
     # guard against degenerate trades just outside the band at float noise
     if not (amount_in > 0 and profit > 0):
+        if not math.isfinite(amount_in):
+            raise InputError(f"the trade at price {price} overflows against reserves "
+                             f"x={state.reserve_x}, y={state.reserve_y}; losses are "
+                             "scale-invariant: use smaller ones")
         return None
     loss = profit / position_value(state, price)
     return ArbTrade(direction, amount_in, amount_out, price, profit, loss)

@@ -245,7 +245,6 @@ class Feed:
 
 def _load_feed(cfg: dict) -> Feed:
     """Parse --quotes or --klines, and --blocks and --window when given, once each."""
-    pair = cfg.get("pair", "")
     if cfg.get("quotes"):
         kind, source, load = "bid_ask", "quotes", load_quote_updates
     elif cfg.get("klines"):
@@ -253,7 +252,7 @@ def _load_feed(cfg: dict) -> Feed:
     else:
         raise InputError("a price feed is required: give --quotes or --klines")
     inputs = [cfg[source]]
-    series = load(_require_file(cfg[source]), pair=pair, source=source)
+    series = load(_require_file(cfg[source]))
     if not len(series):
         raise InputError(f"feed file {cfg[source]} holds no data rows")
     blocks, counters = None, {}
@@ -313,11 +312,15 @@ def _initial_state(cfg: dict, quotes, start_ms: int, fee: float) -> PoolState:
     if not (math.isfinite(reserve_x) and reserve_x > 0):
         raise InputError(f"--initial-reserve-x must be finite and positive, got {reserve_x}")
     reserve_y = reserve_x * price
+    feed = "quotes" if cfg.get("quotes") else "klines"
+    named = (f"--initial-price {price}" if cfg.get("initial_price") is not None
+             else f"{price}, the --{feed} mid at {start_ms},")
+    gives = f"--initial-reserve-x {reserve_x} times {named} gives a Y reserve of {reserve_y}"
     if not 0.0 < reserve_y < math.inf:
-        named = (f"--initial-price {price}" if cfg.get("initial_price") is not None
-                 else f"{price}, the --{quotes.source} mid at {start_ms},")
-        raise InputError(f"--initial-reserve-x {reserve_x} times {named} gives a Y reserve "
-                         f"of {reserve_y}; it must be finite and positive")
+        raise InputError(f"{gives}; it must be finite and positive")
+    if not 0.0 < reserve_x * reserve_y < math.inf:
+        raise InputError(f"{gives} and a reserve product of {reserve_x * reserve_y}; "
+                         "the product must be finite and positive")
     return PoolState(reserve_x, reserve_y, fee)
 
 
@@ -502,7 +505,6 @@ def cmd_synth_gbm(cfg: dict) -> int:
         seed=cfg.get("seed", 0),
         price0=cfg.get("price0", 1.0),
         start_ms=cfg.get("start_ms", 0),
-        pair=cfg.get("pair", "synthetic"),
     )
     fmt = cfg.get("format", "klines")
     # synthetic feeds are written in the exact ingestion schemas so they can

@@ -36,8 +36,6 @@ class PriceSeries:
 
     timestamps: np.ndarray  # int64 ms
     prices: np.ndarray  # float64
-    pair: str = ""
-    source: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype=np.int64))
@@ -60,8 +58,6 @@ class QuoteSeries:
     timestamps: np.ndarray  # int64 ms
     bids: np.ndarray
     asks: np.ndarray
-    pair: str = ""
-    source: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype=np.int64))
@@ -83,9 +79,7 @@ class QuoteSeries:
 
 def quotes_from_prices(series: PriceSeries) -> QuoteSeries:
     """Treat a mid/open price series as a zero-spread quote series."""
-    return QuoteSeries(
-        series.timestamps, series.prices, series.prices, series.pair, series.source
-    )
+    return QuoteSeries(series.timestamps, series.prices, series.prices)
 
 
 def _open_text(path: str) -> io.TextIOBase:
@@ -246,7 +240,7 @@ def _vs_previous(values: np.ndarray, fault) -> np.ndarray:
     return mask
 
 
-def load_klines(path: str, pair: str = "", source: str = "") -> PriceSeries:
+def load_klines(path: str) -> PriceSeries:
     """Load per-second open prices from a kline CSV.
 
     Only timestamp_ms and open are consumed. Rows must be strictly
@@ -259,10 +253,10 @@ def load_klines(path: str, pair: str = "", source: str = "") -> PriceSeries:
             (_not_positive(opens), lambda i: f"open price must be positive, got {opens[i]}"),
             (_vs_previous(ts, np.greater_equal),
              lambda i: f"timestamps not strictly increasing: {ts[i]} after {ts[i - 1]}")])
-    return PriceSeries(ts, opens, pair, source)
+    return PriceSeries(ts, opens)
 
 
-def load_quote_updates(path: str, pair: str = "", source: str = "") -> QuoteSeries:
+def load_quote_updates(path: str) -> QuoteSeries:
     """Load best bid/ask updates from a quote CSV.
 
     Rows with bid > ask are rejected. Several updates within the same
@@ -282,7 +276,7 @@ def load_quote_updates(path: str, pair: str = "", source: str = "") -> QuoteSeri
     if not keep.all():
         logger.warning("%s: dropped %d earlier duplicate-timestamp updates",
                        path, len(ts) - np.count_nonzero(keep))
-    return QuoteSeries(ts[keep], bids[keep], asks[keep], pair, source)
+    return QuoteSeries(ts[keep], bids[keep], asks[keep])
 
 
 # block seconds whose milliseconds fit in int64
@@ -333,7 +327,4 @@ def align_to_blocks(
     blocks = np.asarray(block_timestamps_ms, dtype=np.int64)
     idx = _locf_index(series.timestamps, blocks)
     fills = int(np.sum(series.timestamps[idx] != blocks))
-    return (
-        PriceSeries(blocks, series.prices[idx], series.pair, series.source),
-        fills,
-    )
+    return PriceSeries(blocks, series.prices[idx]), fills

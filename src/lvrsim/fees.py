@@ -29,7 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, ParseError
-from .feeds import _iter_rows, _load_columns, _not_positive, _parse_float, _parse_int, _vs_previous
+from .feeds import (_first_fault, _iter_rows, _load_columns, _not_positive, _parse_float,
+                    _parse_int, _vs_previous)
 
 TOKEN_X = "X"
 TOKEN_Y = "Y"
@@ -81,13 +82,9 @@ class SwapTable:
             raise InputError("swap columns must have equal length")
         for f, column in zip(fields(self), columns):
             object.__setattr__(self, f.name, column)
-        invalid, record_error = _record_rule(*columns)
-        if invalid.any():
-            raise InputError(record_error(invalid.argmax()))
-        for name, column in (("timestamp", self.timestamps), ("block", self.block_numbers)):
-            back = _vs_previous(column, np.greater)
-            if back.any():
-                raise InputError(f"swap records out of order at {name} {column[back.argmax()]}")
+        fault = _first_fault(_swap_rules(*columns))
+        if fault:
+            raise InputError(fault[1])
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -214,9 +211,9 @@ _SWAP_COLUMNS = [("block_number", _parse_int, np.int64), ("timestamp_ms", _parse
                    ("amount_in", "fee_rate", "post_swap_price", "post_swap_liquidity"))]
 
 
-def _record_rule(*columns):
-    """Rows SwapRecord rejects, with its message."""
-    _, _, token, amount, fee_rate, price, liquidity = columns
+def _swap_rules(*columns):
+    """Rows SwapRecord rejects, with its message; then a timestamp or block going back."""
+    blocks, ts, token, amount, fee_rate, price, liquidity = columns
 
     def record_error(i):
         try:
@@ -226,14 +223,9 @@ def _record_rule(*columns):
 
     invalid = (~((token == TOKEN_X) | (token == TOKEN_Y)) | ~((fee_rate > 0) & (fee_rate < 1))
                | _not_positive(amount) | _not_positive(price) | _not_positive(liquidity))
-    return invalid, record_error
-
-
-def _swap_rules(*columns):
-    """Rows SwapRecord rejects, with its message; then a timestamp or block out of order."""
-    blocks, ts = columns[:2]
-    return [_record_rule(*columns),
-            (_vs_previous(ts, np.greater), lambda i: "timestamps not sorted"),
+    return [(invalid, record_error),
+            (_vs_previous(ts, np.greater),
+             lambda i: f"timestamps decreasing: {ts[i]} after {ts[i - 1]}"),
             (_vs_previous(blocks, np.greater),
              lambda i: f"block numbers decreasing: {blocks[i]} after {blocks[i - 1]}")]
 

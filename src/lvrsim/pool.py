@@ -36,6 +36,8 @@ class PoolState:
             raise InputError(f"reserve_x must be positive, got {self.reserve_x}")
         if not (math.isfinite(self.reserve_y) and self.reserve_y > 0):
             raise InputError(f"reserve_y must be positive, got {self.reserve_y}")
+        if not 0.0 < self.reserve_x * self.reserve_y < math.inf:
+            raise InputError(f"reserve product must be finite and positive, got {self.k}")
         if not (0.0 <= self.fee < 1.0):
             raise InputError(f"fee must be in [0, 1), got {self.fee}")
 

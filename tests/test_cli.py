@@ -591,6 +591,27 @@ class TestBadInputExits2:
         assert named.format(feed=feed) in err
         assert not (tmp_path / "bad" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("prices, reserve_x, named", [
+        (("2.0", "2.1"), "1e160",
+         "--initial-reserve-x 1e+160 times 2.0, the --klines mid at 1000, gives a Y reserve "
+         "of 2e+160 and a reserve product of inf; the product must be finite and positive"),
+        (("2.0", "2.1"), "1e-320",
+         "--initial-reserve-x 1e-320 times 2.0, the --klines mid at 1000, gives a Y reserve "
+         "of 2e-320 and a reserve product of 0.0; the product must be finite and positive"),
+        (("1e200", "1.1e200"), None, "the trade at price 1.1e+200 overflows against reserves"),
+    ], ids=["product-inf", "product-zero", "trade-overflow"])
+    def test_pool_arithmetic_out_of_range_exits_2(self, tmp_path, capsys, prices, reserve_x,
+                                                   named):
+        # losses are scale-invariant, so an overflow is the pool's scale, not zero loss
+        klines = tmp_path / "k.csv"
+        klines.write_text(f"1000,{prices[0]},2,2,2,1\n2000,{prices[1]},2,2,2,1\n")
+        given = ["--initial-reserve-x", reserve_x] if reserve_x else []
+        assert run_cli("simulate-arb", "--klines", klines, "--interval-ms", 1000, "--fee-bps", 30,
+                       *given, "--out", tmp_path / "bad") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}") and "Traceback" not in err
+        assert not (tmp_path / "bad" / "manifest.json").exists()
+
     @pytest.mark.parametrize("feed", ["quotes", "klines"])
     def test_feed_starting_after_the_first_block_names_it(self, tmp_path, capsys, feed):
         path = self.two_row_feed(tmp_path, feed)

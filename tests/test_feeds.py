@@ -509,10 +509,9 @@ class TestAlignToBlocks:
 
 class TestQuotesFromPrices:
     def test_zero_spread(self):
-        series = PriceSeries(np.array([0, 1]), np.array([2.0, 3.0]), pair="A/B")
+        series = PriceSeries(np.array([0, 1]), np.array([2.0, 3.0]))
         out = quotes_from_prices(series)
         assert np.array_equal(out.bids, out.asks)
-        assert out.pair == "A/B"
 
 
 class TestQuoteSeriesValidation:

@@ -177,8 +177,8 @@ class TestSwapTable:
                                   post_swap_price=2001.0)
 
     @pytest.mark.parametrize("column, values, message", [
-        ("timestamps", [2000, 1000, 3000], "out of order at timestamp 1000$"),
-        ("block_numbers", [2, 1, 2], "out of order at block 1$"),
+        ("timestamps", [2000, 1000, 3000], "^timestamps decreasing: 1000 after 2000$"),
+        ("block_numbers", [2, 1, 2], "^block numbers decreasing: 1 after 2$"),
     ])
     def test_order_checked(self, column, values, message):
         with pytest.raises(InputError, match=message):
@@ -214,12 +214,12 @@ class TestAttributeFees:
         records = [record(block_number=5), record(block_number=4, timestamp=2000),
                    record(block_number=5, timestamp=3000)]
         for per_block in (False, True):
-            with pytest.raises(InputError, match="out of order at block 4$"):
+            with pytest.raises(InputError, match="^block numbers decreasing: 4 after 5$"):
                 attribute_fees(records, 1.0, per_block=per_block)
 
     def test_timestamp_order_checked_before_block_order(self):
         records = [record(block_number=5), record(block_number=4, timestamp=900)]
-        with pytest.raises(InputError, match="out of order at timestamp 900$"):
+        with pytest.raises(InputError, match="^timestamps decreasing: 900 after 1000$"):
             attribute_fees(records, 1.0)
 
     @pytest.mark.parametrize("per_block, liquidity", [(False, 3.0), (True, 2.0)])
@@ -261,6 +261,23 @@ class TestLoadSwapRecords:
         assert typed([table[-1]]) == typed(records[-1:])
         with pytest.raises(IndexError):
             table[1000]
+
+
+GOOD_SWAP = (1, 1000, "X", 5.0, 0.003, 2000.0, 1e6)
+
+
+@pytest.mark.parametrize("column, value", [
+    (2, "Z"), (3, -5.0), (4, 1.5), (5, 0.0), (6, -1.0), (1, 999), (0, 0),
+], ids=["token", "amount", "fee-rate", "price", "liquidity", "timestamp-back", "block-back"])
+def test_table_and_file_report_a_fault_alike(tmp_path, column, value):
+    rows = [GOOD_SWAP, (*GOOD_SWAP[:column], value, *GOOD_SWAP[column + 1:])]
+    with pytest.raises(InputError) as table_err:
+        SwapTable(*map(list, zip(*rows)))
+    path = tmp_path / "swaps.csv"
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+    with pytest.raises(ParseError) as file_err:
+        load_swap_records(str(path))
+    assert str(file_err.value) == f"{path}:2: {table_err.value}"
 
 
 def row_path(path):

@@ -32,6 +32,18 @@ class TestPoolState:
     def test_invariant_product(self):
         assert PoolState(100.0, 200000.0).k == 2e7
 
+    @pytest.mark.parametrize("reserve_x, reserve_y, product", [
+        (1e160, 2e160, "inf"), (1e-320, 2e-320, "0.0"), (1e200, 1e200, "inf"),
+    ])
+    def test_rejects_product_out_of_range(self, reserve_x, reserve_y, product):
+        with pytest.raises(InputError, match=f"^reserve product must be finite and positive, "
+                                             f"got {product}$"):
+            PoolState(reserve_x, reserve_y)
+
+    def test_product_at_the_float_limits_accepted(self):
+        assert PoolState(1e154, 1e154).k == 1e308
+        assert PoolState(1e-160, 1e-160).k > 0
+
 
 class TestSpotPrice:
     def test_definition(self):

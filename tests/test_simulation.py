@@ -47,14 +47,12 @@ def step_quotes(p0, p1, jump_ms, start=0, end=100_000, step=1000):
 
 def loss_series(timestamps, losses):
     losses = np.asarray(losses, float)
-    state = PoolState(1.0, 1.0)
     return LossSeries(
         timestamps=np.asarray(timestamps, np.int64),
         losses=losses,
         profits=losses.copy(),
         n_instants=len(losses),
-        initial_state=state,
-        final_state=state,
+        final_state=PoolState(1.0, 1.0),
         window_ms=int(timestamps[-1] - timestamps[0]) if len(timestamps) else 0,
     )
 
@@ -77,11 +75,11 @@ class TestBlockSchedule:
 class TestRunArbSim:
     def test_constant_quote_no_trades(self):
         quotes = constant_quotes(2000.0)
-        run = run_arb_sim(PoolState(1.0, 2000.0, 0.003), quotes,
-                          BlockSchedule.fixed(1000, 0, 100_000))
+        initial = PoolState(1.0, 2000.0, 0.003)
+        run = run_arb_sim(initial, quotes, BlockSchedule.fixed(1000, 0, 100_000))
         assert len(run.losses) == 0
         assert run.total_relative_loss == 0.0
-        assert run.final_state == run.initial_state
+        assert run.final_state == initial
 
     def test_single_step_single_trade(self):
         quotes = step_quotes(2000.0, 2100.0, jump_ms=50_000)
@@ -193,6 +191,19 @@ class TestRunArbSim:
         assert len(run.losses) == 0 and run.multiplier == 1.0
         assert run.final_state == state
         assert run.scaled(2.0).n_dropped == 5
+
+    @pytest.mark.parametrize("state, price", [
+        (PoolState(1.0, 1e200, 0.003), 1.1e200), (PoolState(1e200, 1.0, 0.003), 0.9e-200),
+    ], ids=["bid", "ask"])
+    def test_overflowing_trade_raises_in_kernel_and_oracle(self, state, price):
+        # the pool is valid; only sqrt((1-f)*k*bid), or sqrt((1-f)*k/ask), overflows
+        prices = [state.reserve_y / state.reserve_x, price]
+        quotes = QuoteSeries([0, 1000], prices, prices)
+        with pytest.raises(InputError, match="overflows against reserves") as kernel:
+            run_arb_sim(state, quotes, BlockSchedule.fixed(1000, 0, 1000))
+        with pytest.raises(InputError, match="overflows against reserves") as oracle:
+            optimal_arb_trade(state, quotes[1])
+        assert str(kernel.value) == str(oracle.value)
 
     def test_scaled_series(self):
         run = loss_series([0, 1000, 2000], [0.001, 0.002, 0.0005])
@@ -578,7 +589,6 @@ class TestLoglogSlope:
             parameter="interval_ms", values=values,
             total_losses=3.7e-6 * values**0.5,
             annualized_losses=np.zeros(4), n_events=np.ones(4, dtype=np.int64),
-            window_ms=1,
         )
         slope, residual = loglog_slope(sweep)
         assert slope == pytest.approx(0.5, abs=1e-12)
@@ -590,7 +600,6 @@ class TestLoglogSlope:
             parameter="interval_ms", values=values,
             total_losses=np.full(4, 2e-4),
             annualized_losses=np.zeros(4), n_events=np.ones(4, dtype=np.int64),
-            window_ms=1,
         )
         slope, _ = loglog_slope(sweep)
         assert slope == pytest.approx(0.0, abs=1e-12)
@@ -601,7 +610,6 @@ class TestLoglogSlope:
         sweep = SweepResult(
             parameter="interval_ms", values=values, total_losses=losses,
             annualized_losses=np.zeros(5), n_events=np.ones(5, dtype=np.int64),
-            window_ms=1,
         )
         slope, _ = loglog_slope(sweep, (1.0, 8.0))
         assert slope == pytest.approx(1.0, abs=1e-12)
@@ -611,7 +619,6 @@ class TestLoglogSlope:
             parameter="interval_ms", values=np.array([1.0, 2.0]),
             total_losses=np.array([1e-4, 2e-4]),
             annualized_losses=np.zeros(2), n_events=np.ones(2, dtype=np.int64),
-            window_ms=1,
         )
         with pytest.raises(FitError):
             loglog_slope(sweep)
@@ -619,7 +626,6 @@ class TestLoglogSlope:
             parameter="interval_ms", values=np.array([1.0, 2.0, 4.0]),
             total_losses=np.array([0.0, 1e-4, 2e-4]),
             annualized_losses=np.zeros(3), n_events=np.ones(3, dtype=np.int64),
-            window_ms=1,
         )
         with pytest.raises(FitError):
             loglog_slope(zero)
