@@ -74,10 +74,17 @@ def _atomic_write(path: Path, chunks) -> None:
 
 
 def _cells(column: np.ndarray) -> list[str]:
-    """A float is its shortest repr (NaN an empty cell); anything else its str."""
-    if column.dtype.kind == "f":
-        return ["" if v != v else repr(v) for v in column.tolist()]
-    return [str(v) for v in column.tolist()]
+    """A float is its shortest repr (NaN an empty cell); anything else its str.
+
+    A float is formatted once per run of bit-identical values (so -0.0 and 0.0,
+    or two NaN payloads, are separate runs): loss columns are mostly 0.0.
+    """
+    if column.dtype.kind != "f":
+        return [str(v) for v in column.tolist()]
+    bits = column.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([len(bits) > 0], bits[1:] != bits[:-1])))
+    texts = ["" if v != v else repr(v) for v in column[starts].tolist()]
+    return np.repeat(np.array(texts, dtype=object), np.diff(starts, append=len(bits))).tolist()
 
 
 def _write_table(path: Path, columns: dict) -> None:

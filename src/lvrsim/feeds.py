@@ -17,9 +17,10 @@ from __future__ import annotations
 import csv
 import gzip
 import io
-import itertools
 import logging
 import math
+import os
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,49 +117,56 @@ def _iter_rows(path: str, n_columns: int, exact: bool = True):
             raise ParseError(str(path), line, f"unreadable row: {err}") from None
 
 
-def _unquoted(lines):
-    """The lines, failing at the first '"'.
-
-    csv.reader reads a quoted cell on across line breaks and np.loadtxt does
-    not, so a file whose unparsed columns hold a quote goes to the row parser.
-    """
-    for line in lines:
-        if '"' in line:
-            raise ValueError("quoted cell")
-        yield line
+def _holds_quote(path: str) -> bool:
+    """Whether the file's (decompressed) bytes hold a '"', in one chunked pass."""
+    chunk = bytearray(1 << 16)  # reused, and below the malloc mmap threshold: less peak RSS
+    with (gzip.open(path, "rb") if str(path).endswith(".gz") else open(path, "rb")) as handle:
+        try:
+            while size := handle.readinto(chunk):
+                if chunk.find(b'"', 0, size) >= 0:
+                    return True
+        except (EOFError, zlib.error, gzip.BadGzipFile):
+            pass  # damaged gzip: loadtxt raises the read error or the row parser a bad row
+    return False
 
 
 def _read_columns(path: str, n_columns: int, exact: bool, dtypes) -> tuple | None:
     """The leading len(dtypes) columns of a CSV in one np.loadtxt call, or None.
 
-    None means loadtxt rejected the file. With exact=False, column
+    None sends the file to the row parser. That happens when loadtxt rejects
+    it, and before loadtxt when the file holds a '"' (csv.reader reads a quoted
+    cell on across line breaks and loadtxt does not), when it is not a regular
+    file (it could not be read twice), or when its suffix is one numpy would
+    decompress and _open_text reads as plain text. With exact=False, column
     n_columns - 1 is read as well, unparsed, so that a short row fails here too.
     """
+    if (str(path).endswith((".bz2", ".xz", ".lzma")) or not os.path.isfile(path)
+            or _holds_quote(path)):
+        return None
     fields = [(f"c{i}", dtype) for i, dtype in enumerate(dtypes)]
     usecols = None
     if not exact:
         usecols = (*range(len(fields)), n_columns - 1)
         fields.append(("last", "U1"))
-    with _open_text(path) as handle:
-        line = handle.readline()
-        if '"' in line:  # csv.reader unquotes the header test's cell
-            return None
+    with _open_text(path) as handle:  # the lines before the first row: header, blanks
+        skip, line = 0, handle.readline()
         if line.strip():
             try:
                 float(line.split(",", 1)[0])
             except ValueError:
-                line = handle.readline()  # header
+                skip, line = 1, handle.readline()  # header
         while line and not line.strip():
-            line = handle.readline()
-        if not line:  # loadtxt would warn that the file holds no data
-            return tuple(np.empty(0, dtype) for dtype in dtypes)
-        lines = itertools.chain([line], handle)
-        try:
-            # comments=None: the row parser rejects what '#' would skip
-            table = np.loadtxt(lines if exact else _unquoted(lines), dtype=fields,
-                               delimiter=",", comments=None, usecols=usecols, ndmin=1)
-        except ValueError:
-            return None
+            skip, line = skip + 1, handle.readline()
+    if not line:  # loadtxt would warn that the file holds no data
+        return tuple(np.empty(0, dtype) for dtype in dtypes)
+    try:
+        # a path, not a handle, so that numpy reads it in chunks, not line by line;
+        # absolute, so that numpy does not take a name like a://b/k.csv for a URL.
+        # comments=None: the row parser rejects what '#' would skip
+        table = np.loadtxt(os.path.abspath(path), dtype=fields, delimiter=",", comments=None,
+                           usecols=usecols, ndmin=1, skiprows=skip, encoding="utf-8")
+    except ValueError:
+        return None
     return tuple(np.ascontiguousarray(table[name]) for name, _ in fields[:len(dtypes)])
 
 

@@ -753,6 +753,22 @@ class TestColumnWriter:
         rows = [(SCHEMA_VERSION, f, k, 0.0) for f, k in zip(floats, ints)]
         assert path.read_bytes() == self.expected(["schema_version", "x", "n", "volume"], rows)
 
+    def test_runs_of_equal_values_match_per_cell_rule(self, tmp_path):
+        n = 3 * _CHUNK_ROWS
+        other_nan = np.frombuffer(np.uint64(0x7FF8_0000_0000_0001).tobytes(), np.float64)[0]
+        signs = np.zeros(n)
+        signs[:8] = [-0.0, 0.0, 0.0, -0.0, math.nan, other_nan, other_nan, math.nan]
+        assert len(set(signs[4:8].view(np.int64).tolist())) == 2  # two NaN payloads
+        signs[_CHUNK_ROWS - 5:_CHUNK_ROWS + 5] = 7.5  # a run across a chunk boundary
+        events = np.zeros(n)  # the shape of losses.csv: single events in a long 0.0 run
+        events[[0, 17, _CHUNK_ROWS - 1, _CHUNK_ROWS, n - 1]] = [1e-3, 2.5e-7, 0.1, 0.2, 3e-9]
+        cumulative = 1.0 - np.cumprod(1.0 - events)  # constant between events
+        path = tmp_path / "table.csv"
+        _write_table(path, {"signs": signs, "events": events, "cumulative": cumulative})
+        rows = list(zip(signs, events, cumulative))
+        assert path.read_bytes() == self.expected(["signs", "events", "cumulative"], rows)
+        assert path.read_bytes().count(b"\n-0.0,") == 2
+
     def test_header_only_table(self, tmp_path):
         path = tmp_path / "empty.csv"
         _write_table(path, {"schema_version": SCHEMA_VERSION, "timestamp_ms":

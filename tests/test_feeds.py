@@ -1,4 +1,5 @@
 import gzip
+import os
 from unittest import mock
 
 import numpy as np
@@ -326,6 +327,73 @@ class TestColumnarParity:
         assert fast.bids.tolist() == [99, 97, 1]
         assert [r.getMessage() for r in caplog.records] == [
             f"{path}: dropped 2 earlier duplicate-timestamp updates"] * 2
+
+
+KLINES = "timestamp_ms,open,high,low,close,volume\n" + KLINE + "2000,2.6,3,2,2.7,1\n"
+
+
+class TestLoaderPaths:
+    """np.loadtxt opens the file by its path; the loaders read what they read before."""
+
+    @pytest.mark.parametrize("name", ["k.csv.bz2", "k.csv.xz", "k.csv.lzma"])
+    def test_names_numpy_would_decompress_are_plain_text(self, tmp_path, name):
+        series = load_klines(write(tmp_path, name, KLINES))
+        assert series.timestamps.tolist() == [1000, 2000]
+        assert series.prices.tolist() == [2.5, 2.6]
+
+    def test_relative_name_like_a_url_is_a_local_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a:" / "b").mkdir(parents=True)
+        (tmp_path / "a:" / "b" / "k.csv").write_text(KLINES)
+        series = columnar_only(load_klines, "a://b/k.csv")
+        assert series.timestamps.tolist() == [1000, 2000]
+        assert series.prices.tolist() == [2.5, 2.6]
+
+    def test_gzip_quote_in_an_unparsed_column_reaches_the_row_parser(self, tmp_path):
+        path = tmp_path / "k.csv.gz"
+        path.write_bytes(gzip.compress((KLINE + '2000,2.6,3,2,2.7,"1"\n').encode(), mtime=0))
+        iter_rows, rows = feeds._iter_rows, []
+
+        def counting(*args):
+            for row in iter_rows(*args):
+                rows.append(row)
+                yield row
+
+        with mock.patch.object(feeds, "_iter_rows", counting):
+            series = load_klines(str(path))
+        assert len(rows) == 2
+        assert series.timestamps.tolist() == [1000, 2000]
+        assert series.prices.tolist() == [2.5, 2.6]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_once(self):
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, KLINES.encode())
+            os.close(write_end)
+            series = load_klines(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert series.timestamps.tolist() == [1000, 2000]
+
+    @staticmethod
+    def damaged_gzip(tmp_path, bad_row):
+        """Rows past what the header probe reads, cut off before the gzip trailer."""
+        text = "".join(f"{1000 * i},{'x' if i == bad_row else 2.5},3,2,2.6,1\n"
+                       for i in range(20_000))
+        path = tmp_path / "k.csv.gz"
+        path.write_bytes(gzip.compress(text.encode(), mtime=0)[:-100])
+        return str(path)
+
+    def test_damaged_gzip_names_a_bad_row_before_the_damage(self, tmp_path):
+        path = self.damaged_gzip(tmp_path, bad_row=5)
+        with pytest.raises(ParseError) as err:
+            load_klines(path)
+        assert str(err.value) == f"{path}:6: bad open: 'x'"
+
+    def test_damaged_gzip_of_valid_rows_raises_the_read_error(self, tmp_path):
+        with pytest.raises(EOFError):
+            load_klines(self.damaged_gzip(tmp_path, bad_row=None))
 
 
 # Numbers in every layout both parsers read to the same value, and unparsed
