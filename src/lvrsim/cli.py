@@ -132,103 +132,96 @@ def _write_manifest(out_dir: Path, command: str, params: dict, inputs: list[str]
 # --- config ------------------------------------------------------------------
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Flags override JSON config-file values; None means 'not given'.
+    """Every option of the subcommand: its flag, else its config-file key, else its default.
 
-    Each config key must name a flag of the subcommand, and its value goes
-    through that flag's declaration in OPTIONS: the same type and choices,
-    and only JSON true/false for an on/off flag. JSON null means 'not given'.
+    A flag's text, a config value and a default go through the option's one
+    declaration in OPTIONS alike; a bad value raises the InputError naming the
+    flag, or the config file and key. JSON null means 'not given'. The result
+    holds every option but --config, None for one not given without default.
     """
-    cfg: dict = {}
-    if args.config:
-        _require_file(args.config)
-        with open(args.config, "r", encoding="utf-8") as handle:
+    options = {flag[2:].replace("-", "_"): flag for flag in COMMANDS[args.command][2]
+               if flag != "--config"}
+    cfg = {}
+    if args.config is not None:
+        path = _require_file(_convert("--config", args.config, OPTIONS["--config"]))
+        with open(path, "r", encoding="utf-8") as handle:
             try:
                 loaded = json.load(handle)
             except json.JSONDecodeError as exc:
-                raise InputError(f"bad config file {args.config}: {exc}") from None
+                raise InputError(f"bad config file {path}: {exc}") from None
         if not isinstance(loaded, dict):
-            raise InputError(f"config file {args.config} must hold a JSON object")
-        flags = {flag[2:].replace("-", "_"): flag for flag in COMMANDS[args.command][2]}
+            raise InputError(f"config file {path} must hold a JSON object")
         for key, value in loaded.items():
-            if key not in flags:
-                raise InputError(
-                    f"config file {args.config}: {args.command} has no option {key!r}"
-                )
+            if key not in options:
+                raise InputError(f"config file {path}: {args.command} has no option {key!r}")
             if value is not None:
-                cfg[key] = _config_value(args.config, key, value, OPTIONS[flags[key]])
-    for key, value in vars(args).items():
-        if key not in ("config", "command") and value is not None:
-            cfg[key] = value
-    return cfg
+                cfg[key] = _convert(f"config file {path}: {key}", value, OPTIONS[options[key]])
+    for key, flag in options.items():
+        value = getattr(args, key)
+        if value is None and key not in cfg:
+            value = OPTIONS[flag].get("default")
+        if value is not None:
+            cfg[key] = _convert(flag, value, OPTIONS[flag])
+    return {key: cfg.get(key) for key in options}
 
 
-def _config_value(path: str, key: str, value, spec: dict):
-    if spec.get("action") == "store_const":
-        if not isinstance(value, bool):
-            raise InputError(f"config file {path}: {key} must be true or false, got {value!r}")
-        return value
-    text = (str, list) if key in ("intervals_ms", "fees_bps") else str  # a grid may be a list
-    if "type" not in spec and not isinstance(value, text):
-        raise InputError(f"config file {path}: {key} must be a JSON string, got {value!r}")
+def _convert(name: str, value, spec: dict):
+    """The option's value from a flag's text or a config value, or an InputError naming it."""
     try:
-        value = spec.get("type", lambda v: v)(value)
-    except (TypeError, ValueError):
-        raise InputError(f"config file {path}: bad {key} value {value!r}") from None
-    if "choices" in spec and value not in spec["choices"]:
-        raise InputError(
-            f"config file {path}: {key} must be one of {', '.join(spec['choices'])}, "
-            f"got {value!r}"
-        )
-    return value
+        converted = spec["type"](value)
+        if spec.get("check", lambda _: True)(converted):
+            return converted
+    except ValueError:
+        pass
+    raise InputError(f"{name} must be {spec['rule']}, got {value!r}")
+
+
+def _text(value, numeric: bool = False) -> str:
+    """A flag's text; in a config file, a JSON string, or a JSON number written out."""
+    if isinstance(value, str):
+        return value
+    if numeric and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return repr(value)
+    raise ValueError(value)
+
+
+def _number(value, kind):
+    """Text read by kind (float or int): the number 2.5 is no int, and true no number."""
+    return kind(_text(value, numeric=True))
+
+
+def _pair(value, kind) -> tuple:
+    """START:END text read as a pair of kind."""
+    first, second = _text(value).split(":")
+    return kind(first), kind(second)
+
+
+def _grid(value, kind) -> list:
+    """Comma-separated text, or a JSON list, read item by item by kind."""
+    items = value if isinstance(value, list) else _text(value, numeric=True).split(",")
+    return [_number(item, kind) for item in items]
+
+
+def _in_fee_range(value: float) -> bool:
+    return 0.0 <= value < 1e4  # NaN fails
+
+
+def _increasing(ok):
+    """A grid check: non-empty, each value ok, strictly increasing."""
+    return lambda grid: (len(grid) > 0 and all(map(ok, grid))
+                         and all(a < b for a, b in zip(grid, grid[1:])))
 
 
 def _require_file(path: str) -> str:
-    if not path or not os.path.isfile(path):
+    if not os.path.isfile(path):
         raise InputError(f"input file does not exist: {path}")
     return path
 
 
 def _require(cfg: dict, key: str):
-    value = cfg.get(key)
-    if value is None:
+    if (value := cfg[key]) is None:
         raise InputError(f"missing required option --{key.replace('_', '-')}")
     return value
-
-
-def _parse_window(text: str) -> tuple[int, int]:
-    try:
-        start, end = str(text).split(":")
-        window = (int(start), int(end))
-    except ValueError:
-        raise InputError(f"bad window {text!r}, expected START_MS:END_MS") from None
-    if window[1] <= window[0]:
-        raise InputError(f"window is empty: {text}")
-    return window
-
-
-def _parse_range(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = str(text).split(":")
-        return float(lo), float(hi)
-    except ValueError:
-        raise InputError(f"bad fit range {text!r}, expected LO:HI") from None
-
-
-def _parse_list(text, kind=float) -> list:
-    try:
-        if isinstance(text, (list, tuple)):
-            return [kind(v) for v in text]
-        return [kind(v) for v in str(text).split(",") if v.strip()]
-    except (TypeError, ValueError):
-        raise InputError(f"bad list value {text!r}") from None
-
-
-def _fee_from_bps(cfg: dict) -> float:
-    bps = _require(cfg, "fee_bps")
-    fee = bps / 1e4
-    if not (0.0 <= fee < 1.0):
-        raise InputError(f"fee-bps {bps} is outside [0, 10000)")
-    return fee
 
 
 # --- feed / schedule assembly -------------------------------------------------
@@ -247,14 +240,17 @@ class Feed:
     @property
     def span(self) -> tuple[int, int]:
         """The --window, or else the span of the quotes."""
-        return self.window or (int(self.quotes.timestamps[0]), int(self.quotes.timestamps[-1]))
+        return self.window if self.window is not None else (
+            int(self.quotes.timestamps[0]), int(self.quotes.timestamps[-1]))
 
 
 def _load_feed(cfg: dict) -> Feed:
-    """Parse --quotes or --klines, and --blocks and --window when given, once each."""
-    if cfg.get("quotes"):
+    """Parse --quotes or --klines, and --blocks when given, once each."""
+    if cfg["quotes"] is not None and cfg["klines"] is not None:
+        raise InputError("give --quotes or --klines, not both")
+    if cfg["quotes"] is not None:
         kind, source, load = "bid_ask", "quotes", load_quote_updates
-    elif cfg.get("klines"):
+    elif cfg["klines"] is not None:
         kind, source, load = "mid", "klines", load_klines
     else:
         raise InputError("a price feed is required: give --quotes or --klines")
@@ -263,15 +259,14 @@ def _load_feed(cfg: dict) -> Feed:
     if not len(series):
         raise InputError(f"feed file {cfg[source]} holds no data rows")
     blocks, counters = None, {}
-    if cfg.get("blocks"):
+    if cfg["blocks"] is not None:
         blocks = load_block_timestamps(_require_file(cfg["blocks"]))
         inputs.append(cfg["blocks"])
         if kind == "mid":
             series, fills = align_to_blocks(series, blocks)  # all blocks, not the window
             counters = {"block_price_fills": fills, "blocks": int(len(blocks))}
     quotes = series if kind == "bid_ask" else quotes_from_prices(series)
-    window = _parse_window(cfg["window"]) if cfg.get("window") else None
-    return Feed(quotes, kind, inputs, counters, blocks, window)
+    return Feed(quotes, kind, inputs, counters, blocks, cfg["window"])
 
 
 def _check_grid(feed: Feed, interval_ms: int) -> None:
@@ -295,13 +290,13 @@ def _check_grid(feed: Feed, interval_ms: int) -> None:
 def _make_schedule(cfg: dict, feed: Feed) -> BlockSchedule:
     """The blocks inside the window, or the fixed grid over the window."""
     if feed.blocks is not None:
-        if cfg.get("interval_ms") is not None:
+        if cfg["interval_ms"] is not None:
             raise InputError("give --blocks or --interval-ms, not both")
         blocks = feed.blocks
-        if feed.window:
+        if feed.window is not None:
             blocks = blocks[(blocks >= feed.window[0]) & (blocks <= feed.window[1])]
         return BlockSchedule.from_blocks(blocks)
-    if cfg.get("interval_ms") is not None:
+    if cfg["interval_ms"] is not None:
         _check_grid(feed, cfg["interval_ms"])
         return BlockSchedule.fixed(cfg["interval_ms"], *feed.span)
     raise InputError("a schedule is required: give --blocks or --interval-ms")
@@ -309,18 +304,13 @@ def _make_schedule(cfg: dict, feed: Feed) -> BlockSchedule:
 
 def _initial_state(cfg: dict, quotes, start_ms: int, fee: float) -> PoolState:
     """Pool at the --initial-price, or at the quote mid prevailing at start_ms."""
-    price = cfg.get("initial_price")
+    price, reserve_x = cfg["initial_price"], cfg["initial_reserve_x"]
     if price is None:
         i = _locf_index(quotes.timestamps, [start_ms])[0]
         price = 0.5 * (float(quotes.bids[i]) + float(quotes.asks[i]))
-    elif not (math.isfinite(price) and price > 0):
-        raise InputError(f"--initial-price must be finite and positive, got {price}")
-    reserve_x = cfg.get("initial_reserve_x", 1.0)
-    if not (math.isfinite(reserve_x) and reserve_x > 0):
-        raise InputError(f"--initial-reserve-x must be finite and positive, got {reserve_x}")
     reserve_y = reserve_x * price
-    feed = "quotes" if cfg.get("quotes") else "klines"
-    named = (f"--initial-price {price}" if cfg.get("initial_price") is not None
+    feed = "quotes" if cfg["quotes"] is not None else "klines"
+    named = (f"--initial-price {price}" if cfg["initial_price"] is not None
              else f"{price}, the --{feed} mid at {start_ms},")
     gives = f"--initial-reserve-x {reserve_x} times {named} gives a Y reserve of {reserve_y}"
     if not 0.0 < reserve_y < math.inf:
@@ -329,13 +319,6 @@ def _initial_state(cfg: dict, quotes, start_ms: int, fee: float) -> PoolState:
         raise InputError(f"{gives} and a reserve product of {reserve_x * reserve_y}; "
                          "the product must be finite and positive")
     return PoolState(reserve_x, reserve_y, fee)
-
-
-def _concentration(cfg: dict) -> float:
-    k = cfg.get("concentration_k", 1.0)
-    if not (math.isfinite(k) and k >= 1.0):
-        raise InputError(f"--concentration-k must be finite and >= 1, got {k}")
-    return k
 
 
 def _arb_run(cfg: dict, fee: float, factor: float):
@@ -349,14 +332,10 @@ def _arb_run(cfg: dict, fee: float, factor: float):
 def _fee_ledger(cfg: dict, factor: float):
     """Fee ledger of the --swaps position, its returns scaled by the factor k."""
     swaps_path = _require_file(_require(cfg, "swaps"))
-    liquidity = cfg.get("position_liquidity", 1.0)
-    if not (math.isfinite(liquidity) and liquidity > 0):
-        raise InputError(f"--position-liquidity must be finite and positive, got {liquidity}")
     swaps = load_swap_records(swaps_path)
-    ledger = attribute_fees(swaps, liquidity, per_block=cfg.get("per_block", False))
-    ledger = accumulate(
-        PositionLedger(liquidity), concentration_scale(ledger.returns, factor), ledger.timestamps
-    )
+    ledger = attribute_fees(swaps, cfg["position_liquidity"], per_block=cfg["per_block"])
+    ledger = accumulate(PositionLedger(ledger.position_liquidity),
+                        concentration_scale(ledger.returns, factor), ledger.timestamps)
     return ledger, swaps_path, len(swaps)
 
 
@@ -370,8 +349,7 @@ def _out_dir(cfg: dict) -> Path:
 
 def cmd_simulate_arb(cfg: dict) -> int:
     out = _out_dir(cfg)
-    fee = _fee_from_bps(cfg)
-    factor = _concentration(cfg)
+    fee, factor = _require(cfg, "fee_bps") / 1e4, cfg["concentration_k"]
     run, schedule, feed = _arb_run(cfg, fee, factor)
 
     loss_by_instant = np.zeros(len(schedule.timestamps))
@@ -386,9 +364,9 @@ def cmd_simulate_arb(cfg: dict) -> int:
     })
     _write_manifest(
         out, "simulate-arb",
-        {"pair": cfg.get("pair", ""), "fee": fee, "feed_kind": feed.kind,
+        {"pair": cfg["pair"], "fee": fee, "feed_kind": feed.kind,
          "concentration_k": factor, "interval_ms": schedule.interval_ms,
-         "n_instants": int(run.n_instants), "seed": cfg.get("seed")},
+         "n_instants": int(run.n_instants), "seed": cfg["seed"]},
         feed.inputs, feed.counters,
         {"total_relative_loss": run.total_relative_loss,
          "n_events": int(len(run.losses)), "window_ms": run.window_ms},
@@ -398,7 +376,7 @@ def cmd_simulate_arb(cfg: dict) -> int:
 
 def cmd_fees(cfg: dict) -> int:
     out = _out_dir(cfg)
-    factor = _concentration(cfg)
+    factor = cfg["concentration_k"]
     ledger, swaps_path, n_records = _fee_ledger(cfg, factor)
     _write_table(out / "fee_returns.csv", {
         "schema_version": SCHEMA_VERSION, "timestamp_ms": ledger.timestamps,
@@ -407,8 +385,8 @@ def cmd_fees(cfg: dict) -> int:
     })
     _write_manifest(
         out, "fees",
-        {"pair": cfg.get("pair", ""), "position_liquidity": ledger.position_liquidity,
-         "per_block": cfg.get("per_block", False), "concentration_k": factor},
+        {"pair": cfg["pair"], "position_liquidity": ledger.position_liquidity,
+         "per_block": cfg["per_block"], "concentration_k": factor},
         [swaps_path], {"n_records": n_records},
         {"cumulative_fee_return": float(ledger.cumulative_growth) - 1.0,
          "n_periods": int(len(ledger.returns))},
@@ -418,12 +396,8 @@ def cmd_fees(cfg: dict) -> int:
 
 def cmd_compare(cfg: dict) -> int:
     out = _out_dir(cfg)
-    fee = _fee_from_bps(cfg)
-    factor = _concentration(cfg)
-    days = cfg.get("ratio_window_days", 30.0)
-    if not (math.isfinite(days) and days * DAY_MS >= 1):
-        raise InputError(f"--ratio-window-days must be finite and at least 1 ms, got {days}")
-    window_ms = int(days * DAY_MS)
+    fee, factor = _require(cfg, "fee_bps") / 1e4, cfg["concentration_k"]
+    window_ms = int(cfg["ratio_window_days"] * DAY_MS)
     ledger, swaps_path, _ = _fee_ledger(cfg, factor)
     run, _, feed = _arb_run(cfg, fee, factor)
     report = fees_vs_losses(ledger, run, window_ms)
@@ -435,7 +409,7 @@ def cmd_compare(cfg: dict) -> int:
     })
     _write_manifest(
         out, "compare",
-        {"pair": cfg.get("pair", ""), "fee": fee, "feed_kind": feed.kind,
+        {"pair": cfg["pair"], "fee": fee, "feed_kind": feed.kind,
          "concentration_k": factor, "position_liquidity": ledger.position_liquidity,
          "ratio_window_ms": window_ms},
         feed.inputs + [swaps_path], feed.counters, report.totals,
@@ -447,7 +421,7 @@ def _write_sweep(out: Path, sweep, fit_range) -> dict:
     try:
         slope, residual = loglog_slope(sweep, fit_range)
         fit = {"slope": slope, "residual": residual,
-               "fit_range": list(fit_range) if fit_range else
+               "fit_range": list(fit_range) if fit_range is not None else
                [float(sweep.values[0]), float(sweep.values[-1])]}
     except FitError as exc:
         fit = {"slope": None, "residual": None, "error": str(exc)}
@@ -462,29 +436,26 @@ def _write_sweep(out: Path, sweep, fit_range) -> dict:
 def cmd_sweep(command: str, cfg: dict) -> int:
     """sweep-blocktime or sweep-fee: total loss per grid value on one feed."""
     out = _out_dir(cfg)
-    if cfg.get("quotes") and cfg.get("blocks"):
+    if cfg["quotes"] is not None and cfg["blocks"] is not None:
         raise InputError("sweeps take --blocks only with --klines, to align them")
     feed = _load_feed(cfg)
-    fit_range = _parse_range(cfg["fit_range"]) if cfg.get("fit_range") else None
+    fit_range = cfg["fit_range"]
     if command == "sweep-fee":
         interval = _require(cfg, "interval_ms")
         _check_grid(feed, interval)
-        fees_bps = _parse_list(cfg.get("fees_bps", "10,20,30,50,100"), float)
+        fees_bps = cfg["fees_bps"]
         # only the reserves are used; each grid point sets its own fee
         pool = _initial_state(cfg, feed.quotes, feed.span[0], 0.0)
         sweep = fee_sweep(pool.reserve_x, pool.reserve_y, feed.quotes, interval,
                           [bps / 1e4 for bps in fees_bps], feed.span)
-        if fit_range:
+        if fit_range is not None:
             fit_range = (fit_range[0] / 1e4, fit_range[1] / 1e4)
         grid = {"interval_ms": interval, "fees_bps": fees_bps}
     else:
-        fee = _fee_from_bps(cfg)
-        if cfg.get("intervals_ms"):
-            intervals = _parse_list(cfg["intervals_ms"], int)
-        elif cfg.get("extended"):
-            intervals = list(EXTENDED_INTERVALS_MS)
-        else:
-            intervals = list(DEFAULT_INTERVALS_MS)
+        fee = _require(cfg, "fee_bps") / 1e4
+        intervals = cfg["intervals_ms"]
+        if intervals is None:
+            intervals = list(EXTENDED_INTERVALS_MS if cfg["extended"] else DEFAULT_INTERVALS_MS)
         for interval in intervals:
             _check_grid(feed, interval)
         sweep = blocktime_sweep(_initial_state(cfg, feed.quotes, feed.span[0], fee),
@@ -493,8 +464,8 @@ def cmd_sweep(command: str, cfg: dict) -> int:
     fit = _write_sweep(out, sweep, fit_range)
     _write_manifest(
         out, command,
-        {**grid, "pair": cfg.get("pair", ""), "feed_kind": feed.kind,
-         "window": feed.window, "seed": cfg.get("seed"), "fit": fit},
+        {**grid, "pair": cfg["pair"], "feed_kind": feed.kind,
+         "window": feed.window, "seed": cfg["seed"], "fit": fit},
         feed.inputs, feed.counters,
         {"total_losses": [float(v) for v in sweep.total_losses]},
     )
@@ -504,16 +475,11 @@ def cmd_sweep(command: str, cfg: dict) -> int:
 def cmd_synth_gbm(cfg: dict) -> int:
     out = _out_dir(cfg)
     sigma = _require(cfg, "sigma")
-    series = gbm_generate(
-        sigma=sigma,
-        mu=cfg.get("mu", 0.0),
-        step_ms=_require(cfg, "step_ms"),
-        horizon_ms=_require(cfg, "horizon_ms"),
-        seed=cfg.get("seed", 0),
-        price0=cfg.get("price0", 1.0),
-        start_ms=cfg.get("start_ms", 0),
-    )
-    fmt = cfg.get("format", "klines")
+    seed = 0 if cfg["seed"] is None else cfg["seed"]
+    series = gbm_generate(sigma=sigma, mu=cfg["mu"], step_ms=_require(cfg, "step_ms"),
+                          horizon_ms=_require(cfg, "horizon_ms"), seed=seed,
+                          price0=cfg["price0"], start_ms=cfg["start_ms"])
+    fmt = cfg["format"]
     # synthetic feeds are written in the exact ingestion schemas so they can
     # be fed straight back into the other subcommands
     if fmt == "klines":
@@ -524,10 +490,9 @@ def cmd_synth_gbm(cfg: dict) -> int:
     _write_table(out / written, {"timestamp_ms": series.timestamps, **prices})
     _write_manifest(
         out, "synth-gbm",
-        {"pair": cfg.get("pair", "synthetic"), "sigma": sigma,
-         "mu": cfg.get("mu", 0.0), "step_ms": cfg["step_ms"],
-         "horizon_ms": cfg["horizon_ms"], "seed": cfg.get("seed", 0),
-         "price0": cfg.get("price0", 1.0), "format": fmt, "file": written},
+        {"pair": cfg["pair"] or "synthetic", "sigma": sigma,  # an empty label is none
+         "mu": cfg["mu"], "step_ms": cfg["step_ms"], "horizon_ms": cfg["horizon_ms"],
+         "seed": seed, "price0": cfg["price0"], "format": fmt, "file": written},
         [],
         {"n_points": len(series)},
     )
@@ -536,42 +501,70 @@ def cmd_synth_gbm(cfg: dict) -> int:
 
 # --- parser --------------------------------------------------------------------
 
-# Every flag is declared once; a subcommand lists the flags it takes, and a
-# config-file key is checked against that list and converted by this entry.
+# Every option is declared once: "type" reads a flag's text or a config value
+# (raising ValueError), "check" accepts the value, "rule" says what both
+# require, "default" is the text an option not given takes, and "argparse"
+# holds extra add_argument keywords. A subcommand lists the flags it takes;
+# its config-file keys are those flags' names.
+_PATH = {"type": _text, "check": bool, "rule": "a path"}
+_NUMBER = {"type": functools.partial(_number, kind=float), "rule": "a number"}
+_INTEGER = {"type": functools.partial(_number, kind=int), "rule": "an integer"}
+_POSITIVE = {**_NUMBER, "check": lambda v: math.isfinite(v) and v > 0,
+             "rule": "finite and positive"}
+# an on/off flag given is True; its config value is JSON true or false
+_SWITCH = {"type": lambda value: value, "check": lambda value: isinstance(value, bool),
+           "rule": "true or false", "default": False,
+           "argparse": {"action": "store_const", "const": True}}
+
 OPTIONS = {
-    "--config": {"help": "JSON config file; flags override its values"},
-    "--pair": {"help": "trading pair label for outputs"},
-    "--out": {"help": "output directory"},
-    "--seed": {"type": int, "help": "random seed (recorded in the manifest)"},
-    "--quotes": {"help": "bid/ask update CSV (timestamp_ms,bid,ask)"},
-    "--klines": {"help": "kline CSV (timestamp_ms,open,...)"},
-    "--blocks": {"help": "block timestamp CSV (block_number,timestamp_s)"},
-    "--window": {"help": "schedule window START_MS:END_MS"},
-    "--initial-price": {"type": float,
+    "--config": {**_PATH, "help": "JSON config file; flags override its values"},
+    "--pair": {"type": _text, "rule": "text", "default": "", "help": "trading pair label"},
+    "--out": {**_PATH, "help": "output directory"},
+    "--seed": {**_INTEGER, "help": "random seed (recorded in the manifest)"},
+    "--quotes": {**_PATH, "help": "bid/ask update CSV (timestamp_ms,bid,ask)"},
+    "--klines": {**_PATH, "help": "kline CSV (timestamp_ms,open,...)"},
+    "--blocks": {**_PATH, "help": "block timestamp CSV (block_number,timestamp_s)"},
+    "--window": {"type": functools.partial(_pair, kind=int), "check": lambda w: w[0] < w[1],
+                 "rule": "START_MS:END_MS with START_MS < END_MS",
+                 "help": "schedule window START_MS:END_MS"},
+    "--initial-price": {**_POSITIVE,
                         "help": "initial pool price (default: first prevailing quote mid)"},
-    "--initial-reserve-x": {"type": float,
-                            "help": "initial X reserve (losses are scale-invariant; default 1)"},
-    "--fee-bps": {"type": float, "help": "pool fee in basis points"},
-    "--interval-ms": {"type": int, "help": "fixed block interval"},
-    "--concentration-k": {"type": float,
+    "--initial-reserve-x": {**_POSITIVE, "default": "1",
+                            "help": "initial X reserve (losses are scale-invariant)"},
+    "--fee-bps": {**_NUMBER, "check": _in_fee_range, "rule": "in [0, 10000)",
+                  "help": "pool fee in basis points"},
+    "--interval-ms": {**_INTEGER, "help": "fixed block interval"},
+    "--concentration-k": {**_NUMBER, "check": lambda k: math.isfinite(k) and k >= 1.0,
+                          "rule": "finite and >= 1", "default": "1",
                           "help": "concentration factor applied to relative losses and fees"},
-    "--swaps": {"help": "swap record CSV"},
-    "--position-liquidity": {"type": float, "help": "position size in L units (default 1)"},
-    "--per-block": {"action": "store_const", "const": True,
-                    "help": "aggregate swaps per block with end-of-block liquidity"},
-    "--ratio-window-days": {"type": float, "help": "trailing ratio window in days (default 30)"},
-    "--intervals-ms": {"help": "comma-separated interval grid (default 100ms..16s)"},
-    "--extended": {"action": "store_const", "const": True,
-                   "help": "use the extended grid up to 300s"},
-    "--fees-bps": {"help": "comma-separated fee grid in bps (default 10,20,30,50,100)"},
-    "--fit-range": {"help": "log-log fit range LO:HI in the grid's unit (ms or bps)"},
-    "--sigma": {"type": float, "help": "volatility per sqrt(year)"},
-    "--mu": {"type": float, "help": "drift per year (default 0)"},
-    "--step-ms": {"type": int},
-    "--horizon-ms": {"type": int},
-    "--price0": {"type": float, "help": "initial price (default 1)"},
-    "--start-ms": {"type": int},
-    "--format": {"choices": ("klines", "quotes"), "help": "output schema (default klines)"},
+    "--swaps": {**_PATH, "help": "swap record CSV"},
+    "--position-liquidity": {**_POSITIVE, "default": "1", "help": "position size in L units"},
+    "--per-block": {**_SWITCH, "help": "aggregate swaps per block with end-of-block liquidity"},
+    "--ratio-window-days": {**_NUMBER, "check": lambda days: 1 <= days * DAY_MS < math.inf,
+                            "rule": "finite and at least 1 ms",
+                            "default": "30", "help": "trailing ratio window in days"},
+    "--intervals-ms": {"type": functools.partial(_grid, kind=int),
+                       "check": _increasing(lambda ms: ms > 0),
+                       "rule": "strictly increasing positive integers",
+                       "help": "comma-separated interval grid (default "
+                               f"{','.join(map(str, DEFAULT_INTERVALS_MS))})"},
+    "--extended": {**_SWITCH, "help": "use the extended grid up to "
+                                      f"{EXTENDED_INTERVALS_MS[-1]} ms"},
+    "--fees-bps": {"type": functools.partial(_grid, kind=float),
+                   "check": _increasing(_in_fee_range),
+                   "rule": "strictly increasing values in [0, 10000)",
+                   "default": "10,20,30,50,100", "help": "comma-separated fee grid in bps"},
+    "--fit-range": {"type": functools.partial(_pair, kind=float), "rule": "a fit range LO:HI",
+                    "help": "log-log fit range LO:HI in the grid's unit (ms or bps)"},
+    "--sigma": {**_NUMBER, "help": "volatility per sqrt(year)"},
+    "--mu": {**_NUMBER, "default": "0", "help": "drift per year"},
+    "--step-ms": {**_INTEGER, "help": "price step"},
+    "--horizon-ms": {**_INTEGER, "help": "length of the path"},
+    "--price0": {**_NUMBER, "default": "1", "help": "initial price"},
+    "--start-ms": {**_INTEGER, "default": "0", "help": "timestamp of the first price"},
+    "--format": {"type": _text, "check": lambda name: name in ("klines", "quotes"),
+                 "rule": "klines or quotes", "default": "klines",
+                 "help": "output schema: klines or quotes"},
 }
 
 _COMMON = ("--config", "--pair", "--out", "--seed")
@@ -610,7 +603,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text, flags) in COMMANDS.items():
         sub = commands.add_parser(name, help=help_text)
         for flag in flags:
-            sub.add_argument(flag, **OPTIONS[flag])
+            spec = OPTIONS[flag]
+            shown = f" (default {spec['default']})" if spec.get("default") else ""
+            sub.add_argument(flag, help=spec["help"] + shown, **spec.get("argparse", {}))
     return parser
 
 
@@ -621,7 +616,7 @@ def main(argv=None) -> int:
         cfg = _merge_config(args)
         return COMMANDS[args.command][0](cfg)
     except InsufficientDataError as exc:  # the feed misses an instant of the schedule
-        feed = "quotes" if cfg.get("quotes") else "klines"
+        feed = "quotes" if cfg["quotes"] is not None else "klines"
         print(f"error: --{feed} {cfg[feed]}: {exc}", file=sys.stderr)
         return 2
     except InputError as exc:

@@ -29,6 +29,7 @@ from .arbitrage import Quote
 from .errors import InputError, InsufficientDataError, ParseError
 
 logger = logging.getLogger(__name__)
+_GZIP_ERRORS = (EOFError, zlib.error, gzip.BadGzipFile)  # reading a damaged or non-gzip .gz
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,8 @@ def _iter_rows(path: str, n_columns: int, exact: bool = True):
                 yield lineno, row
         except csv.Error as err:  # e.g. a cell over csv.field_size_limit()
             raise ParseError(str(path), line, f"unreadable row: {err}") from None
+        except _GZIP_ERRORS as err:
+            raise ParseError(str(path), line, f"unreadable gzip data: {err}") from None
 
 
 def _holds_quote(path: str) -> bool:
@@ -125,8 +128,8 @@ def _holds_quote(path: str) -> bool:
             while size := handle.readinto(chunk):
                 if chunk.find(b'"', 0, size) >= 0:
                     return True
-        except (EOFError, zlib.error, gzip.BadGzipFile):
-            pass  # damaged gzip: loadtxt raises the read error or the row parser a bad row
+        except _GZIP_ERRORS:
+            pass  # the row parser names the line it reached
     return False
 
 
@@ -134,11 +137,12 @@ def _read_columns(path: str, n_columns: int, exact: bool, dtypes) -> tuple | Non
     """The leading len(dtypes) columns of a CSV in one np.loadtxt call, or None.
 
     None sends the file to the row parser. That happens when loadtxt rejects
-    it, and before loadtxt when the file holds a '"' (csv.reader reads a quoted
-    cell on across line breaks and loadtxt does not), when it is not a regular
-    file (it could not be read twice), or when its suffix is one numpy would
-    decompress and _open_text reads as plain text. With exact=False, column
-    n_columns - 1 is read as well, unparsed, so that a short row fails here too.
+    it or a .gz file does not decompress, and before loadtxt when the file
+    holds a '"' (csv.reader reads a quoted cell on across line breaks and
+    loadtxt does not), when it is not a regular file (it could not be read
+    twice), or when its suffix is one numpy would decompress and _open_text
+    reads as plain text. With exact=False, column n_columns - 1 is read as
+    well, unparsed, so that a short row fails here too.
     """
     if (str(path).endswith((".bz2", ".xz", ".lzma")) or not os.path.isfile(path)
             or _holds_quote(path)):
@@ -148,24 +152,24 @@ def _read_columns(path: str, n_columns: int, exact: bool, dtypes) -> tuple | Non
     if not exact:
         usecols = (*range(len(fields)), n_columns - 1)
         fields.append(("last", "U1"))
-    with _open_text(path) as handle:  # the lines before the first row: header, blanks
-        skip, line = 0, handle.readline()
-        if line.strip():
-            try:
-                float(line.split(",", 1)[0])
-            except ValueError:
-                skip, line = 1, handle.readline()  # header
-        while line and not line.strip():
-            skip, line = skip + 1, handle.readline()
-    if not line:  # loadtxt would warn that the file holds no data
-        return tuple(np.empty(0, dtype) for dtype in dtypes)
     try:
+        with _open_text(path) as handle:  # the lines before the first row: header, blanks
+            skip, line = 0, handle.readline()
+            if line.strip():
+                try:
+                    float(line.split(",", 1)[0])
+                except ValueError:
+                    skip, line = 1, handle.readline()  # header
+            while line and not line.strip():
+                skip, line = skip + 1, handle.readline()
+        if not line:  # loadtxt would warn that the file holds no data
+            return tuple(np.empty(0, dtype) for dtype in dtypes)
         # a path, not a handle, so that numpy reads it in chunks, not line by line;
         # absolute, so that numpy does not take a name like a://b/k.csv for a URL.
         # comments=None: the row parser rejects what '#' would skip
         table = np.loadtxt(os.path.abspath(path), dtype=fields, delimiter=",", comments=None,
                            usecols=usecols, ndmin=1, skiprows=skip, encoding="utf-8")
-    except ValueError:
+    except (ValueError, *_GZIP_ERRORS):
         return None
     return tuple(np.ascontiguousarray(table[name]) for name, _ in fields[:len(dtypes)])
 

@@ -1,12 +1,24 @@
+import gzip
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lvrsim.cli import _CHUNK_ROWS, SCHEMA_VERSION, _write_table, main
+from lvrsim.cli import (
+    _CHUNK_ROWS,
+    COMMANDS,
+    OPTIONS,
+    SCHEMA_VERSION,
+    _merge_config,
+    _write_table,
+    build_parser,
+    main,
+)
+from lvrsim.errors import InputError
 
 FIXTURE = Path(__file__).parent / "data" / "swaps_fixture.csv"
 
@@ -780,3 +792,159 @@ class TestColumnWriter:
         with pytest.raises(ValueError, match="unequal"):
             _write_table(path, {"a": np.zeros(3), "b": np.zeros(2), "c": 1})
         assert list(tmp_path.iterdir()) == []
+
+
+def merged(argv) -> tuple[int, object]:
+    """(0, the merged options) of a command line, or (2, the InputError text)."""
+    try:
+        return 0, _merge_config(build_parser().parse_args([str(a) for a in argv]))
+    except InputError as exc:
+        return 2, str(exc)
+
+
+class TestOptionDeclarations:
+    """Each option is converted and checked by its OPTIONS entry, from a flag or a config key."""
+
+    VALID = {
+        "--pair": "ETH-USDC", "--out": "out", "--seed": "7", "--quotes": "q.csv",
+        "--klines": "k.csv", "--blocks": "b.csv", "--window": "0:60000",
+        "--initial-price": "2000", "--initial-reserve-x": "3", "--fee-bps": "30",
+        "--interval-ms": "12000", "--concentration-k": "2", "--swaps": "s.csv",
+        "--position-liquidity": "500", "--ratio-window-days": "7",
+        "--intervals-ms": "1000,4000", "--fees-bps": "10,30", "--fit-range": "1:100",
+        "--sigma": "0.5", "--mu": "0.1", "--step-ms": "1000", "--horizon-ms": "60000",
+        "--price0": "2000", "--start-ms": "5", "--format": "quotes",
+    }
+    # options whose config value is a JSON string only: a JSON number is no path or label
+    TEXT = {"--pair", "--out", "--quotes", "--klines", "--blocks", "--swaps", "--window",
+            "--fit-range", "--format"}
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, (_, _, flags) in COMMANDS.items() for flag in flags
+        if flag not in ("--config", "--per-block", "--extended")])
+    def test_config_value_converts_as_the_flag_text(self, tmp_path, command, flag):
+        key = flag[2:].replace("-", "_")
+        config = tmp_path / "cfg.json"
+        for text in (self.VALID[flag], "", "nan", "2.5", "true", "-1"):
+            value = text
+            if flag not in self.TEXT:
+                try:
+                    value = json.loads(text)
+                except ValueError:
+                    pass
+            config.write_text(json.dumps({key: value}))
+            by_flag = merged([command, f"{flag}={text}"])
+            by_config = merged([command, "--config", config])
+            assert by_flag[0] == by_config[0], (text, by_flag, by_config)
+            if by_flag[0] == 0:
+                assert repr(by_flag[1]) == repr(by_config[1]), text
+            else:
+                assert by_flag[1].startswith(f"{flag} must be "), by_flag
+                assert by_config[1].startswith(f"config file {config}: {key} must be ")
+        assert merged([command, f"{flag}={self.VALID[flag]}"])[0] == 0
+
+    @pytest.mark.parametrize("command, flag", [("fees", "--per-block"),
+                                               ("sweep-blocktime", "--extended")])
+    def test_switch_flag_is_json_true(self, tmp_path, command, flag):
+        key = flag[2:].replace("-", "_")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: True}))
+        assert merged([command, flag]) == merged([command, "--config", config])
+        assert merged([command])[1][key] is False
+
+    def test_defaults_filled_in(self):
+        code, cfg = merged(["compare"])
+        assert code == 0
+        assert (cfg["concentration_k"], cfg["position_liquidity"], cfg["initial_reserve_x"],
+                cfg["ratio_window_days"], cfg["per_block"], cfg["pair"]) == (1.0, 1.0, 1.0,
+                                                                              30.0, False, "")
+        assert cfg["fee_bps"] is None and cfg["window"] is None
+        assert merged(["sweep-fee"])[1]["fees_bps"] == [10.0, 20.0, 30.0, 50.0, 100.0]
+
+    @pytest.mark.parametrize("key, value", [("fee_bps", True), ("interval_ms", 2500.7),
+                                            ("seed", 1.9), ("concentration_k", False)])
+    def test_config_value_the_flag_text_would_reject(self, tmp_path, gbm_klines, capsys,
+                                                      key, value):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"klines": str(gbm_klines), "fee_bps": 30,
+                                      "interval_ms": 2000, key: value}))
+        assert run_cli("simulate-arb", "--config", config, "--out", tmp_path / "bad") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {config}: {key} must be ")
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("command, args, empty", [
+        ("simulate-arb", ["--fee-bps", 30, "--interval-ms", 2000], "--window"),
+        ("simulate-arb", ["--fee-bps", 30, "--interval-ms", 2000], "--blocks"),
+        ("simulate-arb", ["--fee-bps", 30, "--interval-ms", 2000], "--out"),
+        ("sweep-blocktime", ["--fee-bps", 30], "--intervals-ms"),
+        ("sweep-fee", ["--interval-ms", 2000], "--fit-range"),
+        ("sweep-fee", ["--interval-ms", 2000], "--fees-bps"),
+    ])
+    def test_empty_option_is_given(self, tmp_path, gbm_klines, capsys, monkeypatch, command,
+                                   args, empty):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        out = [] if empty == "--out" else ["--out", tmp_path / "bad"]
+        assert run_cli(command, "--klines", gbm_klines, *args, *out, f"{empty}=") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {empty} must be ") and "got ''" in err
+        assert not (tmp_path / "bad").exists() and not any(work.iterdir())
+
+    def test_quotes_and_klines_exclude_each_other(self, tmp_path, gbm_klines, capsys):
+        assert run_cli("simulate-arb", "--quotes", gbm_klines, "--klines", tmp_path / "none.csv",
+                       "--fee-bps", 30, "--interval-ms", 2000, "--out", tmp_path / "bad") == 2
+        assert capsys.readouterr().err == "error: give --quotes or --klines, not both\n"
+        assert not (tmp_path / "bad" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command, flag, grid, shown", [
+        ("sweep-fee", "--fees-bps", "10,20000", "20000"),
+        ("sweep-fee", "--fees-bps", "30,10", "30,10"),
+        ("sweep-fee", "--fees-bps", "10,10", "10,10"),
+        ("sweep-fee", "--fees-bps", "10,nan", "nan"),
+        ("sweep-fee", "--fees-bps", "-5,10", "-5"),
+        ("sweep-blocktime", "--intervals-ms", "4000,1000", "4000,1000"),
+        ("sweep-blocktime", "--intervals-ms", "0,1000", "0,1000"),
+        ("sweep-blocktime", "--intervals-ms", "-1000,1000", "-1000"),
+    ])
+    def test_grid_fault_names_its_flag_in_its_unit(self, tmp_path, gbm_klines, capsys, command,
+                                                   flag, grid, shown):
+        other = ["--interval-ms", 2000] if command == "sweep-fee" else ["--fee-bps", 30]
+        assert run_cli(command, "--klines", gbm_klines, *other, f"{flag}={grid}",
+                       "--out", tmp_path / "bad") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be strictly increasing") and shown in err
+        assert not (tmp_path / "bad").exists()
+
+    def test_ratio_window_past_the_float_range_exits_2(self, tmp_path, gbm_klines, capsys):
+        # finite in days, but not in milliseconds
+        assert run_cli("compare", "--klines", gbm_klines, "--swaps", FIXTURE, "--fee-bps", 30,
+                       "--interval-ms", 2000, "--position-liquidity", 500,
+                       "--ratio-window-days", "1e305", "--out", tmp_path / "bad") == 2
+        assert capsys.readouterr().err.startswith("error: --ratio-window-days must be finite")
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help_lists_the_declared_options(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        text = capsys.readouterr().out
+        flags = COMMANDS[command][2]
+        assert set(re.findall(r"^  (?:-h, )?(--[\w-]+)", text, re.M)) == {"--help", *flags}
+        for flag in flags:
+            if isinstance(OPTIONS[flag].get("default"), str) and OPTIONS[flag]["default"]:
+                assert f"(default {OPTIONS[flag]['default']})" in " ".join(text.split())
+
+
+class TestDamagedGzipInput:
+    @pytest.mark.parametrize("damage", ["plain text", "cut at 3000 bytes"])
+    def test_exits_2_naming_the_file(self, tmp_path, gbm_klines, capsys, damage):
+        text = gbm_klines.read_bytes()
+        path = tmp_path / "k.csv.gz"
+        path.write_bytes(text if damage == "plain text" else gzip.compress(text)[:3000])
+        assert run_cli("simulate-arb", "--klines", path, "--fee-bps", 30, "--interval-ms", 2000,
+                       "--out", tmp_path / "bad") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:") and "unreadable gzip data" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "bad" / "manifest.json").exists()

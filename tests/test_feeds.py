@@ -1,5 +1,6 @@
 import gzip
 import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -391,9 +392,20 @@ class TestLoaderPaths:
             load_klines(path)
         assert str(err.value) == f"{path}:6: bad open: 'x'"
 
+    def test_damaged_gzip_names_a_rule_fault_before_the_damage(self, tmp_path):
+        text = "".join(f"{1000 * max(i, 1)},2.5,3,2,2.6,1\n" for i in range(20_000))
+        path = tmp_path / "k.csv.gz"
+        path.write_bytes(gzip.compress(text.encode(), mtime=0)[:-100])
+        with pytest.raises(ParseError) as err:
+            load_klines(str(path))
+        assert str(err.value) == f"{path}:2: timestamps not strictly increasing: 1000 after 1000"
+
     def test_damaged_gzip_of_valid_rows_raises_the_read_error(self, tmp_path):
-        with pytest.raises(EOFError):
-            load_klines(self.damaged_gzip(tmp_path, bad_row=None))
+        path = self.damaged_gzip(tmp_path, bad_row=None)
+        with pytest.raises(ParseError, match=rf"^{re.escape(path)}:\d+: unreadable gzip data: "
+                                             "Compressed file ended") as err:
+            load_klines(path)
+        assert 1 < err.value.line <= 20_000
 
 
 # Numbers in every layout both parsers read to the same value, and unparsed
