@@ -12,7 +12,6 @@ from .arbitrage import (
     ArbTrade,
     Quote,
     apply_arbitrage,
-    lp_loss,
     no_arb_band,
     optimal_arb_trade,
     rebalancing_portfolio_value,
@@ -101,7 +100,6 @@ __all__ = [
     "load_quote_updates",
     "load_swap_records",
     "loglog_slope",
-    "lp_loss",
     "no_arb_band",
     "optimal_arb_trade",
     "position_value",

@@ -18,9 +18,6 @@ import numpy as np
 from .errors import InputError
 from .pool import Direction, PoolState, position_value, spot_price, swap_exact_in
 
-# consistency tolerance when re-checking a trade against a pool state
-_REL_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Quote:
@@ -50,7 +47,7 @@ class ArbTrade:
     amount_out: float
     execution_price_ext: float  # the bid or ask the arbitrageur trades at
     arb_profit: float  # in Y units, net of the pool fee
-    lp_relative_loss: float
+    lp_relative_loss: float  # arb_profit over the position value at execution_price_ext
 
 
 def no_arb_band(state: PoolState) -> tuple[float, float]:
@@ -102,32 +99,22 @@ def optimal_arb_trade(state: PoolState, quote: Quote) -> Optional[ArbTrade]:
     return ArbTrade(direction, amount_in, amount_out, price, profit, loss)
 
 
-def _checked_swap(trade: ArbTrade, state_before: PoolState):
-    result = swap_exact_in(state_before, trade.direction, trade.amount_in)
+def apply_arbitrage(state: PoolState, trade: Optional[ArbTrade]) -> PoolState:
+    """Pool state after executing a trade; the fee stays in the reserves.
+
+    A trade whose amount_out is off the swap's against this state by over 1e-9
+    relative raises InputError.
+    """
+    if trade is None or trade.amount_in == 0:
+        return state
+    result = swap_exact_in(state, trade.direction, trade.amount_in)
     scale = max(abs(trade.amount_out), abs(result.amount_out), 1e-300)
-    if abs(result.amount_out - trade.amount_out) > _REL_TOL * scale:
+    if abs(result.amount_out - trade.amount_out) > 1e-9 * scale:
         raise InputError(
             "trade is inconsistent with the pool state: expected amount_out "
             f"{result.amount_out}, trade carries {trade.amount_out}"
         )
-    return result
-
-
-def lp_loss(trade: ArbTrade, state_before: PoolState) -> float:
-    """LP loss of a trade relative to the position value.
-
-    Valued at the external execution price (the bid or ask actually used),
-    not the pool price.
-    """
-    _checked_swap(trade, state_before)
-    return trade.arb_profit / position_value(state_before, trade.execution_price_ext)
-
-
-def apply_arbitrage(state: PoolState, trade: Optional[ArbTrade]) -> PoolState:
-    """Pool state after executing a trade; the fee stays in the reserves."""
-    if trade is None or trade.amount_in == 0:
-        return state
-    return _checked_swap(trade, state).new_state
+    return result.new_state
 
 
 def rebalancing_portfolio_value(

@@ -14,12 +14,14 @@ leak future information.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import gzip
 import io
 import logging
 import math
 import os
+import re
 import zlib
 from dataclasses import dataclass
 
@@ -30,6 +32,7 @@ from .errors import InputError, InsufficientDataError, ParseError
 
 logger = logging.getLogger(__name__)
 _GZIP_ERRORS = (EOFError, zlib.error, gzip.BadGzipFile)  # reading a damaged or non-gzip .gz
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # a non-UTF-8 byte, as surrogateescape reads it
 
 
 @dataclass(frozen=True)
@@ -84,20 +87,27 @@ def quotes_from_prices(series: PriceSeries) -> QuoteSeries:
     return QuoteSeries(series.timestamps, series.prices, series.prices)
 
 
-def _open_text(path: str) -> io.TextIOBase:
-    if str(path).endswith(".gz"):
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8", newline="")
-    return open(path, "r", encoding="utf-8", newline="")
+def _open_bytes(path: str):
+    """The file's bytes, decompressed when its name ends in .gz."""
+    return gzip.open(path, "rb") if str(path).endswith(".gz") else open(path, "rb")
 
 
-def _iter_rows(path: str, n_columns: int, exact: bool = True):
-    """Yield (line_number, row) for each data row; a header row is skipped.
+def _csv_rows(path: str):
+    """Yield (line_number, row) for each data row; blank rows and a line-1 header are skipped.
 
-    The line number is the physical line the row starts on. exact=False
-    allows extra trailing columns (exchange dumps append them).
+    The line number is the physical line the row starts on. A byte that is not
+    UTF-8, a row csv.reader refuses and damaged gzip data raise a ParseError.
     """
-    with _open_text(path) as handle:
-        reader = csv.reader(handle)
+    def lines(handle):
+        for number, text in enumerate(handle, 1):
+            if not text.isascii() and (byte := _ESCAPED_BYTE.search(text)):
+                raise ParseError(str(path), number,
+                                 f"not UTF-8 text: byte 0x{ord(byte[0]) - 0xDC00:02x}")
+            yield text
+
+    with io.TextIOWrapper(_open_bytes(path), encoding="utf-8", errors="surrogateescape",
+                          newline="") as handle:
+        reader = csv.reader(lines(handle))
         line = 1  # where the next row starts
         try:
             for row in reader:
@@ -109,10 +119,6 @@ def _iter_rows(path: str, n_columns: int, exact: bool = True):
                         float(row[0])
                     except ValueError:
                         continue  # header
-                if len(row) < n_columns or (exact and len(row) != n_columns):
-                    expected = str(n_columns) if exact else f"at least {n_columns}"
-                    raise ParseError(str(path), lineno,
-                                     f"expected {expected} columns, got {len(row)}")
                 yield lineno, row
         except csv.Error as err:  # e.g. a cell over csv.field_size_limit()
             raise ParseError(str(path), line, f"unreadable row: {err}") from None
@@ -120,10 +126,19 @@ def _iter_rows(path: str, n_columns: int, exact: bool = True):
             raise ParseError(str(path), line, f"unreadable gzip data: {err}") from None
 
 
+def _iter_rows(path: str, n_columns: int, exact: bool = True):
+    """_csv_rows' rows, of n_columns cells; exact=False allows more (exchange dumps add some)."""
+    for lineno, row in _csv_rows(path):
+        if len(row) < n_columns or (exact and len(row) != n_columns):
+            expected = str(n_columns) if exact else f"at least {n_columns}"
+            raise ParseError(str(path), lineno, f"expected {expected} columns, got {len(row)}")
+        yield lineno, row
+
+
 def _holds_quote(path: str) -> bool:
     """Whether the file's (decompressed) bytes hold a '"', in one chunked pass."""
     chunk = bytearray(1 << 16)  # reused, and below the malloc mmap threshold: less peak RSS
-    with (gzip.open(path, "rb") if str(path).endswith(".gz") else open(path, "rb")) as handle:
+    with _open_bytes(path) as handle:
         try:
             while size := handle.readinto(chunk):
                 if chunk.find(b'"', 0, size) >= 0:
@@ -140,35 +155,29 @@ def _read_columns(path: str, n_columns: int, exact: bool, dtypes) -> tuple | Non
     it or a .gz file does not decompress, and before loadtxt when the file
     holds a '"' (csv.reader reads a quoted cell on across line breaks and
     loadtxt does not), when it is not a regular file (it could not be read
-    twice), or when its suffix is one numpy would decompress and _open_text
-    reads as plain text. With exact=False, column n_columns - 1 is read as
-    well, unparsed, so that a short row fails here too.
+    twice), or when its suffix is one numpy would decompress. loadtxt starts
+    at the first row _csv_rows yields, whose ParseError is the row parser's.
+    With exact=False, column n_columns - 1 is read as well, unparsed, so that
+    a short row fails here too.
     """
     if (str(path).endswith((".bz2", ".xz", ".lzma")) or not os.path.isfile(path)
             or _holds_quote(path)):
         return None
+    with contextlib.closing(_csv_rows(path)) as rows:
+        first = next(rows, None)
+    if first is None:  # loadtxt would warn that the file holds no data
+        return tuple(np.empty(0, dtype) for dtype in dtypes)
     fields = [(f"c{i}", dtype) for i, dtype in enumerate(dtypes)]
     usecols = None
     if not exact:
         usecols = (*range(len(fields)), n_columns - 1)
         fields.append(("last", "U1"))
     try:
-        with _open_text(path) as handle:  # the lines before the first row: header, blanks
-            skip, line = 0, handle.readline()
-            if line.strip():
-                try:
-                    float(line.split(",", 1)[0])
-                except ValueError:
-                    skip, line = 1, handle.readline()  # header
-            while line and not line.strip():
-                skip, line = skip + 1, handle.readline()
-        if not line:  # loadtxt would warn that the file holds no data
-            return tuple(np.empty(0, dtype) for dtype in dtypes)
         # a path, not a handle, so that numpy reads it in chunks, not line by line;
         # absolute, so that numpy does not take a name like a://b/k.csv for a URL.
         # comments=None: the row parser rejects what '#' would skip
         table = np.loadtxt(os.path.abspath(path), dtype=fields, delimiter=",", comments=None,
-                           usecols=usecols, ndmin=1, skiprows=skip, encoding="utf-8")
+                           usecols=usecols, ndmin=1, skiprows=first[0] - 1, encoding="utf-8")
     except (ValueError, *_GZIP_ERRORS):
         return None
     return tuple(np.ascontiguousarray(table[name]) for name, _ in fields[:len(dtypes)])

@@ -274,27 +274,25 @@ def convert_raw_swap_export(
     scale_x = 10.0**decimals_x
     scale_y = 10.0**decimals_y
     scale_l = 10.0 ** ((decimals_x + decimals_y) / 2.0)
-    written = 0
+    rows = []  # every row is checked before dest is opened
+    for lineno, row in _iter_rows(src, 6):
+        block = _parse_int(src, lineno, row[0], "block_number")
+        ts = _parse_int(src, lineno, row[1], "timestamp_ms")
+        amount_x = _parse_float(src, lineno, row[2], "amount_x")
+        amount_y = _parse_float(src, lineno, row[3], "amount_y")
+        sqrt_px = _parse_int(src, lineno, row[4], "sqrt_price_x96", int64=False)
+        liquidity = _parse_float(src, lineno, row[5], "liquidity")
+        if amount_x > 0:
+            token, amount = TOKEN_X, amount_x / scale_x
+        elif amount_y > 0:
+            token, amount = TOKEN_Y, amount_y / scale_y
+        else:
+            raise ParseError(str(src), lineno, "no positive input amount")
+        price = sqrt_price_x96_to_price(sqrt_px, decimals_x, decimals_y)
+        rows.append([block, ts, token, repr(amount), repr(fee_rate), repr(price),
+                     repr(liquidity / scale_l)])
     with open(dest, "w", encoding="utf-8", newline="") as out:
         writer = csv.writer(out)
         writer.writerow(name for name, _, _ in _SWAP_COLUMNS)
-        for lineno, row in _iter_rows(src, 6):
-            block = _parse_int(src, lineno, row[0], "block_number")
-            ts = _parse_int(src, lineno, row[1], "timestamp_ms")
-            amount_x = _parse_float(src, lineno, row[2], "amount_x")
-            amount_y = _parse_float(src, lineno, row[3], "amount_y")
-            sqrt_px = _parse_int(src, lineno, row[4], "sqrt_price_x96", int64=False)
-            liquidity = _parse_float(src, lineno, row[5], "liquidity")
-            if amount_x > 0:
-                token, amount = TOKEN_X, amount_x / scale_x
-            elif amount_y > 0:
-                token, amount = TOKEN_Y, amount_y / scale_y
-            else:
-                raise ParseError(str(src), lineno, "no positive input amount")
-            price = sqrt_price_x96_to_price(sqrt_px, decimals_x, decimals_y)
-            writer.writerow(
-                [block, ts, token, repr(amount), repr(fee_rate), repr(price),
-                 repr(liquidity / scale_l)]
-            )
-            written += 1
-    return written
+        writer.writerows(rows)
+    return len(rows)

@@ -334,6 +334,12 @@ def gbm_generate(
         raise InputError(f"mu must be finite, got {mu}")
     if not (math.isfinite(price0) and price0 > 0):
         raise InputError(f"price0 must be finite and positive, got {price0}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InputError(f"seed must be a non-negative integer, got {seed}")
+    start_ms = int(start_ms)
+    for name, value in (("start_ms", start_ms), ("start_ms + horizon_ms", start_ms + horizon_ms)):
+        if not -(2**63) <= value < 2**63:
+            raise InputError(f"{name} must fit in int64 milliseconds, got {value}")
     n = horizon_ms // step_ms
     dt = step_ms / YEAR_MS
     rng = np.random.default_rng(seed)
@@ -341,7 +347,7 @@ def gbm_generate(
     prices = np.empty(n + 1)
     prices[0] = price0
     prices[1:] = price0 * np.exp(np.cumsum(increments))
-    timestamps = int(start_ms) + np.arange(n + 1, dtype=np.int64) * int(step_ms)
+    timestamps = start_ms + np.arange(n + 1, dtype=np.int64) * int(step_ms)
     return PriceSeries(timestamps, prices)
 
 

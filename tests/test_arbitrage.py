@@ -10,7 +10,6 @@ from lvrsim import (
     PoolState,
     Quote,
     apply_arbitrage,
-    lp_loss,
     no_arb_band,
     optimal_arb_trade,
     position_value,
@@ -143,23 +142,23 @@ class TestOptimalArbTrade:
 class TestLpLoss:
     def test_example_value(self):
         trade = optimal_arb_trade(STATE, Quote(0, 2100.0, 2100.0))
-        assert lp_loss(trade, STATE) == pytest.approx(
+        assert trade.lp_relative_loss == pytest.approx(
             trade.arb_profit / 410000.0, rel=1e-12
         )
-        assert lp_loss(trade, STATE) == pytest.approx(2.623681124516979e-4, rel=1e-12)
+        assert trade.lp_relative_loss == pytest.approx(2.623681124516979e-4, rel=1e-12)
 
     def test_vanishing_opportunity(self):
         lower, upper = no_arb_band(STATE)
         quote = Quote(0, upper * (1.0 + 1e-12), upper * (1.0 + 1e-12))
         trade = optimal_arb_trade(STATE, quote)
         if trade is not None:
-            assert lp_loss(trade, STATE) < 1e-12
+            assert trade.lp_relative_loss < 1e-12
 
     def test_rejects_mismatched_state(self):
         trade = optimal_arb_trade(STATE, Quote(0, 2100.0, 2100.0))
         other = PoolState(50.0, 200000.0, 0.003)
         with pytest.raises(InputError):
-            lp_loss(trade, other)
+            apply_arbitrage(other, trade)
 
 
 class TestApplyArbitrage:

@@ -948,3 +948,31 @@ class TestDamagedGzipInput:
         assert err.startswith(f"error: {path}:") and "unreadable gzip data" in err
         assert "Traceback" not in err
         assert not (tmp_path / "bad" / "manifest.json").exists()
+
+
+class TestExit2NotExit1:
+    """Input the declared option checks pass, but the program cannot use: exit 2, no manifest."""
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "seed must be a non-negative integer, got -1"),
+        ("--start-ms", "99999999999999999999999",
+         "start_ms must fit in int64 milliseconds, got 99999999999999999999999"),
+        ("--start-ms", "9223372036854770000",
+         "start_ms + horizon_ms must fit in int64 milliseconds, got 9223372036854780000"),
+    ], ids=["negative-seed", "start-past-int64", "end-past-int64"])
+    def test_synth_gbm_value_outside_its_range(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "out"
+        assert run_cli("synth-gbm", "--sigma", 0.5, "--step-ms", 1000, "--horizon-ms", 10_000,
+                       "--seed", 1, flag, value, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("feed", ["--quotes", "--klines"])
+    def test_feed_that_is_not_utf8(self, tmp_path, capsys, feed):
+        path = tmp_path / "feed.csv"
+        path.write_bytes(b"\xff\xfe,1,2\n")
+        out = tmp_path / "out"
+        assert run_cli("simulate-arb", feed, path, "--fee-bps", 30, "--interval-ms", 1000,
+                       "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {path}:1: not UTF-8 text: byte 0xff\n"
+        assert not (out / "manifest.json").exists()

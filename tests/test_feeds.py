@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import lvrsim.feeds as feeds
@@ -281,6 +281,20 @@ class TestColumnarParity:
             f"{path}:2: unreadable row: field larger than field limit (131072)"
         )
 
+    @pytest.mark.parametrize("first", [KLINE[:-2] + "1" * 200_000 + "\n",
+                                       "timestamp_ms," + "x" * 200_000 + "\n" + KLINE],
+                             ids=["data-row", "header"])
+    def test_cell_over_the_csv_field_limit_in_the_first_row(self, tmp_path, first):
+        # no quote: the fast path asks the row reader where the data starts, and it refuses
+        path = write(tmp_path, "k.csv", first + "2000,2.6,3,2,2.7,1\n")
+        with pytest.raises(ParseError) as expected:
+            row_path(load_klines, path)
+        with pytest.raises(ParseError) as err:
+            load_klines(path)
+        assert str(err.value) == str(expected.value) == (
+            f"{path}:1: unreadable row: field larger than field limit (131072)"
+        )
+
     def test_line_after_a_cell_over_two_lines_is_the_physical_line(self, tmp_path):
         path = write(tmp_path, "k.csv",
                      '1000,2.5,3,2,2.6,"a\nb"\n2000,2.5,3,2,2.6,1\n3000,-1,3,2,2.6,1\n')
@@ -408,6 +422,41 @@ class TestLoaderPaths:
         assert 1 < err.value.line <= 20_000
 
 
+class TestNotUtf8:
+    """A byte that is not UTF-8 is a ParseError naming the line that holds it."""
+
+    @pytest.mark.parametrize("kind", ["klines", "quotes"])
+    def test_one_row_file(self, tmp_path, kind):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"\xff\xfe,1,2\n")
+        with pytest.raises(ParseError) as err:
+            LOADERS[kind](str(path))
+        assert str(err.value) == f"{path}:1: not UTF-8 text: byte 0xff"
+
+    @pytest.mark.parametrize("name", ["k.csv", "k.csv.gz"])
+    @pytest.mark.parametrize("text, line", [
+        (b"timestamp_ms,op\xe9n,high,low,close,volume\n" + KLINE.encode(), 1),
+        ("".join(f"{1000 * i},2.5,3,2,2.6,1\n" for i in range(1, 20_001)).encode()
+         + b"20001000,2.5,3,2,2.6,\xc3\n", 20_001),
+        (KLINE.encode() + b'2000,2.5,3,2,2.6,"a\r\nb\x80"\n', 3),  # in a quoted cell's second line
+    ], ids=["header", "after-20000-rows", "quoted-cell"])
+    def test_names_the_line_of_the_byte(self, tmp_path, name, text, line):
+        path = tmp_path / name
+        path.write_bytes(gzip.compress(text, mtime=0) if name.endswith(".gz") else text)
+        with pytest.raises(ParseError) as err:
+            load_klines(str(path))
+        assert err.value.line == line
+        assert re.fullmatch(rf"{re.escape(str(path))}:{line}: not UTF-8 text: byte 0x[0-9a-f]{{2}}",
+                            str(err.value))
+
+    def test_bad_row_before_the_byte_wins(self, tmp_path):
+        path = tmp_path / "k.csv"
+        path.write_bytes(KLINE.encode() + b"2000,-1,3,2,2.6,1\n3000,2.5,3,2,2.6,\xff\n")
+        with pytest.raises(ParseError) as err:
+            load_klines(str(path))
+        assert str(err.value) == f"{path}:2: open price must be positive, got -1.0"
+
+
 # Numbers in every layout both parsers read to the same value, and unparsed
 # kline cells of any text without a delimiter, quote or line break.
 INTS = st.integers(-(2**63), 2**63 - 1)
@@ -441,33 +490,44 @@ def save(directory, content):
 
 
 @st.composite
-def kline_files(draw):
-    stamps = sorted(draw(st.lists(INTS, max_size=20, unique=True)))
-    rows = [[draw(INT_TEXT)(t), draw(FLOAT_TEXT)(draw(POSITIVE)),
-             *draw(st.lists(CELL, min_size=4, max_size=7))] for t in stamps]
-    return draw(csv_file(rows, "timestamp_ms,open,high,low,close,volume"))
+def data_first_file(draw, rows, header):
+    """(text, gzip): a header or none, 0-3 blank or whitespace lines, then 1-20 rows."""
+    assume(rows)
+    lines = [header] if draw(st.booleans()) else []
+    lines += draw(st.lists(st.sampled_from(["", " ", "\t", " \t "]), max_size=3))
+    lines += [",".join(row) for row in rows[:20]]
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + newline, draw(st.booleans())
 
 
 @st.composite
-def quote_files(draw):
+def kline_files(draw, layout=csv_file):
+    stamps = sorted(draw(st.lists(INTS, max_size=20, unique=True)))
+    rows = [[draw(INT_TEXT)(t), draw(FLOAT_TEXT)(draw(POSITIVE)),
+             *draw(st.lists(CELL, min_size=4, max_size=7))] for t in stamps]
+    return draw(layout(rows, "timestamp_ms,open,high,low,close,volume"))
+
+
+@st.composite
+def quote_files(draw, layout=csv_file):
     stamps = sorted(draw(st.lists(INTS, max_size=12, unique=True)))
     rows = []
     for t in stamps:
         for _ in range(draw(st.integers(1, 3))):  # updates in the same millisecond
             bid, ask = sorted(draw(st.lists(POSITIVE, min_size=2, max_size=2)))
             rows.append([draw(INT_TEXT)(t), draw(FLOAT_TEXT)(bid), draw(FLOAT_TEXT)(ask)])
-    return draw(csv_file(rows, "timestamp_ms,bid,ask"))
+    return draw(layout(rows, "timestamp_ms,bid,ask"))
 
 
 @st.composite
-def block_files(draw):
+def block_files(draw, layout=csv_file):
     n = draw(st.integers(0, 20))
     numbers = sorted(draw(st.lists(INTS, min_size=n, max_size=n, unique=True)))
     # seconds whose milliseconds fit in int64; the rest are rejected
     in_range = st.integers(-(2**63 // 1000) + 1, 2**63 // 1000 - 1)
     seconds = sorted(draw(st.lists(in_range, min_size=n, max_size=n, unique=True)))
     rows = [[draw(INT_TEXT)(b), draw(INT_TEXT)(s)] for b, s in zip(numbers, seconds)]
-    return draw(csv_file(rows, "block_number,timestamp_s"))
+    return draw(layout(rows, "block_number,timestamp_s"))
 
 
 class TestColumnarProperty:
@@ -489,6 +549,14 @@ class TestColumnarProperty:
         path = save(tmp_path_factory.mktemp("b"), content)
         assert_bitwise_equal(columnar_only(load_block_timestamps, path),
                              row_path(load_block_timestamps, path))
+
+    @pytest.mark.parametrize("kind, files", [
+        ("klines", kline_files), ("quotes", quote_files), ("blocks", block_files)])
+    @given(data=st.data())
+    def test_both_paths_start_the_data_at_the_same_line(self, tmp_path_factory, kind, files,
+                                                        data):
+        path = save(tmp_path_factory.mktemp(kind), data.draw(files(data_first_file)))
+        assert_bitwise_equal(columnar_only(LOADERS[kind], path), row_path(LOADERS[kind], path))
 
 
 def quotes(ts, bids, asks=None):

@@ -486,6 +486,27 @@ class TestRawConversion:
         assert records[0].post_swap_price == pytest.approx(2000.0, rel=1e-9)
         assert records[0].post_swap_liquidity == pytest.approx(5000.0)
 
+    RAW = f"100,1000,1,-1,{2**96},1\n101,2000,1,-1,{2**96},1\n"
+
+    @pytest.mark.parametrize("existing", [None, b"kept\n"], ids=["no-dest", "dest-exists"])
+    def test_bad_row_leaves_dest_as_it_was(self, tmp_path, existing):
+        src, dest = tmp_path / "raw.csv", tmp_path / "swaps.csv"
+        src.write_text(self.RAW + f"102,3000,abc,-1,{2**96},1\n")
+        if existing is not None:
+            dest.write_bytes(existing)
+        with pytest.raises(ParseError) as err:
+            convert_raw_swap_export(str(src), str(dest), fee_rate=0.003)
+        assert str(err.value) == f"{src}:3: bad amount_x: 'abc'"
+        assert (dest.read_bytes() if dest.exists() else None) == existing
+
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        src, dest = tmp_path / "raw.csv", tmp_path / "swaps.csv"
+        src.write_bytes(self.RAW.encode() + f"102,3000,1,-1,{2**96},\xff\n".encode("latin-1"))
+        with pytest.raises(ParseError) as err:
+            convert_raw_swap_export(str(src), str(dest), fee_rate=0.003)
+        assert str(err.value) == f"{src}:3: not UTF-8 text: byte 0xff"
+        assert not dest.exists()
+
     def test_block_number_beyond_int64_names_line(self, tmp_path):
         src = tmp_path / "raw.csv"
         src.write_text(f"99999999999999999999,1000,1,-1,{2**96},1\n")

@@ -582,6 +582,26 @@ class TestGbmGenerate:
             gbm_generate(0.1, 0.0, 300, 1000, seed=0)  # horizon not a multiple
 
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+        ({"start_ms": 10**23}, f"start_ms must fit in int64 milliseconds, got {10**23}"),
+        ({"start_ms": -(2**63) - 1}, f"start_ms must fit in int64 milliseconds, got {-(2**63) - 1}"),
+        ({"start_ms": 9223372036854770000},  # the last stamp would wrap
+         "start_ms + horizon_ms must fit in int64 milliseconds, got 9223372036854780000"),
+    ], ids=["negative-seed", "float-seed", "start-past-int64", "start-before-int64",
+            "end-past-int64"])
+    def test_rejects_seed_and_stamps_outside_their_range(self, kwargs, message):
+        with pytest.raises(InputError) as err:
+            gbm_generate(**{"sigma": 0.5, "mu": 0.0, "step_ms": 1000, "horizon_ms": 10_000,
+                            "seed": 1, **kwargs})
+        assert str(err.value) == message
+
+    def test_last_stamp_at_the_int64_limit(self):
+        series = gbm_generate(0.5, 0.0, 1000, 10_000, seed=1, start_ms=2**63 - 1 - 10_000)
+        assert series.timestamps.tolist()[-1] == 2**63 - 1
+
+
 class TestLoglogSlope:
     def test_constructed_power_law(self):
         values = np.array([100.0, 1000.0, 10_000.0, 100_000.0])
