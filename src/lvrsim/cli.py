@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, simulation
 from .errors import FitError, InputError, InsufficientDataError
 from .feeds import (
     QuoteSeries,
@@ -340,8 +340,11 @@ def _fee_ledger(cfg: dict, factor: float):
 
 
 def _out_dir(cfg: dict) -> Path:
+    """The --out directory; the first table written makes it, so rejected input leaves none."""
     out = Path(_require(cfg, "out"))
-    out.mkdir(parents=True, exist_ok=True)
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise InputError(f"--out {out}: {existing} is not a directory")
     return out
 
 
@@ -476,8 +479,12 @@ def cmd_synth_gbm(cfg: dict) -> int:
     out = _out_dir(cfg)
     sigma = _require(cfg, "sigma")
     seed = 0 if cfg["seed"] is None else cfg["seed"]
-    series = gbm_generate(sigma=sigma, mu=cfg["mu"], step_ms=_require(cfg, "step_ms"),
-                          horizon_ms=_require(cfg, "horizon_ms"), seed=seed,
+    step, horizon = _require(cfg, "step_ms"), _require(cfg, "horizon_ms")
+    # gbm_generate rejects this too, but names its parameters, not the flags
+    if step > 0 and (steps := horizon // step) > simulation.GBM_MAX_STEPS:
+        raise InputError(f"--horizon-ms {horizon} / --step-ms {step} is {steps} steps; "
+                         f"at most {simulation.GBM_MAX_STEPS} are generated")
+    series = gbm_generate(sigma=sigma, mu=cfg["mu"], step_ms=step, horizon_ms=horizon, seed=seed,
                           price0=cfg["price0"], start_ms=cfg["start_ms"])
     fmt = cfg["format"]
     # synthetic feeds are written in the exact ingestion schemas so they can

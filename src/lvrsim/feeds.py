@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import gzip
 import io
 import logging
@@ -77,6 +78,11 @@ class QuoteSeries:
 
     def __len__(self) -> int:
         return len(self.timestamps)
+
+    @functools.cached_property
+    def resolution_ms(self) -> int:
+        """Least gap between neighbouring updates, 0 for fewer than two."""
+        return _min_gap(self.timestamps)
 
     def __getitem__(self, i: int) -> Quote:
         return Quote(int(self.timestamps[i]), float(self.bids[i]), float(self.asks[i]))
@@ -334,6 +340,36 @@ def _locf_index(timestamps: np.ndarray, instants) -> np.ndarray:
             f"no update at or before instant {instants[0]}; the first is at {timestamps[0]}"
         )
     return np.searchsorted(timestamps, instants, side="right") - 1
+
+
+def _min_gap(values: np.ndarray) -> int:
+    """Least difference of neighbours in strictly increasing int64 values; 0 for fewer than two."""
+    if len(values) < 2:
+        return 0
+    # unsigned, so that a gap wider than the int64 range does not wrap
+    return int(np.diff(np.asarray(values, dtype=np.int64).view(np.uint64)).min())
+
+
+def _locf_select(timestamps: np.ndarray, instants: np.ndarray, step: int):
+    """_locf_index's lookup as a basic slice where one is exact, else _locf_index's array.
+
+    step is the stamps' least gap, _min_gap(timestamps). A slice, whose use
+    gives a strided view instead of a gathered copy, is exact when the stamps
+    are uniform, the instants form a grid whose spacing is a multiple of the
+    step, and no instant is past the last stamp by a step or more.
+    """
+    n, m = len(timestamps), len(instants)
+    if n > 1 and m and instants[0] >= timestamps[0]:
+        first, span = int(timestamps[0]), int(instants[-1]) - int(instants[0])
+        # every gap is at least the least one: with the endpoints, all are equal
+        uniform = int(timestamps[-1]) - first == step * (n - 1)
+        interval = _min_gap(instants) or step  # one instant fits any grid
+        if uniform and interval % step == 0 and span == interval * (m - 1):
+            start = (int(instants[0]) - first) // step
+            stop = start + span // step + 1
+            if stop <= n:
+                return slice(start, stop, interval // step)
+    return _locf_index(timestamps, instants)
 
 
 def align_to_blocks(

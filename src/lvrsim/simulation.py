@@ -11,13 +11,14 @@ no stochastic arrival model.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import FitError, InputError, InsufficientDataError
-from .feeds import PriceSeries, QuoteSeries, _locf_index
+from .feeds import PriceSeries, QuoteSeries, _locf_select
 from .fees import PositionLedger
 from .pool import PoolState, concentration_scale
 
@@ -30,6 +31,9 @@ EXTENDED_INTERVALS_MS = DEFAULT_INTERVALS_MS + (32000, 60000, 120000, 300000)
 
 # instants the replay checks one at a time before it scans numpy chunks
 _SCALAR_SCAN = 16
+
+# most steps gbm_generate makes (a year of 100 ms steps is 3.2e8); 10**9 steps take 24 GB
+GBM_MAX_STEPS = 10**9
 
 
 @dataclass(frozen=True)
@@ -143,22 +147,21 @@ def run_arb_sim(
     order, so the result is bit-identical to replaying those per instant.
     """
     grid = schedule.timestamps
-    pos = _locf_index(quotes.timestamps, grid)
+    at = _locf_select(quotes.timestamps, grid, quotes.resolution_ms)
     if quotes.timestamps[-1] < grid[-1]:
         raise InsufficientDataError(
             f"quotes cover [{quotes.timestamps[0]}, {quotes.timestamps[-1]}] but the "
             f"schedule needs [{grid[0]}, {grid[-1]}]"
         )
-    bids = quotes.bids[pos]
-    asks = quotes.asks[pos]
+    bids = quotes.bids[at]  # a strided view where at is a slice, else a gathered copy
+    asks = quotes.asks[at]
     bid_at = memoryview(bids)  # indexing gives Python floats
     ask_at = memoryview(asks)
 
     rx, ry, fee = initial.reserve_x, initial.reserve_y, initial.fee
     omf = 1.0 - fee
-    events: list[int] = []
-    losses: list[float] = []
-    profits: list[float] = []
+    # instant index, loss and profit: 24 bytes an event, where lists of boxed numbers take ~100
+    events, losses, profits = array("q"), array("d"), array("d")
     dropped = 0
 
     n = len(grid)
@@ -217,9 +220,9 @@ def run_arb_sim(
         i = j + 1
 
     return LossSeries(
-        timestamps=grid[np.array(events, dtype=np.intp)],
-        losses=np.array(losses, dtype=float),
-        profits=np.array(profits, dtype=float),
+        timestamps=grid[np.frombuffer(events, dtype=np.int64)],
+        losses=np.frombuffer(losses, dtype=float),
+        profits=np.frombuffer(profits, dtype=float),
         n_instants=n,
         final_state=PoolState(rx, ry, fee),
         window_ms=schedule.span_ms,
@@ -237,12 +240,6 @@ def _annualized(total_loss: float, window_ms: int) -> float:
     return 1.0 - math.exp(math.log(multiplier) * (YEAR_MS / window_ms))
 
 
-def _quote_resolution_ms(quotes: QuoteSeries) -> int:
-    if len(quotes) < 2:
-        return 0
-    return int(np.diff(quotes.timestamps).min())
-
-
 def _sweep(
     parameter: str,
     values: Sequence[float],
@@ -252,7 +249,7 @@ def _sweep(
 ) -> SweepResult:
     """One arb simulation per (pool state, block interval) point on identical quotes."""
     shortest = min(interval for _, interval in points)
-    resolution = _quote_resolution_ms(quotes)
+    resolution = quotes.resolution_ms
     if resolution and shortest < resolution:
         raise InputError(
             f"interval {shortest}ms is below the quote-update resolution of {resolution}ms"
@@ -341,6 +338,9 @@ def gbm_generate(
         if not -(2**63) <= value < 2**63:
             raise InputError(f"{name} must fit in int64 milliseconds, got {value}")
     n = horizon_ms // step_ms
+    if n > GBM_MAX_STEPS:
+        raise InputError(f"horizon_ms {horizon_ms} / step_ms {step_ms} is {n} steps; "
+                         f"at most {GBM_MAX_STEPS} are generated")
     dt = step_ms / YEAR_MS
     rng = np.random.default_rng(seed)
     increments = (mu - 0.5 * sigma * sigma) * dt + sigma * math.sqrt(dt) * rng.standard_normal(n)

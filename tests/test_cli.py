@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lvrsim.simulation as simulation
 from lvrsim.cli import (
     _CHUNK_ROWS,
     COMMANDS,
@@ -965,7 +966,35 @@ class TestExit2NotExit1:
         assert run_cli("synth-gbm", "--sigma", 0.5, "--step-ms", 1000, "--horizon-ms", 10_000,
                        "--seed", 1, flag, value, "--out", out) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
+
+    def test_synth_gbm_step_count_limit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(simulation, "GBM_MAX_STEPS", 10)
+        args = ("synth-gbm", "--sigma", 0.5, "--step-ms", 1000)
+        assert run_cli(*args, "--horizon-ms", 10_000, "--out", tmp_path / "ten") == 0
+        out = tmp_path / "out"
+        assert run_cli(*args, "--horizon-ms", 11_000, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error: --horizon-ms 11000 / --step-ms 1000 is 11 steps; at most 10 are generated\n")
+        assert not out.exists()
+
+    def test_synth_gbm_horizon_past_any_array(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("synth-gbm", "--sigma", 0.5, "--step-ms", 1,
+                       "--horizon-ms", 4_000_000_000_000_000_000, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --horizon-ms 4000000000000000000 / --step-ms 1 is ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+    def test_out_that_is_a_file(self, tmp_path, capsys, below):
+        existing = tmp_path / "taken"
+        existing.write_text("kept\n")
+        out = existing / below if below else existing
+        assert run_cli("synth-gbm", "--sigma", 0.5, "--step-ms", 1000, "--horizon-ms", 10_000,
+                       "--out", out) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: {existing} is not a directory\n"
+        assert existing.read_text() == "kept\n"
 
     @pytest.mark.parametrize("feed", ["--quotes", "--klines"])
     def test_feed_that_is_not_utf8(self, tmp_path, capsys, feed):
@@ -975,4 +1004,4 @@ class TestExit2NotExit1:
         assert run_cli("simulate-arb", feed, path, "--fee-bps", 30, "--interval-ms", 1000,
                        "--out", out) == 2
         assert capsys.readouterr().err == f"error: {path}:1: not UTF-8 text: byte 0xff\n"
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()

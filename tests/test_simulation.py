@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from lvrsim import (
     quotes_from_prices,
     run_arb_sim,
 )
+import lvrsim.simulation as simulation
 from lvrsim.simulation import DAY_MS, YEAR_MS, _SCALAR_SCAN
 
 
@@ -218,6 +220,29 @@ class TestRunArbSim:
         for factor in (50.0, 60.0):  # 50 * 0.02 == 1 exactly
             with pytest.raises(InputError, match="leaves its range"):
                 run.scaled(factor)
+
+
+class TestReplayMemory:
+    """Traced peak of one replay of 6 h of 100 ms quotes on a 100 ms grid.
+
+    The quotes are read through strided views, not gathered copies, and the
+    events go to 24-byte-an-event buffers, not lists of boxed numbers.
+    """
+
+    @pytest.mark.parametrize("fee, bound", [(0.0, 48), (0.003, 16)], ids=["zero-fee", "30bp"])
+    def test_peak_bytes_per_instant(self, fee, bound):
+        horizon = 6 * 3600 * 1000
+        quotes = quotes_from_prices(gbm_generate(0.5, 0.0, 100, horizon, seed=5, price0=2000.0))
+        schedule = BlockSchedule.fixed(100, 0, horizon)
+        tracemalloc.start()
+        try:
+            run = run_arb_sim(PoolState(1.0, 2000.0, fee), quotes, schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if fee == 0.0:  # every instant trades
+            assert len(run.losses) > 0.99 * run.n_instants
+        assert peak / run.n_instants <= bound
 
 
 def left_fold(factors) -> float:
@@ -596,6 +621,13 @@ class TestGbmGenerate:
             gbm_generate(**{"sigma": 0.5, "mu": 0.0, "step_ms": 1000, "horizon_ms": 10_000,
                             "seed": 1, **kwargs})
         assert str(err.value) == message
+
+    def test_step_count_limit(self, monkeypatch):
+        monkeypatch.setattr(simulation, "GBM_MAX_STEPS", 10)
+        assert len(gbm_generate(0.5, 0.0, 1000, 10_000, seed=1)) == 11
+        with pytest.raises(InputError) as err:
+            gbm_generate(0.5, 0.0, 1000, 11_000, seed=1)
+        assert str(err.value) == "horizon_ms 11000 / step_ms 1000 is 11 steps; at most 10 are generated"
 
     def test_last_stamp_at_the_int64_limit(self):
         series = gbm_generate(0.5, 0.0, 1000, 10_000, seed=1, start_ms=2**63 - 1 - 10_000)
