@@ -2,8 +2,8 @@
 
 Subcommands: simulate-arb, fees, compare, sweep-blocktime, sweep-fee,
 synth-gbm. Options may come from flags or a JSON config file (--config);
-flags override file values. Every run writes CSV result tables plus a
-manifest.json recording parameters, input hashes, and fill counters.
+flags override file values. A subcommand computes its CSV result tables
+and manifest.json (parameters, input hashes, fill counters); main writes them.
 
 Exit codes: 0 success, 1 runtime failure, 2 configuration/validation
 failure. Result tables are deterministic for a given config and seed; only
@@ -114,16 +114,27 @@ def _sha256(path: str) -> dict:
     return {"sha256": digest.hexdigest(), "bytes": os.path.getsize(path)}
 
 
-def _write_manifest(out_dir: Path, command: str, params: dict, inputs: list[str],
-                    counters: dict | None = None, results: dict | None = None) -> None:
+@dataclass(frozen=True)
+class Output:
+    """What a subcommand computed, before main writes any of it: tables, manifest sections."""
+
+    tables: dict  # file name -> columns, as _write_table takes them
+    parameters: dict
+    fill_counters: dict
+    results: dict
+
+
+def _write_manifest(out_dir: Path, command: str, cfg: dict, output: Output) -> None:
+    """manifest.json; its inputs are the input file options given (a run reads each, or exits 2)."""
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
         "command": command,
-        "parameters": params,
-        "inputs": {name: _sha256(name) for name in inputs},
-        "fill_counters": counters or {},
-        "results": results or {},
+        "parameters": output.parameters,
+        "inputs": {cfg[key]: _sha256(cfg[key]) for key in ("quotes", "klines", "blocks", "swaps")
+                   if cfg.get(key) is not None},
+        "fill_counters": output.fill_counters,
+        "results": output.results,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
     _atomic_write(out_dir / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True)])
@@ -214,7 +225,8 @@ def _increasing(ok):
 
 def _require_file(path: str) -> str:
     if not os.path.isfile(path):
-        raise InputError(f"input file does not exist: {path}")
+        problem = "path is not a regular file" if os.path.exists(path) else "file does not exist"
+        raise InputError(f"input {problem}: {path}")
     return path
 
 
@@ -228,11 +240,10 @@ def _require(cfg: dict, key: str):
 
 @dataclass(frozen=True)
 class Feed:
-    """The quotes a run replays, every file read for them, and the --window."""
+    """The quotes a run replays, the --blocks, and the --window."""
 
     quotes: QuoteSeries
     kind: str  # "bid_ask" (--quotes) or "mid" (--klines)
-    inputs: list  # each file read, hashed into the manifest
     counters: dict
     blocks: np.ndarray | None  # --blocks timestamps in ms
     window: tuple[int, int] | None  # --window
@@ -254,19 +265,19 @@ def _load_feed(cfg: dict) -> Feed:
         kind, source, load = "mid", "klines", load_klines
     else:
         raise InputError("a price feed is required: give --quotes or --klines")
-    inputs = [cfg[source]]
     series = load(_require_file(cfg[source]))
     if not len(series):
         raise InputError(f"feed file {cfg[source]} holds no data rows")
     blocks, counters = None, {}
     if cfg["blocks"] is not None:
         blocks = load_block_timestamps(_require_file(cfg["blocks"]))
-        inputs.append(cfg["blocks"])
+        if not len(blocks):
+            raise InputError(f"--blocks {cfg['blocks']} holds no data rows")
         if kind == "mid":
             series, fills = align_to_blocks(series, blocks)  # all blocks, not the window
             counters = {"block_price_fills": fills, "blocks": int(len(blocks))}
     quotes = series if kind == "bid_ask" else quotes_from_prices(series)
-    return Feed(quotes, kind, inputs, counters, blocks, cfg["window"])
+    return Feed(quotes, kind, counters, blocks, cfg["window"])
 
 
 def _check_grid(feed: Feed, interval_ms: int) -> None:
@@ -295,6 +306,8 @@ def _make_schedule(cfg: dict, feed: Feed) -> BlockSchedule:
         blocks = feed.blocks
         if feed.window is not None:
             blocks = blocks[(blocks >= feed.window[0]) & (blocks <= feed.window[1])]
+            if not len(blocks):
+                raise InputError("--window {}:{} holds none of the --blocks".format(*feed.window))
         return BlockSchedule.from_blocks(blocks)
     if cfg["interval_ms"] is not None:
         _check_grid(feed, cfg["interval_ms"])
@@ -329,14 +342,14 @@ def _arb_run(cfg: dict, fee: float, factor: float):
     return run_arb_sim(initial, feed.quotes, schedule).scaled(factor), schedule, feed
 
 
-def _fee_ledger(cfg: dict, factor: float):
-    """Fee ledger of the --swaps position, its returns scaled by the factor k."""
-    swaps_path = _require_file(_require(cfg, "swaps"))
-    swaps = load_swap_records(swaps_path)
+def _fee_ledger(cfg: dict):
+    """Fee ledger of the --swaps position, its returns scaled by --concentration-k."""
+    swaps = load_swap_records(_require_file(_require(cfg, "swaps")))
     ledger = attribute_fees(swaps, cfg["position_liquidity"], per_block=cfg["per_block"])
     ledger = accumulate(PositionLedger(ledger.position_liquidity),
-                        concentration_scale(ledger.returns, factor), ledger.timestamps)
-    return ledger, swaps_path, len(swaps)
+                        concentration_scale(ledger.returns, cfg["concentration_k"]),
+                        ledger.timestamps)
+    return ledger, len(swaps)
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -350,95 +363,77 @@ def _out_dir(cfg: dict) -> Path:
 
 # --- subcommands ---------------------------------------------------------------
 
-def cmd_simulate_arb(cfg: dict) -> int:
-    out = _out_dir(cfg)
+def cmd_simulate_arb(cfg: dict) -> Output:
     fee, factor = _require(cfg, "fee_bps") / 1e4, cfg["concentration_k"]
     run, schedule, feed = _arb_run(cfg, fee, factor)
 
-    loss_by_instant = np.zeros(len(schedule.timestamps))
-    profit_by_instant = np.zeros(len(schedule.timestamps))
+    loss_by_instant, profit_by_instant = np.zeros((2, len(schedule.timestamps)))
     event_idx = np.searchsorted(schedule.timestamps, run.timestamps)
-    loss_by_instant[event_idx] = run.losses
-    profit_by_instant[event_idx] = run.profits
-    _write_table(out / "losses.csv", {
-        "schema_version": SCHEMA_VERSION, "timestamp_ms": schedule.timestamps,
-        "lp_relative_loss": loss_by_instant, "arb_profit": profit_by_instant,
-        "cumulative_relative_loss": 1.0 - np.cumprod(1.0 - loss_by_instant),
-    })
-    _write_manifest(
-        out, "simulate-arb",
+    loss_by_instant[event_idx], profit_by_instant[event_idx] = run.losses, run.profits
+    return Output(
+        {"losses.csv": {
+            "schema_version": SCHEMA_VERSION, "timestamp_ms": schedule.timestamps,
+            "lp_relative_loss": loss_by_instant, "arb_profit": profit_by_instant,
+            "cumulative_relative_loss": 1.0 - np.cumprod(1.0 - loss_by_instant),
+        }},
         {"pair": cfg["pair"], "fee": fee, "feed_kind": feed.kind,
          "concentration_k": factor, "interval_ms": schedule.interval_ms,
          "n_instants": int(run.n_instants), "seed": cfg["seed"]},
-        feed.inputs, feed.counters,
+        feed.counters,
         {"total_relative_loss": run.total_relative_loss,
          "n_events": int(len(run.losses)), "window_ms": run.window_ms},
     )
-    return 0
 
 
-def cmd_fees(cfg: dict) -> int:
-    out = _out_dir(cfg)
-    factor = cfg["concentration_k"]
-    ledger, swaps_path, n_records = _fee_ledger(cfg, factor)
-    _write_table(out / "fee_returns.csv", {
-        "schema_version": SCHEMA_VERSION, "timestamp_ms": ledger.timestamps,
-        "relative_fee_return": ledger.returns,
-        "cumulative_growth": np.cumprod(1.0 + ledger.returns),
-    })
-    _write_manifest(
-        out, "fees",
+def cmd_fees(cfg: dict) -> Output:
+    ledger, n_records = _fee_ledger(cfg)
+    return Output(
+        {"fee_returns.csv": {
+            "schema_version": SCHEMA_VERSION, "timestamp_ms": ledger.timestamps,
+            "relative_fee_return": ledger.returns,
+            "cumulative_growth": np.cumprod(1.0 + ledger.returns),
+        }},
         {"pair": cfg["pair"], "position_liquidity": ledger.position_liquidity,
-         "per_block": cfg["per_block"], "concentration_k": factor},
-        [swaps_path], {"n_records": n_records},
+         "per_block": cfg["per_block"], "concentration_k": cfg["concentration_k"]},
+        {"n_records": n_records},
         {"cumulative_fee_return": float(ledger.cumulative_growth) - 1.0,
          "n_periods": int(len(ledger.returns))},
     )
-    return 0
 
 
-def cmd_compare(cfg: dict) -> int:
-    out = _out_dir(cfg)
+def cmd_compare(cfg: dict) -> Output:
     fee, factor = _require(cfg, "fee_bps") / 1e4, cfg["concentration_k"]
     window_ms = int(cfg["ratio_window_days"] * DAY_MS)
-    ledger, swaps_path, _ = _fee_ledger(cfg, factor)
+    ledger, _ = _fee_ledger(cfg)
     run, _, feed = _arb_run(cfg, fee, factor)
     report = fees_vs_losses(ledger, run, window_ms)
-    _write_table(out / "comparison.csv", {
-        "schema_version": SCHEMA_VERSION, "timestamp_ms": report.timestamps,
-        "fee_return": report.fee_returns, "loss_return": report.loss_returns,
-        "cumulative_difference": report.cumulative_difference,
-        "trailing_ratio": report.trailing_ratio,
-    })
-    _write_manifest(
-        out, "compare",
+    return Output(
+        {"comparison.csv": {
+            "schema_version": SCHEMA_VERSION, "timestamp_ms": report.timestamps,
+            "fee_return": report.fee_returns, "loss_return": report.loss_returns,
+            "cumulative_difference": report.cumulative_difference,
+            "trailing_ratio": report.trailing_ratio,
+        }},
         {"pair": cfg["pair"], "fee": fee, "feed_kind": feed.kind,
          "concentration_k": factor, "position_liquidity": ledger.position_liquidity,
          "ratio_window_ms": window_ms},
-        feed.inputs + [swaps_path], feed.counters, report.totals,
+        feed.counters, report.totals,
     )
-    return 0
 
 
-def _write_sweep(out: Path, sweep, fit_range) -> dict:
+def _fit(sweep, fit_range) -> dict:
+    """The log-log slope of the sweep over the fit range, or the reason there is none."""
     try:
         slope, residual = loglog_slope(sweep, fit_range)
-        fit = {"slope": slope, "residual": residual,
-               "fit_range": list(fit_range) if fit_range is not None else
-               [float(sweep.values[0]), float(sweep.values[-1])]}
+        return {"slope": slope, "residual": residual,
+                "fit_range": list(fit_range) if fit_range is not None else
+                [float(sweep.values[0]), float(sweep.values[-1])]}
     except FitError as exc:
-        fit = {"slope": None, "residual": None, "error": str(exc)}
-    _write_table(out / "sweep.csv", {
-        "schema_version": SCHEMA_VERSION, sweep.parameter: sweep.values,
-        "total_relative_loss": sweep.total_losses,
-        "annualized_loss": sweep.annualized_losses, "n_events": sweep.n_events,
-    })
-    return fit
+        return {"slope": None, "residual": None, "error": str(exc)}
 
 
-def cmd_sweep(command: str, cfg: dict) -> int:
+def cmd_sweep(command: str, cfg: dict) -> Output:
     """sweep-blocktime or sweep-fee: total loss per grid value on one feed."""
-    out = _out_dir(cfg)
     if cfg["quotes"] is not None and cfg["blocks"] is not None:
         raise InputError("sweeps take --blocks only with --klines, to align them")
     feed = _load_feed(cfg)
@@ -464,19 +459,20 @@ def cmd_sweep(command: str, cfg: dict) -> int:
         sweep = blocktime_sweep(_initial_state(cfg, feed.quotes, feed.span[0], fee),
                                 feed.quotes, intervals, feed.span)
         grid = {"fee": fee, "intervals_ms": intervals}
-    fit = _write_sweep(out, sweep, fit_range)
-    _write_manifest(
-        out, command,
+    return Output(
+        {"sweep.csv": {
+            "schema_version": SCHEMA_VERSION, sweep.parameter: sweep.values,
+            "total_relative_loss": sweep.total_losses,
+            "annualized_loss": sweep.annualized_losses, "n_events": sweep.n_events,
+        }},
         {**grid, "pair": cfg["pair"], "feed_kind": feed.kind,
-         "window": feed.window, "seed": cfg["seed"], "fit": fit},
-        feed.inputs, feed.counters,
+         "window": feed.window, "seed": cfg["seed"], "fit": _fit(sweep, fit_range)},
+        feed.counters,
         {"total_losses": [float(v) for v in sweep.total_losses]},
     )
-    return 0
 
 
-def cmd_synth_gbm(cfg: dict) -> int:
-    out = _out_dir(cfg)
+def cmd_synth_gbm(cfg: dict) -> Output:
     sigma = _require(cfg, "sigma")
     seed = 0 if cfg["seed"] is None else cfg["seed"]
     step, horizon = _require(cfg, "step_ms"), _require(cfg, "horizon_ms")
@@ -494,16 +490,13 @@ def cmd_synth_gbm(cfg: dict) -> int:
     else:
         prices = dict.fromkeys(("bid", "ask"), series.prices)
     written = f"gbm_{fmt}.csv"
-    _write_table(out / written, {"timestamp_ms": series.timestamps, **prices})
-    _write_manifest(
-        out, "synth-gbm",
+    return Output(
+        {written: {"timestamp_ms": series.timestamps, **prices}},
         {"pair": cfg["pair"] or "synthetic", "sigma": sigma,  # an empty label is none
          "mu": cfg["mu"], "step_ms": cfg["step_ms"], "horizon_ms": cfg["horizon_ms"],
          "seed": seed, "price0": cfg["price0"], "format": fmt, "file": written},
-        [],
-        {"n_points": len(series)},
+        {"n_points": len(series)}, {},
     )
-    return 0
 
 
 # --- parser --------------------------------------------------------------------
@@ -621,7 +614,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args)
-        return COMMANDS[args.command][0](cfg)
+        out = _out_dir(cfg)
+        output = COMMANDS[args.command][0](cfg)
+        for name, columns in output.tables.items():
+            _write_table(out / name, columns)
+        _write_manifest(out, args.command, cfg, output)
+        return 0
     except InsufficientDataError as exc:  # the feed misses an instant of the schedule
         feed = "quotes" if cfg["quotes"] is not None else "klines"
         print(f"error: --{feed} {cfg[feed]}: {exc}", file=sys.stderr)

@@ -140,11 +140,14 @@ def run_arb_sim(
     """Replay quotes over a block schedule, applying optimal arb trades.
 
     The prevailing quote at each instant is the last update at or before
-    it. The quote series must cover the whole schedule window.
+    it. The quote series must cover the whole schedule window. An instant
+    whose quote is the previous instant's is skipped: the pool already
+    rests where that quote left it, so a recheck could trade only dust.
 
     The pool is kept as plain floats. Each step uses the expressions of
     no_arb_band, optimal_arb_trade and swap_exact_in in their operation
-    order, so the result is bit-identical to replaying those per instant.
+    order, so the result is bit-identical to replaying those at each
+    instant that is not skipped.
     """
     grid = schedule.timestamps
     at = _locf_select(quotes.timestamps, grid, quotes.resolution_ms)
@@ -153,6 +156,12 @@ def run_arb_sim(
             f"quotes cover [{quotes.timestamps[0]}, {quotes.timestamps[-1]}] but the "
             f"schedule needs [{grid[0]}, {grid[-1]}]"
         )
+    instants = grid
+    if not isinstance(at, slice):  # a slice never repeats a quote
+        changed = at[1:] != at[:-1]
+        if not changed.all():  # keep the first instant of each quote
+            fresh = np.flatnonzero(np.concatenate(([True], changed)))
+            instants, at = grid[fresh], at[fresh]
     bids = quotes.bids[at]  # a strided view where at is a slice, else a gathered copy
     asks = quotes.asks[at]
     bid_at = memoryview(bids)  # indexing gives Python floats
@@ -164,7 +173,7 @@ def run_arb_sim(
     events, losses, profits = array("q"), array("d"), array("d")
     dropped = 0
 
-    n = len(grid)
+    n = len(instants)
     i = 0
     while i < n:
         p = ry / rx
@@ -220,10 +229,10 @@ def run_arb_sim(
         i = j + 1
 
     return LossSeries(
-        timestamps=grid[np.frombuffer(events, dtype=np.int64)],
+        timestamps=instants[np.frombuffer(events, dtype=np.int64)],
         losses=np.frombuffer(losses, dtype=float),
         profits=np.frombuffer(profits, dtype=float),
-        n_instants=n,
+        n_instants=len(grid),
         final_state=PoolState(rx, ry, fee),
         window_ms=schedule.span_ms,
         n_dropped=dropped,

@@ -98,6 +98,13 @@ class TestSimulateArb:
         assert code == 2
         assert "nope.csv" in capsys.readouterr().err
 
+    def test_directory_input_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("simulate-arb", "--klines", tmp_path, "--fee-bps", 30,
+                       "--interval-ms", 1000, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: input path is not a regular file: {tmp_path}\n"
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, tmp_path, gbm_klines):
         outs = []
         for name in ("r1", "r2"):
@@ -451,6 +458,7 @@ class TestBadInputExits2:
                        "--out", tmp_path / "bad")
         assert code == 2
         assert "leaves its range" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()  # the replay ran, but nothing is written
 
     @pytest.mark.parametrize("days", ["nan", "inf", "0", "-1", "1e-12"])
     def test_ratio_window_days_out_of_range(self, tmp_path, gbm_klines, capsys, days):
@@ -705,6 +713,29 @@ class TestFeedStep:
         digest = hashlib.sha256(feed["blocks"].read_bytes()).hexdigest()
         assert inputs[str(feed["blocks"])]["sha256"] == digest
 
+    @pytest.mark.parametrize("command, files, rest", [
+        ("synth-gbm", [], ["--sigma", 0.5, "--step-ms", 1000, "--horizon-ms", 10_000]),
+        ("simulate-arb", ["--quotes", "--blocks"], ["--fee-bps", 30]),
+        ("fees", ["--swaps"], []),
+        ("compare", ["--klines", "--blocks", "--swaps"], ["--fee-bps", 30]),
+        ("sweep-blocktime", ["--klines", "--blocks"],
+         ["--fee-bps", 30, "--intervals-ms", "12000,24000"]),
+        ("sweep-fee", ["--quotes"], ["--interval-ms", 12_000]),
+    ], ids=["synth-gbm", "simulate-arb-quotes-blocks", "fees", "compare-klines-blocks",
+            "sweep-blocktime-klines-blocks", "sweep-fee-quotes"])
+    def test_manifest_inputs_are_the_file_options_given(self, tmp_path, feed, command, files,
+                                                        rest):
+        paths = {"--swaps": FIXTURE, **{f"--{name}": path for name, path in feed.items()}}
+        out = tmp_path / "out"
+        given = [arg for flag in files for arg in (flag, paths[flag])]
+        assert run_cli(command, *given, *rest, "--out", out) == 0
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert inputs.keys() == {str(paths[flag]) for flag in files}
+        for flag in files:
+            digest = hashlib.sha256(paths[flag].read_bytes()).hexdigest()
+            assert inputs[str(paths[flag])] == {"sha256": digest,
+                                                "bytes": paths[flag].stat().st_size}
+
     @pytest.mark.parametrize("command, grid", [("sweep-fee", ["--interval-ms", 12_000]),
                                                ("sweep-blocktime", ["--fee-bps", 30])],
                              ids=["sweep-fee", "sweep-blocktime"])
@@ -727,6 +758,29 @@ class TestFeedStep:
                             manifest["parameters"].get("n_instants")))
         assert results[0] == results[1]
         assert results[0][0] > 0
+
+    @pytest.mark.parametrize("command, grid", [("simulate-arb", ["--fee-bps", 30]),
+                                               ("compare", ["--fee-bps", 30]),
+                                               ("sweep-blocktime", ["--fee-bps", 30]),
+                                               ("sweep-fee", ["--interval-ms", 12_000])],
+                             ids=["simulate-arb", "compare", "sweep-blocktime", "sweep-fee"])
+    def test_header_only_blocks_names_blocks(self, tmp_path, capsys, feed, command, grid):
+        blocks, out = tmp_path / "header_only.csv", tmp_path / "out"
+        blocks.write_text("block_number,timestamp_s\n")
+        assert run_cli(command, "--klines", feed["klines"], "--blocks", blocks, *grid,
+                       "--out", out, *self.extra(command)) == 2
+        assert capsys.readouterr().err == f"error: --blocks {blocks} holds no data rows\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate-arb", "compare"])
+    @pytest.mark.parametrize("source", ["klines", "quotes"])
+    def test_window_holding_no_block_names_both(self, tmp_path, capsys, feed, command, source):
+        out = tmp_path / "out"
+        assert run_cli(command, f"--{source}", feed[source], "--blocks", feed["blocks"],
+                       "--window", "1:11999", "--fee-bps", 30, "--out", out,
+                       *self.extra(command)) == 2
+        assert capsys.readouterr().err == "error: --window 1:11999 holds none of the --blocks\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate-arb", "compare"])
     def test_blocks_with_interval_rejected(self, tmp_path, capsys, feed, command):

@@ -194,6 +194,11 @@ class TestRunArbSim:
         assert run.final_state == state
         assert run.scaled(2.0).n_dropped == 5
 
+        # an instant whose quote is the previous instant's is skipped, so the
+        # guard counts each quote once; n_instants counts the whole schedule
+        repeats = run_arb_sim(state, quotes, BlockSchedule.from_blocks([0, 1, 2, 1000, 1001]))
+        assert repeats.n_dropped == 2 and repeats.n_instants == 5
+
     @pytest.mark.parametrize("state, price", [
         (PoolState(1.0, 1e200, 0.003), 1.1e200), (PoolState(1e200, 1.0, 0.003), 0.9e-200),
     ], ids=["bid", "ask"])
@@ -324,31 +329,43 @@ def replay_cases(draw):
     return pool, QuoteSeries(prices.timestamps, bids, asks), schedule
 
 
+def dataclass_replay(pool, quotes, schedule):
+    """The replay instant by instant with the dataclass API, as run_arb_sim replays.
+
+    An instant whose quote is the previous instant's is skipped. Returns the
+    LossSeries fields it checks, and the set of trade directions.
+    """
+    state, previous = pool, -1
+    stamps, losses, profits, directions = [], [], [], set()
+    multiplier, dropped = 1.0, 0
+    position = np.searchsorted(quotes.timestamps, schedule.timestamps, side="right") - 1
+    for t, i in zip(schedule.timestamps.tolist(), position.tolist()):
+        if i == previous:
+            continue
+        previous = i
+        quote = quotes[i]
+        trade = optimal_arb_trade(state, quote)
+        if trade is None:
+            lower, upper = no_arb_band(state)
+            dropped += quote.bid > upper or quote.ask < lower
+            continue
+        state = apply_arbitrage(state, trade)
+        multiplier *= 1.0 - trade.lp_relative_loss
+        stamps.append(t)
+        losses.append(trade.lp_relative_loss)
+        profits.append(trade.arb_profit)
+        directions.add(trade.direction)
+    return stamps, losses, profits, multiplier, state, dropped, directions
+
+
 class TestReplayKernel:
     """run_arb_sim on plain floats against a per-instant dataclass replay."""
 
-    @given(case=replay_cases())
-    def test_bit_identical_to_dataclass_replay(self, case):
-        pool, quotes, schedule = case
-        state = pool
-        stamps, losses, profits, directions = [], [], [], set()
-        multiplier, dropped = 1.0, 0
-        position = np.searchsorted(quotes.timestamps, schedule.timestamps, side="right") - 1
-        for t, i in zip(schedule.timestamps.tolist(), position.tolist()):
-            quote = quotes[i]
-            trade = optimal_arb_trade(state, quote)
-            if trade is None:
-                lower, upper = no_arb_band(state)
-                dropped += quote.bid > upper or quote.ask < lower
-                continue
-            state = apply_arbitrage(state, trade)
-            multiplier *= 1.0 - trade.lp_relative_loss
-            stamps.append(t)
-            losses.append(trade.lp_relative_loss)
-            profits.append(trade.arb_profit)
-            directions.add(trade.direction)
-        assert directions == set(Direction)
-
+    @staticmethod
+    def assert_bit_identical(pool, quotes, schedule):
+        """Returns the run and the directions the dataclass replay traded in."""
+        stamps, losses, profits, multiplier, state, dropped, directions = dataclass_replay(
+            pool, quotes, schedule)
         run = run_arb_sim(pool, quotes, schedule)
         assert run.timestamps.dtype == np.int64
         assert run.timestamps.tobytes() == np.array(stamps, dtype=np.int64).tobytes()
@@ -358,13 +375,30 @@ class TestReplayKernel:
         assert run.final_state == state
         assert run.n_instants == len(schedule.timestamps)
         assert run.n_dropped == dropped
+        return run, directions
 
+    @given(case=replay_cases())
+    def test_bit_identical_to_dataclass_replay(self, case):
+        _, directions = self.assert_bit_identical(*case)
+        assert directions == set(Direction)
 
-FEES = (0.0, 0.0005, 0.003, 0.01)
+    @given(case=replay_cases(), offsets=st.sets(st.integers(1, 999), min_size=1, max_size=3))
+    def test_repeated_quotes_skipped_as_in_dataclass_replay(self, case, offsets):
+        pool, quotes, schedule = case
+        grid = schedule.timestamps
+        # instants after each grid instant but the last, within its 1 s quote:
+        # the schedule repeats quotes and takes the LOCF index array path
+        later = (grid[:-1, None] + np.array(sorted(offsets), dtype=np.int64)).ravel()
+        dense = BlockSchedule.from_blocks(np.sort(np.concatenate([grid, later])))
+        run, _ = self.assert_bit_identical(pool, quotes, dense)
+        on_grid = run_arb_sim(pool, quotes, schedule)
+        assert run.timestamps.tobytes() == on_grid.timestamps.tobytes()
+        assert run.losses.tobytes() == on_grid.losses.tobytes()
+        assert run.n_dropped == on_grid.n_dropped
 
 
 @st.composite
-def short_replays(draw, fees=FEES):
+def short_replays(draw):
     """(pool, quotes, schedule): up to 60 instants of GBM at a random fee and spread.
 
     The quotes run one step past the schedule, so that an instant 1 ms after
@@ -377,7 +411,7 @@ def short_replays(draw, fees=FEES):
     half = 0.5 * draw(st.sampled_from([0.0, 0.0005, 0.004]))
     quotes = QuoteSeries(prices.timestamps, prices.prices * (1.0 - half),
                          prices.prices * (1.0 + half))
-    fee = draw(st.sampled_from(fees))
+    fee = draw(st.sampled_from([0.0, 0.0005, 0.003, 0.01]))
     pool = PoolState(draw(st.floats(0.01, 100.0)), 2000.0 * draw(st.floats(0.5, 2.0)), fee)
     return pool, quotes, BlockSchedule.fixed(interval, 0, end)
 
@@ -408,15 +442,13 @@ class TestReplayInvariants:
         k = np.array(k)
         assert np.all(k[1:] >= k[:-1] * (1.0 - 4 * np.finfo(float).eps))
 
-    @given(case=short_replays(fees=FEES[1:]))
+    @given(case=short_replays())
     def test_instant_one_ms_later_adds_no_event(self, case):
         assert_one_ms_later_adds_no_event(*case)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="zero-width band: the pool ends a rounding away from the quote "
-                              "and the profit guard lets a dust trade through")
     def test_zero_fee_instant_one_ms_later_adds_no_event(self):
-        # one trade at 0 to the quote; at 1 ms the same quote trades a loss of 1.9e-18
+        # one trade at 0 to the quote; replayed at 1 ms, the same quote would trade
+        # a loss of 1.9e-18, as the pool ends a rounding away from it
         assert_one_ms_later_adds_no_event(PoolState(1.0, 1000.0, 0.0), constant_quotes(2000.0),
                                           BlockSchedule.from_blocks([0]))
 
