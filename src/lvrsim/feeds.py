@@ -141,33 +141,18 @@ def _iter_rows(path: str, n_columns: int, exact: bool = True):
         yield lineno, row
 
 
-def _holds_quote(path: str) -> bool:
-    """Whether the file's (decompressed) bytes hold a '"', in one chunked pass."""
-    chunk = bytearray(1 << 16)  # reused, and below the malloc mmap threshold: less peak RSS
-    with _open_bytes(path) as handle:
-        try:
-            while size := handle.readinto(chunk):
-                if chunk.find(b'"', 0, size) >= 0:
-                    return True
-        except _GZIP_ERRORS:
-            pass  # the row parser names the line it reached
-    return False
-
-
 def _read_columns(path: str, n_columns: int, exact: bool, dtypes) -> tuple | None:
     """The leading len(dtypes) columns of a CSV in one np.loadtxt call, or None.
 
     None sends the file to the row parser. That happens when loadtxt rejects
-    it or a .gz file does not decompress, and before loadtxt when the file
-    holds a '"' (csv.reader reads a quoted cell on across line breaks and
-    loadtxt does not), when it is not a regular file (it could not be read
-    twice), or when its suffix is one numpy would decompress. loadtxt starts
-    at the first row _csv_rows yields, whose ParseError is the row parser's.
-    With exact=False, column n_columns - 1 is read as well, unparsed, so that
-    a short row fails here too.
+    it or a .gz file does not decompress, and before loadtxt when the file is
+    not a regular file (it could not be read twice) or its suffix is one numpy
+    would decompress. loadtxt splits quoted cells as csv.reader does, and
+    starts at the first row _csv_rows yields, whose ParseError is the row
+    parser's. With exact=False, column n_columns - 1 is read as well,
+    unparsed, so that a short row fails here too.
     """
-    if (str(path).endswith((".bz2", ".xz", ".lzma")) or not os.path.isfile(path)
-            or _holds_quote(path)):
+    if str(path).endswith((".bz2", ".xz", ".lzma")) or not os.path.isfile(path):
         return None
     with contextlib.closing(_csv_rows(path)) as rows:
         first = next(rows, None)
@@ -183,7 +168,8 @@ def _read_columns(path: str, n_columns: int, exact: bool, dtypes) -> tuple | Non
         # absolute, so that numpy does not take a name like a://b/k.csv for a URL.
         # comments=None: the row parser rejects what '#' would skip
         table = np.loadtxt(os.path.abspath(path), dtype=fields, delimiter=",", comments=None,
-                           usecols=usecols, ndmin=1, skiprows=first[0] - 1, encoding="utf-8")
+                           quotechar='"', usecols=usecols, ndmin=1, skiprows=first[0] - 1,
+                           encoding="utf-8")
     except (ValueError, *_GZIP_ERRORS):
         return None
     return tuple(np.ascontiguousarray(table[name]) for name, _ in fields[:len(dtypes)])

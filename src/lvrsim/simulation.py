@@ -418,8 +418,8 @@ def fees_vs_losses(
     totals = {
         "total_fee_return": float(ledger.cumulative_growth - 1.0),
         "total_relative_loss": losses.total_relative_loss,
-        "sum_fee_returns": float(np.sum(fee_at)),
-        "sum_losses": float(np.sum(loss_at)),
+        "sum_fee_returns": float(np.sum(ledger.returns)),
+        "sum_losses": float(np.sum(losses.losses)),
         "final_difference": float(cumulative[-1]) if len(timeline) else 0.0,
     }
     return ComparisonReport(

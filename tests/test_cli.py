@@ -522,9 +522,9 @@ class TestBadInputExits2:
         assert f"{blocks}:3: bad timestamp_s" in err and "Traceback" not in err
 
     def test_cell_over_the_csv_field_limit(self, tmp_path, capsys):
-        # the quote sends the file to the row parser, whose csv.reader refuses the cell
+        # loadtxt rejects the open cell, and the row parser's csv.reader refuses it
         klines = tmp_path / "k.csv"
-        klines.write_text('1000,2.0,2,2,2,1\n2000,2.0,2,2,2,"' + "x" * 200_000 + '"\n')
+        klines.write_text('1000,2.0,2,2,2,1\n2000,"' + "x" * 200_000 + '",2,2,2,1\n')
         code = run_cli("simulate-arb", "--klines", klines, "--fee-bps", 30,
                        "--interval-ms", 1000, "--out", tmp_path / "bad")
         assert code == 2

@@ -191,21 +191,36 @@ MALFORMED = {
 # files the row parser accepts and np.loadtxt does not
 LOADTXT_REJECTS = {
     "klines": {
-        "quoted-cells": '"1000","2.5",3,2,2.6,1\n2000,2.6,3,2,2.7,1\n',
-        "quoted-cell-over-two-lines": KLINE + '2000,2.5,3,2,2.6,"a\n3000,3.0,1,1,1,b"\n',
-        "quoted-header": '"timestamp_ms",open,high,low,close,volume\n' + KLINE,
         "underscore": "1_000,2.5,3,2,2.6,1\n",
         "whitespace-line": KLINE + "   \n2000,2.6,3,2,2.7,1\n",
     },
     "quotes": {
-        "quoted-cells": '0,"99",101\n',
         "underscore": "0,99,1_01\n",
         "whitespace-line": "0,99,101\n \t \n1,99,101\n",
     },
     "blocks": {
-        "quoted-cells": '"100",12\n',
         "underscore": "1_00,12\n",
         "whitespace-line": "100,12\n  \n101,24\n",
+    },
+}
+
+# quoted cells, which np.loadtxt splits as csv.reader does
+QUOTED = {
+    "klines": {
+        "quoted-cells": '"1000","2.5",3,2,2.6,1\n2000,2.6,3,2,2.7,1\n',
+        "quoted-cell-over-two-lines": KLINE + '2000,2.5,3,2,2.6,"a\n3000,3.0,1,1,1,b"\n',
+        "quoted-header": '"timestamp_ms",open,high,low,close,volume\n' + KLINE,
+        "header-over-two-lines": '"timestamp\r\n_ms",open,high,low,close,volume\r\n' + KLINE,
+        "escaped-quote-and-comma": KLINE + '2000,2.6,"a""b,c",2,2.7,1\n',
+        "text-after-a-closing-quote": KLINE + '2000,2.6,"a"b,2,2.7,1\n',
+        "quote-inside-a-cell": KLINE + '2000,2.6,a"b,2,2.7,1\n',
+        "unterminated-quote": KLINE + '2000,2.6,3,2,2.7,"1\n3000,2.7,3,2,2.8,1\n',
+    },
+    "quotes": {
+        "quoted-cells": '0,"99",101\n',
+    },
+    "blocks": {
+        "quoted-cells": '"100",12\n',
     },
 }
 
@@ -233,12 +248,19 @@ class TestColumnarParity:
         assert rows.called and len(result) > 0
         assert_bitwise_equal(result, row_path(LOADERS[kind], path))
 
+    @pytest.mark.parametrize("kind, text", cases(QUOTED))
+    def test_quoted_file_takes_the_fast_path(self, tmp_path, kind, text):
+        path = write(tmp_path, "f.csv", text)
+        result = columnar_only(LOADERS[kind], path)
+        assert len(result) > 0
+        assert_bitwise_equal(result, row_path(LOADERS[kind], path))
+
     def test_cr_line_ends(self, tmp_path):
         path = write(tmp_path, "k.csv", "1000,2.5,3,2,2.6,1\r2000,2.6,3,2,2.7,1\r")
         assert_bitwise_equal(columnar_only(load_klines, path), row_path(load_klines, path))
 
     def test_quoted_cell_over_two_lines_is_one_row(self, tmp_path):
-        path = write(tmp_path, "k.csv", LOADTXT_REJECTS["klines"]["quoted-cell-over-two-lines"])
+        path = write(tmp_path, "k.csv", QUOTED["klines"]["quoted-cell-over-two-lines"])
         assert load_klines(path).timestamps.tolist() == [1000, 2000]
 
     def test_int64_overflow_names_file_and_line(self, tmp_path):
@@ -273,13 +295,21 @@ class TestColumnarParity:
         assert row_path(load_block_timestamps, path).tolist() == [-last * 1000, last * 1000]
 
     def test_cell_over_the_csv_field_limit_names_file_and_line(self, tmp_path):
-        # the quote sends the file to the row parser, whose csv.reader refuses the cell
-        path = write(tmp_path, "k.csv", KLINE + '2000,2.0,2,2,2,"' + "x" * 200_000 + '"\n')
+        # loadtxt rejects the open cell, and the row parser's csv.reader refuses it
+        path = write(tmp_path, "k.csv", KLINE + '2000,"' + "x" * 200_000 + '",2,2,2,1\n')
         with pytest.raises(ParseError) as err:
             load_klines(path)
         assert str(err.value) == (
             f"{path}:2: unreadable row: field larger than field limit (131072)"
         )
+
+    @pytest.mark.parametrize("cell", ['"' + "x" * 200_000 + '"', "x" * 200_000],
+                             ids=["quoted", "unquoted"])
+    def test_cell_over_the_csv_field_limit_in_an_unparsed_column_loads(self, tmp_path, cell):
+        path = write(tmp_path, "k.csv", KLINE + f"2000,2.6,{cell},2,2.7,1\n")
+        series = columnar_only(load_klines, path)
+        assert series.timestamps.tolist() == [1000, 2000]
+        assert series.prices.tolist() == [2.5, 2.6]
 
     @pytest.mark.parametrize("first", [KLINE[:-2] + "1" * 200_000 + "\n",
                                        "timestamp_ms," + "x" * 200_000 + "\n" + KLINE],
@@ -309,8 +339,8 @@ class TestColumnarParity:
         assert str(err.value) == f"{path}:2: open price must be positive, got -1.0"
 
     def test_cell_over_the_csv_field_limit_after_a_cell_over_two_lines(self, tmp_path):
-        path = write(tmp_path, "k.csv", '1000,2.5,3,2,2.6,"a\nb"\n2000,2.0,2,2,2,"'
-                     + "x" * 200_000 + '"\n')
+        path = write(tmp_path, "k.csv", '1000,2.5,3,2,2.6,"a\nb"\n2000,"'
+                     + "x" * 200_000 + '",2,2,2,1\n')
         with pytest.raises(ParseError) as err:
             load_klines(path)
         assert str(err.value) == (
@@ -364,21 +394,17 @@ class TestLoaderPaths:
         assert series.timestamps.tolist() == [1000, 2000]
         assert series.prices.tolist() == [2.5, 2.6]
 
-    def test_gzip_quote_in_an_unparsed_column_reaches_the_row_parser(self, tmp_path):
+    def test_gzip_quote_in_an_unparsed_column_takes_the_fast_path(self, tmp_path):
         path = tmp_path / "k.csv.gz"
-        path.write_bytes(gzip.compress((KLINE + '2000,2.6,3,2,2.7,"1"\n').encode(), mtime=0))
-        iter_rows, rows = feeds._iter_rows, []
-
-        def counting(*args):
-            for row in iter_rows(*args):
-                rows.append(row)
-                yield row
-
-        with mock.patch.object(feeds, "_iter_rows", counting):
-            series = load_klines(str(path))
-        assert len(rows) == 2
+        text = KLINE + '2000,2.6,3,2,2.7,"1"\n'
+        path.write_bytes(gzip.compress(text.encode(), mtime=0))
+        series = columnar_only(load_klines, str(path))
         assert series.timestamps.tolist() == [1000, 2000]
         assert series.prices.tolist() == [2.5, 2.6]
+        path.write_bytes(gzip.compress((text + "3000,-1,3,2,2.7,1\n").encode(), mtime=0))
+        with pytest.raises(ParseError) as err:
+            load_klines(str(path))
+        assert str(err.value) == f"{path}:3: open price must be positive, got -1.0"
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_is_read_once(self):
@@ -457,16 +483,33 @@ class TestNotUtf8:
         assert str(err.value) == f"{path}:2: open price must be positive, got -1.0"
 
 
-# Numbers in every layout both parsers read to the same value, and unparsed
-# kline cells of any text without a delimiter, quote or line break.
+def quoted(text):
+    """text as one quoted CSV cell, each '"' in it doubled."""
+    return '"' + text.replace('"', '""') + '"'
+
+
+# Numbers in every layout both parsers read to the same value, bare or quoted,
+# and unparsed kline cells of any text: bare without a delimiter, quote or
+# line break, or quoted around any of them.
 INTS = st.integers(-(2**63), 2**63 - 1)
 POSITIVE = st.floats(min_value=5e-324, allow_infinity=False)
-INT_TEXT = st.sampled_from(["{}", "{:+d}", " {} ", "{:05d}", "\t{}"]).map(
+INT_TEXT = st.sampled_from(["{}", "{:+d}", " {} ", "{:05d}", "\t{}",
+                            '"{}"', '" {:+d}"', '"{}\r\n"']).map(lambda layout: layout.format)
+FLOAT_TEXT = st.sampled_from(["{!r}", "{:.17e}", "{:+.17g}", " {!r}\t", "{:.17E}",
+                              '"{!r}"', '"{:.17e} "', '"\n{!r}"']).map(
     lambda layout: layout.format)
-FLOAT_TEXT = st.sampled_from(["{!r}", "{:.17e}", "{:+.17g}", " {!r}\t", "{:.17E}"]).map(
-    lambda layout: layout.format)
-CELL = st.text(st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",)),
-               max_size=4)
+CELL = (st.text(st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",)),
+                max_size=4)
+        | st.text(st.sampled_from(',"\r\n') | st.characters(blacklist_categories=("Cs",)),
+                  max_size=4).map(quoted))
+
+
+def headers(names):
+    """The header bare, each name quoted, or its first name quoted around a line break."""
+    first, rest = names.split(",", 1)
+    return (st.sampled_from([names, ",".join(map(quoted, names.split(",")))])
+            | st.sampled_from(["\n", "\r\n", "\r"]).map(
+                lambda br: quoted(first[:4] + br + first[4:]) + "," + rest))
 
 
 @st.composite
@@ -476,7 +519,7 @@ def csv_file(draw, rows, header):
     for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(0, len(lines))), "")
     if draw(st.booleans()):
-        lines.insert(0, header)
+        lines.insert(0, draw(headers(header)))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + (newline if lines else ""), draw(st.booleans())
 
@@ -493,7 +536,7 @@ def save(directory, content):
 def data_first_file(draw, rows, header):
     """(text, gzip): a header or none, 0-3 blank or whitespace lines, then 1-20 rows."""
     assume(rows)
-    lines = [header] if draw(st.booleans()) else []
+    lines = [draw(headers(header))] if draw(st.booleans()) else []
     lines += draw(st.lists(st.sampled_from(["", " ", "\t", " \t "]), max_size=3))
     lines += [",".join(row) for row in rows[:20]]
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))

@@ -328,7 +328,6 @@ MALFORMED_SWAPS = {
 # files the row parser accepts and the fast path hands to it
 FALLBACK_SWAPS = {
     "padded-token": "1,1000, X ,5.0,0.003,2000.0,1e6\n",
-    "quoted-token": '1,1000,"Y",5.0,0.003,2000.0,1e6\n',
     "underscore": "1,1_000,X,5.0,0.003,2000.0,1e6\n",
     "whitespace-line": SWAP + "  \n" + SWAP,
 }
@@ -354,6 +353,12 @@ class TestSwapColumnarParity:
         assert rows.called and records
         assert typed(records) == typed(row_path(str(path)))
 
+    def test_quoted_token_takes_the_fast_path(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text('1,1000,"Y",5.0,0.003,2000.0,1e6\n')
+        records = columnar_only(str(path))
+        assert records and typed(records) == typed(row_path(str(path)))
+
     def test_fixture_takes_the_fast_path(self):
         assert typed(columnar_only(str(FIXTURE))) == typed(row_path(str(FIXTURE)))
 
@@ -373,7 +378,8 @@ def swap_files(draw):
     stamps = sorted(draw(st.lists(INTS, max_size=20)))
     blocks = sorted(draw(st.lists(INTS, min_size=len(stamps), max_size=len(stamps))))
     fee = st.floats(0, 1, exclude_min=True, exclude_max=True)
-    rows = [[draw(INT_TEXT)(b), draw(INT_TEXT)(t), draw(st.sampled_from("XY")),
+    token = st.sampled_from(["X", "Y", '"X"', '"Y"'])
+    rows = [[draw(INT_TEXT)(b), draw(INT_TEXT)(t), draw(token),
              draw(FLOAT_TEXT)(draw(POSITIVE)), draw(FLOAT_TEXT)(draw(fee)),
              draw(FLOAT_TEXT)(draw(POSITIVE)), draw(FLOAT_TEXT)(draw(POSITIVE))]
             for b, t in zip(blocks, stamps)]

@@ -756,6 +756,21 @@ class TestFeesVsLosses:
         assert empty.totals == dict.fromkeys(full.totals, 0.0)
         assert len(empty.timestamps) == 0 and empty.timestamps.dtype == np.int64
 
+    def test_each_sum_depends_on_its_own_series_only(self):
+        # five orders of magnitude, so that adding zero cells of the other series
+        # in between would change the grouping of the sum and its last digits
+        rng = np.random.default_rng(1)
+        ts = np.arange(0, 20 * DAY_MS, DAY_MS)
+        values = 10.0 ** rng.uniform(-8, -3, len(ts))
+        on_a_stamp, between = [0], [DAY_MS // 2]
+        fees = [fees_vs_losses(self.ledger(ts, values), loss_series(other, [1e-4])).totals
+                for other in (on_a_stamp, between)]
+        losses = [fees_vs_losses(self.ledger(other, [1e-4]), loss_series(ts, values)).totals
+                  for other in (on_a_stamp, between)]
+        total = float(np.sum(values))
+        assert [t["sum_fee_returns"].hex() for t in fees] == [total.hex()] * 2
+        assert [t["sum_losses"].hex() for t in losses] == [total.hex()] * 2
+
     def test_difference_is_running_sum(self):
         rng = np.random.default_rng(8)
         fee_ts = np.sort(rng.choice(np.arange(0, 100 * DAY_MS, DAY_MS // 7), 40, replace=False))
