@@ -232,7 +232,14 @@ def _swap_rules(*columns):
 
 def load_swap_records(path: str) -> SwapTable:
     """Load the swaps of a CSV in the canonical schema as columns."""
-    return SwapTable(*_load_columns(path, 7, True, _SWAP_COLUMNS, _swap_rules))
+    columns = _load_columns(path, 7, True, _SWAP_COLUMNS, _swap_rules)
+    # _load_columns has applied _swap_rules, naming the faulty row's line, and
+    # returns equal-length columns of the SwapTable dtypes: __post_init__ would
+    # only repeat that check
+    table = object.__new__(SwapTable)
+    for f, column in zip(fields(SwapTable), columns):
+        object.__setattr__(table, f.name, column)
+    return table
 
 
 # --- raw export conversion ------------------------------------------------

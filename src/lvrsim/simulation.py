@@ -172,61 +172,67 @@ def run_arb_sim(
     # instant index, loss and profit: 24 bytes an event, where lists of boxed numbers take ~100
     events, losses, profits = array("q"), array("d"), array("d")
     dropped = 0
+    # locals: the loop below runs once per instant and per event, and a local
+    # read is cheaper than a global, attribute or method lookup
+    sqrt, inf, scan = math.sqrt, math.inf, _SCALAR_SCAN
+    add_event, add_loss, add_profit = events.append, losses.append, profits.append
 
     n = len(instants)
-    i = 0
-    while i < n:
+    j = 0
+    while j < n:
         p = ry / rx
         lower, upper = p * omf, p / omf
         # after a trade the next instants often exit the band again (zero-fee
         # feeds trade at every price change): look at a few in Python first
-        j = i
-        stop = min(i + _SCALAR_SCAN, n)
-        while j < stop and not (bid_at[j] > upper or ask_at[j] < lower):
-            j += 1
-        if j == stop:
-            j = -1
-            s = stop
-            chunk = 64
-            while s < n:
-                e = min(s + chunk, n)
-                mask = (bids[s:e] > upper) | (asks[s:e] < lower)
-                hit = int(np.argmax(mask))
-                if mask[hit]:
-                    j = s + hit
-                    break
-                s = e
-                chunk = min(chunk * 2, 1 << 16)
-            if j < 0:
+        stop = j + scan
+        if stop > n:
+            stop = n
+        while j < stop:
+            bid = bid_at[j]
+            if bid > upper or ask_at[j] < lower:
                 break
+            j += 1
+        else:  # no exit among them: scan numpy chunks of 64, 128, ... up to 1 << 16
+            chunk = 64
+            while j < n:
+                mask = (bids[j:j + chunk] > upper) | (asks[j:j + chunk] < lower)
+                hit = mask.argmax()
+                if mask[hit]:
+                    j += int(hit)
+                    break
+                j += chunk
+                if chunk < 1 << 16:
+                    chunk += chunk
+            else:  # no exit before the end of the schedule
+                break
+            bid = bid_at[j]
         k = rx * ry
-        price = bid_at[j]
-        if price > upper:  # sell Y to the pool, the X out at the bid
-            amount_in = (math.sqrt(omf * k * price) - ry) / omf
+        if bid > upper:  # sell Y to the pool, the X out at the bid
+            price = bid
+            amount_in = (sqrt(omf * k * price) - ry) / omf
             new_x = k / (ry + omf * amount_in)
             new_y = ry + amount_in
             profit = price * (rx - new_x) - amount_in
         else:  # sell X to the pool, bought at the ask
             price = ask_at[j]
-            amount_in = (math.sqrt(omf * k / price) - rx) / omf
+            amount_in = (sqrt(omf * k / price) - rx) / omf
             new_y = k / (rx + omf * amount_in)
             new_x = rx + amount_in
             profit = (ry - new_y) - price * amount_in
         # guard against degenerate trades just outside the band at float noise
         if amount_in > 0 and profit > 0:
-            if not (0.0 < new_x < math.inf and 0.0 < new_y < math.inf):
+            if not (0.0 < new_x < inf and 0.0 < new_y < inf):
                 PoolState(new_x, new_y, fee)  # raises the InputError naming the reserve
-            loss = profit / (rx * price + ry)
-            events.append(j)
-            losses.append(loss)
-            profits.append(profit)
+            add_event(j)
+            add_loss(profit / (rx * price + ry))
+            add_profit(profit)
             rx, ry = new_x, new_y
         else:
             if not math.isfinite(amount_in):
                 raise InputError(f"the trade at price {price} overflows against reserves "
                                  f"x={rx}, y={ry}; losses are scale-invariant: use smaller ones")
             dropped += 1
-        i = j + 1
+        j += 1
 
     return LossSeries(
         timestamps=instants[np.frombuffer(events, dtype=np.int64)],

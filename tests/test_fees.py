@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from test_feeds import FLOAT_TEXT, INT_TEXT, INTS, POSITIVE, cases, csv_file, save
 
 import lvrsim.feeds as feeds
+import lvrsim.fees as fees
 from lvrsim import (
     InputError,
     ParseError,
@@ -252,6 +253,18 @@ class TestLoadSwapRecords:
         with pytest.raises(ParseError) as err:
             load_swap_records(str(path))
         assert str(err.value) == f"{path}:2: block numbers decreasing: 4 after 5"
+
+    def test_one_load_applies_the_rules_once(self, monkeypatch):
+        calls = []
+        rules = fees._swap_rules
+        monkeypatch.setattr(fees, "_swap_rules", lambda *columns: calls.append(1) or rules(*columns))
+        table = load_swap_records(str(FIXTURE))
+        assert len(calls) == 1
+        # the loaded columns are what the checked constructor makes of them
+        rebuilt = SwapTable(*(getattr(table, f.name) for f in dataclasses.fields(SwapTable)))
+        for f in dataclasses.fields(SwapTable):
+            loaded, checked = getattr(table, f.name), getattr(rebuilt, f.name)
+            assert loaded.dtype == checked.dtype and loaded.tolist() == checked.tolist()
 
     def test_table_rows_are_records(self):
         table = load_swap_records(str(FIXTURE))

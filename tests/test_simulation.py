@@ -32,7 +32,8 @@ from lvrsim import (
     run_arb_sim,
 )
 import lvrsim.simulation as simulation
-from lvrsim.simulation import DAY_MS, YEAR_MS, _SCALAR_SCAN
+from lvrsim.feeds import _locf_select, load_quote_updates
+from lvrsim.simulation import DAY_MS, DEFAULT_INTERVALS_MS, YEAR_MS, _SCALAR_SCAN
 
 
 def constant_quotes(price, start=0, end=100_000, step=1000):
@@ -362,11 +363,15 @@ class TestReplayKernel:
     """run_arb_sim on plain floats against a per-instant dataclass replay."""
 
     @staticmethod
-    def assert_bit_identical(pool, quotes, schedule):
-        """Returns the run and the directions the dataclass replay traded in."""
+    def assert_bit_identical(pool, quotes, schedule, run=None):
+        """Returns the run and the directions the dataclass replay traded in.
+
+        run is run_arb_sim's replay of the schedule; it is made here unless given.
+        """
         stamps, losses, profits, multiplier, state, dropped, directions = dataclass_replay(
             pool, quotes, schedule)
-        run = run_arb_sim(pool, quotes, schedule)
+        if run is None:
+            run = run_arb_sim(pool, quotes, schedule)
         assert run.timestamps.dtype == np.int64
         assert run.timestamps.tobytes() == np.array(stamps, dtype=np.int64).tobytes()
         assert run.losses.tobytes() == np.array(losses, dtype=float).tobytes()
@@ -395,6 +400,68 @@ class TestReplayKernel:
         assert run.timestamps.tobytes() == on_grid.timestamps.tobytes()
         assert run.losses.tobytes() == on_grid.losses.tobytes()
         assert run.n_dropped == on_grid.n_dropped
+
+    def test_dense_zero_fee_sweep_points_match_dataclass_replay(self, tmp_path, monkeypatch):
+        """Each point of a zero-fee sweep over 10 min of 100 ms quotes with a 1 bp spread.
+
+        Three rows are preceded by a same-millisecond update, which the loader
+        drops. Intervals that are multiples of 100 ms read strided views of the
+        quotes; 250 ms takes the LOCF index array path.
+        """
+        mid = gbm_generate(0.7, 0.0, 100, 600_000, seed=3, price0=2000.0)
+        ts, half = mid.timestamps, mid.prices * 0.5e-4
+        bids, asks = mid.prices - half, mid.prices + half
+        rows = ["timestamp_ms,bid,ask"]
+        for i, (t, bid, ask) in enumerate(zip(ts.tolist(), bids.tolist(), asks.tolist())):
+            if i in (7, 1000, 4321):  # overwritten within its millisecond
+                rows.append(f"{t},{bid * 1.0001!r},{ask * 1.0001!r}")
+            rows.append(f"{t},{bid!r},{ask!r}")
+        path = tmp_path / "quotes.csv"
+        path.write_text("\n".join(rows) + "\n")
+        quotes = load_quote_updates(str(path))
+        assert quotes.timestamps.tobytes() == ts.tobytes()
+        assert quotes.bids.tobytes() == bids.tobytes() and quotes.asks.tobytes() == asks.tobytes()
+
+        runs = []
+
+        def recorded(*args):
+            runs.append((args, run_arb_sim(*args)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(simulation, "run_arb_sim", recorded)
+        pool = PoolState(1.0, 2000.0, 0.0)
+        sweep = blocktime_sweep(pool, quotes)
+        assert [s.interval_ms for (_, _, s), _ in runs] == list(DEFAULT_INTERVALS_MS)
+        for (state, replayed, schedule), run in runs:
+            strided = isinstance(_locf_select(ts, schedule.timestamps, 100), slice)
+            assert strided == (schedule.interval_ms != 250)
+            self.assert_bit_identical(state, replayed, schedule, run)
+        assert sweep.total_losses.tolist() == [run.total_relative_loss for _, run in runs]
+        assert sweep.n_events.tolist() == [len(run.losses) for _, run in runs]
+        assert len(runs[0][1].losses) > 0.3 * len(ts)  # dense: a third of 100 ms instants trade
+
+    @pytest.mark.parametrize("doublings", [10, 11], ids=["reaches-the-cap", "held-at-the-cap"])
+    def test_exit_on_the_first_element_of_a_capped_chunk(self, doublings):
+        """A quiet stretch long enough for the chunk scan to reach its cap of 1 << 16.
+
+        After _SCALAR_SCAN instants the replay scans chunks of 64, 128, ...,
+        1 << 16 (the 11th), then 1 << 16 again. The one band exit is the first
+        instant of the 11th or the 12th chunk.
+        """
+        exit_at = _SCALAR_SCAN + 64 * (2**doublings - 1)
+        n = exit_at + 100
+        ts = np.arange(n, dtype=np.int64) * 1000
+        bids, asks = np.full(n, 1900.0), np.full(n, 2100.0)
+        bids[exit_at:], asks[exit_at:] = 2100.0, 2110.0
+        pool = PoolState(1.0, 2000.0, 0.003)
+        quotes = QuoteSeries(ts, bids, asks)
+        lower, upper = no_arb_band(pool)
+        first = int(np.flatnonzero((bids > upper) | (asks < lower))[0])
+        assert first == exit_at
+        run = run_arb_sim(pool, quotes, BlockSchedule.fixed(1000, 0, int(ts[-1])))
+        assert run.timestamps[0] == ts[first]
+        trade = optimal_arb_trade(pool, quotes[first])
+        assert run.losses[0] == trade.lp_relative_loss and run.profits[0] == trade.arb_profit
 
 
 @st.composite
