@@ -36,8 +36,8 @@ from .feeds import (
     load_quote_updates,
     quotes_from_prices,
 )
-from .fees import PositionLedger, accumulate, attribute_fees, load_swap_records
-from .pool import PoolState, concentration_scale
+from .fees import attribute_fees, load_swap_records
+from .pool import PoolState
 from .simulation import (
     DAY_MS,
     DEFAULT_INTERVALS_MS,
@@ -346,10 +346,7 @@ def _fee_ledger(cfg: dict):
     """Fee ledger of the --swaps position, its returns scaled by --concentration-k."""
     swaps = load_swap_records(_require_file(_require(cfg, "swaps")))
     ledger = attribute_fees(swaps, cfg["position_liquidity"], per_block=cfg["per_block"])
-    ledger = accumulate(PositionLedger(ledger.position_liquidity),
-                        concentration_scale(ledger.returns, cfg["concentration_k"]),
-                        ledger.timestamps)
-    return ledger, len(swaps)
+    return ledger.scaled(cfg["concentration_k"]), len(swaps)
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -394,7 +391,8 @@ def cmd_fees(cfg: dict) -> Output:
             "cumulative_growth": np.cumprod(1.0 + ledger.returns),
         }},
         {"pair": cfg["pair"], "position_liquidity": ledger.position_liquidity,
-         "per_block": cfg["per_block"], "concentration_k": cfg["concentration_k"]},
+         "per_block": cfg["per_block"], "concentration_k": cfg["concentration_k"],
+         "seed": cfg["seed"]},
         {"n_records": n_records},
         {"cumulative_fee_return": float(ledger.cumulative_growth) - 1.0,
          "n_periods": int(len(ledger.returns))},
@@ -416,7 +414,7 @@ def cmd_compare(cfg: dict) -> Output:
         }},
         {"pair": cfg["pair"], "fee": fee, "feed_kind": feed.kind,
          "concentration_k": factor, "position_liquidity": ledger.position_liquidity,
-         "ratio_window_ms": window_ms},
+         "ratio_window_ms": window_ms, "seed": cfg["seed"]},
         feed.counters, report.totals,
     )
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ import numpy as np
 from .errors import InputError, ParseError
 from .feeds import (_first_fault, _iter_rows, _load_columns, _not_positive, _parse_float,
                     _parse_int, _vs_previous)
+from .pool import concentration_scale
 
 TOKEN_X = "X"
 TOKEN_Y = "Y"
@@ -102,16 +103,26 @@ class PositionLedger:
     """Compounded fee returns of one position; fees only ever add value."""
 
     position_liquidity: float
-    returns: np.ndarray = field(default_factory=lambda: np.array([], dtype=float))
-    timestamps: np.ndarray = field(default_factory=lambda: np.array([], dtype=np.int64))
+    returns: np.ndarray = ()  # float64, each finite and > -1
+    timestamps: np.ndarray = ()  # int64 ms, one per return
 
     def __post_init__(self):
         _check_position_liquidity(self.position_liquidity)
+        object.__setattr__(self, "returns", np.asarray(self.returns, dtype=np.float64))
+        object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype=np.int64))
+        if not np.all(np.isfinite(self.returns) & (self.returns > -1.0)):
+            raise InputError("returns must be finite and > -1")
+        if self.returns.shape != self.timestamps.shape:
+            raise InputError("timestamps and returns must have equal length")
 
     @property
     def cumulative_growth(self) -> float:
         """prod(1 + r_t), folded left to right; 1.0 without returns."""
         return float(np.cumprod(np.append(1.0, 1.0 + self.returns))[-1])
+
+    def scaled(self, factor_k: float) -> "PositionLedger":
+        """Fee ledger of a position with concentration factor k; LossSeries.scaled's rule."""
+        return replace(self, returns=concentration_scale(self.returns, factor_k))
 
 
 def _check_position_liquidity(value: float) -> None:
@@ -154,18 +165,11 @@ def accumulate(
     returns: Sequence[float],
     timestamps: Sequence[int] | None = None,
 ) -> PositionLedger:
-    """Append per-period returns to the ledger; its growth is folded from them."""
+    """Append per-period returns to the ledger, which checks them; stamps default to 0."""
     new = np.asarray(returns, dtype=float)
-    if new.size and (not np.all(np.isfinite(new)) or np.any(new <= -1.0)):
-        raise InputError("returns must be finite and > -1")
-    stamps = np.asarray(np.zeros(new.size) if timestamps is None else timestamps, dtype=np.int64)
-    if stamps.size != new.size:
-        raise InputError("timestamps and returns must have equal length")
-    return replace(
-        ledger,
-        returns=np.concatenate([ledger.returns, new]),
-        timestamps=np.concatenate([ledger.timestamps, stamps]),
-    )
+    stamps = np.asarray(np.zeros(new.size) if timestamps is None else timestamps, np.int64)
+    return replace(ledger, returns=np.concatenate([ledger.returns, new]),
+                   timestamps=np.concatenate([ledger.timestamps, stamps]))
 
 
 def attribute_fees(
@@ -183,7 +187,7 @@ def attribute_fees(
     """
     if not isinstance(swaps, SwapTable):
         swaps = SwapTable(*([getattr(r, f.name) for r in swaps] for f in fields(SwapRecord)))
-    ledger = PositionLedger(position_liquidity)
+    _check_position_liquidity(position_liquidity)
     ends = np.ones(len(swaps), dtype=bool)  # per swap, each swap is a block of one
     if per_block:
         ends[:-1] = swaps.block_numbers[1:] != swaps.block_numbers[:-1]
@@ -197,12 +201,9 @@ def attribute_fees(
     fee = swaps.fee_rates * swaps.amounts_in * (position_liquidity / liquidity)
     fee_y = _fee_in_y(swaps.input_tokens, fee, swaps.post_swap_prices)
     sums = np.zeros(len(last))
-    periods = np.arange(len(last))
-    for k in range(size.max(initial=0)):  # in file order, as a loop adds them
-        periods = periods[size[periods] > k]
-        sums[periods] += fee_y[last[periods] - size[periods] + 1 + k]
+    np.add.at(sums, np.repeat(np.arange(len(last)), size), fee_y)  # in file order, as a loop adds
     value = 2.0 * position_liquidity * np.sqrt(swaps.post_swap_prices[last])
-    return accumulate(ledger, sums / value, swaps.timestamps[last])
+    return PositionLedger(position_liquidity, sums / value, swaps.timestamps[last])
 
 
 _SWAP_COLUMNS = [("block_number", _parse_int, np.int64), ("timestamp_ms", _parse_int, np.int64),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import lvrsim.simulation as simulation
+from lvrsim import SweepResult, loglog_slope
 from lvrsim.cli import (
     _CHUNK_ROWS,
     COMMANDS,
@@ -280,6 +281,26 @@ class TestSweeps:
         assert fit["fit_range"] == [1000.0, 8000.0]
         assert fit["slope"] is None or isinstance(fit["slope"], float)
 
+    def test_fee_sweep_fit_range_is_recorded_in_the_fee_unit(self, tmp_path):
+        # --fit-range is given in bps, as --fees-bps is, and recorded as the fee
+        # fractions of the table's fee column; fees_bps stays in bps
+        synth = tmp_path / "feed"
+        assert run_cli("synth-gbm", "--sigma", 2.0, "--step-ms", 1000,
+                       "--horizon-ms", 3_600_000, "--seed", 5, "--price0", 2000,
+                       "--out", synth) == 0
+        out = tmp_path / "fsweep"
+        assert run_cli("sweep-fee", "--klines", synth / "gbm_klines.csv", "--interval-ms", 2000,
+                       "--fees-bps", "5,10,20,30,50,100", "--fit-range", "10:50",
+                       "--out", out) == 0
+        parameters = json.loads((out / "manifest.json").read_text())["parameters"]
+        assert parameters["fees_bps"] == [5.0, 10.0, 20.0, 30.0, 50.0, 100.0]
+        assert parameters["fit"]["fit_range"] == [0.001, 0.005]
+        fees, losses = np.array([row for row in sweep_totals(out)
+                                 if 0.001 <= row[0] <= 0.005]).T
+        assert fees.tolist() == [0.001, 0.002, 0.003, 0.005]
+        sweep = SweepResult("fee", fees, losses, np.zeros(4), np.zeros(4, dtype=np.int64))
+        assert parameters["fit"]["slope"] == loglog_slope(sweep)[0]
+
     def test_interval_below_resolution_rejected(self, tmp_path, gbm_klines, capsys):
         code = run_cli("sweep-blocktime", "--klines", gbm_klines, "--fee-bps", 5,
                        "--intervals-ms", "10,1000", "--out", tmp_path / "bad")
@@ -343,6 +364,23 @@ def manifest_results(out):
 def sweep_totals(out):
     rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
     return [(float(r.split(",")[1]), float(r.split(",")[2])) for r in rows]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_seed_is_recorded_in_the_manifest(tmp_path, gbm_klines, command):
+    args = {
+        "simulate-arb": ["--klines", gbm_klines, "--fee-bps", 30, "--interval-ms", 2000],
+        "fees": ["--swaps", FIXTURE, "--position-liquidity", 500],
+        "compare": ["--klines", gbm_klines, "--swaps", FIXTURE, "--fee-bps", 30,
+                    "--interval-ms", 2000, "--position-liquidity", 500],
+        "sweep-blocktime": ["--klines", gbm_klines, "--fee-bps", 30,
+                            "--intervals-ms", "1000,2000"],
+        "sweep-fee": ["--klines", gbm_klines, "--interval-ms", 2000],
+        "synth-gbm": ["--sigma", 0.5, "--step-ms", 1000, "--horizon-ms", 10_000],
+    }[command]
+    out = tmp_path / "run"
+    assert run_cli(command, *args, "--seed", 7, "--out", out) == 0
+    assert json.loads((out / "manifest.json").read_text())["parameters"]["seed"] == 7
 
 
 class TestSweepsMatchSimulateArb:

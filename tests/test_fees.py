@@ -20,6 +20,7 @@ from lvrsim import (
     SwapTable,
     accumulate,
     attribute_fees,
+    concentration_scale,
     convert_raw_swap_export,
     fee_earned,
     load_swap_records,
@@ -133,6 +134,42 @@ class TestAccumulate:
         for r in returns:
             product *= 1.0 + r
         assert ledger.cumulative_growth == product
+
+
+class TestPositionLedger:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, -3.0])
+    def test_hand_built_returns_are_checked(self, bad):
+        with pytest.raises(InputError, match=r"^returns must be finite and > -1$"):
+            PositionLedger(1.0, np.array([0.01, bad]), np.array([1, 2]))
+        with pytest.raises(InputError, match=r"^returns must be finite and > -1$"):
+            accumulate(PositionLedger(1.0), [0.01, bad], [1, 2])
+
+    def test_unequal_columns_rejected(self):
+        message = "^timestamps and returns must have equal length$"
+        with pytest.raises(InputError, match=message):
+            PositionLedger(1.0, np.array([0.01, 0.02]), np.array([1]))
+        with pytest.raises(InputError, match=message):
+            accumulate(PositionLedger(1.0), [0.01, 0.02], [1])
+        # the returns are checked first
+        with pytest.raises(InputError, match=r"^returns must be finite and > -1$"):
+            PositionLedger(1.0, np.array([math.nan, -3.0]), np.array([1]))
+
+    def test_columns_are_coerced(self):
+        ledger = PositionLedger(1.0, [0, 0.5], [1000, 2000])
+        assert ledger.returns.dtype == np.float64 and ledger.timestamps.dtype == np.int64
+        assert ledger.cumulative_growth == 1.5
+        empty = PositionLedger(1.0)
+        assert empty.returns.dtype == np.float64 and empty.timestamps.dtype == np.int64
+        assert empty.returns.shape == empty.timestamps.shape == (0,)
+
+    def test_scaled_is_the_concentration_scale_of_the_returns(self):
+        ledger = attribute_fees(load_swap_records(str(FIXTURE)), 500.0, per_block=True)
+        scaled = ledger.scaled(3.0)
+        assert scaled.returns.tobytes() == concentration_scale(ledger.returns, 3.0).tobytes()
+        assert scaled.timestamps.tobytes() == ledger.timestamps.tobytes()
+        assert scaled.position_liquidity == ledger.position_liquidity
+        with pytest.raises(InputError, match="concentration factor must be >= 1"):
+            ledger.scaled(0.5)
 
 
 def table(**overrides):
