@@ -58,6 +58,7 @@ from .simulation import (
     blocktime_sweep,
     fee_sweep,
     fees_vs_losses,
+    fixed_schedule,
     gbm_generate,
     loglog_slope,
     run_arb_sim,
@@ -94,6 +95,7 @@ __all__ = [
     "fee_earned",
     "fee_sweep",
     "fees_vs_losses",
+    "fixed_schedule",
     "gbm_generate",
     "load_block_timestamps",
     "load_klines",

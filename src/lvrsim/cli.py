@@ -43,9 +43,11 @@ from .simulation import (
     DEFAULT_INTERVALS_MS,
     EXTENDED_INTERVALS_MS,
     BlockSchedule,
+    _grid_window,
     blocktime_sweep,
     fee_sweep,
     fees_vs_losses,
+    fixed_schedule,
     gbm_generate,
     loglog_slope,
     run_arb_sim,
@@ -248,12 +250,6 @@ class Feed:
     blocks: np.ndarray | None  # --blocks timestamps in ms
     window: tuple[int, int] | None  # --window
 
-    @property
-    def span(self) -> tuple[int, int]:
-        """The --window, or else the span of the quotes."""
-        return self.window if self.window is not None else (
-            int(self.quotes.timestamps[0]), int(self.quotes.timestamps[-1]))
-
 
 def _load_feed(cfg: dict) -> Feed:
     """Parse --quotes or --klines, and --blocks when given, once each."""
@@ -280,26 +276,8 @@ def _load_feed(cfg: dict) -> Feed:
     return Feed(quotes, kind, counters, blocks, cfg["window"])
 
 
-def _check_grid(feed: Feed, interval_ms: int) -> None:
-    """Exit 2 naming --window when the fixed grid over it leaves the quotes.
-
-    run_arb_sim rejects such a grid as well, but only once it is built; the
-    grid's first and last instants are found here without building it.
-    """
-    if feed.window is None or interval_ms <= 0:  # BlockSchedule.fixed names the interval
-        return
-    start, end = feed.window
-    last = start + (end - start) // interval_ms * interval_ms
-    first_quote, last_quote = (int(t) for t in feed.quotes.timestamps[[0, -1]])
-    if start < first_quote or last > last_quote:
-        raise InputError(
-            f"--window {start}:{end} puts {interval_ms} ms blocks over [{start}, {last}], "
-            f"but the quotes cover [{first_quote}, {last_quote}]"
-        )
-
-
 def _make_schedule(cfg: dict, feed: Feed) -> BlockSchedule:
-    """The blocks inside the window, or the fixed grid over the window."""
+    """The blocks inside the window, or the fixed grid over it (by default the quotes')."""
     if feed.blocks is not None:
         if cfg["interval_ms"] is not None:
             raise InputError("give --blocks or --interval-ms, not both")
@@ -310,8 +288,7 @@ def _make_schedule(cfg: dict, feed: Feed) -> BlockSchedule:
                 raise InputError("--window {}:{} holds none of the --blocks".format(*feed.window))
         return BlockSchedule.from_blocks(blocks)
     if cfg["interval_ms"] is not None:
-        _check_grid(feed, cfg["interval_ms"])
-        return BlockSchedule.fixed(cfg["interval_ms"], *feed.span)
+        return fixed_schedule(feed.quotes, cfg["interval_ms"], feed.window)
     raise InputError("a schedule is required: give --blocks or --interval-ms")
 
 
@@ -373,12 +350,12 @@ def cmd_simulate_arb(cfg: dict) -> Output:
             "lp_relative_loss": loss_by_instant, "arb_profit": profit_by_instant,
             "cumulative_relative_loss": 1.0 - np.cumprod(1.0 - loss_by_instant),
         }},
-        {"pair": cfg["pair"], "fee": fee, "feed_kind": feed.kind,
+        {"pair": cfg["pair"], "fee": fee, "feed_kind": feed.kind, "seed": cfg["seed"],
          "concentration_k": factor, "interval_ms": schedule.interval_ms,
-         "n_instants": int(run.n_instants), "seed": cfg["seed"]},
+         "quote_resolution_ms": feed.quotes.resolution_ms, "n_instants": int(run.n_instants)},
         feed.counters,
-        {"total_relative_loss": run.total_relative_loss,
-         "n_events": int(len(run.losses)), "window_ms": run.window_ms},
+        {"total_relative_loss": run.total_relative_loss, "n_events": int(len(run.losses)),
+         "n_dropped": run.n_dropped, "window_ms": run.window_ms},
     )
 
 
@@ -412,10 +389,10 @@ def cmd_compare(cfg: dict) -> Output:
             "cumulative_difference": report.cumulative_difference,
             "trailing_ratio": report.trailing_ratio,
         }},
-        {"pair": cfg["pair"], "fee": fee, "feed_kind": feed.kind,
+        {"pair": cfg["pair"], "fee": fee, "feed_kind": feed.kind, "seed": cfg["seed"],
          "concentration_k": factor, "position_liquidity": ledger.position_liquidity,
-         "ratio_window_ms": window_ms, "seed": cfg["seed"]},
-        feed.counters, report.totals,
+         "quote_resolution_ms": feed.quotes.resolution_ms, "ratio_window_ms": window_ms},
+        feed.counters, {**report.totals, "n_dropped": run.n_dropped},
     )
 
 
@@ -438,12 +415,11 @@ def cmd_sweep(command: str, cfg: dict) -> Output:
     fit_range = cfg["fit_range"]
     if command == "sweep-fee":
         interval = _require(cfg, "interval_ms")
-        _check_grid(feed, interval)
         fees_bps = cfg["fees_bps"]
-        # only the reserves are used; each grid point sets its own fee
-        pool = _initial_state(cfg, feed.quotes, feed.span[0], 0.0)
+        start, _ = _grid_window(feed.quotes, [interval], feed.window)  # checked before pricing
+        pool = _initial_state(cfg, feed.quotes, start, 0.0)  # each point sets its own fee
         sweep = fee_sweep(pool.reserve_x, pool.reserve_y, feed.quotes, interval,
-                          [bps / 1e4 for bps in fees_bps], feed.span)
+                          [bps / 1e4 for bps in fees_bps], feed.window)
         if fit_range is not None:
             fit_range = (fit_range[0] / 1e4, fit_range[1] / 1e4)
         grid = {"interval_ms": interval, "fees_bps": fees_bps}
@@ -452,10 +428,9 @@ def cmd_sweep(command: str, cfg: dict) -> Output:
         intervals = cfg["intervals_ms"]
         if intervals is None:
             intervals = list(EXTENDED_INTERVALS_MS if cfg["extended"] else DEFAULT_INTERVALS_MS)
-        for interval in intervals:
-            _check_grid(feed, interval)
-        sweep = blocktime_sweep(_initial_state(cfg, feed.quotes, feed.span[0], fee),
-                                feed.quotes, intervals, feed.span)
+        start, _ = _grid_window(feed.quotes, intervals, feed.window)  # checked before pricing
+        sweep = blocktime_sweep(_initial_state(cfg, feed.quotes, start, fee),
+                                feed.quotes, intervals, feed.window)
         grid = {"fee": fee, "intervals_ms": intervals}
     return Output(
         {"sweep.csv": {
@@ -464,7 +439,8 @@ def cmd_sweep(command: str, cfg: dict) -> Output:
             "annualized_loss": sweep.annualized_losses, "n_events": sweep.n_events,
         }},
         {**grid, "pair": cfg["pair"], "feed_kind": feed.kind,
-         "window": feed.window, "seed": cfg["seed"], "fit": _fit(sweep, fit_range)},
+         "quote_resolution_ms": feed.quotes.resolution_ms, "window": feed.window,
+         "seed": cfg["seed"], "fit": _fit(sweep, fit_range)},
         feed.counters,
         {"total_losses": [float(v) for v in sweep.total_losses]},
     )
@@ -522,8 +498,9 @@ OPTIONS = {
     "--quotes": {**_PATH, "help": "bid/ask update CSV (timestamp_ms,bid,ask)"},
     "--klines": {**_PATH, "help": "kline CSV (timestamp_ms,open,...)"},
     "--blocks": {**_PATH, "help": "block timestamp CSV (block_number,timestamp_s)"},
-    "--window": {"type": functools.partial(_pair, kind=int), "check": lambda w: w[0] < w[1],
-                 "rule": "START_MS:END_MS with START_MS < END_MS",
+    "--window": {"type": functools.partial(_pair, kind=int),
+                 "check": lambda w: -(2**63) <= w[0] < w[1] < 2**63,
+                 "rule": "START_MS:END_MS with START_MS < END_MS, both in the int64 range",
                  "help": "schedule window START_MS:END_MS"},
     "--initial-price": {**_POSITIVE,
                         "help": "initial pool price (default: first prevailing quote mid)"},
@@ -620,7 +597,8 @@ def main(argv=None) -> int:
         return 0
     except InsufficientDataError as exc:  # the feed misses an instant of the schedule
         feed = "quotes" if cfg["quotes"] is not None else "klines"
-        print(f"error: --{feed} {cfg[feed]}: {exc}", file=sys.stderr)
+        over = " over --window {}:{}".format(*cfg["window"]) if cfg["window"] else ""
+        print(f"error: --{feed} {cfg[feed]}: {exc}{over}", file=sys.stderr)
         return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -134,6 +134,32 @@ class ComparisonReport:
     totals: dict
 
 
+def _check_coverage(quotes: QuoteSeries, first_ms: int, last_ms: int) -> None:
+    """A schedule needs an update at or before its first instant, and quotes reaching its last."""
+    cover = quotes.timestamps[[0, -1]].tolist() if len(quotes) else []  # shown as [a, b]
+    if not (cover and cover[0] <= first_ms and last_ms <= cover[1]):
+        raise InsufficientDataError(
+            f"quotes cover {cover} but the schedule needs [{first_ms}, {last_ms}]")
+
+
+def _grid_window(quotes: QuoteSeries, intervals_ms: Sequence[int],
+                 window: Optional[tuple[int, int]]) -> tuple[int, int]:
+    """The window (default: the quotes' span) once each interval's fixed grid over it lies
+    inside the quotes; the grids' last instants are worked out, not built."""
+    start, end = map(int, quotes.timestamps[[0, -1]] if window is None else window)
+    for interval in intervals_ms:
+        if interval > 0 and start <= end:  # else BlockSchedule.fixed names the fault
+            _check_coverage(quotes, start, start + (end - start) // interval * interval)
+    return start, end
+
+
+def fixed_schedule(quotes: QuoteSeries, interval_ms: int,
+                   window: Optional[tuple[int, int]] = None) -> BlockSchedule:
+    """The fixed grid over the window (default: the quotes' span), built only once it lies
+    inside the quotes, so that a window far past them allocates nothing."""
+    return BlockSchedule.fixed(interval_ms, *_grid_window(quotes, [interval_ms], window))
+
+
 def run_arb_sim(
     initial: PoolState, quotes: QuoteSeries, schedule: BlockSchedule
 ) -> LossSeries:
@@ -150,12 +176,8 @@ def run_arb_sim(
     instant that is not skipped.
     """
     grid = schedule.timestamps
+    _check_coverage(quotes, int(grid[0]), int(grid[-1]))
     at = _locf_select(quotes.timestamps, grid, quotes.resolution_ms)
-    if quotes.timestamps[-1] < grid[-1]:
-        raise InsufficientDataError(
-            f"quotes cover [{quotes.timestamps[0]}, {quotes.timestamps[-1]}] but the "
-            f"schedule needs [{grid[0]}, {grid[-1]}]"
-        )
     instants = grid
     if not isinstance(at, slice):  # a slice never repeats a quote
         changed = at[1:] != at[:-1]
@@ -263,14 +285,12 @@ def _sweep(
     window: Optional[tuple[int, int]],
 ) -> SweepResult:
     """One arb simulation per (pool state, block interval) point on identical quotes."""
-    shortest = min(interval for _, interval in points)
+    intervals = [interval for _, interval in points]
+    window = _grid_window(quotes, intervals, window)  # every grid, before the first replay
     resolution = quotes.resolution_ms
-    if resolution and shortest < resolution:
-        raise InputError(
-            f"interval {shortest}ms is below the quote-update resolution of {resolution}ms"
-        )
-    if window is None:
-        window = (int(quotes.timestamps[0]), int(quotes.timestamps[-1]))
+    if resolution and min(intervals) < resolution:
+        raise InputError(f"interval {min(intervals)}ms is below the quote-update resolution "
+                         f"of {resolution}ms")
     totals, annuals, counts = [], [], []
     for state, interval in points:
         run = run_arb_sim(state, quotes, BlockSchedule.fixed(interval, *window))

@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 
 import lvrsim.simulation as simulation
-from lvrsim import SweepResult, loglog_slope
+from lvrsim import (
+    PoolState,
+    SweepResult,
+    fixed_schedule,
+    load_klines,
+    loglog_slope,
+    no_arb_band,
+    quotes_from_prices,
+    run_arb_sim,
+)
 from lvrsim.cli import (
     _CHUNK_ROWS,
     COMMANDS,
@@ -383,6 +392,41 @@ def test_seed_is_recorded_in_the_manifest(tmp_path, gbm_klines, command):
     assert json.loads((out / "manifest.json").read_text())["parameters"]["seed"] == 7
 
 
+@pytest.mark.parametrize("command, args", [
+    ("simulate-arb", ["--fee-bps", 30, "--interval-ms", 100]),  # below the resolution: exit 0
+    ("compare", ["--swaps", FIXTURE, "--fee-bps", 30, "--interval-ms", 2000,
+                 "--position-liquidity", 500]),
+    ("sweep-blocktime", ["--fee-bps", 30, "--intervals-ms", "1000,2000"]),
+    ("sweep-fee", ["--interval-ms", 2000]),
+])
+def test_quote_resolution_is_recorded(tmp_path, gbm_klines, command, args):
+    out = tmp_path / "run"
+    assert run_cli(command, "--klines", gbm_klines, *args, "--out", out) == 0
+    parameters = json.loads((out / "manifest.json").read_text())["parameters"]
+    assert parameters["quote_resolution_ms"] == 1000
+
+
+@pytest.mark.parametrize("command, args", [
+    ("simulate-arb", []),
+    ("compare", ["--swaps", FIXTURE, "--position-liquidity", 500]),
+])
+def test_dropped_band_exits_are_reported(tmp_path, command, args):
+    # a constant price one ulp above the band: every instant exits it, and the
+    # profit guard drops every trade
+    state = PoolState(1.0, 2000.0, 0.003)
+    price = float(np.nextafter(no_arb_band(state)[1], np.inf))
+    klines = tmp_path / "k.csv"
+    klines.write_text("".join(f"{t},{price!r},{price!r},{price!r},{price!r},0\n"
+                              for t in range(0, 60_001, 1000)))
+    out = tmp_path / "run"
+    assert run_cli(command, "--klines", klines, "--fee-bps", 30, "--interval-ms", 1000,
+                   "--initial-price", 2000, *args, "--out", out) == 0
+    quotes = quotes_from_prices(load_klines(str(klines)))
+    run = run_arb_sim(state, quotes, fixed_schedule(quotes, 1000))
+    assert run.n_dropped == 61
+    assert manifest_results(out)["n_dropped"] == run.n_dropped
+
+
 class TestSweepsMatchSimulateArb:
     WINDOW = "3600000:7200000"
 
@@ -540,6 +584,35 @@ class TestBadInputExits2:
         assert code == 2
         err = capsys.readouterr().err
         assert "--window" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("window, needs", [
+        ("-12000:60000", "[-12000, 60000]"), ("0:700000", "[0, 696000]"),
+    ], ids=["starts-before", "ends-after"])
+    @pytest.mark.parametrize("command, args", [
+        ("simulate-arb", ["--fee-bps", 30, "--interval-ms", 12000]),
+        ("sweep-fee", ["--interval-ms", 12000]),
+        ("sweep-blocktime", ["--fee-bps", 30, "--intervals-ms", "12000,24000"]),
+    ], ids=["simulate-arb", "sweep-fee", "sweep-blocktime"])
+    def test_window_outside_the_quotes_gets_the_coverage_message(
+            self, tmp_path, gbm_klines, capsys, command, args, window, needs):
+        # the 12000 ms grid is checked first
+        code = run_cli(command, "--klines", gbm_klines, *args, f"--window={window}",
+                       "--out", tmp_path / "bad")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: --klines {gbm_klines}: quotes cover [0, 600000] but the schedule "
+            f"needs {needs} over --window {window}\n")
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("window, code", [
+        ("-9223372036854775808:9223372036854775807", 0),
+        ("-9223372036854775809:0", 2), ("0:9223372036854775808", 2),
+    ])
+    def test_window_is_in_the_int64_range(self, window, code):
+        result = merged(["sweep-blocktime", f"--window={window}"])
+        assert result[0] == code
+        if code:
+            assert result[1].startswith("--window must be") and "int64" in result[1]
 
     def test_timestamp_beyond_int64_names_file_and_line(self, tmp_path, capsys):
         klines = tmp_path / "k.csv"

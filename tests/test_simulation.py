@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from lvrsim import (
     blocktime_sweep,
     fee_sweep,
     fees_vs_losses,
+    fixed_schedule,
     gbm_generate,
     loglog_slope,
     no_arb_band,
@@ -73,6 +75,91 @@ class TestBlockSchedule:
     def test_rejects_unsorted(self):
         with pytest.raises(InputError):
             BlockSchedule.from_blocks([2, 1])
+
+
+class TestCoverage:
+    """One rule where a schedule meets the quotes: an update at or before its first
+    instant, and quotes reaching its last, with one message for either end."""
+
+    QUOTES = constant_quotes(2000.0, start=10_000, end=50_000)
+
+    @pytest.mark.parametrize("schedule, needs", [
+        (BlockSchedule.fixed(1000, 0, 50_000), "[0, 50000]"),
+        (BlockSchedule.fixed(1000, 10_000, 60_000), "[10000, 60000]"),
+        (BlockSchedule.from_blocks([9_999, 20_000]), "[9999, 20000]"),
+        (BlockSchedule.from_blocks([10_000, 50_001]), "[10000, 50001]"),
+    ], ids=["fixed-starts-before", "fixed-ends-after", "blocks-start-before",
+            "blocks-end-after"])
+    def test_either_end_outside_gets_one_message(self, schedule, needs):
+        with pytest.raises(InsufficientDataError) as exc:
+            run_arb_sim(PoolState(1.0, 2000.0), self.QUOTES, schedule)
+        assert str(exc.value) == f"quotes cover [10000, 50000] but the schedule needs {needs}"
+
+    def test_no_quotes_cover_nothing(self):
+        empty = QuoteSeries(np.array([], dtype=np.int64), [], [])
+        with pytest.raises(InsufficientDataError, match=re.escape("quotes cover [] but")):
+            run_arb_sim(PoolState(1.0, 2000.0), empty, BlockSchedule.fixed(1000, 0, 5000))
+        with pytest.raises(InsufficientDataError, match=re.escape("quotes cover [] but")):
+            fixed_schedule(empty, 1000, (0, 10**18))
+
+    @pytest.mark.parametrize("call", [
+        lambda quotes, window: blocktime_sweep(PoolState(1.0, 2000.0), quotes, [1000, 4000],
+                                               window=window),
+        lambda quotes, window: fee_sweep(1.0, 2000.0, quotes, 1000, [0.001, 0.003],
+                                         window=window),
+        lambda quotes, window: fixed_schedule(quotes, 1000, window),
+    ], ids=["blocktime_sweep", "fee_sweep", "fixed_schedule"])
+    def test_window_far_past_the_quotes_allocates_no_grid(self, call):
+        # a 1000 ms grid over this window would hold 10**15 instants
+        tracemalloc.start()
+        try:
+            with pytest.raises(InsufficientDataError, match=re.escape(
+                    "quotes cover [10000, 50000] but the schedule needs "
+                    "[10000, 1000000000000000000]")):
+                call(self.QUOTES, (10_000, 10**18))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_fixed_schedule_defaults_to_the_quote_span(self):
+        schedule = fixed_schedule(self.QUOTES, 4000)
+        assert schedule.timestamps.tolist() == list(range(10_000, 50_001, 4000))
+        assert schedule.interval_ms == 4000
+
+    @pytest.mark.parametrize("window, needs", [
+        ((10_000, 53_999), None),  # the grid's last instant is 50000
+        ((10_000, 54_000), "[10000, 54000]"),
+        ((9_000, 40_000), "[9000, 37000]"),
+    ])
+    def test_fixed_schedule_checks_the_grid_not_the_window(self, window, needs):
+        if needs is None:
+            assert fixed_schedule(self.QUOTES, 4000, window).timestamps[-1] == 50_000
+            return
+        with pytest.raises(InsufficientDataError) as exc:
+            fixed_schedule(self.QUOTES, 4000, window)
+        assert str(exc.value) == f"quotes cover [10000, 50000] but the schedule needs {needs}"
+
+    @pytest.mark.parametrize("interval, window, message", [
+        (0, None, "interval must be positive"),
+        (-1000, (10_000, 10**18), "interval must be positive"),
+        (1000, (50_000, 10_000), "window end 10000 before start 50000"),
+    ])
+    def test_fixed_schedule_leaves_bad_arguments_to_block_schedule(self, interval, window,
+                                                                   message):
+        with pytest.raises(InputError, match=message):
+            fixed_schedule(self.QUOTES, interval, window)
+
+    def test_sweep_checks_every_grid_before_the_first_replay(self, monkeypatch):
+        # the 1000 ms grid ends at 50000, inside the quotes; the 20300 ms one at 50600
+        replays = []
+        replay = simulation.run_arb_sim
+        monkeypatch.setattr(simulation, "run_arb_sim",
+                            lambda *args: replays.append(args) or replay(*args))
+        with pytest.raises(InsufficientDataError, match=re.escape("needs [10000, 50600]")):
+            blocktime_sweep(PoolState(1.0, 2000.0), self.QUOTES, [1000, 20_300],
+                            window=(10_000, 50_600))
+        assert replays == []
 
 
 class TestRunArbSim:
