@@ -149,8 +149,11 @@ def _read_columns(path: str, n_columns: int, exact: bool, dtypes) -> tuple | Non
     not a regular file (it could not be read twice) or its suffix is one numpy
     would decompress. loadtxt splits quoted cells as csv.reader does, and
     starts at the first row _csv_rows yields, whose ParseError is the row
-    parser's. With exact=False, column n_columns - 1 is read as well,
-    unparsed, so that a short row fails here too.
+    parser's. With exact=False, column n_columns - 1 is read as well, into a
+    zero-width field, so that a short row fails here too.
+
+    The columns are the fields of loadtxt's one structured array, not copies:
+    strided views whose records hold nothing but the columns returned.
     """
     if str(path).endswith((".bz2", ".xz", ".lzma")) or not os.path.isfile(path):
         return None
@@ -162,7 +165,7 @@ def _read_columns(path: str, n_columns: int, exact: bool, dtypes) -> tuple | Non
     usecols = None
     if not exact:
         usecols = (*range(len(fields)), n_columns - 1)
-        fields.append(("last", "U1"))
+        fields.append(("last", "U0"))
     try:
         # a path, not a handle, so that numpy reads it in chunks, not line by line;
         # absolute, so that numpy does not take a name like a://b/k.csv for a URL.
@@ -172,7 +175,7 @@ def _read_columns(path: str, n_columns: int, exact: bool, dtypes) -> tuple | Non
                            encoding="utf-8")
     except (ValueError, *_GZIP_ERRORS):
         return None
-    return tuple(np.ascontiguousarray(table[name]) for name, _ in fields[:len(dtypes)])
+    return tuple(table[name] for name, _ in fields[:len(dtypes)])
 
 
 def _parse_int(path: str, lineno: int, text: str, name: str, int64: bool = True) -> int:
@@ -286,10 +289,11 @@ def load_quote_updates(path: str) -> QuoteSeries:
              lambda i: f"timestamps decreasing: {ts[i]} after {ts[i - 1]}")])
     keep = np.ones(len(ts), dtype=bool)
     keep[:-1] = ts[1:] > ts[:-1]  # the last update of each millisecond
-    if not keep.all():
+    if not keep.all():  # gather only to drop: else the columns stay as loaded
         logger.warning("%s: dropped %d earlier duplicate-timestamp updates",
                        path, len(ts) - np.count_nonzero(keep))
-    return QuoteSeries(ts[keep], bids[keep], asks[keep])
+        ts, bids, asks = ts[keep], bids[keep], asks[keep]
+    return QuoteSeries(ts, bids, asks)
 
 
 # block seconds whose milliseconds fit in int64
@@ -358,16 +362,28 @@ def _locf_select(timestamps: np.ndarray, instants: np.ndarray, step: int):
     return _locf_index(timestamps, instants)
 
 
+def _check_coverage(series: PriceSeries | QuoteSeries, first_ms: int, last_ms: int) -> None:
+    """A schedule needs an update at or before its first instant, and updates reaching its last."""
+    cover = series.timestamps[[0, -1]].tolist() if len(series) else []  # shown as [a, b]
+    if not (cover and cover[0] <= first_ms and last_ms <= cover[1]):
+        updates = "quotes" if isinstance(series, QuoteSeries) else "prices"
+        raise InsufficientDataError(
+            f"{updates} cover {cover} but the schedule needs [{first_ms}, {last_ms}]")
+
+
 def align_to_blocks(
     series: PriceSeries, block_timestamps_ms: np.ndarray
 ) -> tuple[PriceSeries, int]:
     """Opening price of the second each block lands in, one point per block.
 
-    When the block's second is missing from the feed, the most recent
-    earlier price is carried forward; the number of such fills is returned
-    so runs can report it.
+    The prices must cover the blocks, as quotes must cover a schedule. When
+    a block's second is missing from the feed, the most recent earlier price
+    is carried forward; the number of such fills is returned so runs can
+    report it.
     """
     blocks = np.asarray(block_timestamps_ms, dtype=np.int64)
-    idx = _locf_index(series.timestamps, blocks)
+    idx = _locf_index(series.timestamps, blocks)  # names a block before the first price
+    if len(blocks):
+        _check_coverage(series, int(blocks[0]), int(blocks[-1]))
     fills = int(np.sum(series.timestamps[idx] != blocks))
     return PriceSeries(blocks, series.prices[idx]), fills

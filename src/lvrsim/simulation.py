@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import FitError, InputError, InsufficientDataError
-from .feeds import PriceSeries, QuoteSeries, _locf_select
+from .errors import FitError, InputError
+from .feeds import PriceSeries, QuoteSeries, _check_coverage, _locf_select
 from .fees import PositionLedger
 from .pool import PoolState, concentration_scale
 
@@ -132,14 +132,6 @@ class ComparisonReport:
     cumulative_difference: np.ndarray  # running sum of (fee - loss)
     trailing_ratio: np.ndarray  # NaN where the trailing loss sum is zero
     totals: dict
-
-
-def _check_coverage(quotes: QuoteSeries, first_ms: int, last_ms: int) -> None:
-    """A schedule needs an update at or before its first instant, and quotes reaching its last."""
-    cover = quotes.timestamps[[0, -1]].tolist() if len(quotes) else []  # shown as [a, b]
-    if not (cover and cover[0] <= first_ms and last_ms <= cover[1]):
-        raise InsufficientDataError(
-            f"quotes cover {cover} but the schedule needs [{first_ms}, {last_ms}]")
 
 
 def _grid_window(quotes: QuoteSeries, intervals_ms: Sequence[int],

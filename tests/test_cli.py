@@ -756,6 +756,18 @@ class TestBadInputExits2:
         assert "instant 0; the first is at 1000" in err
         assert not (tmp_path / "bad" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("feed", ["quotes", "klines"])
+    def test_feed_ending_before_the_last_block_names_it(self, tmp_path, capsys, feed):
+        path = self.two_row_feed(tmp_path, feed)
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text("1,1\n2,3\n")
+        assert run_cli("simulate-arb", f"--{feed}", path, "--blocks", blocks, "--fee-bps", 30,
+                       "--out", tmp_path / "bad") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --{feed} {path}: ") and "Traceback" not in err
+        assert "cover [1000, 2000] but the schedule needs [1000, 3000]" in err
+        assert not (tmp_path / "bad").exists()
+
 
 @pytest.mark.parametrize("command", ["simulate-arb", "compare"])
 def test_blocks_file_parsed_once(tmp_path, monkeypatch, command):

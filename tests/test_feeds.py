@@ -1,6 +1,7 @@
 import gzip
 import os
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,19 +15,23 @@ from lvrsim import (
     InputError,
     InsufficientDataError,
     ParseError,
+    PoolState,
     PriceSeries,
     QuoteSeries,
     align_to_blocks,
+    fixed_schedule,
     load_block_timestamps,
     load_klines,
     load_quote_updates,
+    load_swap_records,
     quotes_from_prices,
+    run_arb_sim,
 )
 
 
 def write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -156,6 +161,7 @@ MALFORMED = {
         "duplicate": KLINE + "1000,2.6,3,2,2.7,1\n",
         "wraps-past-int64": "9223372036854775807,2.5,1,1,1,1\n-9223372036854775808,2.5,1,1,1,1\n",
         "short-row": KLINE + "2000,2.6,3,2,2.7\n",
+        "short-row-after-a-quoted-cell": KLINE + '2000,2.6,3,2,2.7,"1,5"\n3000,2.7,3,2,2.8\n',
         "int64-overflow": "99999999999999999999,2.0,2,2,2,1\n",
         "int64-underflow": "-9223372036854775809,2.0,2,2,2,1\n",
         "float-timestamp": "1e3,2.5,3,2,2.6,1\n",
@@ -204,9 +210,14 @@ LOADTXT_REJECTS = {
     },
 }
 
-# quoted cells, which np.loadtxt splits as csv.reader does
+# quoted cells, which np.loadtxt splits as csv.reader does; and sixth kline
+# cells, which it reads into a zero-width field whatever they hold
 QUOTED = {
     "klines": {
+        "empty-sixth-cell": KLINE + "2000,2.6,3,2,2.7,\n",
+        "long-sixth-cell": KLINE + "2000,2.6,3,2,2.7,1234567.890123\n",
+        "sixth-cell-quoted-around-a-comma": KLINE + '2000,2.6,3,2,2.7,"1,5"\n',
+        "non-ascii-sixth-cell": KLINE + "2000,2.6,3,2,2.7,\u00e9\u20ac\U0001f600\n",
         "quoted-cells": '"1000","2.5",3,2,2.6,1\n2000,2.6,3,2,2.7,1\n',
         "quoted-cell-over-two-lines": KLINE + '2000,2.5,3,2,2.6,"a\n3000,3.0,1,1,1,b"\n',
         "quoted-header": '"timestamp_ms",open,high,low,close,volume\n' + KLINE,
@@ -481,6 +492,83 @@ class TestNotUtf8:
         with pytest.raises(ParseError) as err:
             load_klines(str(path))
         assert str(err.value) == f"{path}:2: open price must be positive, got -1.0"
+
+
+class TestLoadedViews:
+    """Loaders return the fields of np.loadtxt's structured array, not copies."""
+
+    @pytest.mark.parametrize("interval", [2000, 1500], ids=["slice", "index"])
+    def test_replay_on_strided_views_matches_contiguous_copies(self, tmp_path, interval):
+        rng = np.random.default_rng(3)
+        prices = 2000.0 * np.exp(np.cumsum(rng.normal(0.0, 1e-3, 3600)))
+        path = write(tmp_path, "k.csv", "".join(
+            f"{1000 * i},{p!r},1,1,1,{i % 7}\n" for i, p in enumerate(prices.tolist())))
+        quotes = quotes_from_prices(load_klines(path))
+        assert quotes.bids.strides == (16,) and quotes.timestamps.strides == (16,)
+        copies = QuoteSeries(*map(np.ascontiguousarray,
+                                  (quotes.timestamps, quotes.bids, quotes.asks)))
+        schedule = fixed_schedule(quotes, interval)
+        lookup = feeds._locf_select(quotes.timestamps, schedule.timestamps, 1000)
+        assert isinstance(lookup, slice) == (interval == 2000)
+        runs = [run_arb_sim(PoolState(1.0, 2000.0, 0.0005), q, schedule)
+                for q in (quotes, copies)]
+        for field in ("timestamps", "losses", "profits"):
+            views, contiguous = (getattr(run, field) for run in runs)
+            assert views.tobytes() == contiguous.tobytes()
+        assert len(runs[0].losses) > 100
+        assert [(run.final_state, run.n_dropped) for run in runs[1:]] == [
+            (runs[0].final_state, runs[0].n_dropped)]
+
+
+def _klines(n):
+    return "".join(f"{1000 * i},{2000.0 + 0.01 * i!r},1,1,1,{i}\n" for i in range(n))
+
+
+def _quotes(n, repeat_every=0):
+    """100 ms quotes; with repeat_every, every repeat_every-th row repeats the stamp before."""
+    stamps = [i - i // repeat_every if repeat_every else i for i in range(n)]
+    return "".join(f"{100 * t},{1999.5 + 0.01 * i!r},{2000.5 + 0.01 * i!r}\n"
+                   for i, t in enumerate(stamps))
+
+
+def _blocks(n):
+    return "".join(f"{18_000_000 + i},{1_700_000_000 + 12 * i}\n" for i in range(n))
+
+
+def _swaps(n):
+    return "".join(f"{18_000_000 + i // 3},{1000 * i},{'XY'[i % 2]},{1.5 + 0.001 * i!r},0.003,"
+                   f"{2000.0 + 0.01 * i!r},{1e6 + i!r}\n" for i in range(n))
+
+
+class TestLoaderMemory:
+    """Traced peak of each loader on a file of 100 000 rows, in bytes per row.
+
+    A loader holds one structured array of exactly the columns it returns (16
+    bytes a row for klines and blocks, 24 for quotes, 56 for swaps). Each bound
+    is that record, a quarter more for loadtxt's growth as it reads, and a few
+    bytes of row masks for the rules; blocks add the 8 bytes of the returned
+    milliseconds, and quotes with repeats the gathered copies that drop them.
+    """
+
+    ROWS = 100_000
+
+    @pytest.mark.parametrize("load, text, bound", [
+        (load_klines, _klines, 24),
+        (load_quote_updates, _quotes, 36),
+        (load_quote_updates, lambda n: _quotes(n, repeat_every=100), 64),
+        (load_block_timestamps, _blocks, 30),
+        (load_swap_records, _swaps, 80),
+    ], ids=["klines", "quotes", "quotes-with-repeats", "blocks", "swaps"])
+    def test_peak_bytes_per_row(self, tmp_path, load, text, bound):
+        path = write(tmp_path, "f.csv", text(self.ROWS))
+        tracemalloc.start()
+        try:
+            loaded = load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) >= 0.99 * self.ROWS
+        assert peak / self.ROWS <= bound
 
 
 def quoted(text):
@@ -761,11 +849,11 @@ class TestAlignToBlocks:
         with pytest.raises(InsufficientDataError):
             align_to_blocks(series, np.array([11_000]))
 
-    def test_blocks_past_the_last_stamp_carry_it_forward_as_fills(self):
+    def test_block_past_the_last_stamp_rejected(self):
         series = PriceSeries(np.array([12_000, 13_000]), np.array([5.0, 6.0]))
-        out, fills = align_to_blocks(series, np.array([13_000, 20_000, 30_000]))
-        assert out.prices.tolist() == [6.0, 6.0, 6.0]
-        assert fills == 2
+        with pytest.raises(InsufficientDataError) as exc:
+            align_to_blocks(series, np.array([13_000, 20_000, 30_000]))
+        assert str(exc.value) == "prices cover [12000, 13000] but the schedule needs [13000, 30000]"
 
     def test_empty_series_rejected_even_without_blocks(self):
         series = PriceSeries(np.array([], np.int64), np.array([], float))
