@@ -29,6 +29,7 @@ from . import __version__, simulation
 from .errors import FitError, InputError, InsufficientDataError
 from .feeds import (
     QuoteSeries,
+    _check_coverage,
     _locf_index,
     align_to_blocks,
     load_block_timestamps,
@@ -270,7 +271,11 @@ def _load_feed(cfg: dict) -> Feed:
         if not len(blocks):
             raise InputError(f"--blocks {cfg['blocks']} holds no data rows")
         if kind == "mid":
-            series, fills = align_to_blocks(series, blocks)  # all blocks, not the window
+            try:  # all the blocks, not the window: a fault names the file, not --window
+                series, fills = align_to_blocks(series, blocks)
+            except InsufficientDataError as exc:
+                raise InputError(f"--klines {cfg['klines']}: {exc} over all of --blocks "
+                                 f"{cfg['blocks']}") from None
             counters = {"block_price_fills": fills, "blocks": int(len(blocks))}
     quotes = series if kind == "bid_ask" else quotes_from_prices(series)
     return Feed(quotes, kind, counters, blocks, cfg["window"])
@@ -286,6 +291,7 @@ def _make_schedule(cfg: dict, feed: Feed) -> BlockSchedule:
             blocks = blocks[(blocks >= feed.window[0]) & (blocks <= feed.window[1])]
             if not len(blocks):
                 raise InputError("--window {}:{} holds none of the --blocks".format(*feed.window))
+        _check_coverage(feed.quotes, blocks)
         return BlockSchedule.from_blocks(blocks)
     if cfg["interval_ms"] is not None:
         return fixed_schedule(feed.quotes, cfg["interval_ms"], feed.window)
@@ -293,7 +299,7 @@ def _make_schedule(cfg: dict, feed: Feed) -> BlockSchedule:
 
 
 def _initial_state(cfg: dict, quotes, start_ms: int, fee: float) -> PoolState:
-    """Pool at the --initial-price, or at the quote mid prevailing at start_ms."""
+    """Pool at the --initial-price, or at the quote mid at start_ms, a checked schedule's start."""
     price, reserve_x = cfg["initial_price"], cfg["initial_reserve_x"]
     if price is None:
         i = _locf_index(quotes.timestamps, [start_ms])[0]

@@ -318,17 +318,10 @@ def load_block_timestamps(path: str) -> np.ndarray:
 def _locf_index(timestamps: np.ndarray, instants) -> np.ndarray:
     """Index of the last stamp at or before each instant (last observation carried forward).
 
-    The instants are in increasing order. An empty series, or a first instant
-    before the first stamp, raises InsufficientDataError; an instant past the
-    last stamp gets the last index.
+    Precondition: the instants are increasing and covered, as _check_coverage
+    checks, so the stamps are not empty and no instant is before the first.
+    An instant past the last stamp gets the last index.
     """
-    instants = np.asarray(instants, dtype=np.int64)
-    if len(timestamps) == 0:
-        raise InsufficientDataError("the series holds no update to carry forward")
-    if len(instants) and instants[0] < timestamps[0]:
-        raise InsufficientDataError(
-            f"no update at or before instant {instants[0]}; the first is at {timestamps[0]}"
-        )
     return np.searchsorted(timestamps, instants, side="right") - 1
 
 
@@ -343,13 +336,13 @@ def _min_gap(values: np.ndarray) -> int:
 def _locf_select(timestamps: np.ndarray, instants: np.ndarray, step: int):
     """_locf_index's lookup as a basic slice where one is exact, else _locf_index's array.
 
-    step is the stamps' least gap, _min_gap(timestamps). A slice, whose use
-    gives a strided view instead of a gathered copy, is exact when the stamps
-    are uniform, the instants form a grid whose spacing is a multiple of the
-    step, and no instant is past the last stamp by a step or more.
+    The instants are covered, and step is the stamps' least gap. A slice, whose
+    use gives a strided view instead of a gathered copy, is exact when the
+    stamps are uniform, the instants form a grid whose spacing is a multiple of
+    the step, and no instant is past the last stamp by a step or more.
     """
     n, m = len(timestamps), len(instants)
-    if n > 1 and m and instants[0] >= timestamps[0]:
+    if n > 1 and m:
         first, span = int(timestamps[0]), int(instants[-1]) - int(instants[0])
         # every gap is at least the least one: with the endpoints, all are equal
         uniform = int(timestamps[-1]) - first == step * (n - 1)
@@ -362,13 +355,14 @@ def _locf_select(timestamps: np.ndarray, instants: np.ndarray, step: int):
     return _locf_index(timestamps, instants)
 
 
-def _check_coverage(series: PriceSeries | QuoteSeries, first_ms: int, last_ms: int) -> None:
-    """A schedule needs an update at or before its first instant, and updates reaching its last."""
+def _check_coverage(series: PriceSeries | QuoteSeries, instants) -> None:
+    """The coverage rule: a schedule needs an update at or before its first instant and
+    updates reaching its last (only its ends are read); an empty series covers none."""
     cover = series.timestamps[[0, -1]].tolist() if len(series) else []  # shown as [a, b]
-    if not (cover and cover[0] <= first_ms and last_ms <= cover[1]):
+    needs = [int(instants[0]), int(instants[-1])] if len(instants) else []
+    if not cover or needs and not (cover[0] <= needs[0] and needs[1] <= cover[1]):
         updates = "quotes" if isinstance(series, QuoteSeries) else "prices"
-        raise InsufficientDataError(
-            f"{updates} cover {cover} but the schedule needs [{first_ms}, {last_ms}]")
+        raise InsufficientDataError(f"{updates} cover {cover} but the schedule needs {needs}")
 
 
 def align_to_blocks(
@@ -376,14 +370,13 @@ def align_to_blocks(
 ) -> tuple[PriceSeries, int]:
     """Opening price of the second each block lands in, one point per block.
 
-    The prices must cover the blocks, as quotes must cover a schedule. When
-    a block's second is missing from the feed, the most recent earlier price
-    is carried forward; the number of such fills is returned so runs can
-    report it.
+    The prices must cover the blocks at both ends, as quotes must cover a
+    schedule; _check_coverage checks this before any block is priced. When a
+    block's second is missing from the feed, the most recent earlier price is
+    carried forward; the number of such fills is returned so runs can report it.
     """
     blocks = np.asarray(block_timestamps_ms, dtype=np.int64)
-    idx = _locf_index(series.timestamps, blocks)  # names a block before the first price
-    if len(blocks):
-        _check_coverage(series, int(blocks[0]), int(blocks[-1]))
+    _check_coverage(series, blocks)
+    idx = _locf_index(series.timestamps, blocks)
     fills = int(np.sum(series.timestamps[idx] != blocks))
     return PriceSeries(blocks, series.prices[idx]), fills

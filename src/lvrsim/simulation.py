@@ -138,10 +138,11 @@ def _grid_window(quotes: QuoteSeries, intervals_ms: Sequence[int],
                  window: Optional[tuple[int, int]]) -> tuple[int, int]:
     """The window (default: the quotes' span) once each interval's fixed grid over it lies
     inside the quotes; the grids' last instants are worked out, not built."""
+    _check_coverage(quotes, ())  # without updates there is no span, nor a grid inside it
     start, end = map(int, quotes.timestamps[[0, -1]] if window is None else window)
     for interval in intervals_ms:
         if interval > 0 and start <= end:  # else BlockSchedule.fixed names the fault
-            _check_coverage(quotes, start, start + (end - start) // interval * interval)
+            _check_coverage(quotes, (start, start + (end - start) // interval * interval))
     return start, end
 
 
@@ -168,7 +169,7 @@ def run_arb_sim(
     instant that is not skipped.
     """
     grid = schedule.timestamps
-    _check_coverage(quotes, int(grid[0]), int(grid[-1]))
+    _check_coverage(quotes, grid)
     at = _locf_select(quotes.timestamps, grid, quotes.resolution_ms)
     instants = grid
     if not isinstance(at, slice):  # a slice never repeats a quote

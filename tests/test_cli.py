@@ -744,28 +744,39 @@ class TestBadInputExits2:
         assert err.startswith(f"error: {named}") and "Traceback" not in err
         assert not (tmp_path / "bad" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("initial_price", [None, "2"], ids=["mid", "initial-price"])
     @pytest.mark.parametrize("feed", ["quotes", "klines"])
-    def test_feed_starting_after_the_first_block_names_it(self, tmp_path, capsys, feed):
+    @pytest.mark.parametrize("blocks, needs", [
+        ("1,0\n2,2\n", "[0, 2000]"), ("1,1\n2,3\n", "[1000, 3000]"),
+    ], ids=["starts-before", "ends-after"])
+    @pytest.mark.parametrize("command, args", [
+        ("simulate-arb", []), ("compare", ["--swaps", FIXTURE, "--position-liquidity", 500]),
+    ], ids=["simulate-arb", "compare"])
+    def test_blocks_outside_the_feed_get_the_coverage_message(
+            self, tmp_path, capsys, command, args, blocks, needs, feed, initial_price):
+        # checked where the schedule is made, before the pool is priced at its start
         path = self.two_row_feed(tmp_path, feed)
-        blocks = tmp_path / "blocks.csv"
-        blocks.write_text("1,0\n2,2\n")
-        assert run_cli("simulate-arb", f"--{feed}", path, "--blocks", blocks, "--fee-bps", 30,
-                       "--out", tmp_path / "bad") == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: --{feed} {path}: ") and "Traceback" not in err
-        assert "instant 0; the first is at 1000" in err
-        assert not (tmp_path / "bad" / "manifest.json").exists()
+        blocks_path = tmp_path / "blocks.csv"
+        blocks_path.write_text(blocks)
+        given = ["--initial-price", initial_price] if initial_price else []
+        assert run_cli(command, f"--{feed}", path, "--blocks", blocks_path, "--fee-bps", 30,
+                       *given, *args, "--out", tmp_path / "bad") == 2
+        cover, over = (("quotes", "") if feed == "quotes"
+                       else ("prices", f" over all of --blocks {blocks_path}"))
+        assert capsys.readouterr().err == (
+            f"error: --{feed} {path}: {cover} cover [1000, 2000] but the schedule needs "
+            f"{needs}{over}\n")
+        assert not (tmp_path / "bad").exists()
 
-    @pytest.mark.parametrize("feed", ["quotes", "klines"])
-    def test_feed_ending_before_the_last_block_names_it(self, tmp_path, capsys, feed):
-        path = self.two_row_feed(tmp_path, feed)
+    def test_klines_alignment_fault_names_blocks_not_window(self, tmp_path, gbm_klines, capsys):
+        # klines are aligned to the whole blocks file: its block at 700 s is no --window fault
         blocks = tmp_path / "blocks.csv"
-        blocks.write_text("1,1\n2,3\n")
-        assert run_cli("simulate-arb", f"--{feed}", path, "--blocks", blocks, "--fee-bps", 30,
-                       "--out", tmp_path / "bad") == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: --{feed} {path}: ") and "Traceback" not in err
-        assert "cover [1000, 2000] but the schedule needs [1000, 3000]" in err
+        blocks.write_text("block_number,timestamp_s\n1,12\n2,700\n")
+        assert run_cli("simulate-arb", "--klines", gbm_klines, "--blocks", blocks,
+                       "--fee-bps", 30, "--window", "0:60000", "--out", tmp_path / "bad") == 2
+        assert capsys.readouterr().err == (
+            f"error: --klines {gbm_klines}: prices cover [0, 600000] but the schedule needs "
+            f"[12000, 700000] over all of --blocks {blocks}\n")
         assert not (tmp_path / "bad").exists()
 
 

@@ -698,37 +698,32 @@ def quotes(ts, bids, asks=None):
 
 @st.composite
 def locf_cases(draw):
-    """(stamps, instants): strictly increasing stamps, instants in increasing order.
+    """(stamps, instants): strictly increasing stamps, covered instants in increasing order.
 
-    Instants land on stamps, between them, before the first and far past the last.
+    Covered as _check_coverage requires: the stamps are not empty and no instant
+    is before the first. Instants land on stamps, between them and far past the last.
     """
-    stamps = sorted(draw(st.sets(st.integers(-1000, 1000), max_size=20)))
-    instant = st.integers(-1010, 1010) | st.integers(2**40, 2**62)
-    if stamps:
-        instant |= st.sampled_from(stamps)
+    stamps = sorted(draw(st.sets(st.integers(-1000, 1000), min_size=1, max_size=20)))
+    instant = (st.integers(stamps[0], 1010) | st.integers(2**40, 2**62)
+               | st.sampled_from(stamps))
     instants = sorted(draw(st.lists(instant, max_size=20)))
     return np.array(stamps, np.int64), np.array(instants, np.int64)
 
 
 class TestLocfIndex:
-    """feeds._locf_index, the one last-observation-carried-forward lookup."""
+    """feeds._locf_index, the one last-observation-carried-forward lookup, on covered
+    instants; an uncovered schedule is rejected where it is made (TestAlignToBlocks,
+    test_simulation.py::TestCoverage)."""
 
     @given(case=locf_cases())
-    @example(case=(np.array([], np.int64), np.array([5], np.int64)))
-    @example(case=(np.array([], np.int64), np.array([], np.int64)))
     @example(case=(np.array([0, 10], np.int64), np.array([], np.int64)))
-    @example(case=(np.array([0, 10], np.int64), np.array([-1, 10, 2**62], np.int64)))
+    @example(case=(np.array([0, 10], np.int64), np.array([10, 2**62], np.int64)))
     @example(case=(np.array([0, 10], np.int64), np.array([0, 10, 11, 2**62], np.int64)))
     def test_matches_per_instant_loop(self, case):
         stamps, instants = case
         ts = stamps.tolist()
-        expected = [max((i for i, s in enumerate(ts) if s <= t), default=-1)
-                    for t in instants.tolist()]
-        if not ts or -1 in expected:  # nothing at or before some instant
-            with pytest.raises(InsufficientDataError):
-                feeds._locf_index(stamps, instants)
-        else:
-            assert feeds._locf_index(stamps, instants).tolist() == expected
+        expected = [max(i for i, s in enumerate(ts) if s <= t) for t in instants.tolist()]
+        assert feeds._locf_index(stamps, instants).tolist() == expected
 
     def test_hand_example(self):
         series = quotes([0, 5000], [99, 100], [101, 102])
@@ -744,8 +739,8 @@ class TestLocfIndex:
         assert np.all(series.bids[idx] == 10.0)
 
     def test_requires_update_at_or_before_start(self):
-        with pytest.raises(InsufficientDataError, match="instant 0; the first is at 5000"):
-            feeds._locf_index(np.array([5000]), [0, 8000])
+        # the first instant on the one stamp is covered; one before it is
+        # test_block_before_the_first_stamp_rejected's
         assert feeds._locf_index(np.array([5000]), [5000, 8000]).tolist() == [0, 0]
 
 
@@ -754,8 +749,9 @@ def select_cases(draw):
     """(stamps, instants): uniform, even-ended or irregular stamps, and a grid of instants.
 
     The grid's spacing may or may not be a multiple of the stamps' step, it may
-    start off the stamps, before the first or past the last, and it may hold a
-    single instant. Now and then the instants are irregular instead.
+    start off the stamps or past the last, never before the first (the instants
+    are covered), and it may hold a single instant. Now and then the instants
+    are irregular instead.
     """
     step = draw(st.integers(1, 5))
     n = draw(st.integers(1, 25))
@@ -768,7 +764,7 @@ def select_cases(draw):
     elif kind == "irregular":
         gaps = draw(st.lists(st.integers(1, 3 * step), min_size=n - 1, max_size=n - 1))
     stamps = draw(st.integers(-50, 50)) + np.cumsum([0, *gaps], dtype=np.int64)
-    start = draw(st.integers(int(stamps[0]) - 2 * step, int(stamps[-1]) + 3 * step))
+    start = draw(st.integers(int(stamps[0]), int(stamps[-1]) + 3 * step))
     if draw(st.integers(0, 4)):
         interval = draw(st.integers(1, 4)) * step if draw(st.booleans()) \
             else draw(st.integers(1, 4 * step))
@@ -792,10 +788,6 @@ class TestLocfSelect:
     def test_matches_searchsorted_bit_for_bit(self, case):
         stamps, instants = case
         step = feeds._min_gap(stamps)
-        if instants[0] < stamps[0]:
-            with pytest.raises(InsufficientDataError):
-                feeds._locf_select(stamps, instants, step)
-            return
         expected = np.searchsorted(stamps, instants, side="right") - 1
         selector = feeds._locf_select(stamps, instants, step)
         assert np.arange(len(stamps))[selector].tobytes() == expected.tobytes()
@@ -846,8 +838,16 @@ class TestAlignToBlocks:
 
     def test_uncovered_block_rejected(self):
         series = PriceSeries(np.array([12_000]), np.array([5.0]))
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(InsufficientDataError) as exc:
             align_to_blocks(series, np.array([11_000]))
+        assert str(exc.value) == "prices cover [12000, 12000] but the schedule needs [11000, 11000]"
+
+    def test_block_before_the_first_stamp_rejected(self):
+        # the coverage message names the first block as it names the last
+        series = PriceSeries(np.array([12_000, 13_000]), np.array([5.0, 6.0]))
+        with pytest.raises(InsufficientDataError) as exc:
+            align_to_blocks(series, np.array([10_000, 12_000, 13_000]))
+        assert str(exc.value) == "prices cover [12000, 13000] but the schedule needs [10000, 13000]"
 
     def test_block_past_the_last_stamp_rejected(self):
         series = PriceSeries(np.array([12_000, 13_000]), np.array([5.0, 6.0]))
@@ -857,7 +857,7 @@ class TestAlignToBlocks:
 
     def test_empty_series_rejected_even_without_blocks(self):
         series = PriceSeries(np.array([], np.int64), np.array([], float))
-        with pytest.raises(InsufficientDataError, match="no update"):
+        with pytest.raises(InsufficientDataError, match=re.escape("prices cover []")):
             align_to_blocks(series, np.array([], dtype=np.int64))
 
 

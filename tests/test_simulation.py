@@ -101,6 +101,8 @@ class TestCoverage:
             run_arb_sim(PoolState(1.0, 2000.0), empty, BlockSchedule.fixed(1000, 0, 5000))
         with pytest.raises(InsufficientDataError, match=re.escape("quotes cover [] but")):
             fixed_schedule(empty, 1000, (0, 10**18))
+        with pytest.raises(InsufficientDataError, match=re.escape("quotes cover [] but")):
+            fixed_schedule(empty, 1000)  # no span to default the window to
 
     @pytest.mark.parametrize("call", [
         lambda quotes, window: blocktime_sweep(PoolState(1.0, 2000.0), quotes, [1000, 4000],
