@@ -60,7 +60,7 @@ SCHEMA_VERSION = 1
 # --- output helpers ---------------------------------------------------------
 
 # rows formatted and written at a time; a whole table is never held as text
-_CHUNK_ROWS = 8192
+_CHUNK_ROWS = 1024
 
 
 def _atomic_write(path: Path, chunks) -> None:

@@ -118,7 +118,8 @@ class PositionLedger:
     @property
     def cumulative_growth(self) -> float:
         """prod(1 + r_t), folded left to right; 1.0 without returns."""
-        return float(np.cumprod(np.append(1.0, 1.0 + self.returns))[-1])
+        factors = 1.0 + self.returns
+        return float(np.cumprod(factors, out=factors)[-1]) if len(factors) else 1.0
 
     def scaled(self, factor_k: float) -> "PositionLedger":
         """Fee ledger of a position with concentration factor k; LossSeries.scaled's rule."""
@@ -146,9 +147,10 @@ def fee_earned(record: SwapRecord, position_liquidity: float) -> float:
     return record.fee_rate * record.amount_in * share
 
 
-def _fee_in_y(input_token, fee_amount, post_swap_price):
-    """Fees in the swaps' input tokens, converted to Y at the post-swap prices."""
-    return np.where(input_token == TOKEN_X, fee_amount * post_swap_price, fee_amount)
+def _fee_in_y(input_token, fee_amount: np.ndarray, post_swap_price) -> np.ndarray:
+    """Fees in the swaps' input tokens converted to Y at the post-swap prices, in place."""
+    return np.multiply(fee_amount, post_swap_price, out=fee_amount,
+                       where=input_token == TOKEN_X)
 
 
 def relative_fee_return(
@@ -157,7 +159,9 @@ def relative_fee_return(
     """Fee amount converted to Y at the post-swap price, over position value."""
     if position_value_y <= 0:
         raise InputError(f"position value must be positive, got {position_value_y}")
-    return _fee_in_y(record.input_token, fee_amount, record.post_swap_price) / position_value_y
+    fee_y = _fee_in_y(record.input_token, np.array(fee_amount, np.float64),
+                      record.post_swap_price)
+    return fee_y / position_value_y
 
 
 def accumulate(
@@ -192,18 +196,22 @@ def attribute_fees(
     if per_block:
         ends[:-1] = swaps.block_numbers[1:] != swaps.block_numbers[:-1]
     last = np.flatnonzero(ends)
-    size = np.diff(last, prepend=-1)
-    liquidity = np.repeat(swaps.post_swap_liquidities[last], size)
+    block = np.cumsum(ends)
+    block -= ends  # each swap's block: the count of block ends before it
+    liquidity = swaps.post_swap_liquidities[last].take(block)
     over = position_liquidity > liquidity
     if over.any():
         raise InputError(f"position liquidity {position_liquidity} exceeds pool in-range "
                          f"liquidity {float(liquidity[over.argmax()])}")
-    fee = swaps.fee_rates * swaps.amounts_in * (position_liquidity / liquidity)
-    fee_y = _fee_in_y(swaps.input_tokens, fee, swaps.post_swap_prices)
+    fee = swaps.fee_rates * swaps.amounts_in
+    fee *= np.divide(position_liquidity, liquidity, out=liquidity)  # the position's share
+    del liquidity
+    _fee_in_y(swaps.input_tokens, fee, swaps.post_swap_prices)
     sums = np.zeros(len(last))
-    np.add.at(sums, np.repeat(np.arange(len(last)), size), fee_y)  # in file order, as a loop adds
-    value = 2.0 * position_liquidity * np.sqrt(swaps.post_swap_prices[last])
-    return PositionLedger(position_liquidity, sums / value, swaps.timestamps[last])
+    np.add.at(sums, block, fee)  # in file order, as a loop adds
+    del block, fee
+    sums /= 2.0 * position_liquidity * np.sqrt(swaps.post_swap_prices[last])
+    return PositionLedger(position_liquidity, sums, swaps.timestamps[last])
 
 
 _SWAP_COLUMNS = [("block_number", _parse_int, np.int64), ("timestamp_ms", _parse_int, np.int64),

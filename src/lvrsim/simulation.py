@@ -84,7 +84,8 @@ class LossSeries:
     @property
     def multiplier(self) -> float:
         """prod(1 - loss_t), folded left to right; 1.0 without events."""
-        return float(np.cumprod(np.append(1.0, 1.0 - self.losses))[-1])
+        factors = 1.0 - self.losses
+        return float(np.cumprod(factors, out=factors)[-1]) if len(factors) else 1.0
 
     @property
     def total_relative_loss(self) -> float:
@@ -405,6 +406,14 @@ def loglog_slope(
     return float(slope), residual
 
 
+def _window_sums(values: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Sum of values[left[i]:i + 1] for each i, as a difference of prefix sums."""
+    prefix = np.zeros(len(values) + 1)
+    np.cumsum(values, out=prefix[1:])
+    sums = prefix[left]
+    return np.subtract(prefix[1:], sums, out=sums)
+
+
 def fees_vs_losses(
     ledger: PositionLedger, losses: LossSeries, window_ms: int = 30 * DAY_MS
 ) -> ComparisonReport:
@@ -417,22 +426,25 @@ def fees_vs_losses(
     """
     if window_ms <= 0:
         raise InputError(f"window must be positive, got {window_ms}")
-    timeline = np.unique(np.concatenate([ledger.timestamps, losses.timestamps]))
+    # both stamp series are sorted, so the stable sort merges two runs
+    stamps = np.concatenate([ledger.timestamps, losses.timestamps])
+    stamps.sort(kind="stable")
+    first = np.ones(len(stamps), dtype=bool)
+    np.not_equal(stamps[1:], stamps[:-1], out=first[1:])
+    timeline = stamps[first]
+    del stamps, first
     fee_at = np.zeros(len(timeline))
     loss_at = np.zeros(len(timeline))
     np.add.at(fee_at, np.searchsorted(timeline, ledger.timestamps), ledger.returns)
     np.add.at(loss_at, np.searchsorted(timeline, losses.timestamps), losses.losses)
 
-    cumulative = np.cumsum(fee_at - loss_at)
-    fee_prefix = np.concatenate([[0.0], np.cumsum(fee_at)])
-    loss_prefix = np.concatenate([[0.0], np.cumsum(loss_at)])
+    cumulative = fee_at - loss_at
+    np.cumsum(cumulative, out=cumulative)
     left = np.searchsorted(timeline, timeline - window_ms, side="right")
-    right = np.arange(1, len(timeline) + 1)
-    fee_sum = fee_prefix[right] - fee_prefix[left]
-    loss_sum = loss_prefix[right] - loss_prefix[left]
+    fee_sum, loss_sum = (_window_sums(at, left) for at in (fee_at, loss_at))
+    del left
     ratio = np.full(len(timeline), np.nan)
-    nonzero = loss_sum != 0
-    ratio[nonzero] = fee_sum[nonzero] / loss_sum[nonzero]
+    np.divide(fee_sum, loss_sum, out=ratio, where=loss_sum != 0)
 
     totals = {
         "total_fee_return": float(ledger.cumulative_growth - 1.0),

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -981,6 +982,26 @@ class TestColumnWriter:
         with pytest.raises(ValueError, match="unequal"):
             _write_table(path, {"a": np.zeros(3), "b": np.zeros(2), "c": 1})
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("rows", [5_000, 100_000])
+    def test_traced_peak_is_one_chunk_of_text(self, tmp_path, rows):
+        """comparison.csv's columns: the writer holds one chunk's cells, whatever the length."""
+        rng = np.random.default_rng(3)
+        fees = rng.uniform(0, 1e-4, rows)
+        losses = np.where(np.arange(rows) % 2, rng.uniform(0, 1e-4, rows), 0.0)
+        ratio = np.divide(fees, losses, out=np.full(rows, math.nan), where=losses != 0)
+        columns = {"schema_version": SCHEMA_VERSION,
+                   "timestamp_ms": 1_700_000_000_000 + 6000 * np.arange(rows, dtype=np.int64),
+                   "fee_return": fees, "loss_return": losses,
+                   "cumulative_difference": np.cumsum(fees - losses), "trailing_ratio": ratio}
+        tracemalloc.start()
+        try:
+            _write_table(tmp_path / "comparison.csv", columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "comparison.csv").read_bytes().count(b"\n") == rows + 1
+        assert peak <= 1 << 20
 
 
 def merged(argv) -> tuple[int, object]:

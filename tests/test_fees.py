@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from test_feeds import FLOAT_TEXT, INT_TEXT, INTS, POSITIVE, cases, csv_file, save
+from test_feeds import (FLOAT_TEXT, INT_TEXT, INTS, POSITIVE, _swaps, cases, csv_file, save,
+                        write)
 
 import lvrsim.feeds as feeds
 import lvrsim.fees as fees
@@ -511,6 +513,30 @@ def test_attribution_equals_record_loop(tmp_path_factory, case):
         assert ledger.returns.tobytes() == expected.returns.tobytes()
         assert ledger.timestamps.tobytes() == expected.timestamps.tobytes()
         assert ledger.cumulative_growth == expected.cumulative_growth
+
+
+class TestAttributionMemory:
+    """Traced peak of attribute_fees on 100 000 loaded swaps in blocks of 3, per swap.
+
+    The loaded table is not counted. Attribution holds one block index and one
+    fee per swap (8 bytes each), computed in place, and per return the index
+    of its last swap and the ledger's stamp and return (24 bytes), besides a
+    byte or two of masks per swap.
+    """
+
+    ROWS = 100_000
+
+    @pytest.mark.parametrize("per_block", [False, True], ids=["per-swap", "per-block"])
+    def test_peak_bytes_per_swap(self, tmp_path, per_block):
+        swaps = load_swap_records(write(tmp_path, "swaps.csv", _swaps(self.ROWS)))
+        tracemalloc.start()
+        try:
+            ledger = attribute_fees(swaps, 500.0, per_block=per_block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ledger.returns) == (-(-self.ROWS // 3) if per_block else self.ROWS)
+        assert peak / self.ROWS <= 40
 
 
 class TestRawConversion:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from test_feeds import _swaps, write
 
 from lvrsim import (
     BlockSchedule,
@@ -21,12 +22,14 @@ from lvrsim import (
     SweepResult,
     accumulate,
     apply_arbitrage,
+    attribute_fees,
     concentration_scale,
     blocktime_sweep,
     fee_sweep,
     fees_vs_losses,
     fixed_schedule,
     gbm_generate,
+    load_swap_records,
     loglog_slope,
     no_arb_band,
     optimal_arb_trade,
@@ -1032,3 +1035,89 @@ class TestFeesVsLosses:
         assert report.cumulative_difference[-1] == pytest.approx(
             float(np.sum(fees) - np.sum(losses)), rel=1e-9
         )
+
+
+def comparison_loop(fee_ts, fees, loss_ts, losses, window_ms):
+    """fees_vs_losses' columns from a loop over the merged stamps.
+
+    Each stamp's values are added in input order. The running difference and
+    both prefix sums are folded left to right, and a trailing window's sum is
+    the difference of two prefix sums, with NaN where the loss sum is zero.
+    """
+    timeline = sorted(set(fee_ts) | set(loss_ts))
+    fee_at, loss_at = dict.fromkeys(timeline, 0.0), dict.fromkeys(timeline, 0.0)
+    for t, value in zip(fee_ts, fees):
+        fee_at[t] += value
+    for t, value in zip(loss_ts, losses):
+        loss_at[t] += value
+    difference, fee_prefix, loss_prefix = [], [0.0], [0.0]
+    running = 0.0
+    for t in timeline:
+        running += fee_at[t] - loss_at[t]
+        difference.append(running)
+        fee_prefix.append(fee_prefix[-1] + fee_at[t])
+        loss_prefix.append(loss_prefix[-1] + loss_at[t])
+    ratio = []
+    for i, t in enumerate(timeline):
+        left = sum(1 for s in timeline if s <= t - window_ms)
+        fee_sum = fee_prefix[i + 1] - fee_prefix[left]
+        loss_sum = loss_prefix[i + 1] - loss_prefix[left]
+        ratio.append(math.nan if loss_sum == 0 else fee_sum / loss_sum)
+    return {"timestamps": np.array(timeline, np.int64),
+            "fee_returns": np.array([fee_at[t] for t in timeline], np.float64),
+            "loss_returns": np.array([loss_at[t] for t in timeline], np.float64),
+            "cumulative_difference": np.array(difference, np.float64),
+            "trailing_ratio": np.array(ratio, np.float64)}
+
+
+# stamps on a 500 ms lattice and windows of whole seconds, so that stamps are
+# often shared by both series and often exactly one window apart; zero values,
+# so that some windows hold losses that sum to zero
+STAMPS = st.lists(st.integers(0, 24).map(lambda k: 500 * k), max_size=12).map(sorted)
+VALUES = st.one_of(st.just(0.0), st.floats(1e-12, 1e-2))
+
+
+@example(fee_ts=[], fees=[], loss_ts=[], losses=[], window_ms=1000)
+@example(fee_ts=[0, 1000], fees=[1e-4, 2e-4], loss_ts=[0, 1000], losses=[0.0, 3e-4],
+         window_ms=1000)
+@given(fee_ts=STAMPS, fees=st.lists(VALUES, min_size=12, max_size=12), loss_ts=STAMPS,
+       losses=st.lists(VALUES, min_size=12, max_size=12),
+       window_ms=st.integers(1, 6).map(lambda k: 1000 * k))
+def test_fees_vs_losses_is_the_loop(fee_ts, fees, loss_ts, losses, window_ms):
+    fees, losses = fees[:len(fee_ts)], losses[:len(loss_ts)]
+    ledger = accumulate(PositionLedger(1.0), fees, fee_ts)
+    report = fees_vs_losses(ledger, loss_series(loss_ts, losses), window_ms)
+    expected = comparison_loop(fee_ts, fees, loss_ts, losses, window_ms)
+    for name, column in expected.items():
+        assert getattr(report, name).dtype == column.dtype
+        assert getattr(report, name).tobytes() == column.tobytes(), name
+    # the totals that are folds; sum_fee_returns and sum_losses are numpy's sums
+    assert report.totals["total_fee_return"] == left_fold(1.0 + r for r in fees) - 1.0
+    assert report.totals["total_relative_loss"] == 1.0 - left_fold(1.0 - x for x in losses)
+    difference = expected["cumulative_difference"]
+    assert report.totals["final_difference"] == (difference[-1] if len(difference) else 0.0)
+
+
+class TestComparisonMemory:
+    """Traced peak of fees_vs_losses, in bytes per timeline row.
+
+    100 000 swaps a second apart, and a loss every 2 s, half of them on a swap's
+    stamp: 125 000 rows. The report's five columns are 40 bytes a row; the
+    merged stamps, the prefix sums and the window sums are built in place.
+    """
+
+    ROWS = 100_000
+
+    def test_peak_bytes_per_row(self, tmp_path):
+        ledger = attribute_fees(load_swap_records(write(tmp_path, "s.csv", _swaps(self.ROWS))),
+                                500.0)
+        k = np.arange(self.ROWS // 2)
+        losses = loss_series(2000 * k + 500 * (k % 2), np.full(len(k), 1e-5))
+        tracemalloc.start()
+        try:
+            report = fees_vs_losses(ledger, losses)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.timestamps) == self.ROWS + self.ROWS // 4
+        assert peak / len(report.timestamps) <= 80
