@@ -457,7 +457,7 @@ def cmd_synth_gbm(cfg: dict) -> Output:
     seed = 0 if cfg["seed"] is None else cfg["seed"]
     step, horizon = _require(cfg, "step_ms"), _require(cfg, "horizon_ms")
     # gbm_generate rejects this too, but names its parameters, not the flags
-    if step > 0 and (steps := horizon // step) > simulation.GBM_MAX_STEPS:
+    if (steps := horizon // step) > simulation.GBM_MAX_STEPS:
         raise InputError(f"--horizon-ms {horizon} / --step-ms {step} is {steps} steps; "
                          f"at most {simulation.GBM_MAX_STEPS} are generated")
     series = gbm_generate(sigma=sigma, mu=cfg["mu"], step_ms=step, horizon_ms=horizon, seed=seed,
@@ -489,6 +489,7 @@ def cmd_synth_gbm(cfg: dict) -> Output:
 _PATH = {"type": _text, "check": bool, "rule": "a path"}
 _NUMBER = {"type": functools.partial(_number, kind=float), "rule": "a number"}
 _INTEGER = {"type": functools.partial(_number, kind=int), "rule": "an integer"}
+_POSITIVE_INTEGER = {**_INTEGER, "check": lambda ms: ms > 0, "rule": "a positive integer"}
 _POSITIVE = {**_NUMBER, "check": lambda v: math.isfinite(v) and v > 0,
              "rule": "finite and positive"}
 # an on/off flag given is True; its config value is JSON true or false
@@ -514,7 +515,7 @@ OPTIONS = {
                             "help": "initial X reserve (losses are scale-invariant)"},
     "--fee-bps": {**_NUMBER, "check": _in_fee_range, "rule": "in [0, 10000)",
                   "help": "pool fee in basis points"},
-    "--interval-ms": {**_INTEGER, "help": "fixed block interval"},
+    "--interval-ms": {**_POSITIVE_INTEGER, "help": "fixed block interval"},
     "--concentration-k": {**_NUMBER, "check": lambda k: math.isfinite(k) and k >= 1.0,
                           "rule": "finite and >= 1", "default": "1",
                           "help": "concentration factor applied to relative losses and fees"},
@@ -539,7 +540,7 @@ OPTIONS = {
                     "help": "log-log fit range LO:HI in the grid's unit (ms or bps)"},
     "--sigma": {**_NUMBER, "help": "volatility per sqrt(year)"},
     "--mu": {**_NUMBER, "default": "0", "help": "drift per year"},
-    "--step-ms": {**_INTEGER, "help": "price step"},
+    "--step-ms": {**_POSITIVE_INTEGER, "help": "price step"},
     "--horizon-ms": {**_INTEGER, "help": "length of the path"},
     "--price0": {**_NUMBER, "default": "1", "help": "initial price"},
     "--start-ms": {**_INTEGER, "default": "0", "help": "timestamp of the first price"},

@@ -327,32 +327,11 @@ def _locf_index(timestamps: np.ndarray, instants) -> np.ndarray:
 
 def _min_gap(values: np.ndarray) -> int:
     """Least difference of neighbours in strictly increasing int64 values; 0 for fewer than two."""
-    if len(values) < 2:
-        return 0
-    # unsigned, so that a gap wider than the int64 range does not wrap
-    return int(np.diff(np.asarray(values, dtype=np.int64).view(np.uint64)).min())
-
-
-def _locf_select(timestamps: np.ndarray, instants: np.ndarray, step: int):
-    """_locf_index's lookup as a basic slice where one is exact, else _locf_index's array.
-
-    The instants are covered, and step is the stamps' least gap. A slice, whose
-    use gives a strided view instead of a gathered copy, is exact when the
-    stamps are uniform, the instants form a grid whose spacing is a multiple of
-    the step, and no instant is past the last stamp by a step or more.
-    """
-    n, m = len(timestamps), len(instants)
-    if n > 1 and m:
-        first, span = int(timestamps[0]), int(instants[-1]) - int(instants[0])
-        # every gap is at least the least one: with the endpoints, all are equal
-        uniform = int(timestamps[-1]) - first == step * (n - 1)
-        interval = _min_gap(instants) or step  # one instant fits any grid
-        if uniform and interval % step == 0 and span == interval * (m - 1):
-            start = (int(instants[0]) - first) // step
-            stop = start + span // step + 1
-            if stop <= n:
-                return slice(start, stop, interval // step)
-    return _locf_index(timestamps, instants)
+    # unsigned, so that a gap wider than the int64 range does not wrap; 16384 gaps at a
+    # time, so that no full-length array is held
+    values = np.asarray(values, dtype=np.int64).view(np.uint64)
+    return min((int(np.diff(values[i:i + 16385]).min()) for i in range(0, len(values) - 1, 16384)),
+               default=0)
 
 
 def _check_coverage(series: PriceSeries | QuoteSeries, instants) -> None:

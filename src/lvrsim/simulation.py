@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import FitError, InputError
-from .feeds import PriceSeries, QuoteSeries, _check_coverage, _locf_select
+from .feeds import PriceSeries, QuoteSeries, _check_coverage, _locf_index
 from .fees import PositionLedger
 from .pool import PoolState, concentration_scale
 
@@ -41,7 +41,7 @@ class BlockSchedule:
     """Instants at which arbitrageurs may trade against the pool."""
 
     timestamps: np.ndarray  # int64 ms, strictly increasing
-    interval_ms: Optional[int] = None  # set for fixed-interval schedules
+    interval_ms: Optional[int] = field(default=None, init=False)  # set by fixed() alone
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=np.int64)
@@ -57,8 +57,9 @@ class BlockSchedule:
             raise InputError(f"interval must be positive, got {interval_ms}")
         if end_ms < start_ms:
             raise InputError(f"window end {end_ms} before start {start_ms}")
-        grid = np.arange(int(start_ms), int(end_ms) + 1, int(interval_ms), dtype=np.int64)
-        return cls(grid, int(interval_ms))
+        schedule = cls(np.arange(int(start_ms), int(end_ms) + 1, int(interval_ms), dtype=np.int64))
+        object.__setattr__(schedule, "interval_ms", int(interval_ms))
+        return schedule
 
     @classmethod
     def from_blocks(cls, block_timestamps_ms) -> "BlockSchedule":
@@ -154,6 +155,33 @@ def fixed_schedule(quotes: QuoteSeries, interval_ms: int,
     return BlockSchedule.fixed(interval_ms, *_grid_window(quotes, [interval_ms], window))
 
 
+def _visits(quotes: QuoteSeries, schedule: BlockSchedule):
+    """The instants the replay visits, and the selector of their quotes in the series.
+
+    The quotes must cover the schedule (_check_coverage), and an instant's
+    quote is the last at or before it (_locf_index). The selector is a basic
+    slice, whose use gives a strided view instead of a gathered copy, when the
+    schedule is a fixed grid whose interval is a multiple of the quotes'
+    resolution and the stamps are uniform; then no two instants share a quote.
+    Otherwise it is _locf_index's array, and only the first instant of each run
+    on the same quote is visited.
+    """
+    grid, stamps = schedule.timestamps, quotes.timestamps
+    _check_coverage(quotes, grid)  # so the grid ends at or before the last stamp
+    step, interval, first = quotes.resolution_ms, schedule.interval_ms, int(stamps[0])
+    # every gap is at least the least one: with the endpoints, all are equal
+    uniform = step > 0 and int(stamps[-1]) - first == step * (len(stamps) - 1)
+    if uniform and interval and interval % step == 0:
+        return grid, slice((int(grid[0]) - first) // step, (int(grid[-1]) - first) // step + 1,
+                           interval // step)
+    at = _locf_index(stamps, grid)
+    changed = at[1:] != at[:-1]
+    if changed.all():
+        return grid, at
+    fresh = np.flatnonzero(np.concatenate(([True], changed)))  # the first instant of each quote
+    return grid[fresh], at[fresh]
+
+
 def run_arb_sim(
     initial: PoolState, quotes: QuoteSeries, schedule: BlockSchedule
 ) -> LossSeries:
@@ -169,15 +197,7 @@ def run_arb_sim(
     order, so the result is bit-identical to replaying those at each
     instant that is not skipped.
     """
-    grid = schedule.timestamps
-    _check_coverage(quotes, grid)
-    at = _locf_select(quotes.timestamps, grid, quotes.resolution_ms)
-    instants = grid
-    if not isinstance(at, slice):  # a slice never repeats a quote
-        changed = at[1:] != at[:-1]
-        if not changed.all():  # keep the first instant of each quote
-            fresh = np.flatnonzero(np.concatenate(([True], changed)))
-            instants, at = grid[fresh], at[fresh]
+    instants, at = _visits(quotes, schedule)
     bids = quotes.bids[at]  # a strided view where at is a slice, else a gathered copy
     asks = quotes.asks[at]
     bid_at = memoryview(bids)  # indexing gives Python floats
@@ -254,7 +274,7 @@ def run_arb_sim(
         timestamps=instants[np.frombuffer(events, dtype=np.int64)],
         losses=np.frombuffer(losses, dtype=float),
         profits=np.frombuffer(profits, dtype=float),
-        n_instants=len(grid),
+        n_instants=len(schedule.timestamps),
         final_state=PoolState(rx, ry, fee),
         window_ms=schedule.span_ms,
         n_dropped=dropped,
@@ -440,7 +460,13 @@ def fees_vs_losses(
 
     cumulative = fee_at - loss_at
     np.cumsum(cumulative, out=cumulative)
-    left = np.searchsorted(timeline, timeline - window_ms, side="right")
+    # each window's first row; one that reaches back before the first stamp starts there
+    left = np.zeros(len(timeline), dtype=np.intp)
+    if len(timeline) and (edge := int(timeline[0]) + window_ms) < 2**63:
+        reach = int(np.searchsorted(timeline, edge))  # the rows a whole window past the first
+        # stamp - window_ms in uint64, which cannot wrap: it lies in [first stamp, stamp]
+        since = timeline[reach:].view(np.uint64) - np.uint64(window_ms)
+        left[reach:] = np.searchsorted(timeline, since.view(np.int64), side="right")
     fee_sum, loss_sum = (_window_sums(at, left) for at in (fee_at, loss_at))
     del left
     ratio = np.full(len(timeline), np.nan)

@@ -14,6 +14,7 @@ from lvrsim import (
     PoolState,
     SweepResult,
     fixed_schedule,
+    gbm_generate,
     load_klines,
     loglog_slope,
     no_arb_band,
@@ -74,6 +75,14 @@ class TestSynthGbm:
                        "--out", tmp_path) == 0
         rows = (tmp_path / "gbm_klines.csv").read_text().strip().splitlines()[1:]
         assert all(row.split(",")[1] == "42.0" for row in rows)
+
+    @pytest.mark.parametrize("step", [0, -1000])
+    def test_step_must_be_positive(self, tmp_path, capsys, step):
+        assert run_cli("synth-gbm", "--sigma", 0.5, "--step-ms", step, "--horizon-ms", 10_000,
+                       "--seed", 1, "--out", tmp_path / "bad") == 2
+        assert capsys.readouterr().err == (
+            f"error: --step-ms must be a positive integer, got '{step}'\n")
+        assert not (tmp_path / "bad").exists()
 
     def test_horizon_step_mismatch_is_config_error(self, tmp_path, capsys):
         code = run_cli("synth-gbm", "--sigma", 0.5, "--step-ms", 300,
@@ -242,6 +251,20 @@ class TestCompare:
             "schema_version,timestamp_ms,fee_return,loss_return,cumulative_difference,"
             "trailing_ratio\n")
 
+    def test_ratio_window_past_int64_ms_covers_the_timeline(self, tmp_path, gbm_klines):
+        tables = {}
+        for days in ("1e5", "1e20", "1e300"):
+            out = tmp_path / days
+            assert run_cli("compare", "--klines", gbm_klines, "--swaps", FIXTURE,
+                           "--fee-bps", 0, "--interval-ms", 2000, "--position-liquidity", 500,
+                           "--ratio-window-days", days, "--out", out) == 0
+            tables[days] = (out / "comparison.csv").read_bytes()
+        rows = [row.split(",") for row in tables["1e5"].decode().splitlines()[1:]]
+        # each window, the shortest too, holds the whole timeline
+        assert int(rows[-1][1]) - int(rows[0][1]) < 1e5 * simulation.DAY_MS
+        assert sum(row[-1] != "" for row in rows) > 100
+        assert tables["1e20"] == tables["1e5"] and tables["1e300"] == tables["1e5"]
+
 
 class TestTablesAgreeWithManifests:
     """The last cumulative cell of a table is its manifest total, bit for bit."""
@@ -365,6 +388,64 @@ class TestQuotesFeed:
                        "--fee-bps", 10, "--out", out) == 0
         rows = (out / "losses.csv").read_text().strip().splitlines()[1:]
         assert [r.split(",")[1] for r in rows] == ["10000", "30000", "60000", "90000"]
+
+    @pytest.mark.parametrize("fee_bps", [0, 30])
+    def test_evenly_spaced_blocks_match_the_fixed_grid(self, tmp_path, fee_bps):
+        # the blocks take the index path and the grid the strided view, alike
+        assert run_cli("synth-gbm", "--sigma", 5, "--step-ms", 1000, "--horizon-ms", 600_000,
+                       "--seed", 5, "--price0", 2000, "--format", "quotes",
+                       "--out", tmp_path / "feed") == 0
+        quotes = tmp_path / "feed" / "gbm_quotes.csv"
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text("".join(f"{i},{12 * i}\n" for i in range(51)))  # 0 to 600 s
+        tables = []
+        for name, schedule in (("blocks", ["--blocks", blocks]),
+                               ("grid", ["--interval-ms", 12_000])):
+            assert run_cli("simulate-arb", "--quotes", quotes, *schedule, "--fee-bps", fee_bps,
+                           "--out", tmp_path / name) == 0
+            tables.append((tmp_path / name / "losses.csv").read_bytes())
+        assert tables[0] == tables[1]
+        assert manifest_results(tmp_path / "grid")["n_events"] > 10
+
+
+class TestKlinesOverBlocks:
+    """--klines with --blocks against the same prices given as --quotes, over the same blocks.
+
+    1 h of 1 s prices with a 30 s gap every 240 s, and a block every 12 s: two
+    blocks in each gap. align_to_blocks gives each filled block its carried-
+    forward price as a quote of its own, so the replay visits the second block
+    of a gap again, where the quotes give it the first block's quote.
+    """
+
+    def runs(self, tmp_path, fee_bps):
+        prices = gbm_generate(0.5, 0.0, 1000, 3_600_000, seed=11, price0=2000.0)
+        kept = prices.timestamps % 240_000 < 210_000
+        rows = list(zip(prices.timestamps[kept].tolist(), prices.prices[kept].tolist()))
+        feeds = {"klines": "".join(f"{t},{p!r},{p!r},{p!r},{p!r},0\n" for t, p in rows),
+                 "quotes": "".join(f"{t},{p!r},{p!r}\n" for t, p in rows)}
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text("".join(f"{i},{12 * i}\n" for i in range(301)))  # 0 to 3600 s
+        runs = []
+        for kind, text in feeds.items():
+            feed, out = tmp_path / f"{kind}.csv", tmp_path / kind
+            feed.write_text(text)
+            assert run_cli("simulate-arb", f"--{kind}", feed, "--blocks", blocks,
+                           "--fee-bps", fee_bps, "--out", out) == 0
+            results = manifest_results(out)
+            runs.append(((out / "losses.csv").read_bytes(), results["n_events"],
+                         results["n_dropped"]))
+        return runs
+
+    @pytest.mark.xfail(strict=True, reason="a block filled by align_to_blocks has a quote of "
+                                           "its own, so the replay visits its repeat again")
+    def test_zero_fee_klines_match_quotes(self, tmp_path):
+        klines, quotes = self.runs(tmp_path, 0)
+        assert klines == quotes
+
+    def test_fee_bearing_klines_match_quotes(self, tmp_path):
+        klines, quotes = self.runs(tmp_path, 5)
+        assert klines == quotes
+        assert klines[1] > 10
 
 
 def manifest_results(out):
@@ -529,11 +610,23 @@ class TestBadInputExits2:
         assert code == 2
         assert "fit range" in capsys.readouterr().err
 
-    def test_zero_interval_names_the_interval(self, tmp_path, gbm_klines, capsys):
-        code = run_cli("simulate-arb", "--klines", gbm_klines, "--fee-bps", 30,
-                       "--interval-ms", 0, "--out", tmp_path / "bad")
+    @pytest.mark.parametrize("interval", [0, -12000])
+    @pytest.mark.parametrize("feed", ["klines", "missing"])
+    @pytest.mark.parametrize("command, args", [
+        ("simulate-arb", ["--fee-bps", 30]),
+        ("compare", ["--fee-bps", 30, "--swaps", FIXTURE, "--position-liquidity", 500]),
+        ("sweep-fee", []),
+    ], ids=["simulate-arb", "compare", "sweep-fee"])
+    def test_zero_interval_names_the_interval(self, tmp_path, gbm_klines, capsys, command,
+                                              args, feed, interval):
+        # rejected where the option is read, before any file is
+        klines = gbm_klines if feed == "klines" else tmp_path / "missing.csv"
+        code = run_cli(command, "--klines", klines, *args, "--interval-ms", interval,
+                       "--out", tmp_path / "bad")
         assert code == 2
-        assert "interval must be positive" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: --interval-ms must be a positive integer, got '{interval}'\n")
+        assert not (tmp_path / "bad").exists()
 
     def test_concentration_taking_whole_position(self, tmp_path, gbm_klines, capsys):
         code = run_cli("simulate-arb", "--klines", gbm_klines, "--fee-bps", 10,
@@ -585,6 +678,7 @@ class TestBadInputExits2:
         assert code == 2
         err = capsys.readouterr().err
         assert "--window" in err and "Traceback" not in err
+        assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize("window, needs", [
         ("-12000:60000", "[-12000, 60000]"), ("0:700000", "[0, 696000]"),

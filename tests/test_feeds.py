@@ -6,10 +6,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import lvrsim.feeds as feeds
+import lvrsim.simulation as simulation
 from lvrsim import (
     BlockSchedule,
     InputError,
@@ -508,7 +509,7 @@ class TestLoadedViews:
         copies = QuoteSeries(*map(np.ascontiguousarray,
                                   (quotes.timestamps, quotes.bids, quotes.asks)))
         schedule = fixed_schedule(quotes, interval)
-        lookup = feeds._locf_select(quotes.timestamps, schedule.timestamps, 1000)
+        _, lookup = simulation._visits(quotes, schedule)
         assert isinstance(lookup, slice) == (interval == 2000)
         runs = [run_arb_sim(PoolState(1.0, 2000.0, 0.0005), q, schedule)
                 for q in (quotes, copies)]
@@ -744,78 +745,6 @@ class TestLocfIndex:
         assert feeds._locf_index(np.array([5000]), [5000, 8000]).tolist() == [0, 0]
 
 
-@st.composite
-def select_cases(draw):
-    """(stamps, instants): uniform, even-ended or irregular stamps, and a grid of instants.
-
-    The grid's spacing may or may not be a multiple of the stamps' step, it may
-    start off the stamps or past the last, never before the first (the instants
-    are covered), and it may hold a single instant. Now and then the instants
-    are irregular instead.
-    """
-    step = draw(st.integers(1, 5))
-    n = draw(st.integers(1, 25))
-    gaps = [step] * (n - 1)
-    kind = draw(st.sampled_from(["uniform", "even-ends", "irregular"]))
-    if kind == "even-ends" and n > 2 and step > 1:  # like 0, 2, 3, 6: the ends fit a grid
-        i, j = draw(st.lists(st.integers(0, n - 2), min_size=2, max_size=2, unique=True))
-        shift = draw(st.integers(1, step - 1))
-        gaps[i], gaps[j] = step - shift, step + shift
-    elif kind == "irregular":
-        gaps = draw(st.lists(st.integers(1, 3 * step), min_size=n - 1, max_size=n - 1))
-    stamps = draw(st.integers(-50, 50)) + np.cumsum([0, *gaps], dtype=np.int64)
-    start = draw(st.integers(int(stamps[0]), int(stamps[-1]) + 3 * step))
-    if draw(st.integers(0, 4)):
-        interval = draw(st.integers(1, 4)) * step if draw(st.booleans()) \
-            else draw(st.integers(1, 4 * step))
-        instants = start + interval * np.arange(draw(st.integers(1, 15)), dtype=np.int64)
-    else:
-        instants = np.array(sorted(draw(st.sets(st.integers(start, start + 60), min_size=1,
-                                                max_size=15))), np.int64)
-    return stamps, instants
-
-
-class TestLocfSelect:
-    """feeds._locf_select: a slice on uniform grids, else _locf_index's array."""
-
-    @given(case=select_cases())
-    @settings(max_examples=500)  # enough to find the 0, 2, 3, 6 trap without its example
-    @example(case=(np.array([0, 2, 3, 6], np.int64), np.array([1, 3, 5], np.int64)))
-    @example(case=(np.array([0, 2, 3, 6], np.int64), np.arange(0, 9, 1, dtype=np.int64)))
-    @example(case=(np.array([0, 10, 20], np.int64), np.array([29], np.int64)))
-    @example(case=(np.array([0, 10, 20], np.int64), np.array([5, 25], np.int64)))
-    @example(case=(np.array([0, 10, 20], np.int64), np.array([10, 30], np.int64)))
-    def test_matches_searchsorted_bit_for_bit(self, case):
-        stamps, instants = case
-        step = feeds._min_gap(stamps)
-        expected = np.searchsorted(stamps, instants, side="right") - 1
-        selector = feeds._locf_select(stamps, instants, step)
-        assert np.arange(len(stamps))[selector].tobytes() == expected.tobytes()
-
-    def test_uniform_grid_gives_a_strided_view(self):
-        series = quotes(np.arange(1000, 2000, 100), np.arange(1.0, 11.0))
-        selector = feeds._locf_select(series.timestamps, np.array([1150, 1350, 1550, 1750]),
-                                      series.resolution_ms)
-        assert selector == slice(1, 8, 2)
-        view = series.bids[selector]
-        assert view.base is series.bids and view.tolist() == [2.0, 4.0, 6.0, 8.0]
-
-    @pytest.mark.parametrize("stamps, instants", [
-        ([0, 2, 3, 6], [0, 2, 4, 6]),  # the first gap spans the endpoints: uneven all the same
-        ([0, 10, 20], [0, 15, 30]),  # spacing not a multiple of the step
-        ([0, 10, 20], [0, 10, 25]),  # instants not a grid
-        ([0, 10, 20], [10, 30]),  # the last instant a step past the last stamp
-    ])
-    def test_otherwise_gives_the_index_array(self, stamps, instants):
-        stamps = np.array(stamps, np.int64)
-        selector = feeds._locf_select(stamps, np.array(instants, np.int64), feeds._min_gap(stamps))
-        assert isinstance(selector, np.ndarray)
-
-    def test_min_gap_does_not_wrap(self):
-        assert feeds._min_gap(np.array([-(2**63), 2**63 - 1], np.int64)) == 2**64 - 1
-        assert feeds._min_gap(np.array([7], np.int64)) == 0
-
-
 class TestAlignToBlocks:
     def test_exact_seconds(self):
         series = PriceSeries(np.arange(0, 30_000, 1000, dtype=np.int64),
@@ -878,6 +807,11 @@ class TestQuoteSeriesValidation:
             quotes[column][1] = value
         with pytest.raises(InputError, match="finite"):
             QuoteSeries(np.array([0, 1, 2]), quotes["bids"], quotes["asks"])
+
+    def test_resolution_does_not_wrap(self):
+        ones = np.ones(2)
+        assert QuoteSeries(np.array([-(2**63), 2**63 - 1]), ones, ones).resolution_ms == 2**64 - 1
+        assert QuoteSeries(np.array([7]), ones[:1], ones[:1]).resolution_ms == 0
 
 
 @pytest.mark.parametrize("make", [

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_feeds import _swaps, write
 
@@ -37,7 +37,7 @@ from lvrsim import (
     run_arb_sim,
 )
 import lvrsim.simulation as simulation
-from lvrsim.feeds import _locf_select, load_quote_updates
+from lvrsim.feeds import load_quote_updates
 from lvrsim.simulation import DAY_MS, DEFAULT_INTERVALS_MS, YEAR_MS, _SCALAR_SCAN
 
 
@@ -74,6 +74,13 @@ class TestBlockSchedule:
     def test_rejects_empty(self):
         with pytest.raises(InputError):
             BlockSchedule(np.array([], dtype=np.int64))
+
+    def test_only_fixed_sets_the_interval(self):
+        # the replay reads a strided view of the quotes on the strength of interval_ms
+        with pytest.raises(TypeError):
+            BlockSchedule(np.array([0, 1000, 2000]), 1000)
+        assert BlockSchedule.from_blocks([0, 1000, 2000]).interval_ms is None
+        assert BlockSchedule.fixed(1000, 0, 2000).interval_ms == 1000
 
     def test_rejects_unsorted(self):
         with pytest.raises(InputError):
@@ -165,6 +172,108 @@ class TestCoverage:
             blocktime_sweep(PoolState(1.0, 2000.0), self.QUOTES, [1000, 20_300],
                             window=(10_000, 50_600))
         assert replays == []
+
+
+@st.composite
+def visit_cases(draw):
+    """(stamps, instants, interval): uniform, even-ended or irregular stamps, and instants.
+
+    The instants are mostly a grid, whose spacing may or may not be a multiple
+    of the stamps' step; it may start off the stamps, never before the first,
+    and it may hold a single instant. Mostly they end at or before the last
+    stamp (the quotes cover them), else they may reach past it. interval is the
+    grid's spacing where the schedule is made by BlockSchedule.fixed, and None
+    where the same grid, or irregular instants, come as blocks.
+    """
+    step = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 25))
+    gaps = [step] * (n - 1)
+    kind = draw(st.sampled_from(["uniform", "even-ends", "irregular"]))
+    if kind == "even-ends" and n > 2 and step > 1:  # like 0, 2, 3, 6: the ends fit a grid
+        i, j = draw(st.lists(st.integers(0, n - 2), min_size=2, max_size=2, unique=True))
+        shift = draw(st.integers(1, step - 1))
+        gaps[i], gaps[j] = step - shift, step + shift
+    elif kind == "irregular":
+        gaps = draw(st.lists(st.integers(1, 3 * step), min_size=n - 1, max_size=n - 1))
+    stamps = draw(st.integers(-50, 50)) + np.cumsum([0, *gaps], dtype=np.int64)
+    start = draw(st.integers(int(stamps[0]), int(stamps[-1])))
+    interval = None
+    if draw(st.integers(0, 4)):
+        interval = draw(st.integers(1, 4)) * step if draw(st.booleans()) \
+            else draw(st.integers(1, 4 * step))
+        instants = start + interval * np.arange(draw(st.integers(1, 15)), dtype=np.int64)
+        if not draw(st.integers(0, 3)):
+            interval = None
+    else:
+        later = draw(st.sets(st.integers(start + 1, start + 60), max_size=14))
+        instants = np.array(sorted({start, *later}), np.int64)
+    if draw(st.integers(0, 4)):
+        instants = instants[instants <= stamps[-1]]  # still holds the start
+    return stamps, instants, interval
+
+
+class TestVisits:
+    """simulation._visits, the replay's one visit rule: the first instant of each run on the
+    same quote, whose quote a slice selects on uniform fixed grids, else an index array."""
+
+    @staticmethod
+    def schedule(instants, interval):
+        if interval is None:
+            return BlockSchedule.from_blocks(instants)
+        return BlockSchedule.fixed(interval, int(instants[0]), int(instants[-1]))
+
+    @given(case=visit_cases())
+    @settings(max_examples=500)  # enough to find the 0, 2, 3, 6 trap without its example
+    @example(case=(np.array([0, 2, 3, 6], np.int64), np.array([1, 3, 5], np.int64), 2))
+    @example(case=(np.array([0, 2, 3, 6], np.int64), np.arange(0, 9, 1, dtype=np.int64), 1))
+    @example(case=(np.array([0, 10, 20], np.int64), np.array([29], np.int64), 10))
+    @example(case=(np.array([0, 10, 20], np.int64), np.array([5, 25], np.int64), 20))
+    @example(case=(np.array([0, 10, 20], np.int64), np.array([10, 30], np.int64), 20))
+    @example(case=(np.array([0, 2, 3, 6], np.int64), np.arange(0, 7, 1, dtype=np.int64), 1))
+    @example(case=(np.array([0, 10, 20, 30], np.int64), np.array([29], np.int64), 10))
+    @example(case=(np.array([0, 10, 20], np.int64), np.array([0, 10, 20], np.int64), None))
+    def test_matches_the_per_instant_loop_bit_for_bit(self, case):
+        """Bit for bit against a plain loop; a schedule the quotes do not cover is rejected."""
+        stamps, instants, interval = case
+        prices = np.arange(1.0, len(stamps) + 1.0)
+        quotes = QuoteSeries(stamps, prices, prices)
+        schedule = self.schedule(instants, interval)
+        if instants[-1] > stamps[-1]:
+            with pytest.raises(InsufficientDataError):
+                simulation._visits(quotes, schedule)
+            return
+        visited, selector = simulation._visits(quotes, schedule)
+        ts, kept, previous = stamps.tolist(), [], None
+        for t in instants.tolist():
+            i = max(i for i, s in enumerate(ts) if s <= t)  # the last stamp at or before t
+            if i != previous:
+                kept.append((t, i))
+            previous = i
+        assert visited.dtype == np.int64
+        assert visited.tobytes() == np.array([t for t, _ in kept], np.int64).tobytes()
+        picked = np.arange(len(stamps))[selector]
+        assert picked.tobytes() == np.array([i for _, i in kept], picked.dtype).tobytes()
+
+    def test_uniform_fixed_grid_gives_a_strided_view(self):
+        prices = np.arange(1.0, 11.0)
+        series = QuoteSeries(np.arange(1000, 2000, 100), prices, prices)
+        visited, selector = simulation._visits(series, BlockSchedule.fixed(200, 1150, 1750))
+        assert visited.tolist() == [1150, 1350, 1550, 1750]
+        assert selector == slice(1, 8, 2)
+        view = series.bids[selector]
+        assert view.base is series.bids and view.tolist() == [2.0, 4.0, 6.0, 8.0]
+
+    @pytest.mark.parametrize("stamps, instants, interval", [
+        ([0, 2, 3, 6], [0, 2, 4, 6], 2),  # the first gap spans the endpoints: uneven all the same
+        ([0, 10, 20, 30], [0, 15, 30], 15),  # spacing not a multiple of the step
+        ([0, 10, 20, 30], [0, 10, 25], None),  # instants not a grid
+        ([0, 10, 20], [0, 10, 20], None),  # evenly spaced blocks: no schedule says grid
+    ])
+    def test_otherwise_gives_the_index_array(self, stamps, instants, interval):
+        prices = np.ones(len(stamps))
+        quotes = QuoteSeries(np.array(stamps, np.int64), prices, prices)
+        _, selector = simulation._visits(quotes, self.schedule(np.array(instants), interval))
+        assert isinstance(selector, np.ndarray)
 
 
 class TestRunArbSim:
@@ -327,7 +436,7 @@ class TestReplayMemory:
     events go to 24-byte-an-event buffers, not lists of boxed numbers.
     """
 
-    @pytest.mark.parametrize("fee, bound", [(0.0, 48), (0.003, 16)], ids=["zero-fee", "30bp"])
+    @pytest.mark.parametrize("fee, bound", [(0.0, 48), (0.003, 2)], ids=["zero-fee", "30bp"])
     def test_peak_bytes_per_instant(self, fee, bound):
         horizon = 6 * 3600 * 1000
         quotes = quotes_from_prices(gbm_generate(0.5, 0.0, 100, horizon, seed=5, price0=2000.0))
@@ -525,7 +634,7 @@ class TestReplayKernel:
         sweep = blocktime_sweep(pool, quotes)
         assert [s.interval_ms for (_, _, s), _ in runs] == list(DEFAULT_INTERVALS_MS)
         for (state, replayed, schedule), run in runs:
-            strided = isinstance(_locf_select(ts, schedule.timestamps, 100), slice)
+            strided = isinstance(simulation._visits(replayed, schedule)[1], slice)
             assert strided == (schedule.interval_ms != 250)
             self.assert_bit_identical(state, replayed, schedule, run)
         assert sweep.total_losses.tolist() == [run.total_relative_loss for _, run in runs]
@@ -1022,6 +1131,27 @@ class TestFeesVsLosses:
         total = float(np.sum(values))
         assert [t["sum_fee_returns"].hex() for t in fees] == [total.hex()] * 2
         assert [t["sum_losses"].hex() for t in losses] == [total.hex()] * 2
+
+    def test_window_near_the_int64_minimum_does_not_wrap(self):
+        stamps = np.array([5, 1005, 2005], np.int64)
+        reports = [fees_vs_losses(self.ledger(stamps + shift, [1e-3, 2e-3, 3e-3]),
+                                  loss_series(stamps + shift, [1e-3] * 3), 30 * DAY_MS)
+                   for shift in (-(2**63), 0)]
+        assert reports[1].trailing_ratio.tolist() == [1.0, 1.5, 2.0]
+        for name in ("fee_returns", "loss_returns", "cumulative_difference", "trailing_ratio"):
+            assert getattr(reports[0], name).tobytes() == getattr(reports[1], name).tobytes()
+
+    @pytest.mark.parametrize("window_ms", [1000, 30 * DAY_MS, 2**62, 2**63 - 1006, 2**63 - 1,
+                                           2**63, 2**64, 10**400],
+                             ids=["1s", "30d", "2^62", "2^63-1006", "2^63-1", "2^63", "2^64",
+                                  "1e400"])
+    def test_windows_over_the_int64_range_are_the_loop(self, window_ms):
+        """Stamps half the int64 range apart; a window past int64, or past any float, too."""
+        stamps = [-(2**63), -(2**63) + 1005, -(2**63) + 2005, -1]
+        fees, losses = [1e-3, 2e-3, 3e-3, 4e-3], [4e-3, 1e-3, 2e-3, 3e-3]
+        report = fees_vs_losses(self.ledger(stamps, fees), loss_series(stamps, losses), window_ms)
+        expected = comparison_loop(stamps, fees, stamps, losses, window_ms)
+        assert report.trailing_ratio.tobytes() == expected["trailing_ratio"].tobytes()
 
     def test_difference_is_running_sum(self):
         rng = np.random.default_rng(8)
