@@ -34,6 +34,7 @@ from .errors import InputError, InsufficientDataError, ParseError
 logger = logging.getLogger(__name__)
 _GZIP_ERRORS = (EOFError, zlib.error, gzip.BadGzipFile)  # reading a damaged or non-gzip .gz
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # a non-UTF-8 byte, as surrogateescape reads it
+_CHUNK = 16384  # rows a chunked pass holds at a time, so that it holds no full-length array
 
 
 @dataclass(frozen=True)
@@ -287,13 +288,28 @@ def load_quote_updates(path: str) -> QuoteSeries:
              lambda i: f"invalid quote bid={bids[i]} ask={asks[i]}"),
             (_vs_previous(ts, np.greater),
              lambda i: f"timestamps decreasing: {ts[i]} after {ts[i - 1]}")])
-    keep = np.ones(len(ts), dtype=bool)
-    keep[:-1] = ts[1:] > ts[:-1]  # the last update of each millisecond
-    if not keep.all():  # gather only to drop: else the columns stay as loaded
-        logger.warning("%s: dropped %d earlier duplicate-timestamp updates",
-                       path, len(ts) - np.count_nonzero(keep))
-        ts, bids, asks = ts[keep], bids[keep], asks[keep]
-    return QuoteSeries(ts, bids, asks)
+    kept = _keep_last_of_each_stamp(ts, bids, asks)
+    if kept < len(ts):
+        logger.warning("%s: dropped %d earlier duplicate-timestamp updates", path, len(ts) - kept)
+    return QuoteSeries(ts[:kept], bids[:kept], asks[:kept])
+
+
+def _keep_last_of_each_stamp(ts: np.ndarray, *columns: np.ndarray) -> int:
+    """Move the last row of each run of equal stamps to the front of every column, in place,
+    and return their number. A kept row only moves to an index at or below its own, so each
+    chunk is read before anything overwrites it; no column is copied whole."""
+    n, kept = len(ts), 0
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        later = ts[start + 1:stop + 1]
+        keep = np.ones(stop - start, dtype=bool)  # the last row has no later one
+        np.greater(later, ts[start:start + len(later)], out=keep[:len(later)])
+        n_kept = int(np.count_nonzero(keep))
+        if kept < start or n_kept < stop - start:  # else every row so far stays where it is
+            for column in (ts, *columns):
+                column[kept:kept + n_kept] = column[start:stop][keep]
+        kept += n_kept
+    return kept
 
 
 # block seconds whose milliseconds fit in int64
@@ -327,11 +343,10 @@ def _locf_index(timestamps: np.ndarray, instants) -> np.ndarray:
 
 def _min_gap(values: np.ndarray) -> int:
     """Least difference of neighbours in strictly increasing int64 values; 0 for fewer than two."""
-    # unsigned, so that a gap wider than the int64 range does not wrap; 16384 gaps at a
-    # time, so that no full-length array is held
+    # unsigned, so that a gap wider than the int64 range does not wrap
     values = np.asarray(values, dtype=np.int64).view(np.uint64)
-    return min((int(np.diff(values[i:i + 16385]).min()) for i in range(0, len(values) - 1, 16384)),
-               default=0)
+    return min((int(np.diff(values[i:i + _CHUNK + 1]).min())
+                for i in range(0, len(values) - 1, _CHUNK)), default=0)
 
 
 def _check_coverage(series: PriceSeries | QuoteSeries, instants) -> None:

@@ -57,8 +57,14 @@ class BlockSchedule:
             raise InputError(f"interval must be positive, got {interval_ms}")
         if end_ms < start_ms:
             raise InputError(f"window end {end_ms} before start {start_ms}")
-        schedule = cls(np.arange(int(start_ms), int(end_ms) + 1, int(interval_ms), dtype=np.int64))
-        object.__setattr__(schedule, "interval_ms", int(interval_ms))
+        start, span, interval = int(start_ms), int(end_ms) - int(start_ms), int(interval_ms)
+        # start + k * interval, in uint64 where it cannot wrap; np.arange sizes a grid in
+        # floats, which can drop the last instant of one that spans more than 2**53 ms
+        grid = np.arange(span // interval + 1, dtype=np.uint64)
+        grid *= np.uint64(min(interval, span or 1))  # past the span, any interval gives [start]
+        grid += np.uint64(start % 2**64)
+        schedule = cls(grid.view(np.int64))
+        object.__setattr__(schedule, "interval_ms", interval)
         return schedule
 
     @classmethod
@@ -159,12 +165,13 @@ def _visits(quotes: QuoteSeries, schedule: BlockSchedule):
     """The instants the replay visits, and the selector of their quotes in the series.
 
     The quotes must cover the schedule (_check_coverage), and an instant's
-    quote is the last at or before it (_locf_index). The selector is a basic
-    slice, whose use gives a strided view instead of a gathered copy, when the
-    schedule is a fixed grid whose interval is a multiple of the quotes'
-    resolution and the stamps are uniform; then no two instants share a quote.
-    Otherwise it is _locf_index's array, and only the first instant of each run
-    on the same quote is visited.
+    quote is the last at or before it. The selector is a basic slice, whose
+    use gives a strided view instead of a gathered copy, when the schedule is
+    a fixed grid whose interval is a multiple of the quotes' resolution and
+    the stamps are uniform. Otherwise it is an index array: (t - first) // step
+    on uniform stamps, else _locf_index's. On uniform stamps a fixed grid at
+    least a step apart reads each quote once; elsewhere only the first instant
+    of each run on the same quote is visited.
     """
     grid, stamps = schedule.timestamps, quotes.timestamps
     _check_coverage(quotes, grid)  # so the grid ends at or before the last stamp
@@ -174,7 +181,13 @@ def _visits(quotes: QuoteSeries, schedule: BlockSchedule):
     if uniform and interval and interval % step == 0:
         return grid, slice((int(grid[0]) - first) // step, (int(grid[-1]) - first) // step + 1,
                            interval // step)
-    at = _locf_index(stamps, grid)
+    if uniform:  # exact in uint64, where t - first cannot wrap; at most len(stamps) - 1
+        at = grid.view(np.uint64) - stamps[:1].view(np.uint64)
+        at = np.floor_divide(at, np.uint64(step), out=at).view(np.int64)
+        if interval and interval >= step:
+            return grid, at
+    else:
+        at = _locf_index(stamps, grid)
     changed = at[1:] != at[:-1]
     if changed.all():
         return grid, at
@@ -312,6 +325,7 @@ def _sweep(
         totals.append(total)
         annuals.append(_annualized(total, run.window_ms))
         counts.append(len(run.losses))
+        del run  # so that the next replay does not run beside this one's events
     return SweepResult(
         parameter=parameter,
         values=np.array(values, dtype=float),

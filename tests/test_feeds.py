@@ -548,7 +548,8 @@ class TestLoaderMemory:
     bytes a row for klines and blocks, 24 for quotes, 56 for swaps). Each bound
     is that record, a quarter more for loadtxt's growth as it reads, and a few
     bytes of row masks for the rules; blocks add the 8 bytes of the returned
-    milliseconds, and quotes with repeats the gathered copies that drop them.
+    milliseconds. Quotes drop their repeats in place, so with repeats they have
+    the bound they have without.
     """
 
     ROWS = 100_000
@@ -556,7 +557,7 @@ class TestLoaderMemory:
     @pytest.mark.parametrize("load, text, bound", [
         (load_klines, _klines, 24),
         (load_quote_updates, _quotes, 36),
-        (load_quote_updates, lambda n: _quotes(n, repeat_every=100), 64),
+        (load_quote_updates, lambda n: _quotes(n, repeat_every=100), 36),
         (load_block_timestamps, _blocks, 30),
         (load_swap_records, _swaps, 80),
     ], ids=["klines", "quotes", "quotes-with-repeats", "blocks", "swaps"])
@@ -570,6 +571,53 @@ class TestLoaderMemory:
             tracemalloc.stop()
         assert len(loaded) >= 0.99 * self.ROWS
         assert peak / self.ROWS <= bound
+
+
+@st.composite
+def repeat_patterns(draw):
+    """Stamps of quote rows, in runs of equal stamps: a run may hold several rows, at the
+    start, in the middle or at the end, and one millisecond may hold every row."""
+    runs = draw(st.lists(st.integers(1, 4), min_size=1, max_size=12))
+    if not draw(st.integers(0, 5)):
+        runs = [sum(runs)]
+    gaps = draw(st.lists(st.integers(1, 10**6), min_size=len(runs) - 1,
+                         max_size=len(runs) - 1))
+    stamps = draw(st.integers(-(10**12), 10**12)) + np.cumsum([0, *gaps], dtype=np.int64)
+    return np.repeat(stamps, runs)
+
+
+class TestRepeatCompaction:
+    """load_quote_updates keeps the last update of each millisecond, moving the kept rows
+    within the loaded columns a chunk at a time; on both loader paths it gives what
+    gathering them with a keep mask gives."""
+
+    @staticmethod
+    def check(directory, ts, chunk):
+        bids = 1.0 + np.arange(len(ts)) / 8  # every row its own quote
+        asks = bids + 0.5
+        path = write(directory, "q.csv", "".join(
+            f"{t},{b!r},{a!r}\n" for t, b, a in zip(ts.tolist(), bids.tolist(), asks.tolist())))
+        keep = np.ones(len(ts), dtype=bool)
+        keep[:-1] = ts[1:] > ts[:-1]
+        dropped = len(ts) - int(np.count_nonzero(keep))
+        logged = [mock.call("%s: dropped %d earlier duplicate-timestamp updates", path, dropped)]
+        for load in (columnar_only, row_path):
+            with mock.patch.object(feeds, "_CHUNK", chunk), \
+                    mock.patch.object(feeds.logger, "warning") as warn:
+                loaded = load(load_quote_updates, path)
+            assert_bitwise_equal(loaded, QuoteSeries(ts[keep], bids[keep], asks[keep]))
+            assert warn.call_args_list == (logged if dropped else [])
+
+    @given(ts=repeat_patterns(), chunk=st.integers(1, 6))
+    @example(ts=np.zeros(5, np.int64), chunk=2)  # one millisecond holds every row
+    @example(ts=np.array([0, 0, 1, 2, 3, 3], np.int64), chunk=2)  # repeats at both ends
+    def test_equals_the_gather(self, tmp_path_factory, ts, chunk):
+        self.check(tmp_path_factory.mktemp("q"), ts, chunk)
+
+    def test_equals_the_gather_across_whole_chunks(self, tmp_path):
+        ts = np.arange(40_000, dtype=np.int64)
+        ts[16_380:16_390] = 16_380  # a run across the first chunk's end
+        self.check(tmp_path, ts - ts // 7, feeds._CHUNK)
 
 
 def quoted(text):

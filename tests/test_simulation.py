@@ -1,6 +1,8 @@
+import functools
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -85,6 +87,16 @@ class TestBlockSchedule:
     def test_rejects_unsorted(self):
         with pytest.raises(InputError):
             BlockSchedule.from_blocks([2, 1])
+
+    @pytest.mark.parametrize("interval, start, end, count", [
+        (2**62, -(2**63) + 5, 5, 3),  # np.arange, sizing in floats, gives 2 instants
+        (2**61 + 3, -(2**63) + 5, -(2**63) + 5 + 3 * (2**61 + 3), 4),
+        (2**64 + 7, -(2**63), 2**63 - 1, 1),  # an interval past the span holds the start
+        (1, 2**63 - 1, 2**63 - 1, 1),
+    ])
+    def test_grid_over_the_int64_range_keeps_every_instant(self, interval, start, end, count):
+        grid = BlockSchedule.fixed(interval, start, end).timestamps
+        assert grid.tolist() == [start + k * interval for k in range(count)]
 
 
 class TestCoverage:
@@ -183,7 +195,9 @@ def visit_cases(draw):
     and it may hold a single instant. Mostly they end at or before the last
     stamp (the quotes cover them), else they may reach past it. interval is the
     grid's spacing where the schedule is made by BlockSchedule.fixed, and None
-    where the same grid, or irregular instants, come as blocks.
+    where the same grid, or irregular instants, come as blocks. A quarter of
+    the cases are stretched over the int64 range, so that the span of the
+    stamps may be wider than int64 holds.
     """
     step = draw(st.integers(1, 5))
     n = draw(st.integers(1, 25))
@@ -209,6 +223,15 @@ def visit_cases(draw):
         instants = np.array(sorted({start, *later}), np.int64)
     if draw(st.integers(0, 4)):
         instants = instants[instants <= stamps[-1]]  # still holds the start
+    if not draw(st.integers(0, 3)):  # t -> -2**63 + scale * (t - lo) keeps every relation
+        lo, hi = int(stamps[0]), max(int(stamps[-1]), int(instants[-1]))
+        scale = (2**64 - 1) // max(hi - lo, 1)
+
+        def stretch(values):
+            return np.array([-(2**63) + scale * (v - lo) for v in values.tolist()], np.int64)
+
+        stamps, instants = stretch(stamps), stretch(instants)
+        interval = None if interval is None else scale * interval
     return stamps, instants, interval
 
 
@@ -232,6 +255,10 @@ class TestVisits:
     @example(case=(np.array([0, 2, 3, 6], np.int64), np.arange(0, 7, 1, dtype=np.int64), 1))
     @example(case=(np.array([0, 10, 20, 30], np.int64), np.array([29], np.int64), 10))
     @example(case=(np.array([0, 10, 20], np.int64), np.array([0, 10, 20], np.int64), None))
+    @example(case=(-(2**63) + 3 * 2**61 * np.arange(3, dtype=np.int64),  # a span past int64
+                   -(2**63) + 2**62 * np.arange(3, dtype=np.int64), 2**62))
+    @example(case=(-(2**63) + 3 * 2**61 * np.arange(3, dtype=np.int64),
+                   np.array([-(2**63) + 2**62, 2**62 - 1], np.int64), None))
     def test_matches_the_per_instant_loop_bit_for_bit(self, case):
         """Bit for bit against a plain loop; a schedule the quotes do not cover is rejected."""
         stamps, instants, interval = case
@@ -274,6 +301,18 @@ class TestVisits:
         quotes = QuoteSeries(np.array(stamps, np.int64), prices, prices)
         _, selector = simulation._visits(quotes, self.schedule(np.array(instants), interval))
         assert isinstance(selector, np.ndarray)
+
+    @pytest.mark.parametrize("instants, interval, picked", [
+        ([0, 15, 30], 15, [0, 1, 3]),  # a grid not a multiple of the step
+        ([0, 4, 8, 12], 4, [0, 1]),  # a grid below the step: repeats are not visited
+        ([0, 5, 10, 25, 29], None, [0, 1, 2]),  # blocks
+    ])
+    def test_uniform_stamps_are_indexed_without_a_search(self, instants, interval, picked):
+        prices = np.arange(1.0, 5.0)
+        quotes = QuoteSeries(np.array([0, 10, 20, 30], np.int64), prices, prices)
+        with mock.patch.object(simulation, "_locf_index", side_effect=AssertionError("searched")):
+            _, selector = simulation._visits(quotes, self.schedule(np.array(instants), interval))
+        assert selector.tolist() == picked
 
 
 class TestRunArbSim:
@@ -429,6 +468,39 @@ class TestRunArbSim:
                 run.scaled(factor)
 
 
+REPLAY_HORIZON_MS = 6 * 3600 * 1000
+
+
+@functools.cache
+def replay_quotes() -> QuoteSeries:
+    """6 h of 100 ms GBM quotes."""
+    return quotes_from_prices(gbm_generate(0.5, 0.0, 100, REPLAY_HORIZON_MS, seed=5,
+                                           price0=2000.0))
+
+
+def traced_peak(call):
+    """(call's result, the traced peak of the allocations it made), from its second call.
+
+    The first call, untraced, warms the replay up: traced cold, the same zero-fee replay
+    took 8-10 s where it takes 2-3 s warm.
+    """
+    call()
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@functools.cache
+def replay_peak(fee: float) -> tuple[int, int, int]:
+    """(instants, events, traced peak) of one replay of replay_quotes() on a 100 ms grid,
+    whose quotes and grid are made before the trace starts."""
+    quotes, schedule = replay_quotes(), BlockSchedule.fixed(100, 0, REPLAY_HORIZON_MS)
+    run, peak = traced_peak(lambda: run_arb_sim(PoolState(1.0, 2000.0, fee), quotes, schedule))
+    return run.n_instants, len(run.losses), peak
+
+
 class TestReplayMemory:
     """Traced peak of one replay of 6 h of 100 ms quotes on a 100 ms grid.
 
@@ -438,18 +510,30 @@ class TestReplayMemory:
 
     @pytest.mark.parametrize("fee, bound", [(0.0, 48), (0.003, 2)], ids=["zero-fee", "30bp"])
     def test_peak_bytes_per_instant(self, fee, bound):
-        horizon = 6 * 3600 * 1000
-        quotes = quotes_from_prices(gbm_generate(0.5, 0.0, 100, horizon, seed=5, price0=2000.0))
-        schedule = BlockSchedule.fixed(100, 0, horizon)
-        tracemalloc.start()
-        try:
-            run = run_arb_sim(PoolState(1.0, 2000.0, fee), quotes, schedule)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        instants, events, peak = replay_peak(fee)
         if fee == 0.0:  # every instant trades
-            assert len(run.losses) > 0.99 * run.n_instants
-        assert peak / run.n_instants <= bound
+            assert events > 0.99 * instants
+        assert peak / instants <= bound
+
+
+class TestSweepMemory:
+    """A sweep releases each replay before the next, so that its traced peak is that of its
+    largest replay: here the zero-fee one on the 100 ms grid, where every instant trades.
+
+    The fee sweep's second fee is low enough that its replay trades at most instants too,
+    so that holding the first replay's events beside it would show.
+    """
+
+    @pytest.mark.parametrize("sweep", [
+        lambda quotes: blocktime_sweep(PoolState(1.0, 2000.0, 0.0), quotes),
+        lambda quotes: fee_sweep(1.0, 2000.0, quotes, 100, [0.0, 1e-5]),
+    ], ids=["blocktime", "fee"])
+    def test_peak_is_the_largest_replay(self, sweep):
+        instants, _, replay = replay_peak(0.0)
+        quotes = replay_quotes()
+        result, peak = traced_peak(lambda: sweep(quotes))
+        assert result.n_events[0] > 0.99 * instants
+        assert peak <= 1.02 * (replay + 8 * instants)  # and the grid the sweep builds for it
 
 
 def left_fold(factors) -> float:
