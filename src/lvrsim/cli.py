@@ -321,7 +321,7 @@ def _arb_run(cfg: dict, fee: float, factor: float):
     """Losses of the feed replayed over the schedule, scaled by the factor k."""
     feed = _load_feed(cfg)
     schedule = _make_schedule(cfg, feed)
-    initial = _initial_state(cfg, feed.quotes, schedule.timestamps[0], fee)
+    initial = _initial_state(cfg, feed.quotes, schedule.first_ms, fee)
     return run_arb_sim(initial, feed.quotes, schedule).scaled(factor), schedule, feed
 
 
@@ -347,12 +347,13 @@ def cmd_simulate_arb(cfg: dict) -> Output:
     fee, factor = _require(cfg, "fee_bps") / 1e4, cfg["concentration_k"]
     run, schedule, feed = _arb_run(cfg, fee, factor)
 
-    loss_by_instant, profit_by_instant = np.zeros((2, len(schedule.timestamps)))
-    event_idx = np.searchsorted(schedule.timestamps, run.timestamps)
+    instants = schedule.timestamps  # one row per instant: read once, as a grid builds them anew
+    loss_by_instant, profit_by_instant = np.zeros((2, len(instants)))
+    event_idx = np.searchsorted(instants, run.timestamps)
     loss_by_instant[event_idx], profit_by_instant[event_idx] = run.losses, run.profits
     return Output(
         {"losses.csv": {
-            "schema_version": SCHEMA_VERSION, "timestamp_ms": schedule.timestamps,
+            "schema_version": SCHEMA_VERSION, "timestamp_ms": instants,
             "lp_relative_loss": loss_by_instant, "arb_profit": profit_by_instant,
             "cumulative_relative_loss": 1.0 - np.cumprod(1.0 - loss_by_instant),
         }},

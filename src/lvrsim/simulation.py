@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FitError, InputError
-from .feeds import PriceSeries, QuoteSeries, _check_coverage, _locf_index
+from .feeds import _CHUNK, PriceSeries, QuoteSeries, _check_coverage, _locf_index
 from .fees import PositionLedger
 from .pool import PoolState, concentration_scale
 
@@ -32,24 +32,36 @@ EXTENDED_INTERVALS_MS = DEFAULT_INTERVALS_MS + (32000, 60000, 120000, 300000)
 # instants the replay checks one at a time before it scans numpy chunks
 _SCALAR_SCAN = 16
 
+# losses LossSeries.multiplier folds at a time: 8 KB of factors
+_FOLD = 1024
+
 # most steps gbm_generate makes (a year of 100 ms steps is 3.2e8); 10**9 steps take 24 GB
 GBM_MAX_STEPS = 10**9
 
 
 @dataclass(frozen=True)
 class BlockSchedule:
-    """Instants at which arbitrageurs may trade against the pool."""
+    """Instants at which arbitrageurs may trade against the pool.
 
-    timestamps: np.ndarray  # int64 ms, strictly increasing
+    Block stamps (from_blocks) are held as their array. A fixed grid (fixed) is
+    held as its first instant, its interval and its instant count alone, and its
+    instants are worked out where they are read: a replay over it holds nothing
+    per instant.
+    """
+
+    blocks: Optional[np.ndarray]  # int64 ms, strictly increasing; None for a fixed grid
     interval_ms: Optional[int] = field(default=None, init=False)  # set by fixed() alone
+    first_ms: int = field(default=0, init=False)
+    n_instants: int = field(default=0, init=False)
 
     def __post_init__(self):
-        ts = np.asarray(self.timestamps, dtype=np.int64)
-        object.__setattr__(self, "timestamps", ts)
+        ts = np.asarray(self.blocks, dtype=np.int64)
         if len(ts) == 0:
             raise InputError("schedule must contain at least one instant")
         if np.any(ts[1:] <= ts[:-1]):  # np.diff can wrap
             raise InputError("schedule instants must be strictly increasing")
+        for name, value in (("blocks", ts), ("first_ms", int(ts[0])), ("n_instants", len(ts))):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def fixed(cls, interval_ms: int, start_ms: int, end_ms: int) -> "BlockSchedule":
@@ -57,14 +69,11 @@ class BlockSchedule:
             raise InputError(f"interval must be positive, got {interval_ms}")
         if end_ms < start_ms:
             raise InputError(f"window end {end_ms} before start {start_ms}")
-        start, span, interval = int(start_ms), int(end_ms) - int(start_ms), int(interval_ms)
-        # start + k * interval, in uint64 where it cannot wrap; np.arange sizes a grid in
-        # floats, which can drop the last instant of one that spans more than 2**53 ms
-        grid = np.arange(span // interval + 1, dtype=np.uint64)
-        grid *= np.uint64(min(interval, span or 1))  # past the span, any interval gives [start]
-        grid += np.uint64(start % 2**64)
-        schedule = cls(grid.view(np.int64))
-        object.__setattr__(schedule, "interval_ms", interval)
+        start, interval = int(start_ms), int(interval_ms)
+        schedule = object.__new__(cls)  # no blocks to check
+        for name, value in (("blocks", None), ("interval_ms", interval), ("first_ms", start),
+                            ("n_instants", (int(end_ms) - start) // interval + 1)):
+            object.__setattr__(schedule, name, value)
         return schedule
 
     @classmethod
@@ -72,8 +81,32 @@ class BlockSchedule:
         return cls(np.asarray(block_timestamps_ms, dtype=np.int64))
 
     @property
+    def last_ms(self) -> int:
+        if self.blocks is not None:
+            return int(self.blocks[-1])
+        return self.first_ms + (self.n_instants - 1) * self.interval_ms
+
+    @property
     def span_ms(self) -> int:
-        return int(self.timestamps[-1] - self.timestamps[0])
+        return self.last_ms - self.first_ms  # Python ints: a span past int64 does not wrap
+
+    @property
+    def timestamps(self) -> np.ndarray:
+        """The instants, int64 ms: a grid's are built anew on each read, 8 bytes an instant."""
+        if self.blocks is not None:
+            return self.blocks
+        return self._at(np.arange(self.n_instants, dtype=np.int64))
+
+    def _at(self, positions: np.ndarray) -> np.ndarray:
+        """The instants at these int64 positions in the schedule, written over them."""
+        if self.blocks is not None:
+            return np.take(self.blocks, positions, out=positions)
+        # first + k * interval in uint64, where it cannot wrap; np.arange sizes a grid in
+        # floats, which can drop the last instant of one that spans more than 2**53 ms
+        k = positions.view(np.uint64)
+        k *= np.uint64(self.interval_ms if self.n_instants > 1 else 0)  # else past the span
+        k += np.uint64(self.first_ms % 2**64)
+        return positions
 
 
 @dataclass(frozen=True)
@@ -90,9 +123,17 @@ class LossSeries:
 
     @property
     def multiplier(self) -> float:
-        """prod(1 - loss_t), folded left to right; 1.0 without events."""
-        factors = 1.0 - self.losses
-        return float(np.cumprod(factors, out=factors)[-1]) if len(factors) else 1.0
+        """prod(1 - loss_t), folded left to right; 1.0 without events.
+
+        Folded _FOLD factors at a time, the product so far carried into each
+        chunk's first factor, so that it holds no full-length temporary.
+        """
+        product = 1.0
+        for i in range(0, len(self.losses), _FOLD):
+            factors = 1.0 - self.losses[i:i + _FOLD]
+            factors[0] *= product
+            product = float(np.cumprod(factors, out=factors)[-1])
+        return product
 
     @property
     def total_relative_loss(self) -> float:
@@ -156,43 +197,57 @@ def _grid_window(quotes: QuoteSeries, intervals_ms: Sequence[int],
 
 def fixed_schedule(quotes: QuoteSeries, interval_ms: int,
                    window: Optional[tuple[int, int]] = None) -> BlockSchedule:
-    """The fixed grid over the window (default: the quotes' span), built only once it lies
-    inside the quotes, so that a window far past them allocates nothing."""
+    """The fixed grid over the window (default: the quotes' span), once it lies inside the
+    quotes."""
     return BlockSchedule.fixed(interval_ms, *_grid_window(quotes, [interval_ms], window))
 
 
 def _visits(quotes: QuoteSeries, schedule: BlockSchedule):
-    """The instants the replay visits, and the selector of their quotes in the series.
+    """The instants the replay visits and the selector of their quotes in the series,
+    yielded a block of at most _CHUNK schedule instants at a time.
 
-    The quotes must cover the schedule (_check_coverage), and an instant's
-    quote is the last at or before it. The selector is a basic slice, whose
-    use gives a strided view instead of a gathered copy, when the schedule is
-    a fixed grid whose interval is a multiple of the quotes' resolution and
-    the stamps are uniform. Otherwise it is an index array: (t - first) // step
-    on uniform stamps, else _locf_index's. On uniform stamps a fixed grid at
-    least a step apart reads each quote once; elsewhere only the first instant
-    of each run on the same quote is visited.
+    Each block is (positions, selector): the positions of its visited instants in
+    the schedule, a range where it visits them all, else an int64 array. The
+    quotes must cover the schedule (_check_coverage), and an instant's quote is
+    the last at or before it. The selector is a basic slice, whose use gives a
+    strided view instead of a gathered copy, when the schedule is a fixed grid
+    whose interval is a multiple of the quotes' resolution and the stamps are
+    uniform. Otherwise it is an index array: (t - first) // step on uniform
+    stamps, else _locf_index's. On uniform stamps a fixed grid at least a step
+    apart reads each quote once; elsewhere only the first instant of each run on
+    the same quote is visited, across the blocks too.
     """
-    grid, stamps = schedule.timestamps, quotes.timestamps
-    _check_coverage(quotes, grid)  # so the grid ends at or before the last stamp
+    _check_coverage(quotes, (schedule.first_ms, schedule.last_ms))  # so it ends in the quotes
+    stamps, n = quotes.timestamps, schedule.n_instants
     step, interval, first = quotes.resolution_ms, schedule.interval_ms, int(stamps[0])
     # every gap is at least the least one: with the endpoints, all are equal
     uniform = step > 0 and int(stamps[-1]) - first == step * (len(stamps) - 1)
-    if uniform and interval and interval % step == 0:
-        return grid, slice((int(grid[0]) - first) // step, (int(grid[-1]) - first) // step + 1,
-                           interval // step)
-    if uniform:  # exact in uint64, where t - first cannot wrap; at most len(stamps) - 1
-        at = grid.view(np.uint64) - stamps[:1].view(np.uint64)
-        at = np.floor_divide(at, np.uint64(step), out=at).view(np.int64)
-        if interval and interval >= step:
-            return grid, at
-    else:
-        at = _locf_index(stamps, grid)
-    changed = at[1:] != at[:-1]
-    if changed.all():
-        return grid, at
-    fresh = np.flatnonzero(np.concatenate(([True], changed)))  # the first instant of each quote
-    return grid[fresh], at[fresh]
+    stride = interval // step if uniform and interval and interval % step == 0 else 0
+    offset = (schedule.first_ms - first) // step if stride else 0
+    previous = -1  # the quote of the last instant of the block before
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        if stride:
+            yield range(lo, hi), slice(offset + lo * stride, offset + (hi - 1) * stride + 1,
+                                       stride)
+            continue
+        instants = schedule._at(np.arange(lo, hi, dtype=np.int64))
+        if uniform:  # exact in uint64, where t - first cannot wrap; at most len(stamps) - 1
+            at = instants.view(np.uint64) - stamps[:1].view(np.uint64)
+            at = np.floor_divide(at, np.uint64(step), out=at).view(np.int64)
+        else:
+            at = _locf_index(stamps, instants)
+        del instants
+        fresh = np.empty(len(at), dtype=bool)  # the first instant of each quote
+        fresh[0] = at[0] != previous
+        np.not_equal(at[1:], at[:-1], out=fresh[1:])
+        previous = int(at[-1])
+        if fresh.all():
+            yield range(lo, hi), at
+        else:
+            positions = np.flatnonzero(fresh)
+            positions += lo
+            yield positions, at[fresh]
 
 
 def run_arb_sim(
@@ -208,17 +263,13 @@ def run_arb_sim(
     The pool is kept as plain floats. Each step uses the expressions of
     no_arb_band, optimal_arb_trade and swap_exact_in in their operation
     order, so the result is bit-identical to replaying those at each
-    instant that is not skipped.
+    instant that is not skipped. The schedule is replayed a block of
+    _visits at a time, the pool carried from one block to the next.
     """
-    instants, at = _visits(quotes, schedule)
-    bids = quotes.bids[at]  # a strided view where at is a slice, else a gathered copy
-    asks = quotes.asks[at]
-    bid_at = memoryview(bids)  # indexing gives Python floats
-    ask_at = memoryview(asks)
-
     rx, ry, fee = initial.reserve_x, initial.reserve_y, initial.fee
     omf = 1.0 - fee
-    # instant index, loss and profit: 24 bytes an event, where lists of boxed numbers take ~100
+    # instant position, loss and profit: 24 bytes an event, where lists of boxed numbers take
+    # ~100; each position becomes its instant in place once the replay ends
     events, losses, profits = array("q"), array("d"), array("d")
     dropped = 0
     # locals: the loop below runs once per instant and per event, and a local
@@ -226,68 +277,82 @@ def run_arb_sim(
     sqrt, inf, scan = math.sqrt, math.inf, _SCALAR_SCAN
     add_event, add_loss, add_profit = events.append, losses.append, profits.append
 
-    n = len(instants)
-    j = 0
-    while j < n:
-        p = ry / rx
-        lower, upper = p * omf, p / omf
-        # after a trade the next instants often exit the band again (zero-fee
-        # feeds trade at every price change): look at a few in Python first
-        stop = j + scan
-        if stop > n:
-            stop = n
-        while j < stop:
-            bid = bid_at[j]
-            if bid > upper or ask_at[j] < lower:
-                break
-            j += 1
-        else:  # no exit among them: scan numpy chunks of 64, 128, ... up to 1 << 16
-            chunk = 64
-            while j < n:
-                mask = (bids[j:j + chunk] > upper) | (asks[j:j + chunk] < lower)
-                hit = mask.argmax()
-                if mask[hit]:
-                    j += int(hit)
+    for positions, at in _visits(quotes, schedule):
+        bids = quotes.bids[at]  # a strided view where at is a slice, else a gathered copy
+        asks = quotes.asks[at]
+        bid_at = memoryview(bids)  # indexing gives Python floats
+        ask_at = memoryview(asks)
+        before = len(events)
+        n = len(bids)
+        j = 0
+        while j < n:
+            p = ry / rx
+            lower, upper = p * omf, p / omf
+            # after a trade the next instants often exit the band again (zero-fee
+            # feeds trade at every price change): look at a few in Python first
+            stop = j + scan
+            if stop > n:
+                stop = n
+            while j < stop:
+                bid = bid_at[j]
+                if bid > upper or ask_at[j] < lower:
                     break
-                j += chunk
-                if chunk < 1 << 16:
-                    chunk += chunk
-            else:  # no exit before the end of the schedule
-                break
-            bid = bid_at[j]
-        k = rx * ry
-        if bid > upper:  # sell Y to the pool, the X out at the bid
-            price = bid
-            amount_in = (sqrt(omf * k * price) - ry) / omf
-            new_x = k / (ry + omf * amount_in)
-            new_y = ry + amount_in
-            profit = price * (rx - new_x) - amount_in
-        else:  # sell X to the pool, bought at the ask
-            price = ask_at[j]
-            amount_in = (sqrt(omf * k / price) - rx) / omf
-            new_y = k / (rx + omf * amount_in)
-            new_x = rx + amount_in
-            profit = (ry - new_y) - price * amount_in
-        # guard against degenerate trades just outside the band at float noise
-        if amount_in > 0 and profit > 0:
-            if not (0.0 < new_x < inf and 0.0 < new_y < inf):
-                PoolState(new_x, new_y, fee)  # raises the InputError naming the reserve
-            add_event(j)
-            add_loss(profit / (rx * price + ry))
-            add_profit(profit)
-            rx, ry = new_x, new_y
-        else:
-            if not math.isfinite(amount_in):
-                raise InputError(f"the trade at price {price} overflows against reserves "
-                                 f"x={rx}, y={ry}; losses are scale-invariant: use smaller ones")
-            dropped += 1
-        j += 1
+                j += 1
+            else:  # no exit among them: scan numpy chunks of 64, 128, ... up to 1 << 16
+                chunk = 64
+                while j < n:
+                    mask = (bids[j:j + chunk] > upper) | (asks[j:j + chunk] < lower)
+                    hit = mask.argmax()
+                    if mask[hit]:
+                        j += int(hit)
+                        break
+                    j += chunk
+                    if chunk < 1 << 16:
+                        chunk += chunk
+                else:  # no exit before the end of the block
+                    break
+                bid = bid_at[j]
+            k = rx * ry
+            if bid > upper:  # sell Y to the pool, the X out at the bid
+                price = bid
+                amount_in = (sqrt(omf * k * price) - ry) / omf
+                new_x = k / (ry + omf * amount_in)
+                new_y = ry + amount_in
+                profit = price * (rx - new_x) - amount_in
+            else:  # sell X to the pool, bought at the ask
+                price = ask_at[j]
+                amount_in = (sqrt(omf * k / price) - rx) / omf
+                new_y = k / (rx + omf * amount_in)
+                new_x = rx + amount_in
+                profit = (ry - new_y) - price * amount_in
+            # guard against degenerate trades just outside the band at float noise
+            if amount_in > 0 and profit > 0:
+                if not (0.0 < new_x < inf and 0.0 < new_y < inf):
+                    PoolState(new_x, new_y, fee)  # raises the InputError naming the reserve
+                add_event(j)
+                add_loss(profit / (rx * price + ry))
+                add_profit(profit)
+                rx, ry = new_x, new_y
+            else:
+                if not math.isfinite(amount_in):
+                    raise InputError(f"the trade at price {price} overflows against reserves "
+                                     f"x={rx}, y={ry}; losses are scale-invariant: "
+                                     "use smaller ones")
+                dropped += 1
+            j += 1
+        if len(events) > before:  # the block's events, from places in it to schedule positions
+            placed = np.frombuffer(events, dtype=np.int64)[before:]
+            if isinstance(positions, range):
+                placed += positions.start
+            else:
+                np.take(positions, placed, out=placed)
+            del placed  # an array cannot grow while a view of it is held
 
     return LossSeries(
-        timestamps=instants[np.frombuffer(events, dtype=np.int64)],
+        timestamps=schedule._at(np.frombuffer(events, dtype=np.int64)),
         losses=np.frombuffer(losses, dtype=float),
         profits=np.frombuffer(profits, dtype=float),
-        n_instants=len(schedule.timestamps),
+        n_instants=schedule.n_instants,
         final_state=PoolState(rx, ry, fee),
         window_ms=schedule.span_ms,
         n_dropped=dropped,

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +389,20 @@ class TestQuotesFeed:
                        "--fee-bps", 10, "--out", out) == 0
         rows = (out / "losses.csv").read_text().strip().splitlines()[1:]
         assert [r.split(",")[1] for r in rows] == ["10000", "30000", "60000", "90000"]
+
+    def test_blocks_spanning_past_int64_report_their_window(self, tmp_path):
+        # the span of -9e18 and 9e18 ms is worked out in Python ints, with no int64 wrap
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text("timestamp_ms,bid,ask\n-9000000000000000000,2000.0,2000.0\n"
+                          "0,2100.0,2100.0\n9000000000000000000,1900.0,1900.0\n")
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text("block_number,timestamp_s\n1,-9000000000000000\n2,9000000000000000\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("simulate-arb", "--quotes", quotes, "--blocks", blocks,
+                           "--fee-bps", 30, "--out", tmp_path / "run") == 0
+        assert [str(w.message) for w in caught] == []
+        assert manifest_results(tmp_path / "run")["window_ms"] == 18000000000000000000
 
     @pytest.mark.parametrize("fee_bps", [0, 30])
     def test_evenly_spaced_blocks_match_the_fixed_grid(self, tmp_path, fee_bps):

@@ -509,7 +509,7 @@ class TestLoadedViews:
         copies = QuoteSeries(*map(np.ascontiguousarray,
                                   (quotes.timestamps, quotes.bids, quotes.asks)))
         schedule = fixed_schedule(quotes, interval)
-        _, lookup = simulation._visits(quotes, schedule)
+        _, lookup = next(simulation._visits(quotes, schedule))
         assert isinstance(lookup, slice) == (interval == 2000)
         runs = [run_arb_sim(PoolState(1.0, 2000.0, 0.0005), q, schedule)
                 for q in (quotes, copies)]

@@ -98,6 +98,42 @@ class TestBlockSchedule:
         grid = BlockSchedule.fixed(interval, start, end).timestamps
         assert grid.tolist() == [start + k * interval for k in range(count)]
 
+    @pytest.mark.parametrize("interval, start, end", [
+        (2**50 + 3, -(2**62), 2**62),  # a span past 2**53: 8192 instants
+        (2**52 + 1, 0, 2**55 + 5),
+        (7, -(2**63), -(2**63) + 100),  # near the int64 minimum
+        (7, 2**63 - 101, 2**63 - 1),  # and the maximum
+        (2**62, -(2**63) + 5, 5),
+        (1000, 5, 999),  # an interval longer than the span holds the start
+        (2**64 + 7, -(2**63), 2**63 - 1),
+    ])
+    def test_instants_are_the_grid_array_built_before(self, interval, start, end):
+        # the array BlockSchedule.fixed held before it held start, interval and count alone
+        span = end - start
+        held = np.arange(span // interval + 1, dtype=np.uint64)
+        held *= np.uint64(min(interval, span or 1))
+        held += np.uint64(start % 2**64)
+        schedule = BlockSchedule.fixed(interval, start, end)
+        assert schedule.timestamps.dtype == np.int64
+        assert schedule.timestamps.tobytes() == held.view(np.int64).tobytes()
+        assert schedule.n_instants == len(held)
+        assert [schedule.first_ms, schedule.last_ms] == held.view(np.int64)[[0, -1]].tolist()
+        assert schedule.timestamps is not schedule.timestamps  # built on each read, not held
+
+    def test_grid_ending_within_one_interval_of_the_int64_maximum(self):
+        interval, start = 1000, 2**63 - 1 - 10_999
+        schedule = BlockSchedule.fixed(interval, start, 2**63 - 1)
+        assert schedule.n_instants == 11
+        assert schedule.span_ms == 10_000 and schedule.last_ms == 2**63 - 1000
+        # zero fee, a higher price every 500 ms: every instant of the grid but the first trades
+        stamps = start + 500 * np.arange(22, dtype=np.int64)
+        prices = 2000.0 * 1.01 ** np.arange(22)
+        run = run_arb_sim(PoolState(1.0, 2000.0, 0.0), QuoteSeries(stamps, prices, prices),
+                          schedule)
+        assert run.timestamps.dtype == np.int64
+        assert run.timestamps.tolist() == [start + k * interval for k in range(1, 11)]
+        assert run.n_instants == 11 and run.window_ms == 10_000
+
 
 class TestCoverage:
     """One rule where a schedule meets the quotes: an update at or before its first
@@ -235,9 +271,36 @@ def visit_cases(draw):
     return stamps, instants, interval
 
 
+def visits(quotes, schedule):
+    """(instants, quote indices) of the visits of every block _visits yields, joined.
+
+    Block b holds schedule positions b * _CHUNK up to the next block's; its
+    positions are their range where it visits them all, else the increasing
+    int64 positions it visits.
+    """
+    instants, picked, everyone, size = [], [], np.arange(len(quotes)), simulation._CHUNK
+    blocks = list(simulation._visits(quotes, schedule))
+    assert len(blocks) == -(-schedule.n_instants // size)
+    for b, (positions, selector) in enumerate(blocks):
+        lo, hi = b * size, min(b * size + size, schedule.n_instants)
+        if isinstance(positions, np.ndarray):
+            assert positions.dtype == np.int64 and np.all(positions[1:] > positions[:-1])
+            assert np.all((lo <= positions) & (positions < hi))
+        else:
+            assert positions == range(lo, hi)
+        instants.append(schedule.timestamps[np.asarray(positions, dtype=np.int64)])
+        picked.append(everyone[selector])
+        assert len(instants[-1]) == len(picked[-1])
+    return np.concatenate(instants), np.concatenate(picked)
+
+
+BLOCK_SIZES = (1, 2, 3, 7)  # instants a block of _visits holds, besides _CHUNK's
+
+
 class TestVisits:
     """simulation._visits, the replay's one visit rule: the first instant of each run on the
-    same quote, whose quote a slice selects on uniform fixed grids, else an index array."""
+    same quote, whose quote a slice selects on uniform fixed grids, else an index array;
+    yielded a block of at most _CHUNK instants at a time."""
 
     @staticmethod
     def schedule(instants, interval):
@@ -260,35 +323,41 @@ class TestVisits:
     @example(case=(-(2**63) + 3 * 2**61 * np.arange(3, dtype=np.int64),
                    np.array([-(2**63) + 2**62, 2**62 - 1], np.int64), None))
     def test_matches_the_per_instant_loop_bit_for_bit(self, case):
-        """Bit for bit against a plain loop; a schedule the quotes do not cover is rejected."""
+        """Bit for bit against a plain loop, at every block size; a schedule the quotes do
+        not cover is rejected."""
         stamps, instants, interval = case
         prices = np.arange(1.0, len(stamps) + 1.0)
         quotes = QuoteSeries(stamps, prices, prices)
         schedule = self.schedule(instants, interval)
         if instants[-1] > stamps[-1]:
             with pytest.raises(InsufficientDataError):
-                simulation._visits(quotes, schedule)
+                next(simulation._visits(quotes, schedule))
             return
-        visited, selector = simulation._visits(quotes, schedule)
         ts, kept, previous = stamps.tolist(), [], None
         for t in instants.tolist():
             i = max(i for i, s in enumerate(ts) if s <= t)  # the last stamp at or before t
             if i != previous:
                 kept.append((t, i))
             previous = i
-        assert visited.dtype == np.int64
-        assert visited.tobytes() == np.array([t for t, _ in kept], np.int64).tobytes()
-        picked = np.arange(len(stamps))[selector]
-        assert picked.tobytes() == np.array([i for _, i in kept], picked.dtype).tobytes()
+        for size in (*BLOCK_SIZES, simulation._CHUNK):
+            with mock.patch.object(simulation, "_CHUNK", size):
+                visited, picked = visits(quotes, schedule)
+            assert visited.dtype == np.int64
+            assert visited.tobytes() == np.array([t for t, _ in kept], np.int64).tobytes()
+            assert picked.tobytes() == np.array([i for _, i in kept], picked.dtype).tobytes()
 
     def test_uniform_fixed_grid_gives_a_strided_view(self):
         prices = np.arange(1.0, 11.0)
         series = QuoteSeries(np.arange(1000, 2000, 100), prices, prices)
-        visited, selector = simulation._visits(series, BlockSchedule.fixed(200, 1150, 1750))
-        assert visited.tolist() == [1150, 1350, 1550, 1750]
-        assert selector == slice(1, 8, 2)
+        schedule = BlockSchedule.fixed(200, 1150, 1750)
+        [(positions, selector)] = simulation._visits(series, schedule)
+        assert positions == range(4) and selector == slice(1, 8, 2)
         view = series.bids[selector]
         assert view.base is series.bids and view.tolist() == [2.0, 4.0, 6.0, 8.0]
+        with mock.patch.object(simulation, "_CHUNK", 3):  # blocks of views, still no copy
+            blocks = list(simulation._visits(series, schedule))
+        assert blocks == [(range(3), slice(1, 6, 2)), (range(3, 4), slice(7, 8, 2))]
+        assert all(series.bids[selector].base is series.bids for _, selector in blocks)
 
     @pytest.mark.parametrize("stamps, instants, interval", [
         ([0, 2, 3, 6], [0, 2, 4, 6], 2),  # the first gap spans the endpoints: uneven all the same
@@ -299,8 +368,11 @@ class TestVisits:
     def test_otherwise_gives_the_index_array(self, stamps, instants, interval):
         prices = np.ones(len(stamps))
         quotes = QuoteSeries(np.array(stamps, np.int64), prices, prices)
-        _, selector = simulation._visits(quotes, self.schedule(np.array(instants), interval))
-        assert isinstance(selector, np.ndarray)
+        schedule = self.schedule(np.array(instants), interval)
+        for size in (2, simulation._CHUNK):
+            with mock.patch.object(simulation, "_CHUNK", size):
+                selectors = [selector for _, selector in simulation._visits(quotes, schedule)]
+            assert selectors and all(isinstance(s, np.ndarray) for s in selectors)
 
     @pytest.mark.parametrize("instants, interval, picked", [
         ([0, 15, 30], 15, [0, 1, 3]),  # a grid not a multiple of the step
@@ -311,7 +383,7 @@ class TestVisits:
         prices = np.arange(1.0, 5.0)
         quotes = QuoteSeries(np.array([0, 10, 20, 30], np.int64), prices, prices)
         with mock.patch.object(simulation, "_locf_index", side_effect=AssertionError("searched")):
-            _, selector = simulation._visits(quotes, self.schedule(np.array(instants), interval))
+            _, selector = visits(quotes, self.schedule(np.array(instants), interval))
         assert selector.tolist() == picked
 
 
@@ -493,26 +565,32 @@ def traced_peak(call):
 
 
 @functools.cache
-def replay_peak(fee: float) -> tuple[int, int, int]:
-    """(instants, events, traced peak) of one replay of replay_quotes() on a 100 ms grid,
-    whose quotes and grid are made before the trace starts."""
-    quotes, schedule = replay_quotes(), BlockSchedule.fixed(100, 0, REPLAY_HORIZON_MS)
+def replay_peak(fee: float, interval: int = 100) -> tuple[int, int, int]:
+    """(instants, events, traced peak) of one replay of replay_quotes() on a fixed grid,
+    whose quotes are made before the trace starts."""
+    quotes, schedule = replay_quotes(), BlockSchedule.fixed(interval, 0, REPLAY_HORIZON_MS)
     run, peak = traced_peak(lambda: run_arb_sim(PoolState(1.0, 2000.0, fee), quotes, schedule))
     return run.n_instants, len(run.losses), peak
 
 
 class TestReplayMemory:
-    """Traced peak of one replay of 6 h of 100 ms quotes on a 100 ms grid.
+    """Traced peak of one replay of 6 h of 100 ms quotes on a fixed grid.
 
-    The quotes are read through strided views, not gathered copies, and the
-    events go to 24-byte-an-event buffers, not lists of boxed numbers.
+    The grid is held as its start, interval and count, and the replay holds one
+    block of _CHUNK instants at a time: on a grid that is a multiple of the
+    quotes' step it reads them through strided views, elsewhere it gathers the
+    block's quotes. The events go to 24-byte-an-event buffers, not lists of
+    boxed numbers. At zero fee each new quote trades: every instant of the
+    100 ms and 250 ms grids, every other instant of the 50 ms one.
     """
 
-    @pytest.mark.parametrize("fee, bound", [(0.0, 48), (0.003, 2)], ids=["zero-fee", "30bp"])
-    def test_peak_bytes_per_instant(self, fee, bound):
-        instants, events, peak = replay_peak(fee)
-        if fee == 0.0:  # every instant trades
-            assert events > 0.99 * instants
+    @pytest.mark.parametrize("fee, interval, bound", [
+        (0.0, 100, 28), (0.003, 100, 2), (0.0, 250, 36), (0.0, 50, 18),
+    ], ids=["zero-fee", "30bp", "zero-fee-250ms", "zero-fee-50ms"])
+    def test_peak_bytes_per_instant(self, fee, interval, bound):
+        instants, events, peak = replay_peak(fee, interval)
+        if fee == 0.0:  # every new quote trades
+            assert events > 0.99 * min(instants, REPLAY_HORIZON_MS // 100)
         assert peak / instants <= bound
 
 
@@ -533,7 +611,7 @@ class TestSweepMemory:
         quotes = replay_quotes()
         result, peak = traced_peak(lambda: sweep(quotes))
         assert result.n_events[0] > 0.99 * instants
-        assert peak <= 1.02 * (replay + 8 * instants)  # and the grid the sweep builds for it
+        assert peak <= 1.02 * replay
 
 
 def left_fold(factors) -> float:
@@ -555,6 +633,9 @@ PER_PERIOD = st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e-6),
 def test_multiplier_is_the_left_fold(losses, factor):
     run = loss_series(np.arange(len(losses), dtype=np.int64), losses)
     assert run.multiplier == left_fold(1.0 - loss for loss in losses)
+    for fold in (1, 2, 3, 7):  # the product carried across chunks of the fold
+        with mock.patch.object(simulation, "_FOLD", fold):
+            assert run.multiplier == left_fold(1.0 - loss for loss in losses)
     assert run.total_relative_loss == 1.0 - run.multiplier
     if all(factor * loss < 1.0 for loss in losses):
         scaled = run.scaled(factor)
@@ -718,7 +799,7 @@ class TestReplayKernel:
         sweep = blocktime_sweep(pool, quotes)
         assert [s.interval_ms for (_, _, s), _ in runs] == list(DEFAULT_INTERVALS_MS)
         for (state, replayed, schedule), run in runs:
-            strided = isinstance(simulation._visits(replayed, schedule)[1], slice)
+            strided = isinstance(next(simulation._visits(replayed, schedule))[1], slice)
             assert strided == (schedule.interval_ms != 250)
             self.assert_bit_identical(state, replayed, schedule, run)
         assert sweep.total_losses.tolist() == [run.total_relative_loss for _, run in runs]
@@ -747,6 +828,75 @@ class TestReplayKernel:
         assert run.timestamps[0] == ts[first]
         trade = optimal_arb_trade(pool, quotes[first])
         assert run.losses[0] == trade.lp_relative_loss and run.profits[0] == trade.arb_profit
+
+
+@st.composite
+def block_replays(draw):
+    """(pool, quotes, schedule) on visit_cases' stamps and schedules that the quotes cover,
+    with prices that repeat, step a little or jump, at a random fee and spread."""
+    covered = visit_cases().filter(lambda case: case[1][-1] <= case[0][-1])
+    stamps, instants, interval = draw(covered)
+    moves = draw(st.lists(st.sampled_from([0.0, 0.0, 2e-4, -2e-4, 5e-3, -5e-3, 0.05, -0.05]),
+                          min_size=len(stamps), max_size=len(stamps)))
+    mid = 2000.0 * np.exp(np.cumsum(moves))
+    half = 0.5 * draw(st.sampled_from([0.0, 0.0005]))
+    fee = draw(st.sampled_from([0.0, 0.0005, 0.003]))
+    schedule = TestVisits.schedule(instants, interval)
+    return PoolState(1.0, 2000.0, fee), QuoteSeries(stamps, mid * (1 - half), mid * (1 + half)), \
+        schedule
+
+
+def assert_same_run(run, other):
+    for name in ("timestamps", "losses", "profits"):
+        assert getattr(run, name).tobytes() == getattr(other, name).tobytes(), name
+    assert run.timestamps.dtype == other.timestamps.dtype == np.int64
+    assert (run.n_dropped, run.n_instants, run.window_ms) == \
+        (other.n_dropped, other.n_instants, other.window_ms)
+    assert run.final_state == other.final_state
+
+
+class TestReplayBlocks:
+    """run_arb_sim replays _visits' blocks one after the other, the pool carried across: at
+    any block size it is the one-block replay and the per-instant dataclass replay."""
+
+    @given(case=block_replays())
+    @settings(max_examples=300)
+    def test_every_block_size_replays_alike(self, case):
+        pool, quotes, schedule = case
+        whole, _ = TestReplayKernel.assert_bit_identical(pool, quotes, schedule)
+        for size in BLOCK_SIZES:
+            with mock.patch.object(simulation, "_CHUNK", size):
+                run = run_arb_sim(pool, quotes, schedule)
+            assert_same_run(run, whole)  # and so the dataclass replay's
+
+    STAMPS = np.arange(0, 301, 10, dtype=np.int64)
+    IRREGULAR = np.cumsum([0, 7, 13, 10, 9, 11, 4, 16, 10, 12, 8, 10, 3, 17, 10, 10, 9])
+
+    @pytest.mark.parametrize("stamps, schedule, repeats", [
+        (STAMPS, BlockSchedule.fixed(20, 0, 300), False),  # strided views
+        (STAMPS, BlockSchedule.fixed(15, 0, 300), False),  # (t - first) // step
+        (STAMPS, BlockSchedule.fixed(4, 0, 300), True),  # the same, with repeated quotes
+        (IRREGULAR, BlockSchedule.fixed(5, 0, int(IRREGULAR[-1])), True),  # searched
+        (STAMPS, BlockSchedule.from_blocks([0, 3, 6, 10, 12, 18, 20, 21, 29, 30, 44, 50, 51,
+                                            52, 60, 75, 80, 99, 100]), True),
+    ], ids=["grid-multiple", "grid-not-multiple", "grid-below-step", "irregular-stamps",
+            "blocks"])
+    def test_trade_on_a_block_first_instant_and_repeats_across_blocks(self, stamps, schedule,
+                                                                      repeats):
+        # zero fee and a new price at every stamp: each quote visited trades
+        prices = 2000.0 * 1.01 ** np.arange(len(stamps))
+        quotes, pool = QuoteSeries(stamps, prices, prices), PoolState(1.0, 2000.0, 0.0)
+        whole, _ = TestReplayKernel.assert_bit_identical(pool, quotes, schedule)
+        grid = schedule.timestamps
+        quote_of = np.searchsorted(stamps, grid, side="right") - 1
+        traded = np.searchsorted(grid, whole.timestamps)  # the positions of the events
+        for size in (3, 7):
+            assert np.any(traded[traded > 0] % size == 0)  # a block opens on a trade
+            straddles = [p for p in range(size, len(grid), size) if quote_of[p] == quote_of[p - 1]]
+            assert bool(straddles) == repeats  # a repeated quote opens a block
+            with mock.patch.object(simulation, "_CHUNK", size):
+                run = run_arb_sim(pool, quotes, schedule)
+            assert_same_run(run, whole)
 
 
 @st.composite
