@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import os
@@ -44,11 +43,11 @@ from .simulation import (
     DEFAULT_INTERVALS_MS,
     EXTENDED_INTERVALS_MS,
     BlockSchedule,
+    _fold,
     _grid_window,
     blocktime_sweep,
     fee_sweep,
     fees_vs_losses,
-    fixed_schedule,
     gbm_generate,
     loglog_slope,
     run_arb_sim,
@@ -90,26 +89,34 @@ def _cells(column: np.ndarray) -> list[str]:
     return np.repeat(np.array(texts, dtype=object), np.diff(starts, append=len(bits))).tolist()
 
 
-def _write_table(path: Path, columns: dict) -> None:
-    """CSV of header -> column; a column is an array, or a scalar filling every row."""
-    columns = {name: np.asarray(column) for name, column in columns.items()}
-    lengths = {len(c) for c in columns.values() if c.ndim}
-    if len(lengths) > 1:
-        raise ValueError(f"{path.name}: columns of unequal lengths {sorted(lengths)}")
-    n_rows = lengths.pop() if lengths else 0
+def _write_table(path: Path, blocks) -> None:
+    """CSV of a table: an iterable of column blocks, written one after the other.
 
+    A block maps header -> column, an array or a scalar filling each of its rows;
+    the first block's header heads the file. A table held in memory is one block,
+    and a streamed one a generator whose blocks are worked out as they are written.
+    """
     def chunks():
-        yield ",".join(columns) + "\n"
-        for start in range(0, n_rows, _CHUNK_ROWS):
-            size = min(_CHUNK_ROWS, n_rows - start)
-            cells = [_cells(c[start:start + size]) if c.ndim else _cells(c.reshape(1)) * size
-                     for c in columns.values()]
-            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        for number, block in enumerate(blocks):
+            columns = {name: np.asarray(column) for name, column in block.items()}
+            lengths = {len(c) for c in columns.values() if c.ndim}
+            if len(lengths) > 1:
+                raise ValueError(f"{path.name}: columns of unequal lengths {sorted(lengths)}")
+            n_rows = lengths.pop() if lengths else 0
+            if number == 0:
+                yield ",".join(columns) + "\n"
+            for start in range(0, n_rows, _CHUNK_ROWS):
+                size = min(_CHUNK_ROWS, n_rows - start)
+                cells = [_cells(c[start:start + size]) if c.ndim else
+                         _cells(c.reshape(1)) * size for c in columns.values()]
+                yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
     _atomic_write(path, chunks())
 
 
 def _sha256(path: str) -> dict:
+    import hashlib  # here, not at the top: OpenSSL's libcrypto then loads after a run's peak
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(1 << 20), b""):
@@ -119,9 +126,12 @@ def _sha256(path: str) -> dict:
 
 @dataclass(frozen=True)
 class Output:
-    """What a subcommand computed, before main writes any of it: tables, manifest sections."""
+    """What a subcommand computed, before main writes any of it: tables, manifest sections.
 
-    tables: dict  # file name -> columns, as _write_table takes them
+    A streamed table (losses.csv) is computed while main writes it, a block at a time.
+    """
+
+    tables: dict  # file name -> column blocks, as _write_table takes them
     parameters: dict
     fill_counters: dict
     results: dict
@@ -293,8 +303,9 @@ def _make_schedule(cfg: dict, feed: Feed) -> BlockSchedule:
                 raise InputError("--window {}:{} holds none of the --blocks".format(*feed.window))
         _check_coverage(feed.quotes, blocks)
         return BlockSchedule.from_blocks(blocks)
-    if cfg["interval_ms"] is not None:
-        return fixed_schedule(feed.quotes, cfg["interval_ms"], feed.window)
+    if (interval := cfg["interval_ms"]) is not None:
+        return BlockSchedule.fixed(interval, *_grid_window(feed.quotes, [interval], feed.window,
+                                                           "--interval-ms"))
     raise InputError("a schedule is required: give --blocks or --interval-ms")
 
 
@@ -343,20 +354,30 @@ def _out_dir(cfg: dict) -> Path:
 
 # --- subcommands ---------------------------------------------------------------
 
+def _losses_table(run, schedule: BlockSchedule):
+    """losses.csv, one row per schedule instant, in blocks of _CHUNK_ROWS instants: the
+    run's events are scattered onto their instants, the other rows are zero."""
+    product, done = 1.0, 0  # the loss multiplier so far, and the events written
+    for lo in range(0, schedule.n_instants, _CHUNK_ROWS):
+        instants = schedule._at(np.arange(lo, min(lo + _CHUNK_ROWS, schedule.n_instants),
+                                          dtype=np.int64))
+        end = done + int(np.searchsorted(run.timestamps[done:], instants[-1], side="right"))
+        loss, profit = np.zeros((2, len(instants)))
+        at = np.searchsorted(instants, run.timestamps[done:end])
+        loss[at], profit[at] = run.losses[done:end], run.profits[done:end]
+        done = end
+        factors = 1.0 - loss
+        product = _fold(factors, product)
+        yield {"schema_version": SCHEMA_VERSION, "timestamp_ms": instants,
+               "lp_relative_loss": loss, "arb_profit": profit,
+               "cumulative_relative_loss": np.subtract(1.0, factors, out=factors)}
+
+
 def cmd_simulate_arb(cfg: dict) -> Output:
     fee, factor = _require(cfg, "fee_bps") / 1e4, cfg["concentration_k"]
     run, schedule, feed = _arb_run(cfg, fee, factor)
-
-    instants = schedule.timestamps  # one row per instant: read once, as a grid builds them anew
-    loss_by_instant, profit_by_instant = np.zeros((2, len(instants)))
-    event_idx = np.searchsorted(instants, run.timestamps)
-    loss_by_instant[event_idx], profit_by_instant[event_idx] = run.losses, run.profits
     return Output(
-        {"losses.csv": {
-            "schema_version": SCHEMA_VERSION, "timestamp_ms": instants,
-            "lp_relative_loss": loss_by_instant, "arb_profit": profit_by_instant,
-            "cumulative_relative_loss": 1.0 - np.cumprod(1.0 - loss_by_instant),
-        }},
+        {"losses.csv": _losses_table(run, schedule)},
         {"pair": cfg["pair"], "fee": fee, "feed_kind": feed.kind, "seed": cfg["seed"],
          "concentration_k": factor, "interval_ms": schedule.interval_ms,
          "quote_resolution_ms": feed.quotes.resolution_ms, "n_instants": int(run.n_instants)},
@@ -369,11 +390,11 @@ def cmd_simulate_arb(cfg: dict) -> Output:
 def cmd_fees(cfg: dict) -> Output:
     ledger, n_records = _fee_ledger(cfg)
     return Output(
-        {"fee_returns.csv": {
+        {"fee_returns.csv": [{
             "schema_version": SCHEMA_VERSION, "timestamp_ms": ledger.timestamps,
             "relative_fee_return": ledger.returns,
             "cumulative_growth": np.cumprod(1.0 + ledger.returns),
-        }},
+        }]},
         {"pair": cfg["pair"], "position_liquidity": ledger.position_liquidity,
          "per_block": cfg["per_block"], "concentration_k": cfg["concentration_k"],
          "seed": cfg["seed"]},
@@ -390,12 +411,12 @@ def cmd_compare(cfg: dict) -> Output:
     run, _, feed = _arb_run(cfg, fee, factor)
     report = fees_vs_losses(ledger, run, window_ms)
     return Output(
-        {"comparison.csv": {
+        {"comparison.csv": [{
             "schema_version": SCHEMA_VERSION, "timestamp_ms": report.timestamps,
             "fee_return": report.fee_returns, "loss_return": report.loss_returns,
             "cumulative_difference": report.cumulative_difference,
             "trailing_ratio": report.trailing_ratio,
-        }},
+        }]},
         {"pair": cfg["pair"], "fee": fee, "feed_kind": feed.kind, "seed": cfg["seed"],
          "concentration_k": factor, "position_liquidity": ledger.position_liquidity,
          "quote_resolution_ms": feed.quotes.resolution_ms, "ratio_window_ms": window_ms},
@@ -423,7 +444,8 @@ def cmd_sweep(command: str, cfg: dict) -> Output:
     if command == "sweep-fee":
         interval = _require(cfg, "interval_ms")
         fees_bps = cfg["fees_bps"]
-        start, _ = _grid_window(feed.quotes, [interval], feed.window)  # checked before pricing
+        start, _ = _grid_window(feed.quotes, [interval], feed.window,  # checked before pricing
+                                "--interval-ms")
         pool = _initial_state(cfg, feed.quotes, start, 0.0)  # each point sets its own fee
         sweep = fee_sweep(pool.reserve_x, pool.reserve_y, feed.quotes, interval,
                           [bps / 1e4 for bps in fees_bps], feed.window)
@@ -435,16 +457,17 @@ def cmd_sweep(command: str, cfg: dict) -> Output:
         intervals = cfg["intervals_ms"]
         if intervals is None:
             intervals = list(EXTENDED_INTERVALS_MS if cfg["extended"] else DEFAULT_INTERVALS_MS)
-        start, _ = _grid_window(feed.quotes, intervals, feed.window)  # checked before pricing
+        start, _ = _grid_window(feed.quotes, intervals, feed.window,  # checked before pricing
+                                "--intervals-ms")
         sweep = blocktime_sweep(_initial_state(cfg, feed.quotes, start, fee),
                                 feed.quotes, intervals, feed.window)
         grid = {"fee": fee, "intervals_ms": intervals}
     return Output(
-        {"sweep.csv": {
+        {"sweep.csv": [{
             "schema_version": SCHEMA_VERSION, sweep.parameter: sweep.values,
             "total_relative_loss": sweep.total_losses,
             "annualized_loss": sweep.annualized_losses, "n_events": sweep.n_events,
-        }},
+        }]},
         {**grid, "pair": cfg["pair"], "feed_kind": feed.kind,
          "quote_resolution_ms": feed.quotes.resolution_ms, "window": feed.window,
          "seed": cfg["seed"], "fit": _fit(sweep, fit_range)},
@@ -458,9 +481,9 @@ def cmd_synth_gbm(cfg: dict) -> Output:
     seed = 0 if cfg["seed"] is None else cfg["seed"]
     step, horizon = _require(cfg, "step_ms"), _require(cfg, "horizon_ms")
     # gbm_generate rejects this too, but names its parameters, not the flags
-    if (steps := horizon // step) > simulation.GBM_MAX_STEPS:
+    if (steps := horizon // step) > simulation.MAX_STEPS:
         raise InputError(f"--horizon-ms {horizon} / --step-ms {step} is {steps} steps; "
-                         f"at most {simulation.GBM_MAX_STEPS} are generated")
+                         f"at most {simulation.MAX_STEPS} are generated")
     series = gbm_generate(sigma=sigma, mu=cfg["mu"], step_ms=step, horizon_ms=horizon, seed=seed,
                           price0=cfg["price0"], start_ms=cfg["start_ms"])
     fmt = cfg["format"]
@@ -472,7 +495,7 @@ def cmd_synth_gbm(cfg: dict) -> Output:
         prices = dict.fromkeys(("bid", "ask"), series.prices)
     written = f"gbm_{fmt}.csv"
     return Output(
-        {written: {"timestamp_ms": series.timestamps, **prices}},
+        {written: [{"timestamp_ms": series.timestamps, **prices}]},
         {"pair": cfg["pair"] or "synthetic", "sigma": sigma,  # an empty label is none
          "mu": cfg["mu"], "step_ms": cfg["step_ms"], "horizon_ms": cfg["horizon_ms"],
          "seed": seed, "price0": cfg["price0"], "format": fmt, "file": written},
@@ -599,8 +622,8 @@ def main(argv=None) -> int:
         cfg = _merge_config(args)
         out = _out_dir(cfg)
         output = COMMANDS[args.command][0](cfg)
-        for name, columns in output.tables.items():
-            _write_table(out / name, columns)
+        for name, blocks in output.tables.items():
+            _write_table(out / name, blocks)
         _write_manifest(out, args.command, cfg, output)
         return 0
     except InsufficientDataError as exc:  # the feed misses an instant of the schedule

@@ -114,9 +114,11 @@ def concentration_scale(relative_returns, factor_k: float) -> np.ndarray:
     A position holding k-times less capital for the same in-range liquidity
     earns k-times the relative fee return and suffers k-times the relative
     loss, as long as the price stays in range. The compounded totals of
-    LossSeries and PositionLedger are folded from the scaled series.
+    LossSeries and PositionLedger are folded from the scaled series. At k = 1,
+    the default, each value is its own scaled value: the series itself is
+    returned, not a copy of it.
     """
     if not (math.isfinite(factor_k) and factor_k >= 1.0):
         raise InputError(f"concentration factor must be >= 1, got {factor_k}")
     series = np.asarray(relative_returns, dtype=float)
-    return series * factor_k
+    return series if factor_k == 1.0 else series * factor_k

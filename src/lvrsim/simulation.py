@@ -35,8 +35,9 @@ _SCALAR_SCAN = 16
 # losses LossSeries.multiplier folds at a time: 8 KB of factors
 _FOLD = 1024
 
-# most steps gbm_generate makes (a year of 100 ms steps is 3.2e8); 10**9 steps take 24 GB
-GBM_MAX_STEPS = 10**9
+# most steps gbm_generate makes, and most instants a fixed grid may hold (a year of
+# 100 ms steps is 3.2e8); 10**9 steps take 24 GB, and a grid's losses.csv tens of GB
+MAX_STEPS = 10**9
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,16 @@ class BlockSchedule:
         return positions
 
 
+def _fold(factors: np.ndarray, product: float) -> float:
+    """One chunk of a left fold: the factors become their running product, in place, carried
+    on from the product of the chunks before; returns the product so far.
+
+    np.cumprod multiplies left to right, so the chunks give the whole fold's bits.
+    """
+    factors[0] *= product
+    return float(np.cumprod(factors, out=factors)[-1])
+
+
 @dataclass(frozen=True)
 class LossSeries:
     """Per-event arbitrage losses of one run plus the compounded total."""
@@ -125,14 +136,11 @@ class LossSeries:
     def multiplier(self) -> float:
         """prod(1 - loss_t), folded left to right; 1.0 without events.
 
-        Folded _FOLD factors at a time, the product so far carried into each
-        chunk's first factor, so that it holds no full-length temporary.
+        Folded _FOLD factors at a time, so that it holds no full-length temporary.
         """
         product = 1.0
         for i in range(0, len(self.losses), _FOLD):
-            factors = 1.0 - self.losses[i:i + _FOLD]
-            factors[0] *= product
-            product = float(np.cumprod(factors, out=factors)[-1])
+            product = _fold(1.0 - self.losses[i:i + _FOLD], product)
         return product
 
     @property
@@ -184,14 +192,19 @@ class ComparisonReport:
 
 
 def _grid_window(quotes: QuoteSeries, intervals_ms: Sequence[int],
-                 window: Optional[tuple[int, int]]) -> tuple[int, int]:
+                 window: Optional[tuple[int, int]], name: str = "interval") -> tuple[int, int]:
     """The window (default: the quotes' span) once each interval's fixed grid over it lies
-    inside the quotes; the grids' last instants are worked out, not built."""
+    inside the quotes and holds at most MAX_STEPS instants; the grids' instants are counted,
+    not built. A grid past the limit raises the InputError naming the interval as name."""
     _check_coverage(quotes, ())  # without updates there is no span, nor a grid inside it
     start, end = map(int, quotes.timestamps[[0, -1]] if window is None else window)
     for interval in intervals_ms:
         if interval > 0 and start <= end:  # else BlockSchedule.fixed names the fault
-            _check_coverage(quotes, (start, start + (end - start) // interval * interval))
+            steps = (end - start) // interval
+            _check_coverage(quotes, (start, start + steps * interval))
+            if steps + 1 > MAX_STEPS:
+                raise InputError(f"{name} {interval} over the window {start}:{end} is "
+                                 f"{steps + 1} instants; at most {MAX_STEPS} are replayed")
     return start, end
 
 
@@ -466,9 +479,9 @@ def gbm_generate(
         if not -(2**63) <= value < 2**63:
             raise InputError(f"{name} must fit in int64 milliseconds, got {value}")
     n = horizon_ms // step_ms
-    if n > GBM_MAX_STEPS:
+    if n > MAX_STEPS:
         raise InputError(f"horizon_ms {horizon_ms} / step_ms {step_ms} is {n} steps; "
-                         f"at most {GBM_MAX_STEPS} are generated")
+                         f"at most {MAX_STEPS} are generated")
     dt = step_ms / YEAR_MS
     rng = np.random.default_rng(seed)
     increments = (mu - 0.5 * sigma * sigma) * dt + sigma * math.sqrt(dt) * rng.standard_normal(n)

@@ -2,7 +2,11 @@ import gzip
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -10,13 +14,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lvrsim
+import lvrsim.cli as cli
 import lvrsim.simulation as simulation
 from lvrsim import (
+    BlockSchedule,
     PoolState,
     SweepResult,
     fixed_schedule,
     gbm_generate,
+    load_block_timestamps,
     load_klines,
+    load_quote_updates,
     loglog_slope,
     no_arb_band,
     quotes_from_prices,
@@ -179,6 +188,111 @@ class TestSimulateArb:
         assert run_cli("simulate-arb", "--config", config,
                        "--out", tmp_path / "flag_wins") == 0
         assert (tmp_path / "flag_wins" / "losses.csv").exists()
+
+
+class TestStreamedLosses:
+    """losses.csv is written a row chunk at a time: each chunk's instants worked out, its
+    events scattered onto them and its cumulative loss carried on from the chunk before.
+    At every chunk size it must give the bytes of the whole-array build it replaced."""
+
+    STEP_MS, N_QUOTES = 500, 3001
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        """Quotes every 500 ms whose mid moves at each one, with a 2e-9 relative spread, so
+        that at zero fee every instant that reads a new quote trades; and blocks on 80 % of
+        the whole seconds, more than 1024 of them."""
+        d = tmp_path_factory.mktemp("streamed")
+        series = gbm_generate(2.0, 0.0, self.STEP_MS, self.STEP_MS * (self.N_QUOTES - 1),
+                              seed=11, price0=2000.0)
+        rows = [f"{t},{p * (1 - 1e-9)!r},{p * (1 + 1e-9)!r}"
+                for t, p in zip(series.timestamps.tolist(), series.prices.tolist())]
+        (d / "quotes.csv").write_text("timestamp_ms,bid,ask\n" + "\n".join(rows) + "\n")
+        seconds = np.flatnonzero(np.random.default_rng(2).random(1501) < 0.8)
+        (d / "blocks.csv").write_text("block_number,timestamp_s\n" + "".join(
+            f"{100 + i},{t}\n" for i, t in enumerate(seconds.tolist())))
+        return d
+
+    @staticmethod
+    def whole_array(quotes, schedule, fee) -> tuple[bytes, np.ndarray]:
+        """losses.csv's bytes built from whole columns, and the rows of the events."""
+        run = run_arb_sim(PoolState(1.0, 2000.0, fee), quotes, schedule)
+        instants = schedule.timestamps
+        loss, profit = np.zeros((2, len(instants)))
+        rows = np.searchsorted(instants, run.timestamps)
+        loss[rows], profit[rows] = run.losses, run.profits
+        cumulative = 1.0 - np.cumprod(1.0 - loss)
+        header = ["schema_version", "timestamp_ms", "lp_relative_loss", "arb_profit",
+                  "cumulative_relative_loss"]
+        table = zip([SCHEMA_VERSION] * len(instants), instants, loss, profit, cumulative)
+        return TestColumnWriter().expected(header, table), rows
+
+    @pytest.mark.parametrize("fee_bps", [0, 30])
+    @pytest.mark.parametrize("schedule", ["on-step", "off-step", "blocks"])
+    def test_every_chunk_size_gives_the_whole_array_bytes(self, tmp_path, monkeypatch, files,
+                                                          schedule, fee_bps):
+        quotes = load_quote_updates(files / "quotes.csv")
+        if schedule == "blocks":
+            flags = ("--blocks", files / "blocks.csv")
+            built = BlockSchedule.from_blocks(load_block_timestamps(files / "blocks.csv"))
+        else:
+            interval = self.STEP_MS if schedule == "on-step" else 700
+            flags, built = ("--interval-ms", interval), fixed_schedule(quotes, interval)
+        expected, rows = self.whole_array(quotes, built, fee_bps / 1e4)
+        assert built.n_instants > 1024
+        for size in (1, 2, 3, 7, 1024):
+            if fee_bps == 0:  # events on the first and on the last row of a chunk
+                assert {0, size - 1} <= set((rows % size).tolist())
+            monkeypatch.setattr(cli, "_CHUNK_ROWS", size)
+            out = tmp_path / f"chunks-{size}"
+            assert run_cli("simulate-arb", "--quotes", files / "quotes.csv", *flags,
+                           "--fee-bps", fee_bps, "--initial-price", 2000, "--out", out) == 0
+            assert (out / "losses.csv").read_bytes() == expected, size
+
+
+class TestSimulateArbMemory:
+    """Traced peak of an in-process zero-fee simulate-arb over 6 h of 100 ms GBM klines, the
+    prices TestReplayMemory replays. losses.csv is streamed a row chunk at a time, and the
+    losses at k = 1 are not copied, so the run peaks in its replay: the loaded klines, 16
+    bytes a quote, and the events, 24 bytes each. Every new quote trades: each instant of the
+    100 ms grid, every other one of the 50 ms grid."""
+
+    @pytest.fixture(scope="class")
+    def klines(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("replay-klines")
+        assert run_cli("synth-gbm", "--sigma", 0.5, "--step-ms", 100, "--horizon-ms",
+                       6 * 3600 * 1000, "--seed", 5, "--price0", 2000, "--out", out) == 0
+        return out / "gbm_klines.csv"
+
+    @pytest.mark.parametrize("interval, bound", [(100, 44), (50, 23)])
+    def test_peak_bytes_per_instant(self, tmp_path, klines, interval, bound):
+        out = tmp_path / "run"
+        tracemalloc.start()
+        try:
+            assert run_cli("simulate-arb", "--klines", klines, "--interval-ms", interval,
+                           "--fee-bps", 0, "--out", out) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        manifest = json.loads((out / "manifest.json").read_text())
+        instants = manifest["parameters"]["n_instants"]
+        assert manifest["results"]["n_events"] > 0.99 * min(instants, 6 * 36_000)
+        assert peak / instants <= bound
+
+
+def test_importing_the_cli_loads_no_openssl():
+    """hashlib's OpenSSL module loads when a run hashes its inputs, not on import, so that
+    its libcrypto is not resident through the run. numpy may load it itself (numpy 1.24:
+    numpy.random imports secrets, and so hmac), so only the modules the cli adds count."""
+    root = str(Path(lvrsim.__file__).resolve().parent.parent)
+    code = ("import sys, numpy; before = set(sys.modules); import lvrsim.cli; "
+            "print(*set(sys.modules) - before)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")]))}
+    added = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "lvrsim.cli" in added
+    assert "_hashlib" not in added
 
 
 class TestFeesCommand:
@@ -1059,8 +1173,8 @@ class TestColumnWriter:
         ints = 2**53 + 1 + np.arange(n, dtype=np.int64) * 1_000_003
         ints[1::2] *= -1
         path = tmp_path / "table.csv"
-        _write_table(path, {"schema_version": SCHEMA_VERSION, "x": floats, "n": ints,
-                            "volume": 0.0})
+        _write_table(path, [{"schema_version": SCHEMA_VERSION, "x": floats, "n": ints,
+                             "volume": 0.0}])
         rows = [(SCHEMA_VERSION, f, k, 0.0) for f, k in zip(floats, ints)]
         assert path.read_bytes() == self.expected(["schema_version", "x", "n", "volume"], rows)
 
@@ -1075,21 +1189,21 @@ class TestColumnWriter:
         events[[0, 17, _CHUNK_ROWS - 1, _CHUNK_ROWS, n - 1]] = [1e-3, 2.5e-7, 0.1, 0.2, 3e-9]
         cumulative = 1.0 - np.cumprod(1.0 - events)  # constant between events
         path = tmp_path / "table.csv"
-        _write_table(path, {"signs": signs, "events": events, "cumulative": cumulative})
+        _write_table(path, [{"signs": signs, "events": events, "cumulative": cumulative}])
         rows = list(zip(signs, events, cumulative))
         assert path.read_bytes() == self.expected(["signs", "events", "cumulative"], rows)
         assert path.read_bytes().count(b"\n-0.0,") == 2
 
     def test_header_only_table(self, tmp_path):
         path = tmp_path / "empty.csv"
-        _write_table(path, {"schema_version": SCHEMA_VERSION, "timestamp_ms":
-                            np.array([], dtype=np.int64), "loss": np.array([])})
+        _write_table(path, [{"schema_version": SCHEMA_VERSION, "timestamp_ms":
+                             np.array([], dtype=np.int64), "loss": np.array([])}])
         assert path.read_bytes() == b"schema_version,timestamp_ms,loss\n"
 
     def test_unequal_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         with pytest.raises(ValueError, match="unequal"):
-            _write_table(path, {"a": np.zeros(3), "b": np.zeros(2), "c": 1})
+            _write_table(path, [{"a": np.zeros(3), "b": np.zeros(2), "c": 1}])
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("rows", [5_000, 100_000])
@@ -1105,7 +1219,7 @@ class TestColumnWriter:
                    "cumulative_difference": np.cumsum(fees - losses), "trailing_ratio": ratio}
         tracemalloc.start()
         try:
-            _write_table(tmp_path / "comparison.csv", columns)
+            _write_table(tmp_path / "comparison.csv", [columns])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1287,13 +1401,35 @@ class TestExit2NotExit1:
         assert not out.exists()
 
     def test_synth_gbm_step_count_limit(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(simulation, "GBM_MAX_STEPS", 10)
+        monkeypatch.setattr(simulation, "MAX_STEPS", 10)
         args = ("synth-gbm", "--sigma", 0.5, "--step-ms", 1000)
         assert run_cli(*args, "--horizon-ms", 10_000, "--out", tmp_path / "ten") == 0
         out = tmp_path / "out"
         assert run_cli(*args, "--horizon-ms", 11_000, "--out", out) == 2
         assert capsys.readouterr().err == (
             "error: --horizon-ms 11000 / --step-ms 1000 is 11 steps; at most 10 are generated\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("simulate-arb", ("--fee-bps", 0, "--interval-ms", 1)),
+        ("compare", ("--swaps", FIXTURE, "--fee-bps", 0, "--interval-ms", 1)),
+        ("sweep-blocktime", ("--fee-bps", 0, "--intervals-ms", "1,2,3")),
+        ("sweep-fee", ("--interval-ms", 1)),
+    ])
+    def test_fixed_grid_of_more_than_max_steps_instants(self, tmp_path, capsys, command,
+                                                        flags):
+        """A 1 ms grid over quotes spanning 1e15 ms is rejected before any replay, which
+        would visit every instant."""
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text("timestamp_ms,bid,ask\n0,2000,2000\n1,2000,2000\n"
+                          "1000000000000000,2000,2000\n")
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert run_cli(command, "--quotes", quotes, *flags, "--out", out) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: {flags[-2]} 1 over the window 0:1000000000000000 is 1000000000000001 "
+            "instants; at most 1000000000 are replayed\n")
         assert not out.exists()
 
     def test_synth_gbm_horizon_past_any_array(self, tmp_path, capsys):

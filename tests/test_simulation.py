@@ -221,6 +221,27 @@ class TestCoverage:
                             window=(10_000, 50_600))
         assert replays == []
 
+    @pytest.mark.parametrize("call", [
+        lambda quotes, interval, window: fixed_schedule(quotes, interval, window),
+        lambda quotes, interval, window: blocktime_sweep(PoolState(1.0, 2000.0), quotes,
+                                                         [interval], window),
+        lambda quotes, interval, window: fee_sweep(1.0, 2000.0, quotes, interval, [0.003],
+                                                   window),
+    ], ids=["fixed_schedule", "blocktime_sweep", "fee_sweep"])
+    def test_grid_of_more_than_max_steps_instants_is_rejected_before_any_replay(
+            self, monkeypatch, call):
+        replays = []
+        replay = simulation.run_arb_sim
+        monkeypatch.setattr(simulation, "run_arb_sim",
+                            lambda *args: replays.append(args) or replay(*args))
+        monkeypatch.setattr(simulation, "MAX_STEPS", 11)
+        call(self.QUOTES, 4000, None)  # 11 instants, the last at 50000
+        accepted = len(replays)
+        with pytest.raises(InputError) as exc:
+            call(self.QUOTES, 3636, None)  # 12 instants, the last at 49996
+        assert str(exc.value) == ("interval 3636 over the window 10000:50000 is 12 instants; "
+                                  "at most 11 are replayed")
+        assert len(replays) == accepted
 
 @st.composite
 def visit_cases(draw):
@@ -1250,7 +1271,7 @@ class TestGbmGenerate:
         assert str(err.value) == message
 
     def test_step_count_limit(self, monkeypatch):
-        monkeypatch.setattr(simulation, "GBM_MAX_STEPS", 10)
+        monkeypatch.setattr(simulation, "MAX_STEPS", 10)
         assert len(gbm_generate(0.5, 0.0, 1000, 10_000, seed=1)) == 11
         with pytest.raises(InputError) as err:
             gbm_generate(0.5, 0.0, 1000, 11_000, seed=1)
