@@ -30,7 +30,6 @@ from .feeds import (
     QuoteSeries,
     _check_coverage,
     _locf_index,
-    align_to_blocks,
     load_block_timestamps,
     load_klines,
     load_quote_updates,
@@ -257,7 +256,6 @@ class Feed:
 
     quotes: QuoteSeries
     kind: str  # "bid_ask" (--quotes) or "mid" (--klines)
-    counters: dict
     blocks: np.ndarray | None  # --blocks timestamps in ms
     window: tuple[int, int] | None  # --window
 
@@ -275,24 +273,18 @@ def _load_feed(cfg: dict) -> Feed:
     series = load(_require_file(cfg[source]))
     if not len(series):
         raise InputError(f"feed file {cfg[source]} holds no data rows")
-    blocks, counters = None, {}
-    if cfg["blocks"] is not None:
+    blocks = None
+    if cfg.get("blocks") is not None:  # the sweeps take no --blocks
         blocks = load_block_timestamps(_require_file(cfg["blocks"]))
         if not len(blocks):
             raise InputError(f"--blocks {cfg['blocks']} holds no data rows")
-        if kind == "mid":
-            try:  # all the blocks, not the window: a fault names the file, not --window
-                series, fills = align_to_blocks(series, blocks)
-            except InsufficientDataError as exc:
-                raise InputError(f"--klines {cfg['klines']}: {exc} over all of --blocks "
-                                 f"{cfg['blocks']}") from None
-            counters = {"block_price_fills": fills, "blocks": int(len(blocks))}
     quotes = series if kind == "bid_ask" else quotes_from_prices(series)
-    return Feed(quotes, kind, counters, blocks, cfg["window"])
+    return Feed(quotes, kind, blocks, cfg["window"])
 
 
-def _make_schedule(cfg: dict, feed: Feed) -> BlockSchedule:
-    """The blocks inside the window, or the fixed grid over it (by default the quotes')."""
+def _make_schedule(cfg: dict, feed: Feed) -> tuple[BlockSchedule, dict]:
+    """The blocks inside the window, or the fixed grid over it (by default the quotes'), and
+    the manifest's fill counters."""
     if feed.blocks is not None:
         if cfg["interval_ms"] is not None:
             raise InputError("give --blocks or --interval-ms, not both")
@@ -302,10 +294,14 @@ def _make_schedule(cfg: dict, feed: Feed) -> BlockSchedule:
             if not len(blocks):
                 raise InputError("--window {}:{} holds none of the --blocks".format(*feed.window))
         _check_coverage(feed.quotes, blocks)
-        return BlockSchedule.from_blocks(blocks)
+        counters = {}
+        if feed.kind == "mid":  # a block in a second with no kline reads the kline before
+            at = feed.quotes.timestamps[_locf_index(feed.quotes.timestamps, blocks)]
+            counters = {"block_price_fills": int(np.sum(at != blocks)), "blocks": int(len(blocks))}
+        return BlockSchedule.from_blocks(blocks), counters
     if (interval := cfg["interval_ms"]) is not None:
         return BlockSchedule.fixed(interval, *_grid_window(feed.quotes, [interval], feed.window,
-                                                           "--interval-ms"))
+                                                           "--interval-ms")), {}
     raise InputError("a schedule is required: give --blocks or --interval-ms")
 
 
@@ -331,9 +327,9 @@ def _initial_state(cfg: dict, quotes, start_ms: int, fee: float) -> PoolState:
 def _arb_run(cfg: dict, fee: float, factor: float):
     """Losses of the feed replayed over the schedule, scaled by the factor k."""
     feed = _load_feed(cfg)
-    schedule = _make_schedule(cfg, feed)
+    schedule, counters = _make_schedule(cfg, feed)
     initial = _initial_state(cfg, feed.quotes, schedule.first_ms, fee)
-    return run_arb_sim(initial, feed.quotes, schedule).scaled(factor), schedule, feed
+    return run_arb_sim(initial, feed.quotes, schedule).scaled(factor), schedule, feed, counters
 
 
 def _fee_ledger(cfg: dict):
@@ -375,13 +371,13 @@ def _losses_table(run, schedule: BlockSchedule):
 
 def cmd_simulate_arb(cfg: dict) -> Output:
     fee, factor = _require(cfg, "fee_bps") / 1e4, cfg["concentration_k"]
-    run, schedule, feed = _arb_run(cfg, fee, factor)
+    run, schedule, feed, counters = _arb_run(cfg, fee, factor)
     return Output(
         {"losses.csv": _losses_table(run, schedule)},
         {"pair": cfg["pair"], "fee": fee, "feed_kind": feed.kind, "seed": cfg["seed"],
          "concentration_k": factor, "interval_ms": schedule.interval_ms,
          "quote_resolution_ms": feed.quotes.resolution_ms, "n_instants": int(run.n_instants)},
-        feed.counters,
+        counters,
         {"total_relative_loss": run.total_relative_loss, "n_events": int(len(run.losses)),
          "n_dropped": run.n_dropped, "window_ms": run.window_ms},
     )
@@ -408,7 +404,7 @@ def cmd_compare(cfg: dict) -> Output:
     fee, factor = _require(cfg, "fee_bps") / 1e4, cfg["concentration_k"]
     window_ms = int(cfg["ratio_window_days"] * DAY_MS)
     ledger, _ = _fee_ledger(cfg)
-    run, _, feed = _arb_run(cfg, fee, factor)
+    run, _, feed, counters = _arb_run(cfg, fee, factor)
     report = fees_vs_losses(ledger, run, window_ms)
     return Output(
         {"comparison.csv": [{
@@ -420,7 +416,7 @@ def cmd_compare(cfg: dict) -> Output:
         {"pair": cfg["pair"], "fee": fee, "feed_kind": feed.kind, "seed": cfg["seed"],
          "concentration_k": factor, "position_liquidity": ledger.position_liquidity,
          "quote_resolution_ms": feed.quotes.resolution_ms, "ratio_window_ms": window_ms},
-        feed.counters, {**report.totals, "n_dropped": run.n_dropped},
+        counters, {**report.totals, "n_dropped": run.n_dropped},
     )
 
 
@@ -437,8 +433,6 @@ def _fit(sweep, fit_range) -> dict:
 
 def cmd_sweep(command: str, cfg: dict) -> Output:
     """sweep-blocktime or sweep-fee: total loss per grid value on one feed."""
-    if cfg["quotes"] is not None and cfg["blocks"] is not None:
-        raise InputError("sweeps take --blocks only with --klines, to align them")
     feed = _load_feed(cfg)
     fit_range = cfg["fit_range"]
     if command == "sweep-fee":
@@ -471,7 +465,7 @@ def cmd_sweep(command: str, cfg: dict) -> Output:
         {**grid, "pair": cfg["pair"], "feed_kind": feed.kind,
          "quote_resolution_ms": feed.quotes.resolution_ms, "window": feed.window,
          "seed": cfg["seed"], "fit": _fit(sweep, fit_range)},
-        feed.counters,
+        {},
         {"total_losses": [float(v) for v in sweep.total_losses]},
     )
 
@@ -574,17 +568,17 @@ OPTIONS = {
 }
 
 _COMMON = ("--config", "--pair", "--out", "--seed")
-_FEED = ("--quotes", "--klines", "--blocks", "--window", "--initial-price",
-         "--initial-reserve-x")
+_FEED = ("--quotes", "--klines", "--window", "--initial-price", "--initial-reserve-x")
 
 COMMANDS = {  # name -> (function, help, flags)
     "simulate-arb": (cmd_simulate_arb, "replay arbitrage losses over a schedule",
-                     _COMMON + _FEED + ("--fee-bps", "--interval-ms", "--concentration-k")),
+                     _COMMON + _FEED + ("--blocks", "--fee-bps", "--interval-ms",
+                                         "--concentration-k")),
     "fees": (cmd_fees, "attribute historical swap fees to a position",
              _COMMON + ("--swaps", "--position-liquidity", "--per-block",
                         "--concentration-k")),
     "compare": (cmd_compare, "fees versus arbitrage losses over time",
-                _COMMON + _FEED + ("--swaps", "--fee-bps", "--interval-ms",
+                _COMMON + _FEED + ("--blocks", "--swaps", "--fee-bps", "--interval-ms",
                                    "--position-liquidity", "--per-block",
                                    "--ratio-window-days", "--concentration-k")),
     "sweep-blocktime": (functools.partial(cmd_sweep, "sweep-blocktime"),

@@ -154,7 +154,8 @@ class LossSeries:
         price has left its range and the scaling no longer holds: rejected.
         """
         scaled = concentration_scale(self.losses, factor_k)
-        if np.any(scaled >= 1.0):
+        # scaling by k >= 1 keeps the order, so the largest loss decides; no full-length mask
+        if len(scaled) and scaled.max() >= 1.0:
             raise InputError(
                 f"concentration factor {factor_k} scales a loss of "
                 f"{float(np.max(self.losses))} to >= 1; the position leaves its range"

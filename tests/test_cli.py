@@ -541,12 +541,11 @@ class TestKlinesOverBlocks:
     """--klines with --blocks against the same prices given as --quotes, over the same blocks.
 
     1 h of 1 s prices with a 30 s gap every 240 s, and a block every 12 s: two
-    blocks in each gap. align_to_blocks gives each filled block its carried-
-    forward price as a quote of its own, so the replay visits the second block
-    of a gap again, where the quotes give it the first block's quote.
+    blocks in each of the 15 gaps. The klines are replayed as the quotes they
+    are, so the second block of a gap reads the quote the first block read.
     """
 
-    def runs(self, tmp_path, fee_bps):
+    def outs(self, tmp_path, fee_bps):
         prices = gbm_generate(0.5, 0.0, 1000, 3_600_000, seed=11, price0=2000.0)
         kept = prices.timestamps % 240_000 < 210_000
         rows = list(zip(prices.timestamps[kept].tolist(), prices.prices[kept].tolist()))
@@ -554,19 +553,23 @@ class TestKlinesOverBlocks:
                  "quotes": "".join(f"{t},{p!r},{p!r}\n" for t, p in rows)}
         blocks = tmp_path / "blocks.csv"
         blocks.write_text("".join(f"{i},{12 * i}\n" for i in range(301)))  # 0 to 3600 s
-        runs = []
+        outs = []
         for kind, text in feeds.items():
             feed, out = tmp_path / f"{kind}.csv", tmp_path / kind
             feed.write_text(text)
             assert run_cli("simulate-arb", f"--{kind}", feed, "--blocks", blocks,
                            "--fee-bps", fee_bps, "--out", out) == 0
+            outs.append(out)
+        return outs
+
+    def runs(self, tmp_path, fee_bps):
+        runs = []
+        for out in self.outs(tmp_path, fee_bps):
             results = manifest_results(out)
             runs.append(((out / "losses.csv").read_bytes(), results["n_events"],
                          results["n_dropped"]))
         return runs
 
-    @pytest.mark.xfail(strict=True, reason="a block filled by align_to_blocks has a quote of "
-                                           "its own, so the replay visits its repeat again")
     def test_zero_fee_klines_match_quotes(self, tmp_path):
         klines, quotes = self.runs(tmp_path, 0)
         assert klines == quotes
@@ -575,6 +578,14 @@ class TestKlinesOverBlocks:
         klines, quotes = self.runs(tmp_path, 5)
         assert klines == quotes
         assert klines[1] > 10
+
+    def test_klines_manifest_counts_fills_at_the_klines_resolution(self, tmp_path):
+        klines, quotes = (json.loads((out / "manifest.json").read_text())
+                          for out in self.outs(tmp_path, 5))
+        assert klines["fill_counters"] == {"block_price_fills": 2 * 15, "blocks": 301}
+        assert quotes["fill_counters"] == {}
+        assert (klines["parameters"]["quote_resolution_ms"]
+                == quotes["parameters"]["quote_resolution_ms"] == 1000)
 
 
 def manifest_results(out):
@@ -985,23 +996,26 @@ class TestBadInputExits2:
         given = ["--initial-price", initial_price] if initial_price else []
         assert run_cli(command, f"--{feed}", path, "--blocks", blocks_path, "--fee-bps", 30,
                        *given, *args, "--out", tmp_path / "bad") == 2
-        cover, over = (("quotes", "") if feed == "quotes"
-                       else ("prices", f" over all of --blocks {blocks_path}"))
         assert capsys.readouterr().err == (
-            f"error: --{feed} {path}: {cover} cover [1000, 2000] but the schedule needs "
-            f"{needs}{over}\n")
+            f"error: --{feed} {path}: quotes cover [1000, 2000] but the schedule needs "
+            f"{needs}\n")
         assert not (tmp_path / "bad").exists()
 
-    def test_klines_alignment_fault_names_blocks_not_window(self, tmp_path, gbm_klines, capsys):
-        # klines are aligned to the whole blocks file: its block at 700 s is no --window fault
+    def test_klines_block_outside_the_window_needs_no_cover(self, tmp_path, gbm_klines):
+        # the klines cover [0, 600000]; the block at 700 s lies outside --window, as for quotes
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text("".join(f"{t},{o},{o}\n" for t, o, *_ in
+                                  (line.split(",") for line in
+                                   gbm_klines.read_text().splitlines()[1:])))
         blocks = tmp_path / "blocks.csv"
-        blocks.write_text("block_number,timestamp_s\n1,12\n2,700\n")
-        assert run_cli("simulate-arb", "--klines", gbm_klines, "--blocks", blocks,
-                       "--fee-bps", 30, "--window", "0:60000", "--out", tmp_path / "bad") == 2
-        assert capsys.readouterr().err == (
-            f"error: --klines {gbm_klines}: prices cover [0, 600000] but the schedule needs "
-            f"[12000, 700000] over all of --blocks {blocks}\n")
-        assert not (tmp_path / "bad").exists()
+        blocks.write_text("block_number,timestamp_s\n1,12\n2,24\n3,36\n4,48\n5,700\n")
+        tables = []
+        for kind, feed in (("klines", gbm_klines), ("quotes", quotes)):
+            assert run_cli("simulate-arb", f"--{kind}", feed, "--blocks", blocks,
+                           "--fee-bps", 0, "--window", "0:60000", "--out", tmp_path / kind) == 0
+            tables.append((tmp_path / kind / "losses.csv").read_bytes())
+        assert tables[0] == tables[1]
+        assert tables[0].count(b"\n") == 5  # the header and the blocks at 12 to 48 s
 
 
 @pytest.mark.parametrize("command", ["simulate-arb", "compare"])
@@ -1076,11 +1090,10 @@ class TestFeedStep:
         ("simulate-arb", ["--quotes", "--blocks"], ["--fee-bps", 30]),
         ("fees", ["--swaps"], []),
         ("compare", ["--klines", "--blocks", "--swaps"], ["--fee-bps", 30]),
-        ("sweep-blocktime", ["--klines", "--blocks"],
-         ["--fee-bps", 30, "--intervals-ms", "12000,24000"]),
+        ("sweep-blocktime", ["--klines"], ["--fee-bps", 30, "--intervals-ms", "12000,24000"]),
         ("sweep-fee", ["--quotes"], ["--interval-ms", 12_000]),
     ], ids=["synth-gbm", "simulate-arb-quotes-blocks", "fees", "compare-klines-blocks",
-            "sweep-blocktime-klines-blocks", "sweep-fee-quotes"])
+            "sweep-blocktime-klines", "sweep-fee-quotes"])
     def test_manifest_inputs_are_the_file_options_given(self, tmp_path, feed, command, files,
                                                         rest):
         paths = {"--swaps": FIXTURE, **{f"--{name}": path for name, path in feed.items()}}
@@ -1094,13 +1107,25 @@ class TestFeedStep:
             assert inputs[str(paths[flag])] == {"sha256": digest,
                                                 "bytes": paths[flag].stat().st_size}
 
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("source", ["klines", "quotes"])
     @pytest.mark.parametrize("command, grid", [("sweep-fee", ["--interval-ms", 12_000]),
                                                ("sweep-blocktime", ["--fee-bps", 30])],
                              ids=["sweep-fee", "sweep-blocktime"])
-    def test_sweep_rejects_blocks_with_quotes(self, tmp_path, capsys, feed, command, grid):
-        assert run_cli(command, "--quotes", feed["quotes"], "--blocks", feed["blocks"],
-                       *grid, "--out", tmp_path / "out") == 2
-        assert "--blocks" in capsys.readouterr().err
+    def test_sweep_takes_no_blocks(self, tmp_path, capsys, feed, command, grid, source, given):
+        args = [command, f"--{source}", feed[source], *grid, "--out", tmp_path / "out"]
+        if given == "flag":
+            with pytest.raises(SystemExit) as exit_:
+                run_cli(*args, "--blocks", feed["blocks"])
+            assert exit_.value.code == 2
+            assert "unrecognized arguments: --blocks" in capsys.readouterr().err
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"blocks": str(feed["blocks"])}))
+            assert run_cli(*args, "--config", config) == 2
+            assert capsys.readouterr().err == (
+                f"error: config file {config}: {command} has no option 'blocks'\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["simulate-arb", "compare"])
     def test_window_limits_block_schedule(self, tmp_path, feed, command):
@@ -1117,15 +1142,12 @@ class TestFeedStep:
         assert results[0] == results[1]
         assert results[0][0] > 0
 
-    @pytest.mark.parametrize("command, grid", [("simulate-arb", ["--fee-bps", 30]),
-                                               ("compare", ["--fee-bps", 30]),
-                                               ("sweep-blocktime", ["--fee-bps", 30]),
-                                               ("sweep-fee", ["--interval-ms", 12_000])],
-                             ids=["simulate-arb", "compare", "sweep-blocktime", "sweep-fee"])
-    def test_header_only_blocks_names_blocks(self, tmp_path, capsys, feed, command, grid):
+    @pytest.mark.parametrize("command", ["simulate-arb", "compare"])
+    @pytest.mark.parametrize("source", ["klines", "quotes"])
+    def test_header_only_blocks_names_blocks(self, tmp_path, capsys, feed, command, source):
         blocks, out = tmp_path / "header_only.csv", tmp_path / "out"
         blocks.write_text("block_number,timestamp_s\n")
-        assert run_cli(command, "--klines", feed["klines"], "--blocks", blocks, *grid,
+        assert run_cli(command, f"--{source}", feed[source], "--blocks", blocks, "--fee-bps", 30,
                        "--out", out, *self.extra(command)) == 2
         assert capsys.readouterr().err == f"error: --blocks {blocks} holds no data rows\n"
         assert not out.exists()

@@ -560,6 +560,20 @@ class TestRunArbSim:
             with pytest.raises(InputError, match="leaves its range"):
                 run.scaled(factor)
 
+    def test_scaled_holds_the_copy_and_no_mask(self):
+        # 8 B a loss for the scaled copy; a 1 B range mask beside it takes the peak past 8.5
+        n = 10**6
+        run = loss_series(np.arange(n, dtype=np.int64), np.full(n, 1e-4))
+        tracemalloc.start()
+        try:
+            scaled = run.scaled(2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.5 * n
+        assert scaled.losses.max() == 2e-4
+        assert len(loss_series([], []).scaled(2.0).losses) == 0
+
 
 REPLAY_HORIZON_MS = 6 * 3600 * 1000
 
