@@ -36,13 +36,12 @@ from .feeds import (
     quotes_from_prices,
 )
 from .fees import attribute_fees, load_swap_records
-from .pool import PoolState
+from .pool import PoolState, _fold
 from .simulation import (
     DAY_MS,
     DEFAULT_INTERVALS_MS,
     EXTENDED_INTERVALS_MS,
     BlockSchedule,
-    _fold,
     _grid_window,
     blocktime_sweep,
     fee_sweep,
@@ -114,12 +113,18 @@ def _write_table(path: Path, blocks) -> None:
 
 
 def _sha256(path: str) -> dict:
-    import hashlib  # here, not at the top: OpenSSL's libcrypto then loads after a run's peak
+    # here, not at the top: OpenSSL's libcrypto then loads after the run's data peak. Its
+    # 3.5 MB of pages add to the heap the run leaves resident, so the load sets the peak RSS
+    # when that heap is within 3.5 MB of the data peak: compare's, while fee attribution
+    # built full-length arrays
+    import hashlib
 
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
+    buffer = bytearray(1 << 16)  # one 64 KiB buffer, read into again and again
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as handle:
+        while size := handle.readinto(buffer):
+            digest.update(view[:size])
     return {"sha256": digest.hexdigest(), "bytes": os.path.getsize(path)}
 
 
@@ -335,8 +340,10 @@ def _arb_run(cfg: dict, fee: float, factor: float):
 def _fee_ledger(cfg: dict):
     """Fee ledger of the --swaps position, its returns scaled by --concentration-k."""
     swaps = load_swap_records(_require_file(_require(cfg, "swaps")))
+    n_records = len(swaps)
     ledger = attribute_fees(swaps, cfg["position_liquidity"], per_block=cfg["per_block"])
-    return ledger.scaled(cfg["concentration_k"]), len(swaps)
+    del swaps  # the loaded table goes before the scaled copy of the returns is made
+    return ledger.scaled(cfg["concentration_k"]), n_records
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -383,14 +390,24 @@ def cmd_simulate_arb(cfg: dict) -> Output:
     )
 
 
+def _fee_returns_table(ledger):
+    """fee_returns.csv, one row per ledger return, in blocks of _CHUNK_ROWS returns: each
+    block folds its cumulative growth on from the block before, as _losses_table does."""
+    product = 1.0  # the growth so far
+    for lo in range(0, max(len(ledger.returns), 1), _CHUNK_ROWS):  # an empty ledger: a header
+        returns = ledger.returns[lo:lo + _CHUNK_ROWS]
+        growth = 1.0 + returns
+        if len(growth):
+            product = _fold(growth, product)
+        yield {"schema_version": SCHEMA_VERSION,
+               "timestamp_ms": ledger.timestamps[lo:lo + _CHUNK_ROWS],
+               "relative_fee_return": returns, "cumulative_growth": growth}
+
+
 def cmd_fees(cfg: dict) -> Output:
     ledger, n_records = _fee_ledger(cfg)
     return Output(
-        {"fee_returns.csv": [{
-            "schema_version": SCHEMA_VERSION, "timestamp_ms": ledger.timestamps,
-            "relative_fee_return": ledger.returns,
-            "cumulative_growth": np.cumprod(1.0 + ledger.returns),
-        }]},
+        {"fee_returns.csv": _fee_returns_table(ledger)},
         {"pair": cfg["pair"], "position_liquidity": ledger.position_liquidity,
          "per_block": cfg["per_block"], "concentration_k": cfg["concentration_k"],
          "seed": cfg["seed"]},

@@ -12,9 +12,9 @@ share and the position value by the ledger growth cancels, so this yields
 the same relative returns as re-depositing earned fees each period.
 
 Swaps are held as columns (SwapTable) and attributed on them in one array
-path, whose expressions and operation order are those of fee_earned,
-relative_fee_return and position_value_of_liquidity. SwapRecord and those
-functions are the readable reference and the test oracle.
+path, a bounded chunk at a time, whose expressions and operation order are
+those of fee_earned, relative_fee_return and position_value_of_liquidity.
+SwapRecord and those functions are the readable reference and the test oracle.
 
 Swap-record CSV schema, rows in order of timestamp and of block number:
   block_number,timestamp_ms,input_token,amount_in,fee_rate,post_swap_price,post_swap_liquidity
@@ -29,9 +29,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, ParseError
-from .feeds import (_first_fault, _iter_rows, _load_columns, _not_positive, _parse_float,
-                    _parse_int, _vs_previous)
-from .pool import concentration_scale
+from .feeds import (_CHUNK, _first_fault, _iter_rows, _load_columns, _not_positive,
+                    _parse_float, _parse_int, _vs_previous)
+from .pool import _FOLD, _fold, concentration_scale
 
 TOKEN_X = "X"
 TOKEN_Y = "Y"
@@ -117,9 +117,14 @@ class PositionLedger:
 
     @property
     def cumulative_growth(self) -> float:
-        """prod(1 + r_t), folded left to right; 1.0 without returns."""
-        factors = 1.0 + self.returns
-        return float(np.cumprod(factors, out=factors)[-1]) if len(factors) else 1.0
+        """prod(1 + r_t), folded left to right; 1.0 without returns.
+
+        Folded _FOLD factors at a time, as LossSeries.multiplier is: no full-length temporary.
+        """
+        product = 1.0
+        for i in range(0, len(self.returns), _FOLD):
+            product = _fold(1.0 + self.returns[i:i + _FOLD], product)
+        return product
 
     def scaled(self, factor_k: float) -> "PositionLedger":
         """Fee ledger of a position with concentration factor k; LossSeries.scaled's rule."""
@@ -187,31 +192,59 @@ def attribute_fees(
     post-swap liquidity and price. per_block=True assumes liquidity is
     constant over each block instead: all swaps of a block share the
     end-of-block liquidity, and one return per block is compounded against
-    the position value at the end-of-block price. Both take one array path.
+    the position value at the end-of-block price. Both take one array path,
+    _CHUNK swaps at a time (a chunk ends at a block end), and write each
+    chunk's returns and stamps into the ledger's columns: besides those, the
+    only full-length array is a mask of block ends, one byte a swap.
     """
     if not isinstance(swaps, SwapTable):
         swaps = SwapTable(*([getattr(r, f.name) for r in swaps] for f in fields(SwapRecord)))
     _check_position_liquidity(position_liquidity)
-    ends = np.ones(len(swaps), dtype=bool)  # per swap, each swap is a block of one
+    n = len(swaps)
+    ends = np.ones(n, dtype=bool)  # per swap, each swap is a block of one
     if per_block:
-        ends[:-1] = swaps.block_numbers[1:] != swaps.block_numbers[:-1]
+        np.not_equal(swaps.block_numbers[1:], swaps.block_numbers[:-1], out=ends[:-1])
+    returns = np.empty(np.count_nonzero(ends))
+    stamps = np.empty(len(returns), dtype=np.int64)
+    lo = done = 0  # the swaps and the returns worked out so far
+    while lo < n:
+        hi = min(lo + _CHUNK, n)
+        if not ends[hi - 1]:  # a chunk ends at a block end: its last before hi, else the next
+            before = np.flatnonzero(ends[lo:hi])
+            hi = lo + int(before[-1]) + 1 if len(before) else hi + int(ends[hi:].argmax()) + 1
+        k = int(np.count_nonzero(ends[lo:hi]))
+        _attribute_chunk(swaps, slice(lo, hi), ends[lo:hi], position_liquidity,
+                         returns[done:done + k], stamps[done:done + k])
+        lo, done = hi, done + k
+    del ends
+    return PositionLedger(position_liquidity, returns, stamps)
+
+
+def _attribute_chunk(swaps: SwapTable, chunk: slice, ends: np.ndarray,
+                     position_liquidity: float, returns: np.ndarray, stamps: np.ndarray) -> None:
+    """attribute_fees on a chunk of swaps that ends at a block end: each of its blocks' return
+    and stamp, written into returns and stamps. ends is the chunk's block-end mask."""
     last = np.flatnonzero(ends)
-    block = np.cumsum(ends)
-    block -= ends  # each swap's block: the count of block ends before it
-    liquidity = swaps.post_swap_liquidities[last].take(block)
+    last += chunk.start
+    stamps[:] = swaps.timestamps[last]
+    value = returns  # the position value at each block's end price, then the block's return
+    value[:] = swaps.post_swap_prices[last]
+    np.multiply(2.0 * position_liquidity, np.sqrt(value, out=value), out=value)
+    liquidity = swaps.post_swap_liquidities[last]  # each block's end-of-block liquidity
+    del last
     over = position_liquidity > liquidity
-    if over.any():
+    if over.any():  # the first such block holds the first such swap
         raise InputError(f"position liquidity {position_liquidity} exceeds pool in-range "
                          f"liquidity {float(liquidity[over.argmax()])}")
-    fee = swaps.fee_rates * swaps.amounts_in
-    fee *= np.divide(position_liquidity, liquidity, out=liquidity)  # the position's share
+    block = np.cumsum(ends)
+    block -= ends  # each swap's block in the chunk: the count of block ends before it
+    fee = np.divide(position_liquidity, liquidity, out=liquidity).take(block)  # each share
     del liquidity
-    _fee_in_y(swaps.input_tokens, fee, swaps.post_swap_prices)
-    sums = np.zeros(len(last))
+    fee *= swaps.fee_rates[chunk] * swaps.amounts_in[chunk]
+    _fee_in_y(swaps.input_tokens[chunk], fee, swaps.post_swap_prices[chunk])
+    sums = np.zeros(len(value))
     np.add.at(sums, block, fee)  # in file order, as a loop adds
-    del block, fee
-    sums /= 2.0 * position_liquidity * np.sqrt(swaps.post_swap_prices[last])
-    return PositionLedger(position_liquidity, sums, swaps.timestamps[last])
+    np.divide(sums, value, out=value)
 
 
 _SWAP_COLUMNS = [("block_number", _parse_int, np.int64), ("timestamp_ms", _parse_int, np.int64),

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import FitError, InputError
 from .feeds import _CHUNK, PriceSeries, QuoteSeries, _check_coverage, _locf_index
 from .fees import PositionLedger
-from .pool import PoolState, concentration_scale
+from .pool import _FOLD, PoolState, _fold, concentration_scale
 
 YEAR_MS = 365 * 86400 * 1000
 DAY_MS = 86400 * 1000
@@ -31,9 +31,6 @@ EXTENDED_INTERVALS_MS = DEFAULT_INTERVALS_MS + (32000, 60000, 120000, 300000)
 
 # instants the replay checks one at a time before it scans numpy chunks
 _SCALAR_SCAN = 16
-
-# losses LossSeries.multiplier folds at a time: 8 KB of factors
-_FOLD = 1024
 
 # most steps gbm_generate makes, and most instants a fixed grid may hold (a year of
 # 100 ms steps is 3.2e8); 10**9 steps take 24 GB, and a grid's losses.csv tens of GB
@@ -108,16 +105,6 @@ class BlockSchedule:
         k *= np.uint64(self.interval_ms if self.n_instants > 1 else 0)  # else past the span
         k += np.uint64(self.first_ms % 2**64)
         return positions
-
-
-def _fold(factors: np.ndarray, product: float) -> float:
-    """One chunk of a left fold: the factors become their running product, in place, carried
-    on from the product of the chunks before; returns the product so far.
-
-    np.cumprod multiplies left to right, so the chunks give the whole fold's bits.
-    """
-    factors[0] *= product
-    return float(np.cumprod(factors, out=factors)[-1])
 
 
 @dataclass(frozen=True)

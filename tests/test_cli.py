@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_feeds import _klines, _swaps, write
 
 import lvrsim
 import lvrsim.cli as cli
@@ -37,6 +38,7 @@ from lvrsim.cli import (
     OPTIONS,
     SCHEMA_VERSION,
     _merge_config,
+    _sha256,
     _write_table,
     build_parser,
     main,
@@ -278,6 +280,56 @@ class TestSimulateArbMemory:
         instants = manifest["parameters"]["n_instants"]
         assert manifest["results"]["n_events"] > 0.99 * min(instants, 6 * 36_000)
         assert peak / instants <= bound
+
+
+class TestCompareMemory:
+    """Traced peak of an in-process compare on 100 000 swaps in blocks of 3, in bytes per
+    swap. Fee attribution works through the swaps a chunk at a time, so the run peaks
+    while it holds the loaded swaps: their 56-byte records and loadtxt's growth while it
+    reads them (67 bytes a swap in all), or those records and the ledger's return and
+    stamp per swap as attribution writes them. The whole-array attribution it replaced
+    peaked at 91 bytes a swap per swap and 86 per block."""
+
+    ROWS = 100_000
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("compare-inputs")
+        return (write(root, "swaps.csv", _swaps(self.ROWS)),
+                write(root, "klines.csv", _klines(self.ROWS // 10)))
+
+    @pytest.mark.parametrize("per_block, bound", [(False, 86), (True, 72)],
+                             ids=["per-swap", "per-block"])
+    def test_peak_bytes_per_swap(self, tmp_path, inputs, per_block, bound):
+        swaps, klines = inputs
+        args = ["compare", "--swaps", swaps, "--klines", klines, "--interval-ms", 12000,
+                "--fee-bps", 5, "--position-liquidity", 500, "--concentration-k", 2,
+                "--out", tmp_path / "run"] + (["--per-block"] if per_block else [])
+        tracemalloc.start()
+        try:
+            assert run_cli(*args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["fill_counters"] == {} and manifest["results"]["sum_fee_returns"] > 0
+        assert peak / self.ROWS <= bound
+
+
+def test_hashing_reads_through_one_small_buffer(tmp_path):
+    """_sha256 reads a file into one reused 64 KiB buffer, not a new block per read."""
+    path = tmp_path / "input.bin"
+    data = np.random.default_rng(0).bytes(4 << 20)
+    path.write_bytes(data)
+    _sha256(str(path))  # hashlib imported before tracing
+    tracemalloc.start()
+    try:
+        digest = _sha256(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == {"sha256": hashlib.sha256(data).hexdigest(), "bytes": 4 << 20}
+    assert peak <= 128 << 10
 
 
 def test_importing_the_cli_loads_no_openssl():

@@ -1,9 +1,12 @@
 """Result tables pinned by their sha256, in tests/data/table_digests.json.
 
 The inputs are the benchmark's generated files (perfbench/inputs.py at seed 1
-and scale 0.01) and the swaps fixture. The generator uses only uniform draws
-and IEEE arithmetic, so its bytes do not depend on the CPU. No case replays
-synth-gbm output: np.exp's last bit may differ between CPUs and numpy builds.
+and scale 0.01; the fees_compare files once more at scale 0.035, whose 17 500
+swaps span two of the 16 384-swap chunks fee attribution works in, with a block
+of three across the edge) and the swaps fixture. The generator uses only
+uniform draws and IEEE arithmetic, so its bytes do not depend on the CPU. No
+case replays synth-gbm output: np.exp's last bit may differ between CPUs and
+numpy builds.
 
 A change that alters a table records the new digests with
 ``PYTHONPATH=src python tests/test_table_digests.py`` and lists each changed
@@ -24,6 +27,9 @@ DIGESTS = Path(__file__).parent / "data" / "table_digests.json"
 FIXTURE = Path(__file__).parent / "data" / "swaps_fixture.csv"
 SEED, SCALE = 1, 0.01
 WORKLOADS = ("hist_arb", "sweep_dense", "fees_compare")
+CHUNKED_SCALE = 0.035  # fees_chunks: 17 500 swaps, more than feeds._CHUNK
+# the 864 s of sweep_dense quotes at SCALE, which start at the first hist_arb block
+QUOTES_WINDOW = "1698796800000:1698797663900"
 
 
 def make_inputs(root: Path) -> dict:
@@ -37,11 +43,14 @@ def make_inputs(root: Path) -> dict:
         dirs[name] = root / name
         dirs[name].mkdir()
         getattr(generator, name)(dirs[name], SEED, SCALE)
+    dirs["fees_chunks"] = root / "fees_chunks"
+    dirs["fees_chunks"].mkdir()
+    generator.fees_compare(dirs["fees_chunks"], SEED, CHUNKED_SCALE)
     return dirs
 
 
 def argv(case: str, dirs: dict) -> list:
-    hist, dense, fees = (dirs[name] for name in WORKLOADS)
+    hist, dense, fees, chunks = (dirs[name] for name in (*WORKLOADS, "fees_chunks"))
     klines_over_blocks = ["simulate-arb", "--klines", hist / "klines.csv",
                           "--blocks", hist / "blocks.csv", "--fee-bps"]
     return {  # the first three are the benchmark's workload commands
@@ -55,11 +64,26 @@ def argv(case: str, dirs: dict) -> list:
         "sweep_fee": ["sweep-fee", "--quotes", dense / "quotes.csv", "--interval-ms", 1000],
         "fees_per_block": ["fees", "--swaps", FIXTURE, "--position-liquidity", 500,
                            "--per-block"],
+        "fees_per_swap": ["fees", "--swaps", FIXTURE, "--position-liquidity", 500],
+        "compare_fixture": ["compare", "--swaps", FIXTURE, "--klines", fees / "klines.csv",
+                            "--interval-ms", 12000, "--fee-bps", 5, "--position-liquidity", 500,
+                            "--concentration-k", 3],
+        "compare_per_block_chunks": ["compare", "--swaps", chunks / "swaps.csv", "--klines",
+                                     chunks / "klines.csv", "--interval-ms", 12000,
+                                     "--fee-bps", 5, "--position-liquidity", 500,
+                                     "--per-block"],
+        "quotes_over_blocks_5bp": ["simulate-arb", "--quotes", dense / "quotes.csv", "--blocks",
+                                   hist / "blocks.csv", "--window", QUOTES_WINDOW,
+                                   "--fee-bps", 5],
+        "fixed_grid_0bp": ["simulate-arb", "--quotes", dense / "quotes.csv", "--interval-ms",
+                           100, "--fee-bps", 0],
     }[case]
 
 
 CASES = ("hist_arb", "sweep_dense", "fees_compare", "klines_over_blocks_0bp",
-         "klines_over_blocks_5bp", "sweep_fee", "fees_per_block")
+         "klines_over_blocks_5bp", "sweep_fee", "fees_per_block", "fees_per_swap",
+         "compare_fixture", "compare_per_block_chunks", "quotes_over_blocks_5bp",
+         "fixed_grid_0bp")
 
 
 def table_digests(case: str, dirs: dict, out: Path) -> dict:
