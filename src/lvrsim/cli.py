@@ -473,15 +473,17 @@ def cmd_sweep(command: str, cfg: dict) -> Output:
         sweep = blocktime_sweep(_initial_state(cfg, feed.quotes, start, fee),
                                 feed.quotes, intervals, feed.window)
         grid = {"fee": fee, "intervals_ms": intervals}
+    parameters = {**grid, "pair": cfg["pair"], "feed_kind": feed.kind,
+                  "quote_resolution_ms": feed.quotes.resolution_ms, "window": feed.window,
+                  "seed": cfg["seed"]}
+    del feed  # the quotes go before the fit, the table and the hashes
     return Output(
         {"sweep.csv": [{
             "schema_version": SCHEMA_VERSION, sweep.parameter: sweep.values,
             "total_relative_loss": sweep.total_losses,
             "annualized_loss": sweep.annualized_losses, "n_events": sweep.n_events,
         }]},
-        {**grid, "pair": cfg["pair"], "feed_kind": feed.kind,
-         "quote_resolution_ms": feed.quotes.resolution_ms, "window": feed.window,
-         "seed": cfg["seed"], "fit": _fit(sweep, fit_range)},
+        {**parameters, "fit": _fit(sweep, fit_range)},
         {},
         {"total_losses": [float(v) for v in sweep.total_losses]},
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -125,10 +125,7 @@ class LossSeries:
 
         Folded _FOLD factors at a time, so that it holds no full-length temporary.
         """
-        product = 1.0
-        for i in range(0, len(self.losses), _FOLD):
-            product = _fold(1.0 - self.losses[i:i + _FOLD], product)
-        return product
+        return _loss_fold(self.losses, 1.0)
 
     @property
     def total_relative_loss(self) -> float:
@@ -177,6 +174,14 @@ class ComparisonReport:
     cumulative_difference: np.ndarray  # running sum of (fee - loss)
     trailing_ratio: np.ndarray  # NaN where the trailing loss sum is zero
     totals: dict
+
+
+def _loss_fold(losses: np.ndarray, product: float) -> float:
+    """product * prod(1 - loss), folded left to right _FOLD factors at a time: folded on from
+    the product of the losses before them, they give the bits of one fold over all of them."""
+    for i in range(0, len(losses), _FOLD):
+        product = _fold(1.0 - losses[i:i + _FOLD], product)
+    return product
 
 
 def _grid_window(quotes: QuoteSeries, intervals_ms: Sequence[int],
@@ -251,39 +256,41 @@ def _visits(quotes: QuoteSeries, schedule: BlockSchedule):
             yield positions, at[fresh]
 
 
-def run_arb_sim(
-    initial: PoolState, quotes: QuoteSeries, schedule: BlockSchedule
-) -> LossSeries:
-    """Replay quotes over a block schedule, applying optimal arb trades.
+class _Block(NamedTuple):
+    """One block of a replay: its events, as schedule positions, losses and profits, then the
+    pool and the count of dropped trades after it."""
 
-    The prevailing quote at each instant is the last update at or before
-    it. The quote series must cover the whole schedule window. An instant
-    whose quote is the previous instant's is skipped: the pool already
-    rests where that quote left it, so a recheck could trade only dust.
+    positions: array  # "q"
+    losses: array  # "d"
+    profits: array  # "d"
+    pool: PoolState
+    n_dropped: int
 
-    The pool is kept as plain floats. Each step uses the expressions of
-    no_arb_band, optimal_arb_trade and swap_exact_in in their operation
-    order, so the result is bit-identical to replaying those at each
-    instant that is not skipped. The schedule is replayed a block of
-    _visits at a time, the pool carried from one block to the next.
+
+def _replay(initial: PoolState, quotes: QuoteSeries, schedule: BlockSchedule):
+    """The replay of run_arb_sim, a _Block for each block of _visits as it ends.
+
+    The pool and the dropped count are carried from each block to the next. A
+    block's events go to fresh 24-byte-an-event buffers, which the caller lets
+    go before it asks for the next block: so a caller that keeps no events
+    holds one block of them.
     """
     rx, ry, fee = initial.reserve_x, initial.reserve_y, initial.fee
     omf = 1.0 - fee
-    # instant position, loss and profit: 24 bytes an event, where lists of boxed numbers take
-    # ~100; each position becomes its instant in place once the replay ends
-    events, losses, profits = array("q"), array("d"), array("d")
     dropped = 0
     # locals: the loop below runs once per instant and per event, and a local
     # read is cheaper than a global, attribute or method lookup
     sqrt, inf, scan = math.sqrt, math.inf, _SCALAR_SCAN
-    add_event, add_loss, add_profit = events.append, losses.append, profits.append
 
     for positions, at in _visits(quotes, schedule):
         bids = quotes.bids[at]  # a strided view where at is a slice, else a gathered copy
         asks = quotes.asks[at]
         bid_at = memoryview(bids)  # indexing gives Python floats
         ask_at = memoryview(asks)
-        before = len(events)
+        # place in the block, loss and profit of each event: lists of boxed numbers take ~100
+        # bytes an event; each place becomes its schedule position once the block ends
+        events, losses, profits = array("q"), array("d"), array("d")
+        add_event, add_loss, add_profit = events.append, losses.append, profits.append
         n = len(bids)
         j = 0
         while j < n:
@@ -341,20 +348,49 @@ def run_arb_sim(
                                      "use smaller ones")
                 dropped += 1
             j += 1
-        if len(events) > before:  # the block's events, from places in it to schedule positions
-            placed = np.frombuffer(events, dtype=np.int64)[before:]
-            if isinstance(positions, range):
-                placed += positions.start
-            else:
-                np.take(positions, placed, out=placed)
-            del placed  # an array cannot grow while a view of it is held
+        del bids, asks, bid_at, ask_at  # a block's gathered quotes go before it is handed back
+        places = np.frombuffer(events, dtype=np.int64)  # from places in it to schedule positions
+        if isinstance(positions, range):
+            places += positions.start
+        else:
+            np.take(positions, places, out=places)
+        yield _Block(events, losses, profits, PoolState(rx, ry, fee), dropped)
+        # the caller has let the block go: so do its buffers, before the next block is made
+        del places, events, losses, profits, add_event, add_loss, add_profit
+
+
+def run_arb_sim(
+    initial: PoolState, quotes: QuoteSeries, schedule: BlockSchedule
+) -> LossSeries:
+    """Replay quotes over a block schedule, applying optimal arb trades.
+
+    The prevailing quote at each instant is the last update at or before
+    it. The quote series must cover the whole schedule window. An instant
+    whose quote is the previous instant's is skipped: the pool already
+    rests where that quote left it, so a recheck could trade only dust.
+
+    The pool is kept as plain floats. Each step uses the expressions of
+    no_arb_band, optimal_arb_trade and swap_exact_in in their operation
+    order, so the result is bit-identical to replaying those at each
+    instant that is not skipped. The schedule is replayed a block of
+    _visits at a time (_replay), and the blocks' events are gathered.
+    """
+    # instant position, loss and profit: 24 bytes an event; each position becomes its instant
+    # in place once the replay ends
+    events, losses, profits = array("q"), array("d"), array("d")
+    for block in _replay(initial, quotes, schedule):
+        events.extend(block.positions)
+        losses.extend(block.losses)
+        profits.extend(block.profits)
+        final_state, dropped = block.pool, block.n_dropped
+        del block  # so that the next block's events are not made beside this one's
 
     return LossSeries(
         timestamps=schedule._at(np.frombuffer(events, dtype=np.int64)),
         losses=np.frombuffer(losses, dtype=float),
         profits=np.frombuffer(profits, dtype=float),
         n_instants=schedule.n_instants,
-        final_state=PoolState(rx, ry, fee),
+        final_state=final_state,
         window_ms=schedule.span_ms,
         n_dropped=dropped,
     )
@@ -377,7 +413,11 @@ def _sweep(
     quotes: QuoteSeries,
     window: Optional[tuple[int, int]],
 ) -> SweepResult:
-    """One arb simulation per (pool state, block interval) point on identical quotes."""
+    """One arb simulation per (pool state, block interval) point on identical quotes.
+
+    Each point's losses are folded a block of _replay at a time, as the block ends, and
+    its events counted: a sweep holds the quotes and one block of events.
+    """
     intervals = [interval for _, interval in points]
     window = _grid_window(quotes, intervals, window)  # every grid, before the first replay
     resolution = quotes.resolution_ms
@@ -386,12 +426,15 @@ def _sweep(
                          f"of {resolution}ms")
     totals, annuals, counts = [], [], []
     for state, interval in points:
-        run = run_arb_sim(state, quotes, BlockSchedule.fixed(interval, *window))
-        total = run.total_relative_loss
-        totals.append(total)
-        annuals.append(_annualized(total, run.window_ms))
-        counts.append(len(run.losses))
-        del run  # so that the next replay does not run beside this one's events
+        schedule = BlockSchedule.fixed(interval, *window)
+        multiplier, count = 1.0, 0
+        for block in _replay(state, quotes, schedule):
+            multiplier = _loss_fold(np.frombuffer(block.losses, dtype=float), multiplier)
+            count += len(block.losses)
+            del block  # so that the next block's events are not made beside this one's
+        totals.append(1.0 - multiplier)
+        annuals.append(_annualized(totals[-1], schedule.span_ms))
+        counts.append(count)
     return SweepResult(
         parameter=parameter,
         values=np.array(values, dtype=float),
@@ -538,8 +581,6 @@ def fees_vs_losses(
     np.add.at(fee_at, np.searchsorted(timeline, ledger.timestamps), ledger.returns)
     np.add.at(loss_at, np.searchsorted(timeline, losses.timestamps), losses.losses)
 
-    cumulative = fee_at - loss_at
-    np.cumsum(cumulative, out=cumulative)
     # each window's first row; one that reaches back before the first stamp starts there
     left = np.zeros(len(timeline), dtype=np.intp)
     if len(timeline) and (edge := int(timeline[0]) + window_ms) < 2**63:
@@ -547,10 +588,15 @@ def fees_vs_losses(
         # stamp - window_ms in uint64, which cannot wrap: it lies in [first stamp, stamp]
         since = timeline[reach:].view(np.uint64) - np.uint64(window_ms)
         left[reach:] = np.searchsorted(timeline, since.view(np.int64), side="right")
-    fee_sum, loss_sum = (_window_sums(at, left) for at in (fee_at, loss_at))
+    ratio = _window_sums(fee_at, left)  # the fee sums, divided in place
+    loss_sum = _window_sums(loss_at, left)
     del left
-    ratio = np.full(len(timeline), np.nan)
-    np.divide(fee_sum, loss_sum, out=ratio, where=loss_sum != 0)
+    np.divide(ratio, loss_sum, out=ratio, where=loss_sum != 0)
+    ratio[loss_sum == 0] = np.nan
+    del loss_sum
+    # worked out after the ratio, so that it is not held beside the window sums
+    cumulative = fee_at - loss_at
+    np.cumsum(cumulative, out=cumulative)
 
     totals = {
         "total_fee_return": float(ledger.cumulative_growth - 1.0),

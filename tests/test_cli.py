@@ -712,10 +712,10 @@ class TestSweepsMatchSimulateArb:
                        "--out", out) == 0
         return out / "gbm_klines.csv"
 
-    def simulate(self, tmp_path, klines, fee_bps, interval_ms):
+    def simulate(self, tmp_path, klines, fee_bps, interval_ms, window=WINDOW):
         out = tmp_path / f"sim_{fee_bps}_{interval_ms}"
         assert run_cli("simulate-arb", "--klines", klines, "--fee-bps", fee_bps,
-                       "--interval-ms", interval_ms, "--window", self.WINDOW,
+                       "--interval-ms", interval_ms, *(["--window", window] if window else []),
                        "--out", out) == 0
         return manifest_results(out)["total_relative_loss"]
 
@@ -737,6 +737,23 @@ class TestSweepsMatchSimulateArb:
         for interval, total in sweep_totals(out):
             assert total > 0
             assert total == self.simulate(tmp_path, two_hour_klines, 10, int(interval))
+
+    def test_zero_fee_sweep_rows_equal_simulate_arb_over_several_blocks(self, tmp_path):
+        """5000 s of 100 ms klines: 50 001 instants at 100 ms and 20 001 at 250 ms, more
+        than the 16 384 a replay block holds, and at zero fee each new quote trades."""
+        feed = tmp_path / "synth100ms"
+        assert run_cli("synth-gbm", "--sigma", 0.8, "--step-ms", 100,
+                       "--horizon-ms", 5_000_000, "--seed", 32, "--price0", 2000,
+                       "--out", feed) == 0
+        out = tmp_path / "dense"
+        assert run_cli("sweep-blocktime", "--klines", feed / "gbm_klines.csv", "--fee-bps", 0,
+                       "--intervals-ms", "100,250", "--out", out) == 0
+        rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+        assert min(int(row.split(",")[4]) for row in rows) > 16_384  # events per point
+        for interval, total in sweep_totals(out):
+            assert total > 0
+            assert total == self.simulate(tmp_path, feed / "gbm_klines.csv", 0, int(interval),
+                                          window=None)
 
 
 class TestBadInputExits2:

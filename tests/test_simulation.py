@@ -213,13 +213,17 @@ class TestCoverage:
     def test_sweep_checks_every_grid_before_the_first_replay(self, monkeypatch):
         # the 1000 ms grid ends at 50000, inside the quotes; the 20300 ms one at 50600
         replays = []
-        replay = simulation.run_arb_sim
-        monkeypatch.setattr(simulation, "run_arb_sim",
+        replay = simulation._replay
+        monkeypatch.setattr(simulation, "_replay",
                             lambda *args: replays.append(args) or replay(*args))
         with pytest.raises(InsufficientDataError, match=re.escape("needs [10000, 50600]")):
             blocktime_sweep(PoolState(1.0, 2000.0), self.QUOTES, [1000, 20_300],
                             window=(10_000, 50_600))
         assert replays == []
+        # the patch sees a sweep's replays: one for each grid of a sweep that runs
+        blocktime_sweep(PoolState(1.0, 2000.0), self.QUOTES, [1000, 20_000],
+                        window=(10_000, 50_000))
+        assert [schedule.interval_ms for _, _, schedule in replays] == [1000, 20_000]
 
     @pytest.mark.parametrize("call", [
         lambda quotes, interval, window: fixed_schedule(quotes, interval, window),
@@ -231,12 +235,13 @@ class TestCoverage:
     def test_grid_of_more_than_max_steps_instants_is_rejected_before_any_replay(
             self, monkeypatch, call):
         replays = []
-        replay = simulation.run_arb_sim
-        monkeypatch.setattr(simulation, "run_arb_sim",
+        replay = simulation._replay
+        monkeypatch.setattr(simulation, "_replay",
                             lambda *args: replays.append(args) or replay(*args))
         monkeypatch.setattr(simulation, "MAX_STEPS", 11)
-        call(self.QUOTES, 4000, None)  # 11 instants, the last at 50000
+        result = call(self.QUOTES, 4000, None)  # 11 instants, the last at 50000
         accepted = len(replays)
+        assert accepted == isinstance(result, SweepResult)  # the patch sees a sweep's replay
         with pytest.raises(InputError) as exc:
             call(self.QUOTES, 3636, None)  # 12 instants, the last at 49996
         assert str(exc.value) == ("interval 3636 over the window 10000:50000 is 12 instants; "
@@ -629,24 +634,47 @@ class TestReplayMemory:
         assert peak / instants <= bound
 
 
-class TestSweepMemory:
-    """A sweep releases each replay before the next, so that its traced peak is that of its
-    largest replay: here the zero-fee one on the 100 ms grid, where every instant trades.
+@functools.cache
+def sweep_quotes(hours: int) -> QuoteSeries:
+    """hours of 100 ms GBM quotes."""
+    return quotes_from_prices(gbm_generate(0.5, 0.0, 100, hours * 3600 * 1000, seed=5,
+                                           price0=2000.0))
 
-    The fee sweep's second fee is low enough that its replay trades at most instants too,
-    so that holding the first replay's events beside it would show.
+
+class TestSweepMemory:
+    """A sweep folds each point's losses a block of _CHUNK instants at a time, as its replay
+    hands the block back, and holds no point's events: its traced peak is a budget per
+    block, whatever the length of the feed.
+
+    At zero fee every new quote trades: on the 100 ms grid, whose blocks read strided views
+    of the quotes, and on the 250 ms one, whose blocks gather theirs. The fee sweep's
+    second fee is low enough that its replay trades at most instants too. Held events
+    would take 24 bytes an event, and grow with the feed.
     """
+
+    # a block's events (24 bytes and the buffers' slack), gathered quotes (16) and quote
+    # index (8), and 8 to spare; the 250 ms blocks of the blocktime sweep measure 49.4
+    BUDGET = 56
 
     @pytest.mark.parametrize("sweep", [
         lambda quotes: blocktime_sweep(PoolState(1.0, 2000.0, 0.0), quotes),
         lambda quotes: fee_sweep(1.0, 2000.0, quotes, 100, [0.0, 1e-5]),
     ], ids=["blocktime", "fee"])
-    def test_peak_is_the_largest_replay(self, sweep):
-        instants, _, replay = replay_peak(0.0)
-        quotes = replay_quotes()
-        result, peak = traced_peak(lambda: sweep(quotes))
-        assert result.n_events[0] > 0.99 * instants
-        assert peak <= 1.02 * replay
+    def test_peak_is_one_block_on_any_feed(self, sweep):
+        short, long = sweep_quotes(1), sweep_quotes(3)
+        sweep(short)  # warm up: see traced_peak
+        peaks = []
+        for quotes in (short, long):
+            tracemalloc.start()
+            try:
+                result = sweep(quotes)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert result.n_events[0] > 0.99 * len(quotes)
+            assert peaks[-1] <= self.BUDGET * simulation._CHUNK
+        # 72 000 more instants, nearly all of which trade: less than 2 bytes each
+        assert peaks[1] - peaks[0] < 2 * (len(long) - len(short))
 
 
 def left_fold(factors) -> float:
@@ -823,15 +851,14 @@ class TestReplayKernel:
         assert quotes.timestamps.tobytes() == ts.tobytes()
         assert quotes.bids.tobytes() == bids.tobytes() and quotes.asks.tobytes() == asks.tobytes()
 
-        runs = []
-
-        def recorded(*args):
-            runs.append((args, run_arb_sim(*args)))
-            return runs[-1][1]
-
-        monkeypatch.setattr(simulation, "run_arb_sim", recorded)
+        replays = []
+        replay = simulation._replay
+        monkeypatch.setattr(simulation, "_replay",
+                            lambda *args: replays.append(args) or replay(*args))
         pool = PoolState(1.0, 2000.0, 0.0)
         sweep = blocktime_sweep(pool, quotes)
+        monkeypatch.setattr(simulation, "_replay", replay)
+        runs = [(args, run_arb_sim(*args)) for args in replays]  # each point's replay, whole
         assert [s.interval_ms for (_, _, s), _ in runs] == list(DEFAULT_INTERVALS_MS)
         for (state, replayed, schedule), run in runs:
             strided = isinstance(next(simulation._visits(replayed, schedule))[1], slice)
@@ -932,6 +959,40 @@ class TestReplayBlocks:
             with mock.patch.object(simulation, "_CHUNK", size):
                 run = run_arb_sim(pool, quotes, schedule)
             assert_same_run(run, whole)
+
+
+class TestSweepBlocks:
+    """A sweep folds each point's losses a block of _replay at a time: at any block size,
+    each point's total, annualized loss and event count are run_arb_sim's, bit for bit."""
+
+    # 2 min of 100 ms quotes with a 1 bp spread, volatile enough that 5 bp pools trade often
+    MID = gbm_generate(20.0, 0.0, 100, 120_000, seed=8, price0=2000.0)
+    QUOTES = QuoteSeries(MID.timestamps, MID.prices * (1 - 0.5e-4), MID.prices * (1 + 0.5e-4))
+    INTERVALS = [100, 250]  # a grid of strided views and one of gathered quotes
+
+    @pytest.mark.parametrize("size", [*BLOCK_SIZES, simulation._CHUNK])
+    def test_every_point_is_run_arb_sim_at_any_block_size(self, size):
+        runs = {(fee, interval): run_arb_sim(PoolState(1.0, 2000.0, fee), self.QUOTES,
+                                             BlockSchedule.fixed(interval, 0, 120_000))
+                for fee in (0.0, 0.0005) for interval in self.INTERVALS}
+        assert min(len(run.losses) for run in runs.values()) > 100  # events in many blocks
+        with mock.patch.object(simulation, "_CHUNK", size):
+            points = []  # (fee, interval), the sweep, the point's row in it
+            for fee in (0.0, 0.0005):
+                sweep = blocktime_sweep(PoolState(1.0, 2000.0, fee), self.QUOTES,
+                                        self.INTERVALS)
+                points += [((fee, interval), sweep, i)
+                           for i, interval in enumerate(self.INTERVALS)]
+            for interval in self.INTERVALS:
+                sweep = fee_sweep(1.0, 2000.0, self.QUOTES, interval, [0.0, 0.0005])
+                points += [((fee, interval), sweep, i) for i, fee in enumerate([0.0, 0.0005])]
+        assert len(points) == 8
+        for key, sweep, i in points:
+            run = runs[key]
+            assert sweep.total_losses[i] == run.total_relative_loss
+            assert sweep.annualized_losses[i] == simulation._annualized(
+                run.total_relative_loss, run.window_ms)
+            assert sweep.n_events[i] == len(run.losses)
 
 
 @st.composite
@@ -1502,7 +1563,10 @@ class TestComparisonMemory:
 
     100 000 swaps a second apart, and a loss every 2 s, half of them on a swap's
     stamp: 125 000 rows. The report's five columns are 40 bytes a row; the
-    merged stamps, the prefix sums and the window sums are built in place.
+    merged stamps, the prefix sums and the window sums are built in place. The
+    ratio is divided in place of the fee sums, and the running difference is
+    worked out after it: at most seven timeline-length arrays are live, 56 bytes
+    a row, where eight took 64.
     """
 
     ROWS = 100_000
@@ -1519,4 +1583,4 @@ class TestComparisonMemory:
         finally:
             tracemalloc.stop()
         assert len(report.timestamps) == self.ROWS + self.ROWS // 4
-        assert peak / len(report.timestamps) <= 80
+        assert peak / len(report.timestamps) <= 60
