@@ -31,7 +31,7 @@ import numpy as np
 from .errors import InputError, ParseError
 from .feeds import (_CHUNK, _first_fault, _iter_rows, _load_columns, _not_positive,
                     _parse_float, _parse_int, _vs_previous)
-from .pool import _FOLD, _fold, concentration_scale
+from .pool import _fold_series, concentration_scale
 
 TOKEN_X = "X"
 TOKEN_Y = "Y"
@@ -121,10 +121,7 @@ class PositionLedger:
 
         Folded _FOLD factors at a time, as LossSeries.multiplier is: no full-length temporary.
         """
-        product = 1.0
-        for i in range(0, len(self.returns), _FOLD):
-            product = _fold(1.0 + self.returns[i:i + _FOLD], product)
-        return product
+        return _fold_series(np.add, self.returns)
 
     def scaled(self, factor_k: float) -> "PositionLedger":
         """Fee ledger of a position with concentration factor k; LossSeries.scaled's rule."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError
 
-# factors a left fold (LossSeries.multiplier, PositionLedger.cumulative_growth) takes at a
+# factors _fold_series (LossSeries.multiplier, PositionLedger.cumulative_growth) takes at a
 # time: 8 KB of them
 _FOLD = 1024
 
@@ -136,3 +136,11 @@ def _fold(factors: np.ndarray, product: float) -> float:
     """
     factors[0] *= product
     return float(np.cumprod(factors, out=factors)[-1])
+
+
+def _fold_series(op, series: np.ndarray, product: float = 1.0) -> float:
+    """product * prod(op(1.0, x) for x in series), folded left to right _FOLD factors at a
+    time (op is np.subtract for losses, np.add for returns): no full-length temporary."""
+    for i in range(0, len(series), _FOLD):
+        product = _fold(op(1.0, series[i:i + _FOLD]), product)
+    return product

@@ -13,14 +13,14 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import FitError, InputError
 from .feeds import _CHUNK, PriceSeries, QuoteSeries, _check_coverage, _locf_index
 from .fees import PositionLedger
-from .pool import _FOLD, PoolState, _fold, concentration_scale
+from .pool import PoolState, _fold_series, concentration_scale
 
 YEAR_MS = 365 * 86400 * 1000
 DAY_MS = 86400 * 1000
@@ -125,7 +125,7 @@ class LossSeries:
 
         Folded _FOLD factors at a time, so that it holds no full-length temporary.
         """
-        return _loss_fold(self.losses, 1.0)
+        return _fold_series(np.subtract, self.losses)
 
     @property
     def total_relative_loss(self) -> float:
@@ -174,14 +174,6 @@ class ComparisonReport:
     cumulative_difference: np.ndarray  # running sum of (fee - loss)
     trailing_ratio: np.ndarray  # NaN where the trailing loss sum is zero
     totals: dict
-
-
-def _loss_fold(losses: np.ndarray, product: float) -> float:
-    """product * prod(1 - loss), folded left to right _FOLD factors at a time: folded on from
-    the product of the losses before them, they give the bits of one fold over all of them."""
-    for i in range(0, len(losses), _FOLD):
-        product = _fold(1.0 - losses[i:i + _FOLD], product)
-    return product
 
 
 def _grid_window(quotes: QuoteSeries, intervals_ms: Sequence[int],
@@ -256,24 +248,16 @@ def _visits(quotes: QuoteSeries, schedule: BlockSchedule):
             yield positions, at[fresh]
 
 
-class _Block(NamedTuple):
-    """One block of a replay: its events, as schedule positions, losses and profits, then the
-    pool and the count of dropped trades after it."""
+def _replay(initial: PoolState, quotes: QuoteSeries, schedule: BlockSchedule,
+            events: array, losses: array, profits: array):
+    """The replay of run_arb_sim: it appends each event's schedule position, loss and profit
+    to the caller's buffers ("q", "d", "d": 24 bytes an event, where lists of boxed numbers
+    take ~100), and yields (pool, n_dropped) as each block of _visits ends.
 
-    positions: array  # "q"
-    losses: array  # "d"
-    profits: array  # "d"
-    pool: PoolState
-    n_dropped: int
-
-
-def _replay(initial: PoolState, quotes: QuoteSeries, schedule: BlockSchedule):
-    """The replay of run_arb_sim, a _Block for each block of _visits as it ends.
-
-    The pool and the dropped count are carried from each block to the next. A
-    block's events go to fresh 24-byte-an-event buffers, which the caller lets
-    go before it asks for the next block: so a caller that keeps no events
-    holds one block of them.
+    The pool and the dropped count are carried from each block to the next. The
+    caller may fold and empty the buffers at each yield, so a caller that keeps no
+    events holds one block of them; a view it takes of them must go before the
+    replay resumes, as an array that exports its buffer cannot grow.
     """
     rx, ry, fee = initial.reserve_x, initial.reserve_y, initial.fee
     omf = 1.0 - fee
@@ -281,16 +265,14 @@ def _replay(initial: PoolState, quotes: QuoteSeries, schedule: BlockSchedule):
     # locals: the loop below runs once per instant and per event, and a local
     # read is cheaper than a global, attribute or method lookup
     sqrt, inf, scan = math.sqrt, math.inf, _SCALAR_SCAN
+    add_event, add_loss, add_profit = events.append, losses.append, profits.append
 
     for positions, at in _visits(quotes, schedule):
         bids = quotes.bids[at]  # a strided view where at is a slice, else a gathered copy
         asks = quotes.asks[at]
         bid_at = memoryview(bids)  # indexing gives Python floats
         ask_at = memoryview(asks)
-        # place in the block, loss and profit of each event: lists of boxed numbers take ~100
-        # bytes an event; each place becomes its schedule position once the block ends
-        events, losses, profits = array("q"), array("d"), array("d")
-        add_event, add_loss, add_profit = events.append, losses.append, profits.append
+        start = len(events)  # each event of the block appends its place in the block
         n = len(bids)
         j = 0
         while j < n:
@@ -348,15 +330,14 @@ def _replay(initial: PoolState, quotes: QuoteSeries, schedule: BlockSchedule):
                                      "use smaller ones")
                 dropped += 1
             j += 1
-        del bids, asks, bid_at, ask_at  # a block's gathered quotes go before it is handed back
-        places = np.frombuffer(events, dtype=np.int64)  # from places in it to schedule positions
+        del bids, asks, bid_at, ask_at  # a block's gathered quotes go before it yields
+        places = np.frombuffer(events, dtype=np.int64)[start:]  # made schedule positions
         if isinstance(positions, range):
             places += positions.start
         else:
             np.take(positions, places, out=places)
-        yield _Block(events, losses, profits, PoolState(rx, ry, fee), dropped)
-        # the caller has let the block go: so do its buffers, before the next block is made
-        del places, events, losses, profits, add_event, add_loss, add_profit
+        del places  # so that the caller may empty the buffers, and the next block append
+        yield PoolState(rx, ry, fee), dropped
 
 
 def run_arb_sim(
@@ -373,17 +354,12 @@ def run_arb_sim(
     no_arb_band, optimal_arb_trade and swap_exact_in in their operation
     order, so the result is bit-identical to replaying those at each
     instant that is not skipped. The schedule is replayed a block of
-    _visits at a time (_replay), and the blocks' events are gathered.
+    _visits at a time (_replay), into one set of event buffers.
     """
-    # instant position, loss and profit: 24 bytes an event; each position becomes its instant
-    # in place once the replay ends
+    # each position becomes its instant in place once the replay ends
     events, losses, profits = array("q"), array("d"), array("d")
-    for block in _replay(initial, quotes, schedule):
-        events.extend(block.positions)
-        losses.extend(block.losses)
-        profits.extend(block.profits)
-        final_state, dropped = block.pool, block.n_dropped
-        del block  # so that the next block's events are not made beside this one's
+    for final_state, dropped in _replay(initial, quotes, schedule, events, losses, profits):
+        pass
 
     return LossSeries(
         timestamps=schedule._at(np.frombuffer(events, dtype=np.int64)),
@@ -415,8 +391,8 @@ def _sweep(
 ) -> SweepResult:
     """One arb simulation per (pool state, block interval) point on identical quotes.
 
-    Each point's losses are folded a block of _replay at a time, as the block ends, and
-    its events counted: a sweep holds the quotes and one block of events.
+    Each point's losses are folded a block of _replay at a time, as the block ends, its
+    events counted and the buffers emptied: a sweep holds the quotes and one block of events.
     """
     intervals = [interval for _, interval in points]
     window = _grid_window(quotes, intervals, window)  # every grid, before the first replay
@@ -425,13 +401,15 @@ def _sweep(
         raise InputError(f"interval {min(intervals)}ms is below the quote-update resolution "
                          f"of {resolution}ms")
     totals, annuals, counts = [], [], []
+    events, losses, profits = array("q"), array("d"), array("d")  # one block's events
     for state, interval in points:
         schedule = BlockSchedule.fixed(interval, *window)
         multiplier, count = 1.0, 0
-        for block in _replay(state, quotes, schedule):
-            multiplier = _loss_fold(np.frombuffer(block.losses, dtype=float), multiplier)
-            count += len(block.losses)
-            del block  # so that the next block's events are not made beside this one's
+        for _ in _replay(state, quotes, schedule, events, losses, profits):
+            multiplier = _fold_series(np.subtract, np.frombuffer(losses, dtype=float),
+                                      multiplier)
+            count += len(losses)
+            del events[:], losses[:], profits[:]
         totals.append(1.0 - multiplier)
         annuals.append(_annualized(totals[-1], schedule.span_ms))
         counts.append(count)

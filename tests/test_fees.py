@@ -602,7 +602,7 @@ def test_cumulative_growth_folds_in_chunks(fold):
     whole series, bit for bit."""
     returns = np.random.default_rng(3).uniform(0.0, 1e-3, 2500)
     ledger = PositionLedger(1.0, returns, np.arange(len(returns)))
-    with mock.patch.object(fees, "_FOLD", fold):
+    with mock.patch("lvrsim.pool._FOLD", fold):
         assert ledger.cumulative_growth == float(np.cumprod(1.0 + returns)[-1])
 
 

@@ -215,7 +215,7 @@ class TestCoverage:
         replays = []
         replay = simulation._replay
         monkeypatch.setattr(simulation, "_replay",
-                            lambda *args: replays.append(args) or replay(*args))
+                            lambda *args: replays.append(args[:3]) or replay(*args))
         with pytest.raises(InsufficientDataError, match=re.escape("needs [10000, 50600]")):
             blocktime_sweep(PoolState(1.0, 2000.0), self.QUOTES, [1000, 20_300],
                             window=(10_000, 50_600))
@@ -237,7 +237,7 @@ class TestCoverage:
         replays = []
         replay = simulation._replay
         monkeypatch.setattr(simulation, "_replay",
-                            lambda *args: replays.append(args) or replay(*args))
+                            lambda *args: replays.append(args[:3]) or replay(*args))
         monkeypatch.setattr(simulation, "MAX_STEPS", 11)
         result = call(self.QUOTES, 4000, None)  # 11 instants, the last at 50000
         accepted = len(replays)
@@ -625,7 +625,7 @@ class TestReplayMemory:
     """
 
     @pytest.mark.parametrize("fee, interval, bound", [
-        (0.0, 100, 28), (0.003, 100, 2), (0.0, 250, 36), (0.0, 50, 18),
+        (0.0, 100, 26), (0.003, 100, 2), (0.0, 250, 30), (0.0, 50, 18),
     ], ids=["zero-fee", "30bp", "zero-fee-250ms", "zero-fee-50ms"])
     def test_peak_bytes_per_instant(self, fee, interval, bound):
         instants, events, peak = replay_peak(fee, interval)
@@ -643,8 +643,8 @@ def sweep_quotes(hours: int) -> QuoteSeries:
 
 class TestSweepMemory:
     """A sweep folds each point's losses a block of _CHUNK instants at a time, as its replay
-    hands the block back, and holds no point's events: its traced peak is a budget per
-    block, whatever the length of the feed.
+    ends the block, and empties its buffers: it holds no point's events, and its traced
+    peak is a budget per block, whatever the length of the feed.
 
     At zero fee every new quote trades: on the 100 ms grid, whose blocks read strided views
     of the quotes, and on the 250 ms one, whose blocks gather theirs. The fee sweep's
@@ -697,7 +697,7 @@ def test_multiplier_is_the_left_fold(losses, factor):
     run = loss_series(np.arange(len(losses), dtype=np.int64), losses)
     assert run.multiplier == left_fold(1.0 - loss for loss in losses)
     for fold in (1, 2, 3, 7):  # the product carried across chunks of the fold
-        with mock.patch.object(simulation, "_FOLD", fold):
+        with mock.patch("lvrsim.pool._FOLD", fold):
             assert run.multiplier == left_fold(1.0 - loss for loss in losses)
     assert run.total_relative_loss == 1.0 - run.multiplier
     if all(factor * loss < 1.0 for loss in losses):
@@ -854,7 +854,7 @@ class TestReplayKernel:
         replays = []
         replay = simulation._replay
         monkeypatch.setattr(simulation, "_replay",
-                            lambda *args: replays.append(args) or replay(*args))
+                            lambda *args: replays.append(args[:3]) or replay(*args))
         pool = PoolState(1.0, 2000.0, 0.0)
         sweep = blocktime_sweep(pool, quotes)
         monkeypatch.setattr(simulation, "_replay", replay)
