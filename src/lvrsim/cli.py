@@ -247,67 +247,64 @@ def _require_file(path: str) -> str:
     return path
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _require(cfg: dict, key: str):
     if (value := cfg[key]) is None:
-        raise InputError(f"missing required option --{key.replace('_', '-')}")
+        raise InputError(f"missing required option {_flag(key)}")
     return value
+
+
+def _one_of(cfg: dict, first: str, second: str, what: str | None = None) -> str | None:
+    """Which of two exclusive options is given, by key, or None for neither (a switch is
+    given when true). Both raise, and so does neither when what names a choice the run needs."""
+    given = [key for key in (first, second) if cfg[key]]
+    either = f"{_flag(first)} or {_flag(second)}"
+    if len(given) > 1:
+        raise InputError(f"give {either}, not both")
+    if not given and what is not None:
+        raise InputError(f"{what} is required: give {either}")
+    return given[0] if given else None
 
 
 # --- feed / schedule assembly -------------------------------------------------
 
-@dataclass(frozen=True)
-class Feed:
-    """The quotes a run replays, the --blocks, and the --window."""
-
-    quotes: QuoteSeries
-    kind: str  # "bid_ask" (--quotes) or "mid" (--klines)
-    blocks: np.ndarray | None  # --blocks timestamps in ms
-    window: tuple[int, int] | None  # --window
-
-
-def _load_feed(cfg: dict) -> Feed:
-    """Parse --quotes or --klines, and --blocks when given, once each."""
-    if cfg["quotes"] is not None and cfg["klines"] is not None:
-        raise InputError("give --quotes or --klines, not both")
-    if cfg["quotes"] is not None:
-        kind, source, load = "bid_ask", "quotes", load_quote_updates
-    elif cfg["klines"] is not None:
-        kind, source, load = "mid", "klines", load_klines
-    else:
-        raise InputError("a price feed is required: give --quotes or --klines")
-    series = load(_require_file(cfg[source]))
+def _load_feed(cfg: dict) -> tuple[QuoteSeries, dict]:
+    """The --quotes or --klines, parsed once, and the manifest parameters describing them."""
+    source = _one_of(cfg, "quotes", "klines", "a price feed")
+    path = _require_file(cfg[source])
+    series = load_quote_updates(path) if source == "quotes" else load_klines(path)
     if not len(series):
-        raise InputError(f"feed file {cfg[source]} holds no data rows")
-    blocks = None
-    if cfg.get("blocks") is not None:  # the sweeps take no --blocks
+        raise InputError(f"feed file {path} holds no data rows")
+    quotes = series if source == "quotes" else quotes_from_prices(series)
+    return quotes, {"feed_kind": "bid_ask" if source == "quotes" else "mid",
+                    "quote_resolution_ms": quotes.resolution_ms}
+
+
+def _make_schedule(cfg: dict, quotes: QuoteSeries, feed: dict) -> tuple[BlockSchedule, dict]:
+    """The --blocks inside the --window, or the fixed grid over it (by default the quotes'),
+    and the manifest's fill counters."""
+    window = cfg["window"]
+    if cfg["blocks"] is not None:  # read before the choice of schedule is checked
         blocks = load_block_timestamps(_require_file(cfg["blocks"]))
         if not len(blocks):
             raise InputError(f"--blocks {cfg['blocks']} holds no data rows")
-    quotes = series if kind == "bid_ask" else quotes_from_prices(series)
-    return Feed(quotes, kind, blocks, cfg["window"])
-
-
-def _make_schedule(cfg: dict, feed: Feed) -> tuple[BlockSchedule, dict]:
-    """The blocks inside the window, or the fixed grid over it (by default the quotes'), and
-    the manifest's fill counters."""
-    if feed.blocks is not None:
-        if cfg["interval_ms"] is not None:
-            raise InputError("give --blocks or --interval-ms, not both")
-        blocks = feed.blocks
-        if feed.window is not None:
-            blocks = blocks[(blocks >= feed.window[0]) & (blocks <= feed.window[1])]
-            if not len(blocks):
-                raise InputError("--window {}:{} holds none of the --blocks".format(*feed.window))
-        _check_coverage(feed.quotes, blocks)
-        counters = {}
-        if feed.kind == "mid":  # a block in a second with no kline reads the kline before
-            at = feed.quotes.timestamps[_locf_index(feed.quotes.timestamps, blocks)]
-            counters = {"block_price_fills": int(np.sum(at != blocks)), "blocks": int(len(blocks))}
-        return BlockSchedule.from_blocks(blocks), counters
-    if (interval := cfg["interval_ms"]) is not None:
-        return BlockSchedule.fixed(interval, *_grid_window(feed.quotes, [interval], feed.window,
+    if _one_of(cfg, "blocks", "interval_ms", "a schedule") == "interval_ms":
+        interval = cfg["interval_ms"]
+        return BlockSchedule.fixed(interval, *_grid_window(quotes, [interval], window,
                                                            "--interval-ms")), {}
-    raise InputError("a schedule is required: give --blocks or --interval-ms")
+    if window is not None:
+        blocks = blocks[(blocks >= window[0]) & (blocks <= window[1])]
+        if not len(blocks):
+            raise InputError("--window {}:{} holds none of the --blocks".format(*window))
+    _check_coverage(quotes, blocks)
+    counters = {}
+    if feed["feed_kind"] == "mid":  # a block in a second with no kline reads the kline before
+        at = quotes.timestamps[_locf_index(quotes.timestamps, blocks)]
+        counters = {"block_price_fills": int(np.sum(at != blocks)), "blocks": int(len(blocks))}
+    return BlockSchedule.from_blocks(blocks), counters
 
 
 def _initial_state(cfg: dict, quotes, start_ms: int, fee: float) -> PoolState:
@@ -317,9 +314,8 @@ def _initial_state(cfg: dict, quotes, start_ms: int, fee: float) -> PoolState:
         i = _locf_index(quotes.timestamps, [start_ms])[0]
         price = 0.5 * (float(quotes.bids[i]) + float(quotes.asks[i]))
     reserve_y = reserve_x * price
-    feed = "quotes" if cfg["quotes"] is not None else "klines"
     named = (f"--initial-price {price}" if cfg["initial_price"] is not None
-             else f"{price}, the --{feed} mid at {start_ms},")
+             else f"{price}, the {_flag(_one_of(cfg, 'quotes', 'klines'))} mid at {start_ms},")
     gives = f"--initial-reserve-x {reserve_x} times {named} gives a Y reserve of {reserve_y}"
     if not 0.0 < reserve_y < math.inf:
         raise InputError(f"{gives}; it must be finite and positive")
@@ -329,12 +325,16 @@ def _initial_state(cfg: dict, quotes, start_ms: int, fee: float) -> PoolState:
     return PoolState(reserve_x, reserve_y, fee)
 
 
-def _arb_run(cfg: dict, fee: float, factor: float):
-    """Losses of the feed replayed over the schedule, scaled by the factor k."""
-    feed = _load_feed(cfg)
-    schedule, counters = _make_schedule(cfg, feed)
-    initial = _initial_state(cfg, feed.quotes, schedule.first_ms, fee)
-    return run_arb_sim(initial, feed.quotes, schedule).scaled(factor), schedule, feed, counters
+def _arb_run(cfg: dict, fee: float):
+    """Losses of the feed replayed over the schedule, scaled by --concentration-k, the
+    schedule, the manifest parameters of the run and its fill counters."""
+    quotes, feed = _load_feed(cfg)
+    schedule, counters = _make_schedule(cfg, quotes, feed)
+    initial = _initial_state(cfg, quotes, schedule.first_ms, fee)
+    factor = cfg["concentration_k"]
+    parameters = {**feed, "pair": cfg["pair"], "fee": fee, "seed": cfg["seed"],
+                  "concentration_k": factor}
+    return run_arb_sim(initial, quotes, schedule).scaled(factor), schedule, parameters, counters
 
 
 def _fee_ledger(cfg: dict):
@@ -377,13 +377,10 @@ def _losses_table(run, schedule: BlockSchedule):
 
 
 def cmd_simulate_arb(cfg: dict) -> Output:
-    fee, factor = _require(cfg, "fee_bps") / 1e4, cfg["concentration_k"]
-    run, schedule, feed, counters = _arb_run(cfg, fee, factor)
+    run, schedule, parameters, counters = _arb_run(cfg, _require(cfg, "fee_bps") / 1e4)
     return Output(
         {"losses.csv": _losses_table(run, schedule)},
-        {"pair": cfg["pair"], "fee": fee, "feed_kind": feed.kind, "seed": cfg["seed"],
-         "concentration_k": factor, "interval_ms": schedule.interval_ms,
-         "quote_resolution_ms": feed.quotes.resolution_ms, "n_instants": int(run.n_instants)},
+        {**parameters, "interval_ms": schedule.interval_ms, "n_instants": int(run.n_instants)},
         counters,
         {"total_relative_loss": run.total_relative_loss, "n_events": int(len(run.losses)),
          "n_dropped": run.n_dropped, "window_ms": run.window_ms},
@@ -418,10 +415,10 @@ def cmd_fees(cfg: dict) -> Output:
 
 
 def cmd_compare(cfg: dict) -> Output:
-    fee, factor = _require(cfg, "fee_bps") / 1e4, cfg["concentration_k"]
+    fee = _require(cfg, "fee_bps") / 1e4  # before the --swaps are read
     window_ms = int(cfg["ratio_window_days"] * DAY_MS)
     ledger, _ = _fee_ledger(cfg)
-    run, _, feed, counters = _arb_run(cfg, fee, factor)
+    run, _, parameters, counters = _arb_run(cfg, fee)
     report = fees_vs_losses(ledger, run, window_ms)
     return Output(
         {"comparison.csv": [{
@@ -430,9 +427,8 @@ def cmd_compare(cfg: dict) -> Output:
             "cumulative_difference": report.cumulative_difference,
             "trailing_ratio": report.trailing_ratio,
         }]},
-        {"pair": cfg["pair"], "fee": fee, "feed_kind": feed.kind, "seed": cfg["seed"],
-         "concentration_k": factor, "position_liquidity": ledger.position_liquidity,
-         "quote_resolution_ms": feed.quotes.resolution_ms, "ratio_window_ms": window_ms},
+        {**parameters, "position_liquidity": ledger.position_liquidity,
+         "ratio_window_ms": window_ms},
         counters, {**report.totals, "n_dropped": run.n_dropped},
     )
 
@@ -450,40 +446,35 @@ def _fit(sweep, fit_range) -> dict:
 
 def cmd_sweep(command: str, cfg: dict) -> Output:
     """sweep-blocktime or sweep-fee: total loss per grid value on one feed."""
-    feed = _load_feed(cfg)
-    fit_range = cfg["fit_range"]
-    if command == "sweep-fee":
-        interval = _require(cfg, "interval_ms")
-        fees_bps = cfg["fees_bps"]
-        start, _ = _grid_window(feed.quotes, [interval], feed.window,  # checked before pricing
-                                "--interval-ms")
-        pool = _initial_state(cfg, feed.quotes, start, 0.0)  # each point sets its own fee
-        sweep = fee_sweep(pool.reserve_x, pool.reserve_y, feed.quotes, interval,
-                          [bps / 1e4 for bps in fees_bps], feed.window)
+    quotes, feed = _load_feed(cfg)
+    window, fit_range = cfg["window"], cfg["fit_range"]
+    if command == "sweep-fee":  # the pool is priced at fee 0; each point sets its own
+        intervals, fee, flag = [_require(cfg, "interval_ms")], 0.0, "--interval-ms"
+        grid = {"interval_ms": intervals[0], "fees_bps": cfg["fees_bps"]}
         if fit_range is not None:
             fit_range = (fit_range[0] / 1e4, fit_range[1] / 1e4)
-        grid = {"interval_ms": interval, "fees_bps": fees_bps}
     else:
-        fee = _require(cfg, "fee_bps") / 1e4
-        intervals = cfg["intervals_ms"]
-        if intervals is None:
-            intervals = list(EXTENDED_INTERVALS_MS if cfg["extended"] else DEFAULT_INTERVALS_MS)
-        start, _ = _grid_window(feed.quotes, intervals, feed.window,  # checked before pricing
-                                "--intervals-ms")
-        sweep = blocktime_sweep(_initial_state(cfg, feed.quotes, start, fee),
-                                feed.quotes, intervals, feed.window)
+        fee, flag = _require(cfg, "fee_bps") / 1e4, "--intervals-ms"
+        _one_of(cfg, "intervals_ms", "extended")
+        intervals = cfg["intervals_ms"] or list(EXTENDED_INTERVALS_MS if cfg["extended"]
+                                                else DEFAULT_INTERVALS_MS)
         grid = {"fee": fee, "intervals_ms": intervals}
-    parameters = {**grid, "pair": cfg["pair"], "feed_kind": feed.kind,
-                  "quote_resolution_ms": feed.quotes.resolution_ms, "window": feed.window,
-                  "seed": cfg["seed"]}
-    del feed  # the quotes go before the fit, the table and the hashes
+    start, _ = _grid_window(quotes, intervals, window, flag)  # checked before pricing
+    pool = _initial_state(cfg, quotes, start, fee)
+    if command == "sweep-fee":
+        sweep = fee_sweep(pool.reserve_x, pool.reserve_y, quotes, intervals[0],
+                          [bps / 1e4 for bps in grid["fees_bps"]], window)
+    else:
+        sweep = blocktime_sweep(pool, quotes, intervals, window)
+    del quotes  # the quotes go before the fit, the table and the hashes
     return Output(
         {"sweep.csv": [{
             "schema_version": SCHEMA_VERSION, sweep.parameter: sweep.values,
             "total_relative_loss": sweep.total_losses,
             "annualized_loss": sweep.annualized_losses, "n_events": sweep.n_events,
         }]},
-        {**parameters, "fit": _fit(sweep, fit_range)},
+        {**grid, **feed, "pair": cfg["pair"], "window": window, "seed": cfg["seed"],
+         "fit": _fit(sweep, fit_range)},
         {},
         {"total_losses": [float(v) for v in sweep.total_losses]},
     )
@@ -640,9 +631,9 @@ def main(argv=None) -> int:
         _write_manifest(out, args.command, cfg, output)
         return 0
     except InsufficientDataError as exc:  # the feed misses an instant of the schedule
-        feed = "quotes" if cfg["quotes"] is not None else "klines"
+        feed = _one_of(cfg, "quotes", "klines")
         over = " over --window {}:{}".format(*cfg["window"]) if cfg["window"] else ""
-        print(f"error: --{feed} {cfg[feed]}: {exc}{over}", file=sys.stderr)
+        print(f"error: {_flag(feed)} {cfg[feed]}: {exc}{over}", file=sys.stderr)
         return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

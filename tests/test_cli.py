@@ -1,3 +1,4 @@
+import contextlib
 import gzip
 import hashlib
 import json
@@ -10,6 +11,7 @@ import time
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1087,29 +1089,8 @@ class TestBadInputExits2:
         assert tables[0].count(b"\n") == 5  # the header and the blocks at 12 to 48 s
 
 
-@pytest.mark.parametrize("command", ["simulate-arb", "compare"])
-def test_blocks_file_parsed_once(tmp_path, monkeypatch, command):
-    import lvrsim.cli
-
-    calls = []
-    original = lvrsim.cli.load_block_timestamps
-
-    def counting(path):
-        calls.append(path)
-        return original(path)
-
-    monkeypatch.setattr(lvrsim.cli, "load_block_timestamps", counting)
-    klines = TestCompare().write_inputs(tmp_path)
-    blocks = tmp_path / "blocks.csv"
-    blocks.write_text("block_number,timestamp_s\n1,1672531212\n2,1672531224\n3,1672531248\n")
-    extra = ["--swaps", FIXTURE, "--position-liquidity", 500] if command == "compare" else []
-    assert run_cli(command, "--klines", klines, "--blocks", blocks, "--fee-bps", 30,
-                   "--out", tmp_path / "out", *extra) == 0
-    assert len(calls) == 1
-
-
 class TestFeedStep:
-    """Each input is read once and recorded; --window limits a --blocks schedule."""
+    """--window limits a --blocks schedule, and the sweeps take no --blocks."""
 
     WINDOW = "3600000:7200000"
 
@@ -1132,49 +1113,6 @@ class TestFeedStep:
     @staticmethod
     def extra(command):
         return ["--swaps", FIXTURE, "--position-liquidity", 500] if command == "compare" else []
-
-    @pytest.mark.parametrize("command", ["simulate-arb", "compare"])
-    def test_quotes_with_blocks_records_blocks_parsed_once(self, tmp_path, monkeypatch,
-                                                           feed, command):
-        import lvrsim.cli
-
-        calls = []
-        original = lvrsim.cli.load_block_timestamps
-
-        def counting(path):
-            calls.append(path)
-            return original(path)
-
-        monkeypatch.setattr(lvrsim.cli, "load_block_timestamps", counting)
-        out = tmp_path / "out"
-        assert run_cli(command, "--quotes", feed["quotes"], "--blocks", feed["blocks"],
-                       "--fee-bps", 30, "--out", out, *self.extra(command)) == 0
-        assert len(calls) == 1
-        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
-        digest = hashlib.sha256(feed["blocks"].read_bytes()).hexdigest()
-        assert inputs[str(feed["blocks"])]["sha256"] == digest
-
-    @pytest.mark.parametrize("command, files, rest", [
-        ("synth-gbm", [], ["--sigma", 0.5, "--step-ms", 1000, "--horizon-ms", 10_000]),
-        ("simulate-arb", ["--quotes", "--blocks"], ["--fee-bps", 30]),
-        ("fees", ["--swaps"], []),
-        ("compare", ["--klines", "--blocks", "--swaps"], ["--fee-bps", 30]),
-        ("sweep-blocktime", ["--klines"], ["--fee-bps", 30, "--intervals-ms", "12000,24000"]),
-        ("sweep-fee", ["--quotes"], ["--interval-ms", 12_000]),
-    ], ids=["synth-gbm", "simulate-arb-quotes-blocks", "fees", "compare-klines-blocks",
-            "sweep-blocktime-klines", "sweep-fee-quotes"])
-    def test_manifest_inputs_are_the_file_options_given(self, tmp_path, feed, command, files,
-                                                        rest):
-        paths = {"--swaps": FIXTURE, **{f"--{name}": path for name, path in feed.items()}}
-        out = tmp_path / "out"
-        given = [arg for flag in files for arg in (flag, paths[flag])]
-        assert run_cli(command, *given, *rest, "--out", out) == 0
-        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
-        assert inputs.keys() == {str(paths[flag]) for flag in files}
-        for flag in files:
-            digest = hashlib.sha256(paths[flag].read_bytes()).hexdigest()
-            assert inputs[str(paths[flag])] == {"sha256": digest,
-                                                "bytes": paths[flag].stat().st_size}
 
     @pytest.mark.parametrize("given", ["flag", "config"])
     @pytest.mark.parametrize("source", ["klines", "quotes"])
@@ -1213,16 +1151,6 @@ class TestFeedStep:
 
     @pytest.mark.parametrize("command", ["simulate-arb", "compare"])
     @pytest.mark.parametrize("source", ["klines", "quotes"])
-    def test_header_only_blocks_names_blocks(self, tmp_path, capsys, feed, command, source):
-        blocks, out = tmp_path / "header_only.csv", tmp_path / "out"
-        blocks.write_text("block_number,timestamp_s\n")
-        assert run_cli(command, f"--{source}", feed[source], "--blocks", blocks, "--fee-bps", 30,
-                       "--out", out, *self.extra(command)) == 2
-        assert capsys.readouterr().err == f"error: --blocks {blocks} holds no data rows\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["simulate-arb", "compare"])
-    @pytest.mark.parametrize("source", ["klines", "quotes"])
     def test_window_holding_no_block_names_both(self, tmp_path, capsys, feed, command, source):
         out = tmp_path / "out"
         assert run_cli(command, f"--{source}", feed[source], "--blocks", feed["blocks"],
@@ -1231,13 +1159,150 @@ class TestFeedStep:
         assert capsys.readouterr().err == "error: --window 1:11999 holds none of the --blocks\n"
         assert not out.exists()
 
+
+
+FEED_COMMANDS = ("simulate-arb", "compare", "sweep-blocktime", "sweep-fee")
+LOADERS = {"--klines": "load_klines", "--quotes": "load_quote_updates",
+           "--blocks": "load_block_timestamps", "--swaps": "load_swap_records"}
+
+
+def _assembly_cases() -> list:
+    """(command, input flags given, other arguments) for every subcommand and every
+    feed/schedule combination it takes."""
+    rest = {"simulate-arb": ["--fee-bps", 30], "compare": ["--fee-bps", 30],
+            "sweep-blocktime": ["--fee-bps", 30, "--intervals-ms", "12000,24000"],
+            "sweep-fee": ["--interval-ms", 12_000]}
+    cases = [("synth-gbm", [], ["--sigma", 0.5, "--step-ms", 1000, "--horizon-ms", 10_000]),
+             ("fees", ["--swaps"], [])]
+    for command in FEED_COMMANDS:
+        swaps = ["--swaps"] if command == "compare" else []
+        for feed in ("--klines", "--quotes"):
+            if command.startswith("sweep"):
+                cases.append((command, [feed], rest[command]))
+            else:
+                cases.append((command, [feed, "--blocks", *swaps], rest[command]))
+                cases.append((command, [feed, *swaps], [*rest[command], "--interval-ms", 12_000]))
+    return cases
+
+
+ASSEMBLY_CASES = _assembly_cases()
+
+
+class TestRunAssembly:
+    """simulate-arb, compare and the sweeps are assembled alike: the same errors in the same
+    order, the same feed parameters in the manifest, and each input file parsed once and
+    recorded."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, gbm_klines):
+        """10 min of 1 s prices as klines and as quotes, a block every 12 s inside them, and
+        a header-only file of each kind."""
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text("".join(f"{t},{o},{o}\n" for t, o, *_ in
+                                  (line.split(",") for line in
+                                   gbm_klines.read_text().splitlines()[1:])))
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text("block_number,timestamp_s\n"
+                          + "".join(f"{t // 12},{t}\n" for t in range(12, 600, 12)))
+        empty = {"klines": "timestamp_ms,open,high,low,close,volume\n",
+                 "quotes": "timestamp_ms,bid,ask\n", "blocks": "block_number,timestamp_s\n"}
+        for name, header in empty.items():
+            (tmp_path / f"empty_{name}.csv").write_text(header)
+        return {"klines": gbm_klines, "quotes": quotes, "blocks": blocks, "swaps": FIXTURE,
+                **{f"empty_{name}": tmp_path / f"empty_{name}.csv" for name in empty}}
+
+    @pytest.mark.parametrize("source", ["klines", "quotes"])
+    @pytest.mark.parametrize("given, message", [
+        (["--interval-ms", 12_000], "a price feed is required: give --quotes or --klines"),
+        (["--{source}", "{feed}"], "a schedule is required: give --blocks or --interval-ms"),
+        (["--{source}", "{feed}", "--blocks", "{blocks}", "--interval-ms", 12_000],
+         "give --blocks or --interval-ms, not both"),
+        (["--{source}", "{feed}", "--blocks", "{empty_blocks}"],
+         "--blocks {empty_blocks} holds no data rows"),
+        (["--{source}", "{feed}", "--blocks", "{empty_blocks}", "--interval-ms", 12_000],
+         "--blocks {empty_blocks} holds no data rows"),
+        (["--{source}", "{empty_feed}", "--blocks", "{blocks}"],
+         "feed file {empty_feed} holds no data rows"),
+    ], ids=["no-feed", "no-schedule", "both-schedules", "empty-blocks",
+            "empty-blocks-and-interval", "empty-feed"])
     @pytest.mark.parametrize("command", ["simulate-arb", "compare"])
-    def test_blocks_with_interval_rejected(self, tmp_path, capsys, feed, command):
-        assert run_cli(command, "--klines", feed["klines"], "--blocks", feed["blocks"],
-                       "--interval-ms", 4000, "--fee-bps", 30, "--out", tmp_path / "out",
-                       *self.extra(command)) == 2
-        err = capsys.readouterr().err
-        assert "--blocks" in err and "--interval-ms" in err
+    def test_assembly_errors(self, tmp_path, capsys, files, command, source, given, message):
+        names = {**files, "source": source, "feed": files[source],
+                 "empty_feed": files[f"empty_{source}"]}
+        swaps = ["--swaps", FIXTURE, "--position-liquidity", 500] if command == "compare" else []
+        out = tmp_path / "out"
+        assert run_cli(command, *(str(arg).format(**names) for arg in given), "--fee-bps", 30,
+                       *swaps, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message.format(**names)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source, kind", [("klines", "mid"), ("quotes", "bid_ask")])
+    @pytest.mark.parametrize("command, rest, keys", [
+        ("simulate-arb", ["--fee-bps", 30, "--interval-ms", 12_000],
+         ["concentration_k", "fee", "feed_kind", "interval_ms", "n_instants", "pair",
+          "quote_resolution_ms", "seed"]),
+        ("compare", ["--fee-bps", 30, "--interval-ms", 12_000, "--swaps", FIXTURE],
+         ["concentration_k", "fee", "feed_kind", "pair", "position_liquidity",
+          "quote_resolution_ms", "ratio_window_ms", "seed"]),
+        ("sweep-blocktime", ["--fee-bps", 30, "--intervals-ms", "12000,24000"],
+         ["fee", "feed_kind", "fit", "intervals_ms", "pair", "quote_resolution_ms", "seed",
+          "window"]),
+        ("sweep-fee", ["--interval-ms", 12_000],
+         ["feed_kind", "fees_bps", "fit", "interval_ms", "pair", "quote_resolution_ms", "seed",
+          "window"]),
+    ], ids=FEED_COMMANDS)
+    def test_manifest_parameter_keys(self, tmp_path, files, command, rest, keys, source, kind):
+        out = tmp_path / "out"
+        assert run_cli(command, f"--{source}", files[source], *rest, "--out", out) == 0
+        parameters = json.loads((out / "manifest.json").read_text())["parameters"]
+        assert sorted(parameters) == keys
+        assert parameters["feed_kind"] == kind
+        assert parameters["quote_resolution_ms"] == 1000
+
+    @pytest.mark.parametrize("command, inputs, rest", ASSEMBLY_CASES,
+                             ids=[" ".join([command, *inputs])
+                                  for command, inputs, _ in ASSEMBLY_CASES])
+    def test_each_input_parsed_once_and_recorded(self, tmp_path, files, command, inputs,
+                                                 rest):
+        # the loaders are patched on lvrsim.cli, where the benchmark's tracer patches them too
+        paths = {flag: files[flag[2:]] for flag in inputs}
+        out = tmp_path / "out"
+        with contextlib.ExitStack() as stack:
+            loaders = {flag: stack.enter_context(mock.patch.object(cli, name,
+                                                                   wraps=getattr(cli, name)))
+                       for flag, name in LOADERS.items()}
+            assert run_cli(command, *(arg for item in paths.items() for arg in item), *rest,
+                           "--out", out) == 0
+        for flag, loader in loaders.items():
+            expected = [(str(paths[flag]),)] if flag in paths else []
+            assert [call.args for call in loader.call_args_list] == expected, flag
+        recorded = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert recorded == {str(path): {"sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+                                        "bytes": path.stat().st_size}
+                            for path in paths.values()}
+
+    @pytest.mark.parametrize("given", ["flags", "config"])
+    def test_intervals_and_extended_exclude_each_other(self, tmp_path, capsys, files, given):
+        out = tmp_path / "out"
+        if given == "flags":
+            args = ["--intervals-ms", "12000,24000", "--extended"]
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"intervals_ms": [12000, 24000], "extended": True}))
+            args = ["--config", config]
+        assert run_cli("sweep-blocktime", "--klines", files["klines"], "--fee-bps", 30, *args,
+                       "--out", out) == 2
+        assert capsys.readouterr().err == "error: give --intervals-ms or --extended, not both\n"
+        assert not out.exists()
+
+    def test_extended_false_leaves_the_intervals_given(self, tmp_path, files):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"intervals_ms": [12000, 24000], "extended": False}))
+        out = tmp_path / "out"
+        assert run_cli("sweep-blocktime", "--klines", files["klines"], "--fee-bps", 30,
+                       "--config", config, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"]["intervals_ms"] == [12000, 24000]
 
 
 class TestColumnWriter:
