@@ -27,9 +27,11 @@ import numpy as np
 from . import __version__, simulation
 from .errors import FitError, InputError, InsufficientDataError
 from .feeds import (
+    _CHUNK,
     QuoteSeries,
     _check_coverage,
     _locf_index,
+    _unchecked,
     load_block_timestamps,
     load_klines,
     load_quote_updates,
@@ -114,9 +116,10 @@ def _write_table(path: Path, blocks) -> None:
 
 def _sha256(path: str) -> dict:
     # here, not at the top: OpenSSL's libcrypto then loads after the run's data peak. Its
-    # 3.5 MB of pages add to the heap the run leaves resident, so the load sets the peak RSS
-    # when that heap is within 3.5 MB of the data peak: compare's, while fee attribution
-    # built full-length arrays
+    # 3.5 MB of pages land on the heap the run leaves resident, as glibc keeps freed heap, so
+    # the load sets the peak RSS when that heap is within 3.5 MB of the data peak. It sets
+    # compare's: on the benchmark's fees_compare inputs, fees_vs_losses leaves 36.5 MB
+    # resident, and fee attribution peaked at 38.5 MB
     import hashlib
 
     digest = hashlib.sha256()
@@ -295,16 +298,20 @@ def _make_schedule(cfg: dict, quotes: QuoteSeries, feed: dict) -> tuple[BlockSch
         interval = cfg["interval_ms"]
         return BlockSchedule.fixed(interval, *_grid_window(quotes, [interval], window,
                                                            "--interval-ms")), {}
-    if window is not None:
-        blocks = blocks[(blocks >= window[0]) & (blocks <= window[1])]
+    if window is not None:  # a view: the loader checked that the blocks increase
+        blocks = blocks[np.searchsorted(blocks, window[0]):
+                        np.searchsorted(blocks, window[1], "right")]
         if not len(blocks):
             raise InputError("--window {}:{} holds none of the --blocks".format(*window))
     _check_coverage(quotes, blocks)
     counters = {}
     if feed["feed_kind"] == "mid":  # a block in a second with no kline reads the kline before
-        at = quotes.timestamps[_locf_index(quotes.timestamps, blocks)]
-        counters = {"block_price_fills": int(np.sum(at != blocks)), "blocks": int(len(blocks))}
-    return BlockSchedule.from_blocks(blocks), counters
+        stamps = quotes.timestamps
+        fills = sum(int(np.count_nonzero(stamps[_locf_index(stamps, chunk)] != chunk))
+                    for chunk in (blocks[i:i + _CHUNK] for i in range(0, len(blocks), _CHUNK)))
+        counters = {"block_price_fills": fills, "blocks": int(len(blocks))}
+    # BlockSchedule checks that the blocks increase, as the loader has, and that there are some
+    return _unchecked(BlockSchedule, blocks, None, int(blocks[0]), len(blocks)), counters
 
 
 def _initial_state(cfg: dict, quotes, start_ms: int, fee: float) -> PoolState:

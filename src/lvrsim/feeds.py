@@ -19,19 +19,17 @@ import csv
 import functools
 import gzip
 import io
-import logging
 import math
 import os
 import re
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .arbitrage import Quote
 from .errors import InputError, InsufficientDataError, ParseError
 
-logger = logging.getLogger(__name__)
 _GZIP_ERRORS = (EOFError, zlib.error, gzip.BadGzipFile)  # reading a damaged or non-gzip .gz
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # a non-UTF-8 byte, as surrogateescape reads it
 _CHUNK = 16384  # rows a chunked pass holds at a time, so that it holds no full-length array
@@ -91,7 +89,17 @@ class QuoteSeries:
 
 def quotes_from_prices(series: PriceSeries) -> QuoteSeries:
     """Treat a mid/open price series as a zero-spread quote series."""
-    return QuoteSeries(series.timestamps, series.prices, series.prices)
+    # increasing stamps and finite positive prices: what QuoteSeries checks when bids are asks
+    return _unchecked(QuoteSeries, series.timestamps, series.prices, series.prices)
+
+
+def _unchecked(cls, *values):
+    """A cls holding values as its fields, in order, without the checks of cls.__post_init__:
+    for values that have passed rules covering every one of those checks."""
+    instance = object.__new__(cls)
+    for f, value in zip(fields(cls), values):
+        object.__setattr__(instance, f.name, value)
+    return instance
 
 
 def _open_bytes(path: str):
@@ -203,15 +211,16 @@ def _load_columns(path: str, n_columns: int, exact: bool, columns, rules) -> tup
     """The leading columns of a CSV as arrays, or the ParseError of its first faulty row.
 
     columns holds a (name, cell parser, dtype) per column; rules(*arrays) gives
-    the loader's ordered (row mask, message for row i) pairs. Unless a mask
-    fires on the loadtxt columns, _iter_rows reads the rows again through the
-    cell parsers, and the rules run on those columns once they hold the row
-    flagged (or 8192 rows), then at each doubling. The first faulty row wins;
-    within it a cell that does not parse, then the first rule.
+    the loader's ordered (row mask, message for row i) pairs, which _first_fault
+    applies a chunk at a time. Unless a mask fires on the loadtxt columns,
+    _iter_rows reads the rows again through the cell parsers, and the rules run
+    on those columns once they hold the row flagged (or 8192 rows), then at each
+    doubling. The first faulty row wins; within it a cell that does not parse,
+    then the first rule.
     """
     dtypes = [dtype for _, _, dtype in columns]
     fast = _read_columns(path, n_columns, exact, dtypes)
-    fault = None if fast is None else _first_fault(rules(*fast))
+    fault = None if fast is None else _first_fault(rules, fast)
     if fast is not None and fault is None:
         return fast
     check_at = 8192 if fault is None else fault[0] + 1
@@ -227,23 +236,36 @@ def _load_columns(path: str, n_columns: int, exact: bool, columns, rules) -> tup
                 column.append(cell)
             lines.append(line)
             if len(lines) == check_at:
-                if _first_fault(rules(*arrays())):
+                if _first_fault(rules, arrays()):
                     break
                 check_at *= 2
     except ParseError as err:
         error = err
-    fault = _first_fault(rules(*(result := arrays())))
+    fault = _first_fault(rules, result := arrays())
     if fault or error:  # a rule fault lies on a row before the one that does not parse
         raise ParseError(str(path), lines[fault[0]], fault[1]) if fault else error
     return result
 
 
-def _first_fault(rules) -> tuple | None:
-    """(row, message) of the first row a mask flags, the earlier rule on a tie."""
-    hits = [(int(mask.argmax()), n) for n, (mask, _) in enumerate(rules) if mask.any()]
-    if hits:
-        i, n = min(hits)
-        return i, rules[n][1](i)
+def _first_fault(rules, columns) -> tuple | None:
+    """(row, message) of the first row that a mask of rules(*columns) flags, the earlier rule
+    on a tie.
+
+    The rules run on _CHUNK rows at a time, each chunk after the first with the row before
+    it, whose masks are not read: so _vs_previous compares every row with the one before,
+    and no mask is longer than a chunk and a row. The row and the message are those of one
+    scan of the whole columns.
+    """
+    n = len(columns[0])
+    for start in range(0, n, _CHUNK):
+        carried = min(start, 1)  # the row before the chunk
+        rules_of_chunk = rules(*(column[start - carried:start + _CHUNK] for column in columns))
+        hits = [(int(mask[carried:].argmax()), k)
+                for k, (mask, _) in enumerate(rules_of_chunk) if mask[carried:].any()]
+        if hits:
+            i, k = min(hits)
+            return start + i, rules_of_chunk[k][1](carried + i)
+    return None
 
 
 def _not_positive(values: np.ndarray) -> np.ndarray:
@@ -270,7 +292,7 @@ def load_klines(path: str) -> PriceSeries:
             (_not_positive(opens), lambda i: f"open price must be positive, got {opens[i]}"),
             (_vs_previous(ts, np.greater_equal),
              lambda i: f"timestamps not strictly increasing: {ts[i]} after {ts[i - 1]}")])
-    return PriceSeries(ts, opens)
+    return _unchecked(PriceSeries, ts, opens)  # the rules are PriceSeries' checks
 
 
 def load_quote_updates(path: str) -> QuoteSeries:
@@ -290,8 +312,12 @@ def load_quote_updates(path: str) -> QuoteSeries:
              lambda i: f"timestamps decreasing: {ts[i]} after {ts[i - 1]}")])
     kept = _keep_last_of_each_stamp(ts, bids, asks)
     if kept < len(ts):
-        logger.warning("%s: dropped %d earlier duplicate-timestamp updates", path, len(ts) - kept)
-    return QuoteSeries(ts[:kept], bids[:kept], asks[:kept])
+        import logging  # here, not at the top: a run that never warns need not load it
+
+        logging.getLogger(__name__).warning("%s: dropped %d earlier duplicate-timestamp updates",
+                                            path, len(ts) - kept)
+    # the rules and the dropped repeats are QuoteSeries' checks
+    return _unchecked(QuoteSeries, ts[:kept], bids[:kept], asks[:kept])
 
 
 def _keep_last_of_each_stamp(ts: np.ndarray, *columns: np.ndarray) -> int:

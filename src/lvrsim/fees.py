@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InputError, ParseError
 from .feeds import (_CHUNK, _first_fault, _iter_rows, _load_columns, _not_positive,
-                    _parse_float, _parse_int, _vs_previous)
+                    _parse_float, _parse_int, _unchecked, _vs_previous)
 from .pool import _fold_series, concentration_scale
 
 TOKEN_X = "X"
@@ -83,7 +83,7 @@ class SwapTable:
             raise InputError("swap columns must have equal length")
         for f, column in zip(fields(self), columns):
             object.__setattr__(self, f.name, column)
-        fault = _first_fault(_swap_rules(*columns))
+        fault = _first_fault(_swap_rules, columns)
         if fault:
             raise InputError(fault[1])
 
@@ -271,14 +271,10 @@ def _swap_rules(*columns):
 
 def load_swap_records(path: str) -> SwapTable:
     """Load the swaps of a CSV in the canonical schema as columns."""
-    columns = _load_columns(path, 7, True, _SWAP_COLUMNS, _swap_rules)
     # _load_columns has applied _swap_rules, naming the faulty row's line, and
     # returns equal-length columns of the SwapTable dtypes: __post_init__ would
     # only repeat that check
-    table = object.__new__(SwapTable)
-    for f, column in zip(fields(SwapTable), columns):
-        object.__setattr__(table, f.name, column)
-    return table
+    return _unchecked(SwapTable, *_load_columns(path, 7, True, _SWAP_COLUMNS, _swap_rules))
 
 
 # --- raw export conversion ------------------------------------------------

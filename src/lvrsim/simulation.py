@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FitError, InputError
-from .feeds import _CHUNK, PriceSeries, QuoteSeries, _check_coverage, _locf_index
+from .feeds import _CHUNK, PriceSeries, QuoteSeries, _check_coverage, _locf_index, _unchecked
 from .fees import PositionLedger
 from .pool import PoolState, _fold_series, concentration_scale
 
@@ -68,11 +68,8 @@ class BlockSchedule:
         if end_ms < start_ms:
             raise InputError(f"window end {end_ms} before start {start_ms}")
         start, interval = int(start_ms), int(interval_ms)
-        schedule = object.__new__(cls)  # no blocks to check
-        for name, value in (("blocks", None), ("interval_ms", interval), ("first_ms", start),
-                            ("n_instants", (int(end_ms) - start) // interval + 1)):
-            object.__setattr__(schedule, name, value)
-        return schedule
+        # no blocks to check: blocks, interval_ms, first_ms, n_instants
+        return _unchecked(cls, None, interval, start, (int(end_ms) - start) // interval + 1)
 
     @classmethod
     def from_blocks(cls, block_timestamps_ms) -> "BlockSchedule":

@@ -318,6 +318,39 @@ class TestCompareMemory:
         assert peak / self.ROWS <= bound
 
 
+class TestScheduleMemory:
+    """What _make_schedule holds beyond the loaded blocks and klines, in traced bytes, grows
+    by less than 0.1 byte a block from 100 000 to 400 000 blocks: a --window is a slice of
+    the blocks, the fills are counted a chunk of blocks at a time, and the schedule holds
+    the blocks unchecked, as the loader has checked them. A block lands each second, a
+    kline every other second, so every other block is a fill."""
+
+    @staticmethod
+    def held(tmp_path, n, window):
+        blocks = 1000 * np.arange(n, dtype=np.int64)
+        stamps = 2000 * np.arange(n // 2 + 1, dtype=np.int64)
+        quotes = quotes_from_prices(lvrsim.PriceSeries(stamps, 2000.0 + 0.01 * stamps))
+        blocks_file = write(tmp_path, "blocks.csv", "")  # read through the patch below
+        cfg = {"blocks": blocks_file, "interval_ms": None,
+               "window": (1000, 1000 * (n - 2)) if window else None}
+        with mock.patch.object(cli, "load_block_timestamps", lambda path: blocks):
+            tracemalloc.start()
+            try:
+                schedule, counters = cli._make_schedule(cfg, quotes, {"feed_kind": "mid"})
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert schedule.n_instants == counters["blocks"]
+        assert counters == {"block_price_fills": (n - 2) // 2 if window else n // 2,
+                            "blocks": n - 2 if window else n}
+        return peak
+
+    @pytest.mark.parametrize("window", [False, True], ids=["all-blocks", "window"])
+    def test_held_bytes_do_not_grow_with_the_blocks(self, tmp_path, window):
+        growth = self.held(tmp_path, 400_000, window) - self.held(tmp_path, 100_000, window)
+        assert growth / 300_000 < 0.1
+
+
 def test_hashing_reads_through_one_small_buffer(tmp_path):
     """_sha256 reads a file into one reused 64 KiB buffer, not a new block per read."""
     path = tmp_path / "input.bin"
@@ -347,6 +380,23 @@ def test_importing_the_cli_loads_no_openssl():
                            capture_output=True, text=True).stdout.split()
     assert "lvrsim.cli" in added
     assert "_hashlib" not in added
+
+
+def test_logging_loads_at_the_first_warning(tmp_path):
+    """Importing the cli does not load logging; the loader imports it where it warns, so a
+    quotes file with a repeated millisecond still logs its one warning (through logging's
+    last-resort handler, as the installed script has no other)."""
+    path = write(tmp_path, "q.csv", "0,99,101\n5,99,100\n5,98,102\n6,1,2\n")
+    root = str(Path(lvrsim.__file__).resolve().parent.parent)
+    code = ("import sys, numpy; before = set(sys.modules); import lvrsim.cli; "
+            "print('logging' in set(sys.modules) - before); "
+            "print(len(lvrsim.cli.load_quote_updates(sys.argv[1])))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code, path], env=env, check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.split() == ["False", "3"]
+    assert result.stderr == f"{path}: dropped 1 earlier duplicate-timestamp updates\n"
 
 
 class TestFeesCommand:

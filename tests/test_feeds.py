@@ -1,4 +1,6 @@
+import dataclasses
 import gzip
+import logging
 import os
 import re
 import tracemalloc
@@ -19,6 +21,7 @@ from lvrsim import (
     PoolState,
     PriceSeries,
     QuoteSeries,
+    SwapTable,
     align_to_blocks,
     fixed_schedule,
     load_block_timestamps,
@@ -386,6 +389,95 @@ class TestColumnarParity:
             f"{path}: dropped 2 earlier duplicate-timestamp updates"] * 2
 
 
+# --- the rules a chunk at a time ------------------------------------------------
+
+# row i of a valid file of each kind, as its cells
+EDGE_ROWS = {
+    "klines": lambda i: [str(1000 * (i + 1)), repr(2.5 + i / 8), "3", "2", "2.6", "1"],
+    "quotes": lambda i: [str(100 * (i + 1)), repr(99.0 + i), repr(100.0 + i)],
+    "blocks": lambda i: [str(100 + i), str(12 * (i + 1))],
+    "swaps": lambda i: [str(1 + i // 2), str(1000 * (i + 1)), "XY"[i % 2], "5.0", "0.003",
+                        "2000.0", "1e6"],
+}
+
+# (kind, rule): the column a fault at row r sets, and its text from the rows; a fault
+# against the row before is put only on a row that has one
+EDGE_FAULTS = {
+    ("klines", "open-not-positive"): (1, lambda rows, r: "-1"),
+    ("klines", "stamp-repeated"): (0, lambda rows, r: rows[r - 1][0]),
+    ("quotes", "bid-above-ask"): (1, lambda rows, r: "1000.0"),
+    ("quotes", "stamp-decreasing"): (0, lambda rows, r: str(int(rows[r - 1][0]) - 1)),
+    ("blocks", "seconds-beyond-int64-ms"): (1, lambda rows, r: str(2**63 // 1000)),
+    ("blocks", "number-repeated"): (0, lambda rows, r: rows[r - 1][0]),
+    ("blocks", "second-repeated"): (1, lambda rows, r: rows[r - 1][1]),
+    ("swaps", "token"): (2, lambda rows, r: "Z"),
+    ("swaps", "amount"): (3, lambda rows, r: "0"),
+    ("swaps", "fee-rate"): (4, lambda rows, r: "1.5"),
+    ("swaps", "price"): (5, lambda rows, r: "-1"),
+    ("swaps", "liquidity"): (6, lambda rows, r: "0"),
+    ("swaps", "stamp-decreasing"): (1, lambda rows, r: str(int(rows[r - 1][1]) - 1)),
+    ("swaps", "block-decreasing"): (0, lambda rows, r: str(int(rows[r - 1][0]) - 1)),
+}
+EDGE_LOADERS = {**LOADERS, "swaps": load_swap_records}
+SWAP_CELLS = (int, int, str, float, float, float, float)
+
+
+def faulty_rows(kind, rule, r, n=10):
+    rows = [EDGE_ROWS[kind](i) for i in range(n)]
+    column, text = EDGE_FAULTS[kind, rule]
+    rows[r][column] = text(rows, r)
+    return rows
+
+
+def edge_rows(rule, chunk):
+    """The rows c - 1, c and c + 1 around the first chunk edge, those with a row before them
+    for a rule against the row before."""
+    against_previous = "repeated" in rule or "decreasing" in rule
+    return [r for r in (chunk - 1, chunk, chunk + 1) if r or not against_previous]
+
+
+def raised(exception, load, *args):
+    with pytest.raises(exception) as err:
+        load(*args)
+    return err.value
+
+
+class TestChunkEdges:
+    """_first_fault runs the rules feeds._CHUNK rows at a time, each chunk with the row before
+    it. A fault on the last row of a chunk, on the first of the next or on the one after is
+    what one scan of the whole columns finds, on the loaders' two paths and in SwapTable."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    @pytest.mark.parametrize("kind, rule", EDGE_FAULTS)
+    def test_loaders(self, tmp_path, kind, rule, chunk):
+        load = EDGE_LOADERS[kind]
+        for r in edge_rows(rule, chunk):
+            path = write(tmp_path, f"{r}.csv", "".join(
+                ",".join(row) + "\n" for row in faulty_rows(kind, rule, r)))
+            with mock.patch.object(feeds, "_CHUNK", 10**9):  # one chunk: the whole columns
+                whole = raised(ParseError, load, path)
+            oracle = raised(ParseError, row_path, load, path)
+            with mock.patch.object(feeds, "_CHUNK", chunk):
+                chunked = [raised(ParseError, load, path),
+                           raised(ParseError, row_path, load, path)]
+            assert whole.line == r + 1
+            assert [str(e) for e in chunked] == [str(whole)] * 2 == [str(oracle)] * 2
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    @pytest.mark.parametrize("rule", [rule for kind, rule in EDGE_FAULTS if kind == "swaps"])
+    def test_swap_table(self, tmp_path, rule, chunk):
+        for r in edge_rows(rule, chunk):
+            rows = faulty_rows("swaps", rule, r)
+            columns = [list(map(cell, column)) for cell, column in zip(SWAP_CELLS, zip(*rows))]
+            with mock.patch.object(feeds, "_CHUNK", 10**9):
+                whole = raised(InputError, SwapTable, *columns)
+            with mock.patch.object(feeds, "_CHUNK", chunk):
+                chunked = raised(InputError, SwapTable, *columns)
+            path = write(tmp_path, f"{r}.csv", "".join(",".join(row) + "\n" for row in rows))
+            assert str(chunked) == str(whole)
+            assert str(raised(ParseError, load_swap_records, path)) == f"{path}:{r + 1}: {whole}"
+
+
 KLINES = "timestamp_ms,open,high,low,close,volume\n" + KLINE + "2000,2.6,3,2,2.7,1\n"
 
 
@@ -546,10 +638,11 @@ class TestLoaderMemory:
 
     A loader holds one structured array of exactly the columns it returns (16
     bytes a row for klines and blocks, 24 for quotes, 56 for swaps). Each bound
-    is that record, a quarter more for loadtxt's growth as it reads, and a few
-    bytes of row masks for the rules; blocks add the 8 bytes of the returned
-    milliseconds. Quotes drop their repeats in place, so with repeats they have
-    the bound they have without.
+    is that record and a quarter more for loadtxt's growth as it reads, which
+    sets the peak; blocks add the 8 bytes of the returned milliseconds. The
+    rules hold their masks a chunk at a time, so they add no bytes a row
+    (TestCheckMemory). Quotes drop their repeats in place, so with repeats they
+    have the bound they have without.
     """
 
     ROWS = 100_000
@@ -571,6 +664,53 @@ class TestLoaderMemory:
             tracemalloc.stop()
         assert len(loaded) >= 0.99 * self.ROWS
         assert peak / self.ROWS <= bound
+
+
+def prebuilt(kind, n):
+    """The columns np.loadtxt gives for n valid rows of a kind: the fields of one structured
+    array, built without a file. Quotes repeat every hundredth stamp."""
+    i = np.arange(n)
+    columns = {
+        "klines": [1000 * i, 2000.0 + 0.01 * i],
+        "quotes": [100 * (i - i // 100), 1999.5 + 0.01 * i, 2000.5 + 0.01 * i],
+        "blocks": [18_000_000 + i, 1_700_000_000 + 12 * i],
+        "swaps": [18_000_000 + i // 3, 1000 * i, np.where(i % 2, "Y", "X").astype(object),
+                  1.5 + 0.001 * i, np.full(n, 0.003), 2000.0 + 0.01 * i, 1e6 + i],
+    }[kind]
+    table = np.empty(n, [(f"c{k}", column.dtype) for k, column in enumerate(columns)])
+    for k, column in enumerate(columns):
+        table[f"c{k}"] = column
+    return tuple(table[name] for name in table.dtype.names)
+
+
+class TestCheckMemory:
+    """What a loader holds beyond the columns np.loadtxt returns and beyond what it returns,
+    in traced bytes, grows by less than 0.1 byte a row from 100 000 to 400 000 rows: the
+    rules and the dropping of repeats go through the columns a chunk at a time, and the
+    loaded columns are not checked again. _read_columns returns prebuilt columns, so that
+    loadtxt's own growth as it reads, a quarter of each record, is not measured."""
+
+    @staticmethod
+    def held(kind, n):
+        columns = prebuilt(kind, n)
+        with mock.patch.object(feeds, "_read_columns", lambda *args: columns):
+            tracemalloc.start()
+            try:
+                loaded = EDGE_LOADERS[kind]("prebuilt.csv")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        returned = ([loaded] if isinstance(loaded, np.ndarray) else
+                    [getattr(loaded, f.name) for f in dataclasses.fields(loaded)])
+        assert len(loaded) >= 0.99 * n
+        # the loader's own arrays among those it returns (blocks: the milliseconds)
+        return peak - sum(a.nbytes for a in returned
+                          if not np.may_share_memory(a, columns[0].base))
+
+    @pytest.mark.parametrize("kind", sorted(EDGE_LOADERS))
+    def test_held_bytes_do_not_grow_with_the_rows(self, kind):
+        growth = self.held(kind, 400_000) - self.held(kind, 100_000)
+        assert growth / 300_000 < 0.1
 
 
 @st.composite
@@ -603,7 +743,7 @@ class TestRepeatCompaction:
         logged = [mock.call("%s: dropped %d earlier duplicate-timestamp updates", path, dropped)]
         for load in (columnar_only, row_path):
             with mock.patch.object(feeds, "_CHUNK", chunk), \
-                    mock.patch.object(feeds.logger, "warning") as warn:
+                    mock.patch.object(logging.getLogger("lvrsim.feeds"), "warning") as warn:
                 loaded = load(load_quote_updates, path)
             assert_bitwise_equal(loaded, QuoteSeries(ts[keep], bids[keep], asks[keep]))
             assert warn.call_args_list == (logged if dropped else [])

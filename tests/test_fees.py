@@ -294,11 +294,15 @@ class TestLoadSwapRecords:
         assert str(err.value) == f"{path}:2: block numbers decreasing: 4 after 5"
 
     def test_one_load_applies_the_rules_once(self, monkeypatch):
+        """Each row is checked once: the rules run on chunks of 300 rows, each chunk after
+        the first with the row before it."""
         calls = []
         rules = fees._swap_rules
-        monkeypatch.setattr(fees, "_swap_rules", lambda *columns: calls.append(1) or rules(*columns))
+        monkeypatch.setattr(fees, "_swap_rules",
+                            lambda *columns: calls.append(len(columns[0])) or rules(*columns))
+        monkeypatch.setattr(feeds, "_CHUNK", 300)
         table = load_swap_records(str(FIXTURE))
-        assert len(calls) == 1
+        assert calls == [300, 301, 301, 101]
         # the loaded columns are what the checked constructor makes of them
         rebuilt = SwapTable(*(getattr(table, f.name) for f in dataclasses.fields(SwapTable)))
         for f in dataclasses.fields(SwapTable):
