@@ -571,7 +571,9 @@ OPTIONS = {
                    "check": _increasing(_in_fee_range),
                    "rule": "strictly increasing values in [0, 10000)",
                    "default": "10,20,30,50,100", "help": "comma-separated fee grid in bps"},
-    "--fit-range": {"type": functools.partial(_pair, kind=float), "rule": "a fit range LO:HI",
+    "--fit-range": {"type": functools.partial(_pair, kind=float),
+                    "check": lambda r: -math.inf < r[0] < r[1] < math.inf,  # NaN fails
+                    "rule": "a fit range LO:HI with finite LO < HI",
                     "help": "log-log fit range LO:HI in the grid's unit (ms or bps)"},
     "--sigma": {**_NUMBER, "help": "volatility per sqrt(year)"},
     "--mu": {**_NUMBER, "default": "0", "help": "drift per year"},

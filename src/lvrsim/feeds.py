@@ -19,6 +19,7 @@ import csv
 import functools
 import gzip
 import io
+import itertools
 import math
 import os
 import re
@@ -213,35 +214,28 @@ def _load_columns(path: str, n_columns: int, exact: bool, columns, rules) -> tup
     columns holds a (name, cell parser, dtype) per column; rules(*arrays) gives
     the loader's ordered (row mask, message for row i) pairs, which _first_fault
     applies a chunk at a time. Unless a mask fires on the loadtxt columns,
-    _iter_rows reads the rows again through the cell parsers, and the rules run
-    on those columns once they hold the row flagged (or 8192 rows), then at each
-    doubling. The first faulty row wins; within it a cell that does not parse,
-    then the first rule.
+    _iter_rows reads the rows again through the cell parsers, up to the row
+    flagged, else up to the first row that does not parse or the end, and the
+    rules run once on those columns. The first faulty row wins; within it a cell
+    that does not parse, then the first rule.
     """
     dtypes = [dtype for _, _, dtype in columns]
     fast = _read_columns(path, n_columns, exact, dtypes)
     fault = None if fast is None else _first_fault(rules, fast)
     if fast is not None and fault is None:
         return fast
-    check_at = 8192 if fault is None else fault[0] + 1
     values, lines, error = tuple([] for _ in columns), [], None
-
-    def arrays():
-        return tuple(np.array(column, dtype) for column, dtype in zip(values, dtypes))
-
     try:
-        for line, row in _iter_rows(path, n_columns, exact):
+        for line, row in itertools.islice(_iter_rows(path, n_columns, exact),
+                                          None if fault is None else fault[0] + 1):
             cells = [parse(path, line, text, name) for (name, parse, _), text in zip(columns, row)]
             for column, cell in zip(values, cells):
                 column.append(cell)
             lines.append(line)
-            if len(lines) == check_at:
-                if _first_fault(rules, arrays()):
-                    break
-                check_at *= 2
     except ParseError as err:
         error = err
-    fault = _first_fault(rules, result := arrays())
+    result = tuple(np.array(column, dtype) for column, dtype in zip(values, dtypes))
+    fault = _first_fault(rules, result)
     if fault or error:  # a rule fault lies on a row before the one that does not parse
         raise ParseError(str(path), lines[fault[0]], fault[1]) if fault else error
     return result

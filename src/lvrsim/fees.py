@@ -114,6 +114,8 @@ class PositionLedger:
             raise InputError("returns must be finite and > -1")
         if self.returns.shape != self.timestamps.shape:
             raise InputError("timestamps and returns must have equal length")
+        if not math.isfinite(growth := self.cumulative_growth):
+            raise InputError(f"returns compound to a growth of {growth}; it must be finite")
 
     @property
     def cumulative_growth(self) -> float:
@@ -121,11 +123,21 @@ class PositionLedger:
 
         Folded _FOLD factors at a time, as LossSeries.multiplier is: no full-length temporary.
         """
-        return _fold_series(np.add, self.returns)
+        with np.errstate(over="ignore"):  # a growth past the float range is inf
+            return _fold_series(np.add, self.returns)
 
     def scaled(self, factor_k: float) -> "PositionLedger":
-        """Fee ledger of a position with concentration factor k; LossSeries.scaled's rule."""
-        return replace(self, returns=concentration_scale(self.returns, factor_k))
+        """Fee ledger of a position with concentration factor k; LossSeries.scaled's rule.
+
+        A factor that takes a return or the compounded growth past the float range is rejected.
+        """
+        with np.errstate(over="ignore"):  # such a return is inf, which the new ledger rejects
+            returns = concentration_scale(self.returns, factor_k)
+        try:
+            return replace(self, returns=returns)
+        except InputError as exc:  # this ledger passed the same checks: the factor fails them
+            raise InputError(f"concentration factor {factor_k} scales the fee returns past the "
+                             f"float range: {exc}") from None
 
 
 def _check_position_liquidity(value: float) -> None:
@@ -214,9 +226,14 @@ def attribute_fees(
                          returns[done:done + k], stamps[done:done + k])
         lo, done = hi, done + k
     del ends
-    return PositionLedger(position_liquidity, returns, stamps)
+    try:
+        return PositionLedger(position_liquidity, returns, stamps)
+    except InputError as exc:  # the swaps passed their rules: their fees overflow
+        raise InputError(f"the fees of the swaps overflow the float range: {exc}") from None
 
 
+# a fee past the float range gives an inf or NaN return, which attribute_fees' ledger rejects
+@np.errstate(over="ignore", invalid="ignore")
 def _attribute_chunk(swaps: SwapTable, chunk: slice, ends: np.ndarray,
                      position_liquidity: float, returns: np.ndarray, stamps: np.ndarray) -> None:
     """attribute_fees on a chunk of swaps that ends at a block end: each of its blocks' return

@@ -133,10 +133,18 @@ class LossSeries:
 
         A scaled loss of 1 or more would take the whole position, so the
         price has left its range and the scaling no longer holds: rejected.
+        At k = 1 nothing is scaled: such a loss is the replay's own, rounded to 1.
         """
         scaled = concentration_scale(self.losses, factor_k)
         # scaling by k >= 1 keeps the order, so the largest loss decides; no full-length mask
         if len(scaled) and scaled.max() >= 1.0:
+            if factor_k == 1.0:
+                i = int(np.argmax(self.losses))
+                which = "the first arbitrage" if i == 0 else f"arbitrage {i + 1}"
+                raise InputError(
+                    f"{which}, at {self.timestamps[i]} ms, takes the whole position"
+                    f"{' from the initial pool' if i == 0 else ''}: a relative loss of "
+                    f"{float(self.losses[i])}")
             raise InputError(
                 f"concentration factor {factor_k} scales a loss of "
                 f"{float(np.max(self.losses))} to >= 1; the position leaves its range"

@@ -871,6 +871,23 @@ class TestBadInputExits2:
         assert code == 2
         assert "fit range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fit_range", ["nan:inf", "5000:1000", "1000:1000", "-inf:4000"])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_fit_range_must_be_finite_and_increasing(self, tmp_path, gbm_klines, capsys,
+                                                     fit_range, form):
+        args = ["--klines", gbm_klines, "--fee-bps", 30, "--intervals-ms", "1000,2000,4000"]
+        if form == "flag":
+            args.append(f"--fit-range={fit_range}")  # a leading - is no flag here
+            named = "--fit-range"
+        else:
+            config = self.write_config(tmp_path, fit_range=fit_range)
+            args += ["--config", config]
+            named = f"config file {config}: fit_range"
+        assert run_cli("sweep-blocktime", *args, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            f"error: {named} must be a fit range LO:HI with finite LO < HI, got '{fit_range}'\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("interval", [0, -12000])
     @pytest.mark.parametrize("feed", ["klines", "missing"])
     @pytest.mark.parametrize("command, args", [
@@ -1664,4 +1681,42 @@ class TestExit2NotExit1:
         assert run_cli("simulate-arb", feed, path, "--fee-bps", 30, "--interval-ms", 1000,
                        "--out", out) == 2
         assert capsys.readouterr().err == f"error: {path}:1: not UTF-8 text: byte 0xff\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fees", "compare"])
+    @pytest.mark.parametrize("cause", ["concentration-k", "swaps"])
+    def test_fee_growth_past_the_float_range(self, tmp_path, gbm_klines, capsys, command,
+                                             cause):
+        """Fee returns whose compounded growth overflows, by the factor or by the swaps'
+        own fees, exit 2 naming that cause before anything is written, with no warning."""
+        swaps, args = FIXTURE, []
+        if cause == "swaps":  # two swaps of 1e300 Y: each return is about 3e289
+            lines = FIXTURE.read_text().splitlines(keepends=True)
+            for i in (1, 2):
+                cells = lines[i].split(",")
+                cells[3] = "1e300"
+                lines[i] = ",".join(cells)
+            swaps = write(tmp_path, "swaps.csv", "".join(lines))
+            message = ("the fees of the swaps overflow the float range: "
+                       "returns compound to a growth of inf; it must be finite")
+        else:
+            args = ["--concentration-k", "1e300"]
+            message = ("concentration factor 1e+300 scales the fee returns past the float "
+                       "range: returns compound to a growth of inf; it must be finite")
+        if command == "compare":
+            args += ["--klines", gbm_klines, "--fee-bps", 30, "--interval-ms", 12000]
+        out = tmp_path / "out"
+        assert run_cli(command, "--swaps", swaps, *args, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_replay_loss_of_one_at_the_default_factor(self, tmp_path, gbm_klines, capsys):
+        """At --concentration-k 1 nothing is scaled: the message names the arbitrage that
+        took the whole position, not the factor."""
+        out = tmp_path / "out"
+        assert run_cli("simulate-arb", "--klines", gbm_klines, "--fee-bps", 30,
+                       "--interval-ms", 12000, "--initial-price", 1e-300, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            "error: the first arbitrage, at 0 ms, takes the whole position from the initial "
+            "pool: a relative loss of 1.0\n")
         assert not out.exists()

@@ -378,6 +378,29 @@ class TestColumnarParity:
         assert str(err.value) == f"{path}:2: open price must be positive, got -1.0"
         assert len(consumed) <= 2
 
+    @pytest.mark.parametrize("blank", [None, 10_000], ids=["fast-path", "row-pass"])
+    def test_each_loaded_row_is_checked_once(self, tmp_path, blank):
+        # a whitespace-only line sends the file to the row pass, which skips it
+        n = 20_000
+        path = write(tmp_path, "k.csv", "".join(
+            ("   \n" if i == blank else "") + f"{1000 * i},2.5,3,2,2.6,1\n" for i in range(n)))
+        first_fault, read_columns, checked, fast = feeds._first_fault, feeds._read_columns, [], []
+
+        def counting(rules, columns):
+            checked.append(len(columns[0]))
+            return first_fault(rules, columns)
+
+        def reading(*args):
+            fast.append(read_columns(*args))
+            return fast[-1]
+
+        with mock.patch.object(feeds, "_first_fault", counting), \
+                mock.patch.object(feeds, "_read_columns", reading):
+            series = load_klines(path)
+        assert len(series) == n
+        assert (fast[0] is None) == (blank is not None)
+        assert checked == [n]  # 44 576 rows in three checks, when the row pass had a schedule
+
     def test_same_millisecond_collapse_logged_alike(self, tmp_path, caplog):
         path = write(tmp_path, "q.csv", "0,99,101\n5,99,100\n5,98,102\n5,97,103\n6,1,2\n")
         with caplog.at_level("WARNING", logger="lvrsim.feeds"):

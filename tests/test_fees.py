@@ -146,6 +146,19 @@ class TestPositionLedger:
         with pytest.raises(InputError, match=r"^returns must be finite and > -1$"):
             accumulate(PositionLedger(1.0), [0.01, bad], [1, 2])
 
+    def test_growth_past_the_float_range_is_rejected(self):
+        # each return is finite; their fold is not, and numpy's overflow warning is an error
+        message = r"returns compound to a growth of inf; it must be finite$"
+        with pytest.raises(InputError, match="^" + message):
+            PositionLedger(1.0, np.array([1e200, 1e200]), np.array([1, 2]))
+        ledger = PositionLedger(1.0, np.array([1e100, 1e100]), np.array([1, 2]))
+        for factor, fault in [(1e150, "compound to a growth of inf; it must be finite"),
+                              (1e300, "must be finite and > -1")]:  # an inf return
+            with pytest.raises(InputError) as err:
+                ledger.scaled(factor)
+            assert str(err.value) == (f"concentration factor {factor} scales the fee returns "
+                                      f"past the float range: returns {fault}")
+
     def test_unequal_columns_rejected(self):
         message = "^timestamps and returns must have equal length$"
         with pytest.raises(InputError, match=message):
@@ -419,7 +432,7 @@ class TestSwapColumnarParity:
         assert typed(columnar_only(str(FIXTURE))) == typed(row_path(str(FIXTURE)))
 
     def test_records_built_across_chunks(self, tmp_path):
-        n = 16_387  # past the row reader's rule checks at 8192 and 16 384 rows
+        n = 16_387  # past the 16 384 rows that the rules take at a time
         path = tmp_path / "s.csv"
         path.write_text("".join(f"{i // 2},{i // 3},{'XY'[i % 2]},{i + 1}.5,0.003,2000.0,1e6\n"
                                 for i in range(n)))
