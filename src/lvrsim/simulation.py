@@ -133,18 +133,11 @@ class LossSeries:
 
         A scaled loss of 1 or more would take the whole position, so the
         price has left its range and the scaling no longer holds: rejected.
-        At k = 1 nothing is scaled: such a loss is the replay's own, rounded to 1.
+        A replay's own losses are below 1, as _replay rejects a loss of 1.
         """
         scaled = concentration_scale(self.losses, factor_k)
         # scaling by k >= 1 keeps the order, so the largest loss decides; no full-length mask
         if len(scaled) and scaled.max() >= 1.0:
-            if factor_k == 1.0:
-                i = int(np.argmax(self.losses))
-                which = "the first arbitrage" if i == 0 else f"arbitrage {i + 1}"
-                raise InputError(
-                    f"{which}, at {self.timestamps[i]} ms, takes the whole position"
-                    f"{' from the initial pool' if i == 0 else ''}: a relative loss of "
-                    f"{float(self.losses[i])}")
             raise InputError(
                 f"concentration factor {factor_k} scales a loss of "
                 f"{float(np.max(self.losses))} to >= 1; the position leaves its range"
@@ -263,10 +256,16 @@ def _replay(initial: PoolState, quotes: QuoteSeries, schedule: BlockSchedule,
     caller may fold and empty the buffers at each yield, so a caller that keeps no
     events holds one block of them; a view it takes of them must go before the
     replay resumes, as an array that exports its buffer cannot grow.
+
+    A trade that overflows, a reserve that leaves the float range and a loss of 1
+    raise an InputError at their event, for every caller alike. In LVR's accounting
+    a loss is the arbitrageur's profit over the pool's value, below 1 for a finite
+    pool (arXiv:2208.06046), so a loss of 1 is rounding: the trade took the whole
+    position.
     """
     rx, ry, fee = initial.reserve_x, initial.reserve_y, initial.fee
     omf = 1.0 - fee
-    dropped = 0
+    dropped = counted = 0  # counted: the events of the blocks before, which may be emptied
     # locals: the loop below runs once per instant and per event, and a local
     # read is cheaper than a global, attribute or method lookup
     sqrt, inf, scan = math.sqrt, math.inf, _SCALAR_SCAN
@@ -322,10 +321,18 @@ def _replay(initial: PoolState, quotes: QuoteSeries, schedule: BlockSchedule,
                 profit = (ry - new_y) - price * amount_in
             # guard against degenerate trades just outside the band at float noise
             if amount_in > 0 and profit > 0:
-                if not (0.0 < new_x < inf and 0.0 < new_y < inf):
-                    PoolState(new_x, new_y, fee)  # raises the InputError naming the reserve
+                loss = profit / (rx * price + ry)
+                if loss >= 1.0 or not (0.0 < new_x < inf and 0.0 < new_y < inf):
+                    PoolState(new_x, new_y, fee)  # raises the InputError naming a reserve
+                    number = counted + len(events) - start + 1
+                    which = "the first arbitrage" if number == 1 else f"arbitrage {number}"
+                    at_ms = int(schedule._at(np.array([positions[j]], dtype=np.int64))[0])
+                    raise InputError(
+                        f"{which}, at {at_ms} ms, takes the whole position"
+                        f"{' from the initial pool' if number == 1 else ''}: a relative loss "
+                        f"of {loss}")
                 add_event(j)
-                add_loss(profit / (rx * price + ry))
+                add_loss(loss)
                 add_profit(profit)
                 rx, ry = new_x, new_y
             else:
@@ -342,6 +349,7 @@ def _replay(initial: PoolState, quotes: QuoteSeries, schedule: BlockSchedule,
         else:
             np.take(positions, places, out=places)
         del places  # so that the caller may empty the buffers, and the next block append
+        counted += len(events) - start
         yield PoolState(rx, ry, fee), dropped
 
 
@@ -498,12 +506,19 @@ def gbm_generate(
                          f"at most {MAX_STEPS} are generated")
     dt = step_ms / YEAR_MS
     rng = np.random.default_rng(seed)
-    increments = (mu - 0.5 * sigma * sigma) * dt + sigma * math.sqrt(dt) * rng.standard_normal(n)
     prices = np.empty(n + 1)
     prices[0] = price0
-    prices[1:] = price0 * np.exp(np.cumsum(increments))
+    with np.errstate(over="ignore", invalid="ignore"):  # such a path is rejected below
+        increments = ((mu - 0.5 * sigma * sigma) * dt
+                      + sigma * math.sqrt(dt) * rng.standard_normal(n))
+        prices[1:] = price0 * np.exp(np.cumsum(increments))
+    if not (np.isfinite(prices).all() and prices.min() > 0):
+        # named as synth-gbm's flags, which pass these parameters here unchanged
+        raise InputError(f"--sigma {sigma}, --mu {mu}, --price0 {price0} and --horizon-ms "
+                         f"{horizon_ms} give a price path past the float range; it must be "
+                         "finite and positive")
     timestamps = start_ms + np.arange(n + 1, dtype=np.int64) * int(step_ms)
-    return PriceSeries(timestamps, prices)
+    return _unchecked(PriceSeries, timestamps, prices)  # the stamps increase by a positive step
 
 
 def loglog_slope(

@@ -1,12 +1,14 @@
 import contextlib
 import gzip
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -15,6 +17,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_feeds import _klines, _swaps, write
 
 import lvrsim
@@ -806,6 +810,90 @@ class TestSweepsMatchSimulateArb:
             assert total > 0
             assert total == self.simulate(tmp_path, feed / "gbm_klines.csv", 0, int(interval),
                                           window=None)
+
+
+@st.composite
+def replay_cases(draw) -> dict:
+    """A small feed (klines or quotes, 1 s or 100 ms steps), a fee, an interval at or
+    above the feed's step, a window inside it or none, and an initial price, some of
+    them degenerate."""
+    step = draw(st.sampled_from([1000, 100]))
+    n = draw(st.integers(2, 60))
+    span = (n - 1) * step
+    window = None
+    if draw(st.booleans()):
+        start = draw(st.integers(0, span - 1))
+        window = (start, draw(st.integers(start + 1, span)))
+    return {"feed": draw(st.sampled_from(["klines", "quotes"])), "step": step, "n": n,
+            "seed": draw(st.integers(0, 2**16)),
+            "fee_bps": draw(st.sampled_from([0.0, 5.0, 30.0])),
+            "interval_ms": draw(st.integers(step, 5 * step)), "window": window,
+            "initial_price": draw(st.sampled_from([None, 1e-300, 1e300, 1e-6, 2100.0]))}
+
+
+class TestSubcommandsAgree:
+    """simulate-arb, compare, sweep-blocktime and sweep-fee replay one feed alike: at one
+    fee, interval, window and pool, each gives the same total loss, bit for bit, or each
+    exits 2 with the same message."""
+
+    @staticmethod
+    def outcomes(directory: Path, case: dict) -> dict:
+        """Each subcommand's exit code, stderr, and total loss at the case's fee and interval
+        (None on exit 2), run in-process on the case's feed."""
+        rng = np.random.default_rng(case["seed"])
+        mids = 2000.0 * np.exp(np.cumsum(rng.normal(0.0, 0.002, case["n"])))
+        stamps = np.arange(case["n"]) * case["step"]
+        path = directory / f"{case['feed']}.csv"
+        if case["feed"] == "klines":
+            rows = [f"{t},{m!r},{m!r},{m!r},{m!r},0" for t, m in zip(stamps, mids.tolist())]
+            path.write_text("timestamp_ms,open,high,low,close,volume\n" + "\n".join(rows))
+        else:
+            rows = [f"{t},{m * 0.9998!r},{m * 1.0002!r}" for t, m in zip(stamps, mids.tolist())]
+            path.write_text("timestamp_ms,bid,ask\n" + "\n".join(rows))
+        fee, interval = case["fee_bps"], case["interval_ms"]
+        common = [f"--{case['feed']}", path]
+        if case["window"] is not None:
+            common += ["--window", "{}:{}".format(*case["window"])]
+        if case["initial_price"] is not None:
+            common += ["--initial-price", repr(case["initial_price"])]
+        runs = {  # each sweep's grid starts at the case's value, and goes on past it
+            "simulate-arb": ["--fee-bps", fee, "--interval-ms", interval],
+            "compare": ["--fee-bps", fee, "--interval-ms", interval, "--swaps", FIXTURE],
+            "sweep-blocktime": ["--fee-bps", fee, "--intervals-ms", f"{interval},{2 * interval}"],
+            "sweep-fee": ["--interval-ms", interval, "--fees-bps", f"{fee!r},{fee + 10!r}"],
+        }
+        outcomes = {}
+        for command, args in runs.items():
+            out, err = directory / command, io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run_cli(command, *common, *args, "--out", out)
+            total = None
+            if code == 0:
+                results = manifest_results(out)
+                total = (results["total_losses"][0] if "total_losses" in results
+                         else results["total_relative_loss"])
+            outcomes[command] = (code, err.getvalue(), total)
+        return outcomes
+
+    def check(self, case: dict) -> None:
+        with tempfile.TemporaryDirectory() as directory:
+            outcomes = self.outcomes(Path(directory), case)
+        assert len(set(outcomes.values())) == 1, outcomes
+        assert outcomes["simulate-arb"][0] in (0, 2)
+
+    @settings(max_examples=60)
+    @given(replay_cases())
+    # the first arbitrage, from a pool priced at 1e-300, rounds to a loss of 1
+    @example({"feed": "klines", "step": 1000, "n": 60, "seed": 1, "fee_bps": 30.0,
+              "interval_ms": 1000, "window": None, "initial_price": 1e-300})
+    def test_same_total_or_same_error(self, case):
+        self.check(case)
+
+    @pytest.mark.xfail(strict=True, reason="simulate-arb and compare replay a grid finer than "
+                       "the quotes' resolution, which both sweeps reject")
+    def test_grid_finer_than_the_quotes(self):
+        self.check({"feed": "klines", "step": 1000, "n": 60, "seed": 1, "fee_bps": 5.0,
+                    "interval_ms": 100, "window": None, "initial_price": None})
 
 
 class TestBadInputExits2:
@@ -1710,13 +1798,40 @@ class TestExit2NotExit1:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_replay_loss_of_one_at_the_default_factor(self, tmp_path, gbm_klines, capsys):
-        """At --concentration-k 1 nothing is scaled: the message names the arbitrage that
-        took the whole position, not the factor."""
+    @pytest.mark.parametrize("command, args", [
+        ("simulate-arb", ["--fee-bps", 30, "--interval-ms", 12000]),
+        ("compare", ["--fee-bps", 30, "--interval-ms", 12000, "--swaps", FIXTURE]),
+        ("sweep-blocktime", ["--fee-bps", 30, "--intervals-ms", "1000,2000,4000"]),
+        ("sweep-fee", ["--interval-ms", 1000]),
+    ], ids=["simulate-arb", "compare", "sweep-blocktime", "sweep-fee"])
+    def test_replay_loss_of_one_in_every_replaying_subcommand(self, tmp_path, gbm_klines,
+                                                               capsys, command, args):
+        """The replay rejects a loss of 1 for every subcommand, with one message: it names
+        the arbitrage that took the whole position, not the factor, which scales nothing at
+        its default of 1. The sweeps wrote a total loss of 1.0 for every point."""
         out = tmp_path / "out"
-        assert run_cli("simulate-arb", "--klines", gbm_klines, "--fee-bps", 30,
-                       "--interval-ms", 12000, "--initial-price", 1e-300, "--out", out) == 2
+        assert run_cli(command, "--klines", gbm_klines, *args, "--initial-price", 1e-300,
+                       "--out", out) == 2
         assert capsys.readouterr().err == (
             "error: the first arbitrage, at 0 ms, takes the whole position from the initial "
             "pool: a relative loss of 1.0\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--mu", "1e300", "--sigma 0.5, --mu 1e+300"),
+        ("--mu", "-1e300", "--sigma 0.5, --mu -1e+300"),
+        ("--sigma", "1e10", "--sigma 10000000000.0, --mu 0.0"),
+    ], ids=["mu-overflow", "mu-underflow", "sigma-overflow"])
+    def test_synth_gbm_path_past_the_float_range(self, tmp_path, capsys, flag, value, named):
+        """numpy's overflow is no warning, and no error without the flags: one line names
+        them, also where warnings are errors, as CI's console-script step makes them."""
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("synth-gbm", "--sigma", 0.5, "--step-ms", 1000,
+                           "--horizon-ms", 600_000, "--seed", 1, f"{flag}={value}",
+                           "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: {named}, --price0 1.0 and --horizon-ms 600000 give a price path past the "
+            "float range; it must be finite and positive\n")
         assert not out.exists()

@@ -562,8 +562,10 @@ class TestRunArbSim:
         run = loss_series([0, 1000, 2000], [0.001, 0.02, 0.0005])
         assert run.scaled(49.0).multiplier > 0
         for factor in (50.0, 60.0):  # 50 * 0.02 == 1 exactly
-            with pytest.raises(InputError, match="leaves its range"):
+            with pytest.raises(InputError, match="leaves its range") as err:
                 run.scaled(factor)
+            assert str(err.value) == (f"concentration factor {factor} scales a loss of 0.02 "
+                                      "to >= 1; the position leaves its range")
 
     def test_scaled_holds_the_copy_and_no_mask(self):
         # 8 B a loss for the scaled copy; a 1 B range mask beside it takes the peak past 8.5
@@ -578,6 +580,52 @@ class TestRunArbSim:
         assert peak < 8.5 * n
         assert scaled.losses.max() == 2e-4
         assert len(loss_series([], []).scaled(2.0).losses) == 0
+
+
+class TestLossOfTheWholePosition:
+    """A replay loss of 1 is rounding: a finite pool loses less than its whole value. Every
+    replay rejects it at its event, with one message, whatever reads the losses after."""
+
+    FIRST = ("the first arbitrage, at 0 ms, takes the whole position from the initial pool: "
+             "a relative loss of 1.0")
+
+    @staticmethod
+    def messages(state: PoolState, quotes: QuoteSeries, interval_ms: int) -> list[str]:
+        """The InputError of run_arb_sim, blocktime_sweep and fee_sweep on one replay."""
+        calls = [
+            lambda: run_arb_sim(state, quotes, fixed_schedule(quotes, interval_ms)),
+            lambda: blocktime_sweep(state, quotes, [interval_ms]),
+            lambda: fee_sweep(state.reserve_x, state.reserve_y, quotes, interval_ms,
+                              [state.fee]),
+        ]
+        messages = []
+        for call in calls:
+            with pytest.raises(InputError) as err:
+                call()
+            messages.append(str(err.value))
+        return messages
+
+    @pytest.mark.parametrize("price", [1e-300, 1e300])
+    @pytest.mark.parametrize("fee", [0.0, 0.003])
+    def test_first_arbitrage_from_a_degenerate_pool(self, price, fee):
+        state = PoolState(1.0, price, fee)
+        assert self.messages(state, constant_quotes(2000.0), 1000) == [self.FIRST] * 3
+
+    def test_later_arbitrage_is_counted_across_replay_blocks(self):
+        """A zero-fee pool trades at every instant of a zigzag, and the price leaps by 1e300
+        in the second replay block: the sweeps empty their buffers at each block's end,
+        and still count the event as run_arb_sim does."""
+        n, leap = simulation._CHUNK + 2000, simulation._CHUNK + 1000
+        stamps = np.arange(n, dtype=np.int64) * 1000
+        prices = np.where(np.arange(n) % 2, 2010.0, 2000.0)
+        prices[leap:] *= 1e300
+        quotes = QuoteSeries(stamps, prices, prices)
+        state = PoolState(1.0, 2000.0, 0.0)
+        before = run_arb_sim(state, quotes, BlockSchedule.fixed(1000, 0, (leap - 1) * 1000))
+        assert len(before.losses) == leap - 1  # every instant but the first traded
+        expected = (f"arbitrage {leap}, at {leap * 1000} ms, takes the whole position: "
+                    "a relative loss of 1.0")
+        assert self.messages(state, quotes, 1000) == [expected] * 3
 
 
 REPLAY_HORIZON_MS = 6 * 3600 * 1000
