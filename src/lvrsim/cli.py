@@ -44,7 +44,7 @@ from .simulation import (
     DEFAULT_INTERVALS_MS,
     EXTENDED_INTERVALS_MS,
     BlockSchedule,
-    _grid_window,
+    _grids,
     blocktime_sweep,
     fee_sweep,
     fees_vs_losses,
@@ -295,9 +295,7 @@ def _make_schedule(cfg: dict, quotes: QuoteSeries, feed: dict) -> tuple[BlockSch
         if not len(blocks):
             raise InputError(f"--blocks {cfg['blocks']} holds no data rows")
     if _one_of(cfg, "blocks", "interval_ms", "a schedule") == "interval_ms":
-        interval = cfg["interval_ms"]
-        return BlockSchedule.fixed(interval, *_grid_window(quotes, [interval], window,
-                                                           "--interval-ms")), {}
+        return _grids(quotes, [cfg["interval_ms"]], window, "--interval-ms")[0], {}
     if window is not None:  # a view: the loader checked that the blocks increase
         blocks = blocks[np.searchsorted(blocks, window[0]):
                         np.searchsorted(blocks, window[1], "right")]
@@ -466,7 +464,7 @@ def cmd_sweep(command: str, cfg: dict) -> Output:
         intervals = cfg["intervals_ms"] or list(EXTENDED_INTERVALS_MS if cfg["extended"]
                                                 else DEFAULT_INTERVALS_MS)
         grid = {"fee": fee, "intervals_ms": intervals}
-    start, _ = _grid_window(quotes, intervals, window, flag)  # checked before pricing
+    start = _grids(quotes, intervals, window, flag)[0].first_ms  # checked before pricing
     pool = _initial_state(cfg, quotes, start, fee)
     if command == "sweep-fee":
         sweep = fee_sweep(pool.reserve_x, pool.reserve_y, quotes, intervals[0],

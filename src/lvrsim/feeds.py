@@ -48,10 +48,8 @@ class PriceSeries:
         object.__setattr__(self, "prices", np.asarray(self.prices, dtype=float))
         if self.timestamps.shape != self.prices.shape:
             raise InputError("timestamps and prices must have equal length")
-        if np.any(self.timestamps[1:] <= self.timestamps[:-1]):  # np.diff can wrap
-            raise InputError("price series timestamps must be strictly increasing")
-        if np.any(self.prices <= 0) or not np.all(np.isfinite(self.prices)):
-            raise InputError("prices must be finite and positive")
+        _check(lambda ts, prices: [_positive(prices, "price"), _stamp_order(ts)],
+               self.timestamps, self.prices)
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -59,7 +57,7 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class QuoteSeries:
-    """Best bid/ask series, strictly increasing in time."""
+    """Best bid/ask series, strictly increasing in time (a quotes file may repeat a stamp)."""
 
     timestamps: np.ndarray  # int64 ms
     bids: np.ndarray
@@ -71,10 +69,9 @@ class QuoteSeries:
         object.__setattr__(self, "asks", np.asarray(self.asks, dtype=float))
         if not (self.timestamps.shape == self.bids.shape == self.asks.shape):
             raise InputError("timestamps, bids and asks must have equal length")
-        if np.any(self.timestamps[1:] <= self.timestamps[:-1]):  # np.diff can wrap
-            raise InputError("quote series timestamps must be strictly increasing")
-        if not np.all((0 < self.bids) & (self.bids <= self.asks) & (self.asks < np.inf)):
-            raise InputError("quotes must be finite and satisfy 0 < bid <= ask")
+        _check(lambda ts, bids, asks: [_quote_band(bids, asks), _stamp_order(ts, strict=False),
+                                       _stamp_order(ts)],
+               self.timestamps, self.bids, self.asks)
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -246,7 +243,7 @@ def _first_fault(rules, columns) -> tuple | None:
     on a tie.
 
     The rules run on _CHUNK rows at a time, each chunk after the first with the row before
-    it, whose masks are not read: so _vs_previous compares every row with the one before,
+    it, whose masks are not read: so _stamp_order compares every row with the one before,
     and no mask is longer than a chunk and a row. The row and the message are those of one
     scan of the whole columns.
     """
@@ -262,15 +259,34 @@ def _first_fault(rules, columns) -> tuple | None:
     return None
 
 
+def _check(rules, *columns) -> None:
+    """A series type's check: _first_fault's message raised as an InputError, with no line."""
+    if fault := _first_fault(rules, columns):
+        raise InputError(fault[1])
+
+
+# The rules that loaders and series types share: each gives (row mask, message for row i)
 def _not_positive(values: np.ndarray) -> np.ndarray:
     return ~((values > 0) & (values < np.inf))  # NaN fails both comparisons
 
 
-def _vs_previous(values: np.ndarray, fault) -> np.ndarray:
-    """Row mask of fault(previous value, value); the first row has no previous."""
+def _positive(values: np.ndarray, name: str) -> tuple:
+    """Each value finite and above 0."""
+    return _not_positive(values), lambda i: f"{name} must be positive, got {values[i]}"
+
+
+def _stamp_order(values: np.ndarray, name: str = "timestamps", strict: bool = True) -> tuple:
+    """Each value above the one before (strict), else not below it; the first has no previous."""
     mask = np.zeros(len(values), dtype=bool)
-    mask[1:] = fault(values[:-1], values[1:])
-    return mask
+    (np.greater_equal if strict else np.greater)(values[:-1], values[1:], out=mask[1:])
+    fault = "not strictly increasing" if strict else "decreasing"
+    return mask, lambda i: f"{name} {fault}: {values[i]} after {values[i - 1]}"
+
+
+def _quote_band(bids: np.ndarray, asks: np.ndarray) -> tuple:
+    """0 < bid <= ask < inf."""
+    return (~((0 < bids) & (bids <= asks) & (asks < np.inf)),
+            lambda i: f"invalid quote bid={bids[i]} ask={asks[i]}")
 
 
 def load_klines(path: str) -> PriceSeries:
@@ -282,11 +298,8 @@ def load_klines(path: str) -> PriceSeries:
     ts, opens = _load_columns(
         path, 6, False, [("timestamp_ms", _parse_int, np.int64),
                          ("open", _parse_float, np.float64)],
-        lambda ts, opens: [
-            (_not_positive(opens), lambda i: f"open price must be positive, got {opens[i]}"),
-            (_vs_previous(ts, np.greater_equal),
-             lambda i: f"timestamps not strictly increasing: {ts[i]} after {ts[i - 1]}")])
-    return _unchecked(PriceSeries, ts, opens)  # the rules are PriceSeries' checks
+        lambda ts, opens: [_positive(opens, "open price"), _stamp_order(ts)])
+    return _unchecked(PriceSeries, ts, opens)  # PriceSeries' rules: only a column name differs
 
 
 def load_quote_updates(path: str) -> QuoteSeries:
@@ -299,18 +312,14 @@ def load_quote_updates(path: str) -> QuoteSeries:
     ts, bids, asks = _load_columns(
         path, 3, True, [("timestamp_ms", _parse_int, np.int64), ("bid", _parse_float, np.float64),
                         ("ask", _parse_float, np.float64)],
-        lambda ts, bids, asks: [
-            (~((0 < bids) & (bids <= asks) & (asks < np.inf)),
-             lambda i: f"invalid quote bid={bids[i]} ask={asks[i]}"),
-            (_vs_previous(ts, np.greater),
-             lambda i: f"timestamps decreasing: {ts[i]} after {ts[i - 1]}")])
+        lambda ts, bids, asks: [_quote_band(bids, asks), _stamp_order(ts, strict=False)])
     kept = _keep_last_of_each_stamp(ts, bids, asks)
     if kept < len(ts):
         import logging  # here, not at the top: a run that never warns need not load it
 
         logging.getLogger(__name__).warning("%s: dropped %d earlier duplicate-timestamp updates",
                                             path, len(ts) - kept)
-    # the rules and the dropped repeats are QuoteSeries' checks
+    # QuoteSeries' rules: the repeats its strict order rejects are dropped
     return _unchecked(QuoteSeries, ts[:kept], bids[:kept], asks[:kept])
 
 
@@ -344,10 +353,7 @@ def load_block_timestamps(path: str) -> np.ndarray:
         lambda numbers, ts: [
             ((ts <= -_BLOCK_S_LIMIT) | (ts >= _BLOCK_S_LIMIT),
              lambda i: f"bad timestamp_s: {ts[i]} does not fit in 64 bits in milliseconds"),
-            (_vs_previous(numbers, np.greater_equal),
-             lambda i: f"block numbers not increasing at {numbers[i]}"),
-            (_vs_previous(ts, np.greater_equal),
-             lambda i: f"block timestamps not increasing at {ts[i]}")])
+            _stamp_order(numbers, "block numbers"), _stamp_order(ts, "block timestamps")])
     return seconds * 1000
 
 

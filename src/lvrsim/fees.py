@@ -29,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, ParseError
-from .feeds import (_CHUNK, _first_fault, _iter_rows, _load_columns, _not_positive,
-                    _parse_float, _parse_int, _unchecked, _vs_previous)
+from .feeds import (_CHUNK, _check, _iter_rows, _load_columns, _not_positive, _parse_float,
+                    _parse_int, _stamp_order, _unchecked)
 from .pool import _fold_series, concentration_scale
 
 TOKEN_X = "X"
@@ -83,9 +83,7 @@ class SwapTable:
             raise InputError("swap columns must have equal length")
         for f, column in zip(fields(self), columns):
             object.__setattr__(self, f.name, column)
-        fault = _first_fault(_swap_rules, columns)
-        if fault:
-            raise InputError(fault[1])
+        _check(_swap_rules, *columns)
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -279,18 +277,14 @@ def _swap_rules(*columns):
 
     invalid = (~((token == TOKEN_X) | (token == TOKEN_Y)) | ~((fee_rate > 0) & (fee_rate < 1))
                | _not_positive(amount) | _not_positive(price) | _not_positive(liquidity))
-    return [(invalid, record_error),
-            (_vs_previous(ts, np.greater),
-             lambda i: f"timestamps decreasing: {ts[i]} after {ts[i - 1]}"),
-            (_vs_previous(blocks, np.greater),
-             lambda i: f"block numbers decreasing: {blocks[i]} after {blocks[i - 1]}")]
+    return [(invalid, record_error), _stamp_order(ts, strict=False),
+            _stamp_order(blocks, "block numbers", strict=False)]
 
 
 def load_swap_records(path: str) -> SwapTable:
     """Load the swaps of a CSV in the canonical schema as columns."""
-    # _load_columns has applied _swap_rules, naming the faulty row's line, and
-    # returns equal-length columns of the SwapTable dtypes: __post_init__ would
-    # only repeat that check
+    # _load_columns has applied _swap_rules, naming the faulty row's line, to equal-length
+    # columns of the SwapTable dtypes: __post_init__ would only repeat that check
     return _unchecked(SwapTable, *_load_columns(path, 7, True, _SWAP_COLUMNS, _swap_rules))
 
 

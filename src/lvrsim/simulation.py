@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FitError, InputError
-from .feeds import _CHUNK, PriceSeries, QuoteSeries, _check_coverage, _locf_index, _unchecked
+from .feeds import (_CHUNK, PriceSeries, QuoteSeries, _check, _check_coverage, _locf_index,
+                    _stamp_order, _unchecked)
 from .fees import PositionLedger
 from .pool import PoolState, _fold_series, concentration_scale
 
@@ -35,6 +36,16 @@ _SCALAR_SCAN = 16
 # most steps gbm_generate makes, and most instants a fixed grid may hold (a year of
 # 100 ms steps is 3.2e8); 10**9 steps take 24 GB, and a grid's losses.csv tens of GB
 MAX_STEPS = 10**9
+
+
+def _whole_ms(**values) -> list[int]:
+    """The millisecond rule: each value an int, a numpy integer or an integral float, as an
+    int; else the InputError naming its parameter."""
+    for name, value in values.items():
+        if not (isinstance(value, (int, np.integer)) or isinstance(value, (float, np.floating))
+                and float(value).is_integer()):
+            raise InputError(f"{name} must be a whole number of milliseconds, got {value}")
+    return [int(value) for value in values.values()]
 
 
 @dataclass(frozen=True)
@@ -56,20 +67,19 @@ class BlockSchedule:
         ts = np.asarray(self.blocks, dtype=np.int64)
         if len(ts) == 0:
             raise InputError("schedule must contain at least one instant")
-        if np.any(ts[1:] <= ts[:-1]):  # np.diff can wrap
-            raise InputError("schedule instants must be strictly increasing")
+        _check(lambda ts: [_stamp_order(ts, "block timestamps")], ts)
         for name, value in (("blocks", ts), ("first_ms", int(ts[0])), ("n_instants", len(ts))):
             object.__setattr__(self, name, value)
 
     @classmethod
     def fixed(cls, interval_ms: int, start_ms: int, end_ms: int) -> "BlockSchedule":
-        if interval_ms <= 0:
-            raise InputError(f"interval must be positive, got {interval_ms}")
-        if end_ms < start_ms:
-            raise InputError(f"window end {end_ms} before start {start_ms}")
-        start, interval = int(start_ms), int(interval_ms)
+        interval, start, end = _whole_ms(interval_ms=interval_ms, start_ms=start_ms, end_ms=end_ms)
+        if interval <= 0:
+            raise InputError(f"interval must be positive, got {interval}")
+        if end < start:
+            raise InputError(f"window end {end} before start {start}")
         # no blocks to check: blocks, interval_ms, first_ms, n_instants
-        return _unchecked(cls, None, interval, start, (int(end_ms) - start) // interval + 1)
+        return _unchecked(cls, None, interval, start, (end - start) // interval + 1)
 
     @classmethod
     def from_blocks(cls, block_timestamps_ms) -> "BlockSchedule":
@@ -156,8 +166,6 @@ class SweepResult:
     n_events: np.ndarray
 
     def __post_init__(self):
-        if np.any(np.diff(self.values) <= 0):
-            raise InputError("sweep parameter values must be strictly increasing")
         if np.any(self.total_losses < 0):
             raise InputError("sweep losses must be non-negative")
 
@@ -174,28 +182,28 @@ class ComparisonReport:
     totals: dict
 
 
-def _grid_window(quotes: QuoteSeries, intervals_ms: Sequence[int],
-                 window: Optional[tuple[int, int]], name: str = "interval") -> tuple[int, int]:
-    """The window (default: the quotes' span) once each interval's fixed grid over it lies
-    inside the quotes and holds at most MAX_STEPS instants; the grids' instants are counted,
-    not built. A grid past the limit raises the InputError naming the interval as name."""
+def _grids(quotes: QuoteSeries, intervals_ms: Sequence[int],
+           window: Optional[tuple[int, int]], name: str = "interval") -> list[BlockSchedule]:
+    """The fixed grid of each interval over the window (default: the quotes' span), once each
+    lies inside the quotes and holds at most MAX_STEPS instants; the grids' instants are
+    counted, not built. A grid past the limit raises the InputError naming the interval as
+    name."""
     _check_coverage(quotes, ())  # without updates there is no span, nor a grid inside it
-    start, end = map(int, quotes.timestamps[[0, -1]] if window is None else window)
-    for interval in intervals_ms:
-        if interval > 0 and start <= end:  # else BlockSchedule.fixed names the fault
-            steps = (end - start) // interval
-            _check_coverage(quotes, (start, start + steps * interval))
-            if steps + 1 > MAX_STEPS:
-                raise InputError(f"{name} {interval} over the window {start}:{end} is "
-                                 f"{steps + 1} instants; at most {MAX_STEPS} are replayed")
-    return start, end
+    start, end = quotes.timestamps[[0, -1]].tolist() if window is None else window
+    grids = [BlockSchedule.fixed(interval, start, end) for interval in intervals_ms]
+    for interval, grid in zip(intervals_ms, grids):
+        _check_coverage(quotes, (grid.first_ms, grid.last_ms))
+        if grid.n_instants > MAX_STEPS:
+            raise InputError(f"{name} {interval} over the window {start}:{end} is "
+                             f"{grid.n_instants} instants; at most {MAX_STEPS} are replayed")
+    return grids
 
 
 def fixed_schedule(quotes: QuoteSeries, interval_ms: int,
                    window: Optional[tuple[int, int]] = None) -> BlockSchedule:
     """The fixed grid over the window (default: the quotes' span), once it lies inside the
     quotes."""
-    return BlockSchedule.fixed(interval_ms, *_grid_window(quotes, [interval_ms], window))
+    return _grids(quotes, [interval_ms], window)[0]
 
 
 def _visits(quotes: QuoteSeries, schedule: BlockSchedule):
@@ -395,28 +403,28 @@ def _annualized(total_loss: float, window_ms: int) -> float:
     return 1.0 - math.exp(math.log(multiplier) * (YEAR_MS / window_ms))
 
 
-def _sweep(
-    parameter: str,
-    values: Sequence[float],
-    points: Sequence[tuple[PoolState, int]],
-    quotes: QuoteSeries,
-    window: Optional[tuple[int, int]],
-) -> SweepResult:
-    """One arb simulation per (pool state, block interval) point on identical quotes.
+def _sweep(parameter: str, values: Sequence[float], points: Sequence[tuple[PoolState, int]],
+           quotes: QuoteSeries, window: Optional[tuple[int, int]]) -> SweepResult:
+    """One arb simulation per (pool state, interval) point on identical quotes, once the
+    values pass the grid rule (some, strictly increasing) and every grid its checks.
 
     Each point's losses are folded a block of _replay at a time, as the block ends, its
     events counted and the buffers emptied: a sweep holds the quotes and one block of events.
     """
-    intervals = [interval for _, interval in points]
-    window = _grid_window(quotes, intervals, window)  # every grid, before the first replay
-    resolution = quotes.resolution_ms
-    if resolution and min(intervals) < resolution:
-        raise InputError(f"interval {min(intervals)}ms is below the quote-update resolution "
+    what = parameter.removesuffix("_ms")
+    if len(values) == 0:
+        raise InputError(f"at least one {what} is required")
+    if not all(a < b for a, b in zip(values, values[1:])):
+        raise InputError(f"{what}s must be strictly increasing")
+    states, intervals = zip(*points)
+    grids = _grids(quotes, intervals, window)
+    resolution, finest = quotes.resolution_ms, min(grid.interval_ms for grid in grids)
+    if resolution and finest < resolution:
+        raise InputError(f"interval {finest}ms is below the quote-update resolution "
                          f"of {resolution}ms")
     totals, annuals, counts = [], [], []
     events, losses, profits = array("q"), array("d"), array("d")  # one block's events
-    for state, interval in points:
-        schedule = BlockSchedule.fixed(interval, *window)
+    for state, schedule in zip(states, grids):
         multiplier, count = 1.0, 0
         for _ in _replay(state, quotes, schedule, events, losses, profits):
             multiplier = _fold_series(np.subtract, np.frombuffer(losses, dtype=float),
@@ -442,10 +450,6 @@ def blocktime_sweep(
     window: Optional[tuple[int, int]] = None,
 ) -> SweepResult:
     """Run the arb simulation at several block intervals on identical quotes."""
-    if len(intervals_ms) == 0:
-        raise InputError("at least one interval is required")
-    if list(intervals_ms) != sorted(set(int(v) for v in intervals_ms)):
-        raise InputError("intervals must be strictly increasing")
     points = [(initial, interval) for interval in intervals_ms]
     return _sweep("interval_ms", intervals_ms, points, quotes, window)
 
@@ -459,10 +463,6 @@ def fee_sweep(
     window: Optional[tuple[int, int]] = None,
 ) -> SweepResult:
     """Run the arb simulation at several pool fees and one block interval."""
-    if len(fees) == 0:
-        raise InputError("at least one fee is required")
-    if list(fees) != sorted(set(fees)):
-        raise InputError("fees must be strictly increasing")
     points = [(PoolState(reserve_x, reserve_y, fee), interval_ms) for fee in fees]
     return _sweep("fee", fees, points, quotes, window)
 
@@ -484,11 +484,13 @@ def gbm_generate(
     """
     if sigma < 0 or not math.isfinite(sigma):
         raise InputError(f"sigma must be >= 0, got {sigma}")
+    step_ms, horizon_ms, start_ms = _whole_ms(step_ms=step_ms, horizon_ms=horizon_ms,
+                                              start_ms=start_ms)
     if step_ms <= 0:
         raise InputError(f"step must be positive, got {step_ms}")
     if horizon_ms <= 0 or horizon_ms % step_ms != 0:
         raise InputError(
-            f"horizon ({horizon_ms}ms) must be a positive multiple of the step ({step_ms}ms)"
+            f"horizon_ms {horizon_ms} must be a positive multiple of step_ms {step_ms}"
         )
     if not math.isfinite(mu):
         raise InputError(f"mu must be finite, got {mu}")
@@ -496,7 +498,6 @@ def gbm_generate(
         raise InputError(f"price0 must be finite and positive, got {price0}")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise InputError(f"seed must be a non-negative integer, got {seed}")
-    start_ms = int(start_ms)
     for name, value in (("start_ms", start_ms), ("start_ms + horizon_ms", start_ms + horizon_ms)):
         if not -(2**63) <= value < 2**63:
             raise InputError(f"{name} must fit in int64 milliseconds, got {value}")
@@ -517,7 +518,7 @@ def gbm_generate(
         raise InputError(f"--sigma {sigma}, --mu {mu}, --price0 {price0} and --horizon-ms "
                          f"{horizon_ms} give a price path past the float range; it must be "
                          "finite and positive")
-    timestamps = start_ms + np.arange(n + 1, dtype=np.int64) * int(step_ms)
+    timestamps = start_ms + np.arange(n + 1, dtype=np.int64) * step_ms
     return _unchecked(PriceSeries, timestamps, prices)  # the stamps increase by a positive step
 
 

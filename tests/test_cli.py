@@ -1835,3 +1835,237 @@ class TestExit2NotExit1:
             f"error: {named}, --price0 1.0 and --horizon-ms 600000 give a price path past the "
             "float range; it must be finite and positive\n")
         assert not out.exists()
+
+
+# --- the exit contract, as a property over OPTIONS ---------------------------------
+
+# what every option is tried with, beside its own edges in EXIT_CONTRACT_VALUES
+EDGE_VALUES = [0, 1, -1, 5e-324, 1e300, math.inf, -math.inf, math.nan, -(2**63), 2**63 - 1]
+FLOAT_MAX = sys.float_info.max
+
+# each option's values inside its check, at its bounds and just past them; path options
+# name the files of exit_contract_files, and --out names a new directory, a path below a
+# regular file or nothing
+EXIT_CONTRACT_VALUES = {
+    "--config": ["missing", "directory", "not-json", "json-list", "unknown-key", "pair-key"],
+    "--pair": ["ETH-USDC", ""],
+    "--out": ["new", "below-a-file", ""],
+    "--seed": [7, 0, -1],
+    "--quotes": ["quotes", "", "missing", "directory"],
+    "--klines": ["klines", "", "missing", "directory"],
+    "--blocks": ["blocks", "", "missing", "directory"],
+    "--swaps": ["swaps", "", "missing", "directory"],
+    "--window": [(0, 60_000), (0, 1), (1, 1), (1, 0), (-(2**63), 2**63 - 1), (0, 2**63)],
+    "--initial-price": [2000.0, 5e-324, FLOAT_MAX, -0.0],
+    "--initial-reserve-x": [3.0, 5e-324, FLOAT_MAX, -0.0],
+    "--fee-bps": [30.0, 0.0, -5e-324, 9999.999999999998, 10_000.0],
+    "--interval-ms": [12_000, 1, 0],
+    "--concentration-k": [2.0, 1.0, 0.9999999999999999, FLOAT_MAX],
+    "--position-liquidity": [500.0, 5e-324, FLOAT_MAX, 0.0],
+    "--per-block": [True, False],
+    "--ratio-window-days": [7.0, 1 / 86_400_000, 0.99 / 86_400_000, FLOAT_MAX],
+    "--intervals-ms": [[1000, 2000], [1], [0, 1000], [2000, 1000], [1000, 1000]],
+    "--extended": [True, False],
+    "--fees-bps": [[10.0, 30.0], [0.0], [-5e-324], [9999.999999999998], [10_000.0],
+                   [30.0, 10.0]],
+    "--fit-range": [(1.0, 100.0), (1.0, 1.0), (100.0, 1.0), (-FLOAT_MAX, FLOAT_MAX)],
+    "--sigma": [0.5, 0.0, -5e-324],
+    "--mu": [0.1, 0.0],
+    "--step-ms": [1000, 1, 0],
+    "--horizon-ms": [60_000, 1000, 1500, 0],
+    "--price0": [2000.0, 5e-324, -5e-324],
+    "--start-ms": [5, -(2**63), 2**63 - 1],
+    "--format": ["klines", "quotes", "other"],
+}
+
+# a valid run of each command; the drawn option is put in, in place of its either-or partner
+EXIT_CONTRACT_BASE = {
+    "simulate-arb": {"--klines": "klines", "--fee-bps": 30, "--interval-ms": 12_000},
+    "fees": {"--swaps": "swaps", "--position-liquidity": 500},
+    "compare": {"--klines": "klines", "--swaps": "swaps", "--fee-bps": 30,
+                "--interval-ms": 12_000, "--position-liquidity": 500},
+    "sweep-blocktime": {"--klines": "klines", "--fee-bps": 30, "--intervals-ms": [1000, 2000]},
+    "sweep-fee": {"--klines": "klines", "--interval-ms": 2000},
+    "synth-gbm": {"--sigma": 0.5, "--step-ms": 1000, "--horizon-ms": 60_000},
+}
+EITHER_OR = {"--quotes": "--klines", "--klines": "--quotes", "--blocks": "--interval-ms",
+             "--interval-ms": "--blocks", "--extended": "--intervals-ms",
+             "--intervals-ms": "--extended"}
+
+
+def option_kind(flag: str) -> str:
+    """How OPTIONS reads the option: a switch, a pair, a grid, text or a number."""
+    spec = OPTIONS[flag]
+    if spec.get("argparse", {}).get("action") == "store_const":
+        return "switch"
+    if spec["type"] is cli._text:
+        return "text"
+    return {cli._pair: "pair", cli._grid: "grid"}.get(getattr(spec["type"], "func", None),
+                                                      "number")
+
+
+def exit_contract_values(flag: str) -> list:
+    """The option's own values, then EDGE_VALUES in its form: alone, in a pair or a grid."""
+    kind = option_kind(flag)
+    edges = {"pair": [(0, e) for e in EDGE_VALUES] + [(e, 60_000) for e in EDGE_VALUES],
+             "grid": [[e] for e in EDGE_VALUES] + [[1000, e] for e in EDGE_VALUES]}
+    return EXIT_CONTRACT_VALUES[flag] + ([] if flag == "--out" else edges.get(kind, EDGE_VALUES))
+
+
+@st.composite
+def exit_contract_cases(draw):
+    """(command, flag, value, as_config): one option of a command, at one of its values,
+    given as a flag or as a config key (--config itself only as a flag)."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flag = draw(st.sampled_from(COMMANDS[command][2]))
+    value = draw(st.sampled_from(exit_contract_values(flag)))
+    return command, flag, value, flag != "--config" and draw(st.booleans())
+
+
+def flag_text(value) -> str:
+    if isinstance(value, tuple):
+        return ":".join(map(flag_text, value))
+    if isinstance(value, list):
+        return ",".join(map(flag_text, value))
+    return value if isinstance(value, str) else repr(value)
+
+
+@pytest.fixture(scope="module")
+def exit_contract_files(tmp_path_factory):
+    """The inputs the cases name: 2 min of 1 s klines and quotes, 12 s blocks, the swaps
+    fixture, config files, a directory; "missing" names no file."""
+    root = tmp_path_factory.mktemp("exit-contract")
+    mids = 2000.0 * np.exp(np.cumsum(np.random.default_rng(3).normal(0.0, 0.002, 120)))
+    files = {"swaps": str(FIXTURE), "missing": str(root / "missing.csv"),
+             "directory": str(root)}
+    contents = {
+        "klines": "".join(f"{1000 * i},{m!r},{m!r},{m!r},{m!r},0\n"
+                          for i, m in enumerate(mids.tolist())),
+        "quotes": "".join(f"{1000 * i},{m * 0.9998!r},{m * 1.0002!r}\n"
+                          for i, m in enumerate(mids.tolist())),
+        "blocks": "".join(f"{i},{12 * i}\n" for i in range(1, 10)),
+        "not-json": "{", "json-list": "[1]", "unknown-key": '{"nope": 1}',
+        "pair-key": '{"pair": "ETH-USDC"}',
+    }
+    for name, text in contents.items():
+        (root / name).write_text(text)
+        files[name] = str(root / name)
+    return files
+
+
+class TestExitContract:
+    """Every option, at its edges, as a flag or a config key: the run exits 0 with strict
+    JSON, no inf or nan cell and nothing on stderr, or exits 2 with one error line naming
+    something the user gave, and no --out. Warnings are errors, and MAX_STEPS is cut to
+    10**4, so that no grid or synth-gbm path holds more than a few MB."""
+
+    # the words a message names an option by, besides its flag, its key and the key's words
+    ALIASES = {"--concentration-k": "concentration factor"}
+    # messages that name no option, each pinned by a strict xfail below: the replay's event
+    # faults name the event, not the option that priced the pool far off the feed, and the
+    # sweeps' resolution rule names the interval, not the flag or the default grid it is from
+    UNNAMED = re.compile(r"^error: (reserve product must be finite and positive, got |the "
+                         r"first arbitrage, at \d+ ms, takes the whole position|interval \d+ms "
+                         r"is below the quote-update resolution of \d+ms$)")
+
+    @staticmethod
+    def run(files: dict, command: str, flag: str, value, as_config: bool) -> tuple:
+        """(exit code, stderr, the --out text, the names given, argv, the tables written on
+        exit 0) of one case, run in-process."""
+        with tempfile.TemporaryDirectory() as work:
+            work = Path(work)
+            outs = {"new": work / "new", "below-a-file": Path(files["klines"]) / "out", "": ""}
+            options = {key: files.get(v, v) if isinstance(v, str) else v
+                       for key, v in EXIT_CONTRACT_BASE[command].items()}
+            options.pop(EITHER_OR.get(flag), None)
+            options["--out"] = str(work / "out")
+            if isinstance(value, str) and option_kind(flag) == "text":
+                value = str(outs[value]) if flag == "--out" else files.get(value, value)
+            config = {}
+            if as_config:
+                options.pop(flag, None)
+                key = flag[2:].replace("-", "_")
+                config[key] = flag_text(value) if isinstance(value, tuple) else value
+            else:
+                options[flag] = value
+            argv = [command]
+            for name, given in options.items():
+                if option_kind(name) != "switch":
+                    argv.append(f"{name}={flag_text(given)}")
+                elif given is True:
+                    argv.append(name)
+            if config:
+                (work / "cfg.json").write_text(json.dumps(config))
+                argv.append(f"--config={work / 'cfg.json'}")
+            # an option given as a flag or a key is named by either, or in words
+            given = {**{name: v for name, v in options.items() if v is not False},
+                     **{"--" + key.replace("_", "-"): v for key, v in config.items()}}
+            names = [str(work / "cfg.json")] * bool(config) + [
+                name for flag in given for name in (
+                    flag, flag[2:].replace("-", "_"), flag[2:].replace("-", " "),
+                    TestExitContract.ALIASES.get(flag, flag))]
+            names += [flag_text(v) for flag, v in given.items()  # the files given
+                      if option_kind(flag) == "text" and flag_text(v)]
+            err, cwd = io.StringIO(), os.getcwd()
+            os.chdir(work)  # a relative path among the values stays in the case's directory
+            try:
+                with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                        mock.patch.object(simulation, "MAX_STEPS", 10**4):
+                    warnings.simplefilter("error")
+                    code = main(argv)
+            finally:
+                os.chdir(cwd)
+            out = str(options["--out"] if "--out" in options else config["out"])
+            written = ({path.name: path.read_text() for path in Path(out).iterdir()}
+                       if code == 0 else None)
+            return code, err.getvalue(), out, names, argv, written
+
+    def check(self, files: dict, case: tuple) -> None:
+        code, err, out, names, argv, written = self.run(files, *case)
+        assert code in (0, 2), (argv, err)
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), \
+                (argv, err)
+            named = [name for name in names
+                     if re.search(rf"(?<![\w-]){re.escape(name)}(?![\w])", err)]
+            assert named or self.UNNAMED.match(err), (argv, err)
+            assert not (out and Path(out).exists()), argv
+            return
+        assert err == "", (argv, err)
+        manifest = json.loads(written.pop("manifest.json"),
+                              parse_constant=lambda constant: pytest.fail(
+                                  f"{argv}: manifest.json holds {constant}"))
+        assert manifest["command"] == case[0]
+        for name, text in written.items():
+            cells = set(text.replace("\n", ",").split(","))
+            assert not cells & {"inf", "-inf", "nan"}, (argv, name)
+
+    def test_every_option_is_declared(self):
+        assert set(EXIT_CONTRACT_VALUES) == set(OPTIONS)
+
+    @settings(max_examples=500)
+    @given(exit_contract_cases())
+    def test_exit_0_or_2(self, exit_contract_files, case):
+        self.check(exit_contract_files, case)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="the replay's event faults "
+                       "name the event, not the option that priced the pool")
+    @pytest.mark.parametrize("flag, value", [("--initial-price", 5e-324),
+                                             ("--initial-price", 1e300),
+                                             ("--initial-price", FLOAT_MAX)])
+    def test_replay_fault_names_the_pool_option(self, exit_contract_files, flag, value):
+        code, err, _, _, argv, _ = self.run(exit_contract_files, "simulate-arb", flag, value,
+                                            False)
+        if not (code == 2 and self.UNNAMED.match(err)):  # not the pinned finding: a failure
+            pytest.fail(f"{argv}: {code} {err}")
+        assert flag in err
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="the sweeps' resolution rule "
+                       "names the interval, not the flag or the default grid it is from")
+    @pytest.mark.parametrize("flag, value", [("--extended", True), ("--extended", False)])
+    def test_grid_below_the_resolution_names_its_flag(self, exit_contract_files, flag, value):
+        code, err, _, _, argv, _ = self.run(exit_contract_files, "sweep-blocktime", flag, value,
+                                            False)
+        if not (code == 2 and self.UNNAMED.match(err)):  # not the pinned finding: a failure
+            pytest.fail(f"{argv}: {code} {err}")
+        assert "--intervals-ms" in err or "--extended" in err

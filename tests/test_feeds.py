@@ -125,6 +125,57 @@ class TestLoadBlocks:
             load_block_timestamps(path)
 
 
+class TestOneMessage:
+    """A loader and its series type state each rule once, in feeds: loading a file gives
+    `file:line: M`, and building the type from the file's columns gives M, but for the column
+    name a rule is given."""
+
+    @pytest.mark.parametrize("load, header, rows, make, message, names", [
+        (load_quote_updates, "timestamp_ms,bid,ask", [(0, 1.0, 1.5), (1000, 2.0, 1.0)],
+         QuoteSeries, "invalid quote bid=2.0 ask=1.0", None),
+        (load_klines, "timestamp_ms,open,high,low,close,volume",
+         [(0, 2.5, 3, 2, 2.6, 1), (1000, -1.0, 3, 2, 2.6, 1)],
+         PriceSeries, "{} must be positive, got -1.0", ("open price", "price")),
+        (load_klines, "timestamp_ms,open,high,low,close,volume",
+         [(1000, 2.5, 3, 2, 2.6, 1), (1000, 2.6, 3, 2, 2.7, 1)],
+         PriceSeries, "timestamps not strictly increasing: 1000 after 1000", None),
+    ], ids=["crossed-quote", "non-positive-open", "repeated-kline-stamp"])
+    def test_loader_and_type(self, tmp_path, load, header, rows, make, message, names):
+        path = write(tmp_path, "f.csv", "\n".join([header, *(",".join(map(str, row))
+                                                             for row in rows)]) + "\n")
+        in_file, in_type = names or ("", "")
+        columns = [np.array(column) for column in zip(*rows)]
+        fields = len(dataclasses.fields(make))
+        assert str(raised(ParseError, load, path)) == f"{path}:3: {message.format(in_file)}"
+        assert str(raised(InputError, make, *columns[:fields])) == message.format(in_type)
+
+    def test_repeated_block_stamp(self, tmp_path):
+        path = write(tmp_path, "b.csv", "block_number,timestamp_s\n1,12\n2,12\n")
+        wording = "block timestamps not strictly increasing: {0} after {0}"
+        assert str(raised(ParseError, load_block_timestamps, path)) == (
+            f"{path}:3: {wording.format(12)}")  # in seconds
+        assert str(raised(InputError, BlockSchedule.from_blocks, [12_000, 12_000])) == (
+            wording.format(12_000))  # in milliseconds
+
+    @pytest.mark.parametrize("make", [
+        lambda ts, prices: PriceSeries(ts, prices),
+        lambda ts, prices: QuoteSeries(ts, prices, prices),
+        lambda ts, prices: BlockSchedule.from_blocks(ts),
+    ], ids=["PriceSeries", "QuoteSeries", "BlockSchedule.from_blocks"])
+    def test_a_type_checks_a_chunk_at_a_time(self, make):
+        # 10**6 valid rows, 16 MB of columns: a full-length mask would be 1 MB
+        ts = 1000 * np.arange(10**6, dtype=np.int64)
+        prices = np.linspace(1000.0, 3000.0, 10**6)
+        tracemalloc.start()
+        try:
+            made = make(ts, prices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(made.timestamps) == 10**6
+        assert peak <= 2**18
+
+
 # --- the columnar fast path against the row parser --------------------------
 
 LOADERS = {"klines": load_klines, "quotes": load_quote_updates, "blocks": load_block_timestamps}
@@ -1016,8 +1067,10 @@ class TestQuoteSeriesValidation:
         quotes = {"bids": np.array([1.0, 2.0, 3.0]), "asks": np.array([1.0, 2.0, 3.0])}
         for column in columns:
             quotes[column][1] = value
-        with pytest.raises(InputError, match="finite"):
+        with pytest.raises(InputError) as err:
             QuoteSeries(np.array([0, 1, 2]), quotes["bids"], quotes["asks"])
+        # the quotes loader's message: the band rule is one function
+        assert str(err.value) == f"invalid quote bid={quotes['bids'][1]} ask={quotes['asks'][1]}"
 
     def test_resolution_does_not_wrap(self):
         ones = np.ones(2)

@@ -1405,6 +1405,73 @@ class TestGbmGenerate:
         assert series.timestamps.tolist()[-1] == 2**63 - 1
 
 
+class TestWholeMilliseconds:
+    """A millisecond argument is an int, a numpy integer or an integral float; any other value
+    raises the InputError naming the parameter, where it was truncated or failed elsewhere."""
+
+    QUOTES = quotes_from_prices(gbm_generate(0.5, 0.0, 100, 60_000, seed=21, price0=2000.0))
+    POOL = PoolState(1.0, 2000.0, 0.003)
+
+    @pytest.mark.parametrize("call, name, value", [
+        (lambda q, pool: BlockSchedule.fixed(100.5, 0, 5000), "interval_ms", 100.5),
+        (lambda q, pool: BlockSchedule.fixed(0.5, 0, 5000), "interval_ms", 0.5),
+        (lambda q, pool: BlockSchedule.fixed(100, 0.7, 5000), "start_ms", 0.7),
+        (lambda q, pool: BlockSchedule.fixed(100, 0, 5000.9), "end_ms", 5000.9),
+        (lambda q, pool: fixed_schedule(q, 250.9), "interval_ms", 250.9),
+        (lambda q, pool: fee_sweep(1.0, 2000.0, q, 250.9, [0.001, 0.003]), "interval_ms", 250.9),
+        (lambda q, pool: blocktime_sweep(pool, q, [100, 200.7]), "interval_ms", 200.7),
+        (lambda q, pool: gbm_generate(0.5, 0.0, step_ms=100.5, horizon_ms=201, seed=1),
+         "step_ms", 100.5),
+        (lambda q, pool: gbm_generate(0.5, 0.0, 100, 1000, seed=1, start_ms=0.5),
+         "start_ms", 0.5),
+    ], ids=["fixed-interval", "fixed-interval-below-1", "fixed-start", "fixed-end",
+            "fixed_schedule", "fee_sweep", "blocktime_sweep", "gbm-step", "gbm-start"])
+    def test_fraction_names_the_parameter(self, monkeypatch, call, name, value):
+        replays = []
+        replay = simulation._replay
+        monkeypatch.setattr(simulation, "_replay",
+                            lambda *args: replays.append(args[:3]) or replay(*args))
+        with pytest.raises(InputError) as err:
+            call(self.QUOTES, self.POOL)
+        assert str(err.value) == f"{name} must be a whole number of milliseconds, got {value}"
+        assert replays == []  # a sweep checks every grid before its first replay
+
+    @pytest.mark.parametrize("value", [100, np.int64(100), 100.0, np.float64(100.0)],
+                             ids=["int", "int64", "float", "float64"])
+    def test_whole_values_give_the_int_results(self, value):
+        assert (BlockSchedule.fixed(value, value * 0, value * 50).timestamps.tolist()
+                == list(range(0, 5001, 100)))
+        assert (fixed_schedule(self.QUOTES, 2 * value).timestamps.tolist()
+                == list(range(0, 60_001, 200)))
+        sweep = blocktime_sweep(self.POOL, self.QUOTES, [value, 4 * value])
+        assert sweep.total_losses.tolist() == blocktime_sweep(
+            self.POOL, self.QUOTES, [100, 400]).total_losses.tolist()
+        fees = fee_sweep(1.0, 2000.0, self.QUOTES, value, [0.001, 0.003])
+        assert fees.total_losses.tolist() == fee_sweep(
+            1.0, 2000.0, self.QUOTES, 100, [0.001, 0.003]).total_losses.tolist()
+        path = gbm_generate(0.5, 0.1, value, 1000 * value, seed=42, start_ms=value)
+        oracle = gbm_generate(0.5, 0.1, 100, 100_000, seed=42, start_ms=100)
+        assert path.prices.tobytes() == oracle.prices.tobytes()
+        assert path.timestamps.dtype == np.int64
+        assert path.timestamps.tobytes() == oracle.timestamps.tobytes()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda q, pool: blocktime_sweep(pool, q, []), "at least one interval is required"),
+        (lambda q, pool: blocktime_sweep(pool, q, [200, 100]),
+         "intervals must be strictly increasing"),
+        (lambda q, pool: blocktime_sweep(pool, q, [100, 100.0]),
+         "intervals must be strictly increasing"),
+        (lambda q, pool: fee_sweep(1.0, 2000.0, q, 100, []), "at least one fee is required"),
+        (lambda q, pool: fee_sweep(1.0, 2000.0, q, 100, [0.003, 0.001]),
+         "fees must be strictly increasing"),
+    ], ids=["no-interval", "intervals-decreasing", "intervals-repeated", "no-fee",
+            "fees-decreasing"])
+    def test_sweep_grid_rule(self, call, message):
+        with pytest.raises(InputError) as err:
+            call(self.QUOTES, self.POOL)
+        assert str(err.value) == message
+
+
 class TestLoglogSlope:
     def test_constructed_power_law(self):
         values = np.array([100.0, 1000.0, 10_000.0, 100_000.0])
