@@ -118,8 +118,8 @@ def _sha256(path: str) -> dict:
     # here, not at the top: OpenSSL's libcrypto then loads after the run's data peak. Its
     # 3.5 MB of pages land on the heap the run leaves resident, as glibc keeps freed heap, so
     # the load sets the peak RSS when that heap is within 3.5 MB of the data peak. It sets
-    # compare's: on the benchmark's fees_compare inputs, fees_vs_losses leaves 36.5 MB
-    # resident, and fee attribution peaked at 38.5 MB
+    # compare's: on the benchmark's fees_compare inputs, fees_vs_losses leaves 35.5 MB
+    # resident, and the load ends at 38.9 MB, 0.4 MB above fee attribution's 38.5 MB peak
     import hashlib
 
     digest = hashlib.sha256()

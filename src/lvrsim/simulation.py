@@ -21,7 +21,7 @@ from .errors import FitError, InputError
 from .feeds import (_CHUNK, PriceSeries, QuoteSeries, _check, _check_coverage, _locf_index,
                     _stamp_order, _unchecked)
 from .fees import PositionLedger
-from .pool import PoolState, _fold_series, concentration_scale
+from .pool import _FOLD, PoolState, _fold_series, concentration_scale
 
 YEAR_MS = 365 * 86400 * 1000
 DAY_MS = 86400 * 1000
@@ -548,14 +548,6 @@ def loglog_slope(
     return float(slope), residual
 
 
-def _window_sums(values: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """Sum of values[left[i]:i + 1] for each i, as a difference of prefix sums."""
-    prefix = np.zeros(len(values) + 1)
-    np.cumsum(values, out=prefix[1:])
-    sums = prefix[left]
-    return np.subtract(prefix[1:], sums, out=sums)
-
-
 def fees_vs_losses(
     ledger: PositionLedger, losses: LossSeries, window_ms: int = 30 * DAY_MS
 ) -> ComparisonReport:
@@ -577,24 +569,34 @@ def fees_vs_losses(
     del stamps, first
     fee_at = np.zeros(len(timeline))
     loss_at = np.zeros(len(timeline))
-    np.add.at(fee_at, np.searchsorted(timeline, ledger.timestamps), ledger.returns)
-    np.add.at(loss_at, np.searchsorted(timeline, losses.timestamps), losses.losses)
+    for at, stamps, values in ((fee_at, ledger.timestamps, ledger.returns),
+                               (loss_at, losses.timestamps, losses.losses)):
+        for i in range(0, len(stamps), _FOLD):  # add.at adds in row order, as one call would
+            np.add.at(at, np.searchsorted(timeline, stamps[i:i + _FOLD]), values[i:i + _FOLD])
 
-    # each window's first row; one that reaches back before the first stamp starts there
-    left = np.zeros(len(timeline), dtype=np.intp)
+    # the running sums. A window reads the running sums at and before its row, so the
+    # window sums are worked out a chunk at a time, last chunk first, and each chunk's
+    # ratio is written over its fee running sums
+    ratio, loss_run = np.cumsum(fee_at), np.cumsum(loss_at)
+    reach = len(timeline)  # rows from reach on lie a whole window past the first stamp
     if len(timeline) and (edge := int(timeline[0]) + window_ms) < 2**63:
-        reach = int(np.searchsorted(timeline, edge))  # the rows a whole window past the first
-        # stamp - window_ms in uint64, which cannot wrap: it lies in [first stamp, stamp]
-        since = timeline[reach:].view(np.uint64) - np.uint64(window_ms)
-        left[reach:] = np.searchsorted(timeline, since.view(np.int64), side="right")
-    ratio = _window_sums(fee_at, left)  # the fee sums, divided in place
-    loss_sum = _window_sums(loss_at, left)
-    del left
-    np.divide(ratio, loss_sum, out=ratio, where=loss_sum != 0)
-    ratio[loss_sum == 0] = np.nan
-    del loss_sum
-    # worked out after the ratio, so that it is not held beside the window sums
-    cumulative = fee_at - loss_at
+        reach = int(np.searchsorted(timeline, edge))
+    for start in reversed(range(0, len(timeline), _FOLD)):
+        chunk = ratio[start:start + _FOLD]
+        stop = start + len(chunk)
+        # each row's window's first row; one that reaches back before the first stamp starts there
+        left = np.zeros(len(chunk), dtype=np.intp)
+        if (cut := max(reach, start)) < stop:
+            # stamp - window_ms in uint64, which cannot wrap: it lies in [first stamp, stamp]
+            since = timeline[cut:stop].view(np.uint64) - np.uint64(window_ms)
+            left[cut - start:] = np.searchsorted(timeline, since.view(np.int64), side="right")
+        # the running sum at the row less the one just before the window, or less 0.0
+        fee_sum, loss_sum = (run[start:stop] - np.where(left > 0, run[left - 1], 0.0)
+                             for run in (ratio, loss_run))
+        np.divide(fee_sum, loss_sum, out=chunk, where=loss_sum != 0)
+        chunk[loss_sum == 0] = np.nan
+    # the running difference, over the loss running sums
+    cumulative = np.subtract(fee_at, loss_at, out=loss_run)
     np.cumsum(cumulative, out=cumulative)
 
     totals = {

@@ -1,3 +1,4 @@
+import bisect
 import functools
 import math
 import re
@@ -40,6 +41,7 @@ from lvrsim import (
 )
 import lvrsim.simulation as simulation
 from lvrsim.feeds import load_quote_updates
+from lvrsim.pool import _FOLD
 from lvrsim.simulation import DAY_MS, DEFAULT_INTERVALS_MS, YEAR_MS, _SCALAR_SCAN
 
 
@@ -1634,7 +1636,7 @@ def comparison_loop(fee_ts, fees, loss_ts, losses, window_ms):
         loss_prefix.append(loss_prefix[-1] + loss_at[t])
     ratio = []
     for i, t in enumerate(timeline):
-        left = sum(1 for s in timeline if s <= t - window_ms)
+        left = bisect.bisect_right(timeline, t - window_ms)  # the stamps <= t - window_ms
         fee_sum = fee_prefix[i + 1] - fee_prefix[left]
         loss_sum = loss_prefix[i + 1] - loss_prefix[left]
         ratio.append(math.nan if loss_sum == 0 else fee_sum / loss_sum)
@@ -1673,15 +1675,38 @@ def test_fees_vs_losses_is_the_loop(fee_ts, fees, loss_ts, losses, window_ms):
     assert report.totals["final_difference"] == (difference[-1] if len(difference) else 0.0)
 
 
+@pytest.mark.parametrize("window_ms", [1, 1000 * _FOLD, 2500 * _FOLD, 2**63],
+                         ids=["1row", "1chunk", "2.5chunks", "2^63"])
+def test_fees_vs_losses_is_the_loop_across_chunks(window_ms):
+    """6017 rows, so that windows cross the edges of the _FOLD-row chunks the window sums
+    are worked out in: windows of one row, of about one chunk and of two and a half, and one
+    past int64. Stamps on a 500 ms lattice, about 1 s apart on the timeline, 983 of them in
+    both series; a run of zero losses longer than 2.5 chunks, so that loss sums are 0."""
+    rng = np.random.default_rng(39)
+    lattice = 500 * np.arange(12_000)
+    fee_ts, loss_ts = (np.sort(rng.choice(lattice, size, replace=False)).tolist()
+                       for size in (4000, 3000))
+    fees = rng.uniform(0, 1e-4, len(fee_ts)).tolist()
+    losses = (rng.uniform(0, 1e-4, len(loss_ts)) * (rng.random(len(loss_ts)) < 0.8)).tolist()
+    losses[1000:2500] = [0.0] * 1500
+    ledger = accumulate(PositionLedger(1.0), fees, fee_ts)
+    report = fees_vs_losses(ledger, loss_series(loss_ts, losses), window_ms)
+    expected = comparison_loop(fee_ts, fees, loss_ts, losses, window_ms)
+    assert len(report.timestamps) > 3 * _FOLD and len(report.timestamps) % _FOLD
+    assert np.isnan(expected["trailing_ratio"]).any()
+    for name, column in expected.items():
+        assert getattr(report, name).tobytes() == column.tobytes(), name
+
+
 class TestComparisonMemory:
     """Traced peak of fees_vs_losses, in bytes per timeline row.
 
     100 000 swaps a second apart, and a loss every 2 s, half of them on a swap's
-    stamp: 125 000 rows. The report's five columns are 40 bytes a row; the
-    merged stamps, the prefix sums and the window sums are built in place. The
-    ratio is divided in place of the fee sums, and the running difference is
-    worked out after it: at most seven timeline-length arrays are live, 56 bytes
-    a row, where eight took 64.
+    stamp: 125 000 rows. The report's five columns are 40 bytes a row, and they are
+    the only timeline-length arrays built: the running sums are built in the two
+    columns the ratio and the running difference are then written over, and the
+    window sums and the add.at indices are worked out a chunk of _FOLD rows at a
+    time. 42 bytes a row leaves room for those chunks; seven columns took 56.
     """
 
     ROWS = 100_000
@@ -1698,4 +1723,4 @@ class TestComparisonMemory:
         finally:
             tracemalloc.stop()
         assert len(report.timestamps) == self.ROWS + self.ROWS // 4
-        assert peak / len(report.timestamps) <= 60
+        assert peak / len(report.timestamps) <= 42

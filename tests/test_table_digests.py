@@ -3,7 +3,9 @@
 The inputs are the benchmark's generated files (perfbench/inputs.py at seed 1
 and scale 0.01; the fees_compare files once more at scale 0.035, whose 17 500
 swaps span two of the 16 384-swap chunks fee attribution works in, with a block
-of three across the edge) and the swaps fixture. The generator uses only
+of three across the edge) and the swaps fixture. Every compare case but one uses
+the 30-day ratio window, longer than its input; compare_short_window's 0.05-day
+window starts inside the data, on 9 025 rows. The generator uses only
 uniform draws and IEEE arithmetic, so its bytes do not depend on the CPU. No
 case replays synth-gbm output: np.exp's last bit may differ between CPUs and
 numpy builds.
@@ -72,6 +74,9 @@ def argv(case: str, dirs: dict) -> list:
                                      chunks / "klines.csv", "--interval-ms", 12000,
                                      "--fee-bps", 5, "--position-liquidity", 500,
                                      "--per-block"],
+        "compare_short_window": ["compare", "--swaps", chunks / "swaps.csv", "--klines",
+                                 chunks / "klines.csv", "--interval-ms", 12000, "--fee-bps", 30,
+                                 "--position-liquidity", 500, "--ratio-window-days", 0.05],
         "quotes_over_blocks_5bp": ["simulate-arb", "--quotes", dense / "quotes.csv", "--blocks",
                                    hist / "blocks.csv", "--window", QUOTES_WINDOW,
                                    "--fee-bps", 5],
@@ -82,8 +87,8 @@ def argv(case: str, dirs: dict) -> list:
 
 CASES = ("hist_arb", "sweep_dense", "fees_compare", "klines_over_blocks_0bp",
          "klines_over_blocks_5bp", "sweep_fee", "fees_per_block", "fees_per_swap",
-         "compare_fixture", "compare_per_block_chunks", "quotes_over_blocks_5bp",
-         "fixed_grid_0bp")
+         "compare_fixture", "compare_per_block_chunks", "compare_short_window",
+         "quotes_over_blocks_5bp", "fixed_grid_0bp")
 
 
 def table_digests(case: str, dirs: dict, out: Path) -> dict:
