@@ -37,7 +37,7 @@ from .feeds import (
     load_quote_updates,
     quotes_from_prices,
 )
-from .fees import attribute_fees, load_swap_records
+from .fees import _attributed_file
 from .pool import PoolState, _fold
 from .simulation import (
     DAY_MS,
@@ -45,9 +45,10 @@ from .simulation import (
     EXTENDED_INTERVALS_MS,
     BlockSchedule,
     _grids,
+    _merged,
+    _running_sums,
     blocktime_sweep,
     fee_sweep,
-    fees_vs_losses,
     gbm_generate,
     loglog_slope,
     run_arb_sim,
@@ -118,8 +119,8 @@ def _sha256(path: str) -> dict:
     # here, not at the top: OpenSSL's libcrypto then loads after the run's data peak. Its
     # 3.5 MB of pages land on the heap the run leaves resident, as glibc keeps freed heap, so
     # the load sets the peak RSS when that heap is within 3.5 MB of the data peak. It sets
-    # compare's: on the benchmark's fees_compare inputs, fees_vs_losses leaves 35.5 MB
-    # resident, and the load ends at 38.9 MB, 0.4 MB above fee attribution's 38.5 MB peak
+    # compare's: on the benchmark's fees_compare inputs, writing the report leaves 34.6 MB
+    # resident, and the load ends at 38.1 MB, 2.3 MB above fee attribution's 35.8 MB high
     import hashlib
 
     digest = hashlib.sha256()
@@ -343,11 +344,10 @@ def _arb_run(cfg: dict, fee: float):
 
 
 def _fee_ledger(cfg: dict):
-    """Fee ledger of the --swaps position, its returns scaled by --concentration-k."""
-    swaps = load_swap_records(_require_file(_require(cfg, "swaps")))
-    n_records = len(swaps)
-    ledger = attribute_fees(swaps, cfg["position_liquidity"], per_block=cfg["per_block"])
-    del swaps  # the loaded table goes before the scaled copy of the returns is made
+    """Fee ledger of the --swaps position, its returns scaled by --concentration-k, and the
+    number of swaps: the file is read and attributed a chunk at a time, never held whole."""
+    ledger, n_records = _attributed_file(_require_file(_require(cfg, "swaps")),
+                                         cfg["position_liquidity"], cfg["per_block"])
     return ledger.scaled(cfg["concentration_k"]), n_records
 
 
@@ -424,7 +424,9 @@ def cmd_compare(cfg: dict) -> Output:
     window_ms = int(cfg["ratio_window_days"] * DAY_MS)
     ledger, _ = _fee_ledger(cfg)
     run, _, parameters, counters = _arb_run(cfg, fee)
-    report = fees_vs_losses(ledger, run, window_ms)
+    position_liquidity, merged = ledger.position_liquidity, _merged(ledger, run)
+    del ledger  # the fees are on the timeline: the ledger goes before the running sums are built
+    report = _running_sums(*merged, window_ms)
     return Output(
         {"comparison.csv": [{
             "schema_version": SCHEMA_VERSION, "timestamp_ms": report.timestamps,
@@ -432,8 +434,7 @@ def cmd_compare(cfg: dict) -> Output:
             "cumulative_difference": report.cumulative_difference,
             "trailing_ratio": report.trailing_ratio,
         }]},
-        {**parameters, "position_liquidity": ledger.position_liquidity,
-         "ratio_window_ms": window_ms},
+        {**parameters, "position_liquidity": position_liquidity, "ratio_window_ms": window_ms},
         counters, {**report.totals, "n_dropped": run.n_dropped},
     )
 

@@ -23,6 +23,7 @@ import itertools
 import math
 import os
 import re
+import warnings
 import zlib
 from dataclasses import dataclass, fields
 
@@ -148,41 +149,88 @@ def _iter_rows(path: str, n_columns: int, exact: bool = True):
         yield lineno, row
 
 
-def _read_columns(path: str, n_columns: int, exact: bool, dtypes) -> tuple | None:
-    """The leading len(dtypes) columns of a CSV in one np.loadtxt call, or None.
+def _loadtxt_setup(path: str, n_columns: int, exact: bool, dtypes) -> tuple | None:
+    """(lines before the first row, np.loadtxt's keywords) for a CSV; no keywords when it holds
+    no row, and None when it goes to the row parser before loadtxt.
 
-    None sends the file to the row parser. That happens when loadtxt rejects
-    it or a .gz file does not decompress, and before loadtxt when the file is
-    not a regular file (it could not be read twice) or its suffix is one numpy
-    would decompress. loadtxt splits quoted cells as csv.reader does, and
-    starts at the first row _csv_rows yields, whose ParseError is the row
-    parser's. With exact=False, column n_columns - 1 is read as well, into a
-    zero-width field, so that a short row fails here too.
-
-    The columns are the fields of loadtxt's one structured array, not copies:
-    strided views whose records hold nothing but the columns returned.
+    That is when the file is not a regular file (it could not be read twice) or its suffix is
+    one numpy would decompress. loadtxt splits quoted cells as csv.reader does, and starts at
+    the first row _csv_rows yields, whose ParseError is the row parser's. With exact=False,
+    column n_columns - 1 is read as well, into a zero-width field, so that a short row fails
+    in loadtxt too.
     """
     if str(path).endswith((".bz2", ".xz", ".lzma")) or not os.path.isfile(path):
         return None
     with contextlib.closing(_csv_rows(path)) as rows:
         first = next(rows, None)
     if first is None:  # loadtxt would warn that the file holds no data
-        return tuple(np.empty(0, dtype) for dtype in dtypes)
+        return 0, None
     fields = [(f"c{i}", dtype) for i, dtype in enumerate(dtypes)]
     usecols = None
     if not exact:
         usecols = (*range(len(fields)), n_columns - 1)
         fields.append(("last", "U0"))
+    # comments=None: the row parser rejects what '#' would skip
+    return first[0] - 1, dict(dtype=fields, delimiter=",", comments=None, quotechar='"',
+                              usecols=usecols, ndmin=1, encoding="utf-8")
+
+
+def _fields(table: np.ndarray, n: int) -> tuple:
+    """The leading n fields of loadtxt's one structured array, not copies: strided views whose
+    records hold nothing but the columns returned."""
+    return tuple(table[name] for name in table.dtype.names[:n])
+
+
+def _read_columns(path: str, n_columns: int, exact: bool, dtypes) -> tuple | None:
+    """The leading len(dtypes) columns of a CSV in one np.loadtxt call on its path, or None.
+
+    None sends the file to the row parser: _loadtxt_setup's files, and those that loadtxt
+    rejects or that do not decompress.
+    """
+    setup = _loadtxt_setup(path, n_columns, exact, dtypes)
+    if setup is None:
+        return None
+    skip, keywords = setup
+    if keywords is None:
+        return tuple(np.empty(0, dtype) for dtype in dtypes)
     try:
-        # a path, not a handle, so that numpy reads it in chunks, not line by line;
-        # absolute, so that numpy does not take a name like a://b/k.csv for a URL.
-        # comments=None: the row parser rejects what '#' would skip
-        table = np.loadtxt(os.path.abspath(path), dtype=fields, delimiter=",", comments=None,
-                           quotechar='"', usecols=usecols, ndmin=1, skiprows=first[0] - 1,
-                           encoding="utf-8")
+        # a path, not a handle, so that numpy reads it in blocks, not line by line (through a
+        # handle klines and quotes parse 16-22 % slower); absolute, so that numpy does not
+        # take a name like a://b/k.csv for a URL
+        table = np.loadtxt(os.path.abspath(path), skiprows=skip, **keywords)
     except (ValueError, *_GZIP_ERRORS):
         return None
-    return tuple(table[name] for name, _ in fields[:len(dtypes)])
+    return _fields(table, len(dtypes))
+
+
+def _read_chunks(path: str, n_columns: int, exact: bool, dtypes, rows: int):
+    """_read_columns through one open handle, np.loadtxt reading up to rows rows a call: the
+    chunks loadtxt reads, then None if it rejects the rest or the rest does not decompress.
+
+    Through a handle, numpy reads line by line, which costs klines and quotes time but holds
+    no more than a chunk; each call goes on from the row the last one ended at.
+    """
+    setup = _loadtxt_setup(path, n_columns, exact, dtypes)
+    if setup is None:
+        yield None
+        return
+    skip, keywords = setup
+    if keywords is None:
+        return
+    with io.TextIOWrapper(_open_bytes(path), encoding="utf-8") as handle:
+        while True:
+            try:
+                with warnings.catch_warnings():  # a file ending at a chunk's end has no more
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    table = np.loadtxt(handle, skiprows=skip, max_rows=rows, **keywords)
+            except (ValueError, *_GZIP_ERRORS):
+                yield None
+                return
+            skip = 0
+            if len(table):
+                yield _fields(table, len(dtypes))
+            if len(table) < rows:
+                return
 
 
 def _parse_int(path: str, lineno: int, text: str, name: str, int64: bool = True) -> int:
@@ -206,36 +254,89 @@ def _parse_float(path: str, lineno: int, text: str, name: str) -> float:
 
 
 def _load_columns(path: str, n_columns: int, exact: bool, columns, rules) -> tuple:
-    """The leading columns of a CSV as arrays, or the ParseError of its first faulty row.
+    """The leading columns of a CSV as arrays, or the ParseError of its first faulty row:
+    _column_chunks' one chunk, read by one np.loadtxt call on the path."""
+    first, *rest = _column_chunks(path, n_columns, exact, columns, rules)
+    # a second chunk only where loadtxt misread a row that the row parser reads
+    return tuple(np.concatenate(parts) for parts in zip(first, *rest)) if rest else first
 
-    columns holds a (name, cell parser, dtype) per column; rules(*arrays) gives
-    the loader's ordered (row mask, message for row i) pairs, which _first_fault
-    applies a chunk at a time. Unless a mask fires on the loadtxt columns,
-    _iter_rows reads the rows again through the cell parsers, up to the row
-    flagged, else up to the first row that does not parse or the end, and the
-    rules run once on those columns. The first faulty row wins; within it a cell
-    that does not parse, then the first rule.
+
+def _column_chunks(path: str, n_columns: int, exact: bool, columns, rules, rows=None):
+    """The leading columns of a CSV as chunks of arrays, each checked as it is read, or the
+    ParseError of the file's first faulty row.
+
+    rows=None gives one chunk, from one np.loadtxt call on the path; else loadtxt reads
+    chunks of rows rows through one open handle. columns holds a (name, cell parser, dtype)
+    per column; rules(*arrays) gives the loader's ordered (row mask, message for row i)
+    pairs, which _chunk_fault applies to each chunk, with the last row of the chunk before.
+    From the first chunk that loadtxt rejects or that a mask fires on, the row parser reads
+    the file instead (_parsed_chunks).
     """
     dtypes = [dtype for _, _, dtype in columns]
-    fast = _read_columns(path, n_columns, exact, dtypes)
-    fault = None if fast is None else _first_fault(rules, fast)
-    if fast is not None and fault is None:
-        return fast
-    values, lines, error = tuple([] for _ in columns), [], None
-    try:
-        for line, row in itertools.islice(_iter_rows(path, n_columns, exact),
-                                          None if fault is None else fault[0] + 1):
+    done, before, flagged = 0, None, None  # rows yielded, the last of them, the row flagged
+    for chunk in ([_read_columns(path, n_columns, exact, dtypes)] if rows is None
+                  else _read_chunks(path, n_columns, exact, dtypes, rows)):
+        if chunk is None:
+            break
+        if fault := _chunk_fault(rules, chunk, before):
+            flagged = done + fault[0]
+            break
+        yield chunk
+        if n := len(chunk[0]):
+            done, before = done + n, tuple(column[-1:].copy() for column in chunk)
+    else:
+        return
+    yield from _parsed_chunks(path, n_columns, exact, columns, rules, rows, done, before,
+                              flagged)
+
+
+def _parsed_chunks(path: str, n_columns: int, exact: bool, columns, rules, rows, done: int,
+                   before, flagged):
+    """_column_chunks from row done on, after the row before, read by _iter_rows through the
+    cell parsers.
+
+    The rows before done are parsed too, so that the first row of the file that does not
+    parse is the one named. The first chunk ends at the row flagged on loadtxt's columns, if
+    any, so that the pass stops there; a rule fault comes before the row that does not parse,
+    and the first faulty row wins. Rows that loadtxt misread (a padded token) are read on.
+    """
+    def parsed():
+        for number, (line, row) in enumerate(_iter_rows(path, n_columns, exact)):
             cells = [parse(path, line, text, name) for (name, parse, _), text in zip(columns, row)]
-            for column, cell in zip(values, cells):
-                column.append(cell)
-            lines.append(line)
-    except ParseError as err:
-        error = err
-    result = tuple(np.array(column, dtype) for column, dtype in zip(values, dtypes))
-    fault = _first_fault(rules, result)
-    if fault or error:  # a rule fault lies on a row before the one that does not parse
-        raise ParseError(str(path), lines[fault[0]], fault[1]) if fault else error
-    return result
+            if number >= done:
+                yield line, cells
+
+    cells = parsed()
+    first = [] if flagged is None else [flagged - done + 1]
+    for size in itertools.chain(first, itertools.repeat(rows)):
+        values, lines, error = tuple([] for _ in columns), [], None
+        try:
+            for line, row in itertools.islice(cells, size):
+                for column, cell in zip(values, row):
+                    column.append(cell)
+                lines.append(line)
+        except ParseError as err:
+            error = err
+        chunk = tuple(np.array(column, dtype) for column, (_, _, dtype) in zip(values, columns))
+        if fault := _chunk_fault(rules, chunk, before):
+            raise ParseError(str(path), lines[fault[0]], fault[1])
+        if error:
+            raise error
+        yield chunk
+        if size is None or len(lines) < size:
+            return
+        before = tuple(column[-1:] for column in chunk)
+
+
+def _chunk_fault(rules, chunk, before) -> tuple | None:
+    """_first_fault of a chunk whose first row comes after before, a row of each column (or
+    None): that row's order against before is checked on the two rows alone, whose first,
+    checked with its own chunk, no mask flags."""
+    if before is not None and len(chunk[0]):
+        edge = tuple(np.concatenate([last, column[:1]]) for last, column in zip(before, chunk))
+        if fault := _first_fault(rules, edge):
+            return 0, fault[1]
+    return _first_fault(rules, chunk)
 
 
 def _first_fault(rules, columns) -> tuple | None:

@@ -11,9 +11,10 @@ liquidity and does not alter pool behavior. Note that scaling both the fee
 share and the position value by the ledger growth cancels, so this yields
 the same relative returns as re-depositing earned fees each period.
 
-Swaps are held as columns (SwapTable) and attributed on them in one array
-path, a bounded chunk at a time, whose expressions and operation order are
-those of fee_earned, relative_fee_return and position_value_of_liquidity.
+Swaps come as columns, from a SwapTable or from a file read a chunk at a
+time, and are attributed in one array path, a bounded chunk at a time, whose
+expressions and operation order are those of fee_earned, relative_fee_return
+and position_value_of_liquidity.
 SwapRecord and those functions are the readable reference and the test oracle.
 
 Swap-record CSV schema, rows in order of timestamp and of block number:
@@ -29,8 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, ParseError
-from .feeds import (_CHUNK, _check, _iter_rows, _load_columns, _not_positive, _parse_float,
-                    _parse_int, _stamp_order, _unchecked)
+from .feeds import (_CHUNK, _check, _column_chunks, _iter_rows, _load_columns, _not_positive,
+                    _parse_float, _parse_int, _stamp_order, _unchecked)
 from .pool import _fold_series, concentration_scale
 
 TOKEN_X = "X"
@@ -108,8 +109,7 @@ class PositionLedger:
         _check_position_liquidity(self.position_liquidity)
         object.__setattr__(self, "returns", np.asarray(self.returns, dtype=np.float64))
         object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype=np.int64))
-        if not np.all(np.isfinite(self.returns) & (self.returns > -1.0)):
-            raise InputError("returns must be finite and > -1")
+        _check(_return_rule, self.returns)
         if self.returns.shape != self.timestamps.shape:
             raise InputError("timestamps and returns must have equal length")
         if not math.isfinite(growth := self.cumulative_growth):
@@ -136,6 +136,11 @@ class PositionLedger:
         except InputError as exc:  # this ledger passed the same checks: the factor fails them
             raise InputError(f"concentration factor {factor_k} scales the fee returns past the "
                              f"float range: {exc}") from None
+
+
+def _return_rule(returns: np.ndarray) -> list:
+    """Each return finite and above -1 (NaN fails both comparisons)."""
+    return [(~((returns > -1.0) & (returns < np.inf)), lambda i: "returns must be finite and > -1")]
 
 
 def _check_position_liquidity(value: float) -> None:
@@ -200,49 +205,117 @@ def attribute_fees(
     constant over each block instead: all swaps of a block share the
     end-of-block liquidity, and one return per block is compounded against
     the position value at the end-of-block price. Both take one array path,
-    _CHUNK swaps at a time (a chunk ends at a block end), and write each
-    chunk's returns and stamps into the ledger's columns: besides those, the
-    only full-length array is a mask of block ends, one byte a swap.
+    _attributed, on _CHUNK swaps of the table at a time.
     """
     if not isinstance(swaps, SwapTable):
         swaps = SwapTable(*([getattr(r, f.name) for r in swaps] for f in fields(SwapRecord)))
+    columns = [getattr(swaps, f.name) for f in fields(SwapTable)]
+    chunks = (tuple(column[lo:lo + _CHUNK] for column in columns)
+              for lo in range(0, len(swaps), _CHUNK))
+    blocks = swaps.block_numbers
+    size = len(blocks) if not per_block else int(len(blocks) > 0) + sum(  # block ends
+        int(np.count_nonzero(np.diff(blocks[lo:lo + _CHUNK + 1])))
+        for lo in range(0, len(blocks) - 1, _CHUNK))
+    return _attributed(chunks, position_liquidity, per_block, size)[0]
+
+
+def _attributed_file(path: str, position_liquidity: float,
+                     per_block: bool) -> tuple[PositionLedger, int]:
+    """attribute_fees on the swaps of a CSV, and their number. The file is read and checked
+    _CHUNK rows at a time through one handle, as load_swap_records reads it whole, so that
+    neither it nor its SwapTable is held: the same ledger, and the same ParseError."""
+    return _attributed(_column_chunks(path, 7, True, _SWAP_COLUMNS, _swap_rules, _CHUNK),
+                       position_liquidity, per_block)
+
+
+def _attributed(chunks, position_liquidity: float, per_block: bool,
+                size: int | None = None) -> tuple:
+    """attribute_fees on swaps that come as chunks of checked columns, and their number.
+
+    Each chunk's blocks are attributed as it comes; its block index, fees and shares are
+    dropped before the next. The returns and stamps are written into the ledger's two
+    columns when their number, size, is known; else each chunk's are kept apart and joined
+    at the end, which leaves less of the heap resident than columns that grow. A block that
+    may go on in the next chunk is carried into it, so that each block is summed in one
+    _attribute_chunk call. A position above a pool's liquidity is raised only at the end of
+    the chunks, so that a row fault later in the file, which reading the chunks raises, wins
+    over it as when the file was loaded first.
+    """
     _check_position_liquidity(position_liquidity)
-    n = len(swaps)
-    ends = np.ones(n, dtype=bool)  # per swap, each swap is a block of one
-    if per_block:
-        np.not_equal(swaps.block_numbers[1:], swaps.block_numbers[:-1], out=ends[:-1])
-    returns = np.empty(np.count_nonzero(ends))
-    stamps = np.empty(len(returns), dtype=np.int64)
-    lo = done = 0  # the swaps and the returns worked out so far
-    while lo < n:
-        hi = min(lo + _CHUNK, n)
-        if not ends[hi - 1]:  # a chunk ends at a block end: its last before hi, else the next
-            before = np.flatnonzero(ends[lo:hi])
-            hi = lo + int(before[-1]) + 1 if len(before) else hi + int(ends[hi:].argmax()) + 1
-        k = int(np.count_nonzero(ends[lo:hi]))
-        _attribute_chunk(swaps, slice(lo, hi), ends[lo:hi], position_liquidity,
-                         returns[done:done + k], stamps[done:done + k])
-        lo, done = hi, done + k
-    del ends
+    returns, stamps = np.empty(size or 0), np.empty(size or 0, dtype=np.int64)
+    n, fault = 0, None
+    open_block = []  # copies of the rows of a block that may go on in the next chunk, by chunk
+    parts = []  # each chunk's returns and stamps, views of those columns when size is known
+
+    def attribute(columns, ends):
+        k = int(np.count_nonzero(ends))
+        if size is None:
+            r, t = np.empty(k), np.empty(k, dtype=np.int64)
+        else:
+            done = sum(len(r) for r, _ in parts)
+            r, t = returns[done:done + k], stamps[done:done + k]
+        _attribute_chunk(columns, ends, position_liquidity, r, t)
+        parts.append((r, t))
+
+    def close_block(pieces):  # the rows of one block, in pieces
+        columns = tuple(np.concatenate(column) for column in zip(*pieces))
+        ends = np.zeros(len(columns[0]), dtype=bool)
+        ends[-1] = True
+        attribute(columns, ends)
+
+    for chunk in chunks:
+        n += len(chunk[0])
+        if fault or not len(chunk[0]):
+            continue
+        try:
+            if open_block:  # the rows that go on with it: block numbers do not go back
+                head = int(np.searchsorted(chunk[0], open_block[0][0][0], side="right"))
+                open_block.append(tuple(column[:head].copy() for column in chunk))
+                if head == len(chunk[0]):
+                    continue
+                close_block(open_block)
+                chunk, open_block = tuple(column[head:] for column in chunk), []
+            ends = np.ones(len(chunk[0]), dtype=bool)  # per swap, each swap is a block of one
+            if per_block:
+                np.not_equal(chunk[0][1:], chunk[0][:-1], out=ends[:-1])
+                ends[-1] = False  # the last block may go on in the next chunk
+                cut = len(ends) - int(ends[::-1].argmax()) if ends.any() else 0
+                open_block = [tuple(column[cut:].copy() for column in chunk)]
+                chunk, ends = tuple(column[:cut] for column in chunk), ends[:cut]
+            attribute(chunk, ends)
+        except InputError as exc:
+            fault, open_block = exc, []
+    if open_block:  # the last block
+        try:
+            close_block(open_block)
+        except InputError as exc:
+            fault = exc
+    if fault:
+        raise fault
+    if size is None and parts:
+        returns = np.concatenate([r for r, _ in parts])
+        stamps = np.concatenate([t for _, t in parts])
+    del parts
     try:
-        return PositionLedger(position_liquidity, returns, stamps)
+        return PositionLedger(position_liquidity, returns, stamps), n
     except InputError as exc:  # the swaps passed their rules: their fees overflow
         raise InputError(f"the fees of the swaps overflow the float range: {exc}") from None
 
 
-# a fee past the float range gives an inf or NaN return, which attribute_fees' ledger rejects
+# a fee past the float range gives an inf or NaN return, which _attributed's ledger rejects
 @np.errstate(over="ignore", invalid="ignore")
-def _attribute_chunk(swaps: SwapTable, chunk: slice, ends: np.ndarray,
-                     position_liquidity: float, returns: np.ndarray, stamps: np.ndarray) -> None:
-    """attribute_fees on a chunk of swaps that ends at a block end: each of its blocks' return
-    and stamp, written into returns and stamps. ends is the chunk's block-end mask."""
+def _attribute_chunk(columns, ends: np.ndarray, position_liquidity: float,
+                     returns: np.ndarray, stamps: np.ndarray) -> None:
+    """attribute_fees on a chunk of swap columns that ends at a block end: each of its
+    blocks' return and stamp, written into returns and stamps. ends is the chunk's block-end
+    mask."""
+    _, timestamps, tokens, amounts, fee_rates, prices, liquidities = columns
     last = np.flatnonzero(ends)
-    last += chunk.start
-    stamps[:] = swaps.timestamps[last]
+    stamps[:] = timestamps[last]
     value = returns  # the position value at each block's end price, then the block's return
-    value[:] = swaps.post_swap_prices[last]
+    value[:] = prices[last]
     np.multiply(2.0 * position_liquidity, np.sqrt(value, out=value), out=value)
-    liquidity = swaps.post_swap_liquidities[last]  # each block's end-of-block liquidity
+    liquidity = liquidities[last]  # each block's end-of-block liquidity
     del last
     over = position_liquidity > liquidity
     if over.any():  # the first such block holds the first such swap
@@ -252,8 +325,8 @@ def _attribute_chunk(swaps: SwapTable, chunk: slice, ends: np.ndarray,
     block -= ends  # each swap's block in the chunk: the count of block ends before it
     fee = np.divide(position_liquidity, liquidity, out=liquidity).take(block)  # each share
     del liquidity
-    fee *= swaps.fee_rates[chunk] * swaps.amounts_in[chunk]
-    _fee_in_y(swaps.input_tokens[chunk], fee, swaps.post_swap_prices[chunk])
+    fee *= fee_rates * amounts
+    _fee_in_y(tokens, fee, prices)
     sums = np.zeros(len(value))
     np.add.at(sums, block, fee)  # in file order, as a loop adds
     np.divide(sums, value, out=value)

@@ -558,8 +558,12 @@ def fees_vs_losses(
     divided by the sum of losses over it; where the loss sum is zero the
     ratio is reported as NaN (absent), never infinity.
     """
-    if window_ms <= 0:
-        raise InputError(f"window must be positive, got {window_ms}")
+    return _running_sums(*_merged(ledger, losses), window_ms)
+
+
+def _merged(ledger: PositionLedger, losses: LossSeries) -> tuple:
+    """fees_vs_losses' merge step: the timeline, its fee and loss columns and the totals of
+    both series. Nothing after it reads the ledger, so that a caller can let it go."""
     # both stamp series are sorted, so the stable sort merges two runs
     stamps = np.concatenate([ledger.timestamps, losses.timestamps])
     stamps.sort(kind="stable")
@@ -573,10 +577,25 @@ def fees_vs_losses(
                                (loss_at, losses.timestamps, losses.losses)):
         for i in range(0, len(stamps), _FOLD):  # add.at adds in row order, as one call would
             np.add.at(at, np.searchsorted(timeline, stamps[i:i + _FOLD]), values[i:i + _FOLD])
+    totals = {
+        "total_fee_return": float(ledger.cumulative_growth - 1.0),
+        "total_relative_loss": losses.total_relative_loss,
+        "sum_fee_returns": float(np.sum(ledger.returns)),
+        "sum_losses": float(np.sum(losses.losses)),
+    }
+    return timeline, fee_at, loss_at, totals
 
-    # the running sums. A window reads the running sums at and before its row, so the
-    # window sums are worked out a chunk at a time, last chunk first, and each chunk's
-    # ratio is written over its fee running sums
+
+def _running_sums(timeline: np.ndarray, fee_at: np.ndarray, loss_at: np.ndarray, totals: dict,
+                  window_ms: int) -> ComparisonReport:
+    """fees_vs_losses' running-sum step, on _merged's timeline, columns and totals.
+
+    A window reads the running sums at and before its row, so the window sums are worked out
+    a chunk at a time, last chunk first, and each chunk's ratio is written over its fee
+    running sums; the running difference is then written over the loss running sums.
+    """
+    if window_ms <= 0:
+        raise InputError(f"window must be positive, got {window_ms}")
     ratio, loss_run = np.cumsum(fee_at), np.cumsum(loss_at)
     reach = len(timeline)  # rows from reach on lie a whole window past the first stamp
     if len(timeline) and (edge := int(timeline[0]) + window_ms) < 2**63:
@@ -595,22 +614,14 @@ def fees_vs_losses(
                              for run in (ratio, loss_run))
         np.divide(fee_sum, loss_sum, out=chunk, where=loss_sum != 0)
         chunk[loss_sum == 0] = np.nan
-    # the running difference, over the loss running sums
     cumulative = np.subtract(fee_at, loss_at, out=loss_run)
     np.cumsum(cumulative, out=cumulative)
-
-    totals = {
-        "total_fee_return": float(ledger.cumulative_growth - 1.0),
-        "total_relative_loss": losses.total_relative_loss,
-        "sum_fee_returns": float(np.sum(ledger.returns)),
-        "sum_losses": float(np.sum(losses.losses)),
-        "final_difference": float(cumulative[-1]) if len(timeline) else 0.0,
-    }
     return ComparisonReport(
         timestamps=timeline,
         fee_returns=fee_at,
         loss_returns=loss_at,
         cumulative_difference=cumulative,
         trailing_ratio=ratio,
-        totals=totals,
+        totals={**totals,
+                "final_difference": float(cumulative[-1]) if len(timeline) else 0.0},
     )

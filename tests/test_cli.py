@@ -290,21 +290,17 @@ class TestSimulateArbMemory:
 
 class TestCompareMemory:
     """Traced peak of an in-process compare on 100 000 swaps in blocks of 3, in bytes per
-    swap. Fee attribution works through the swaps a chunk at a time, so the run peaks
-    while it holds the loaded swaps: their 56-byte records and loadtxt's growth while it
-    reads them (67 bytes a swap in all), or those records and the ledger's return and
-    stamp per swap as attribution writes them. The whole-array attribution it replaced
-    peaked at 91 bytes a swap per swap and 86 per block."""
+    swap. Fee attribution reads the swaps a chunk of 16 384 at a time, so the run never
+    holds them: it holds the ledger (16 bytes a return) and one chunk, and compare drops the
+    ledger once its fees are on the report's timeline. Per swap, the run peaks while
+    comparison.csv is written: the report's 40 bytes a row and a block of cells (49.6 in
+    all); per block, at 24.8, in attribution or the writer. With the loaded swaps' 56-byte
+    records held through attribution, it peaked at 78-83 and 68; the whole-array
+    attribution before that, at 91 and 86."""
 
     ROWS = 100_000
 
-    @pytest.fixture(scope="class")
-    def inputs(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("compare-inputs")
-        return (write(root, "swaps.csv", _swaps(self.ROWS)),
-                write(root, "klines.csv", _klines(self.ROWS // 10)))
-
-    @pytest.mark.parametrize("per_block, bound", [(False, 86), (True, 72)],
+    @pytest.mark.parametrize("per_block, bound", [(False, 52), (True, 27)],
                              ids=["per-swap", "per-block"])
     def test_peak_bytes_per_swap(self, tmp_path, inputs, per_block, bound):
         swaps, klines = inputs
@@ -320,6 +316,172 @@ class TestCompareMemory:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert manifest["fill_counters"] == {} and manifest["results"]["sum_fee_returns"] > 0
         assert peak / self.ROWS <= bound
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("compare-inputs")
+        return (write(root, "swaps.csv", _swaps(self.ROWS)),
+                write(root, "klines.csv", _klines(self.ROWS // 10)))
+
+
+SWAP_HEADER = ("block_number,timestamp_ms,input_token,amount_in,fee_rate,post_swap_price,"
+               "post_swap_liquidity\n")
+
+
+def _held_ledger(path, position_liquidity, per_block):
+    """The ledger and swap count of the whole file loaded first, then attributed: what the
+    streamed fee attribution of fees and compare must give."""
+    swaps = lvrsim.load_swap_records(path)
+    return lvrsim.attribute_fees(swaps, position_liquidity, per_block=per_block), len(swaps)
+
+
+def _outputs(out: Path):
+    """The tables and the manifest of a run, but for its creation time."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["created_utc"]
+    return {path.name: path.read_bytes() for path in sorted(out.glob("*.csv"))}, manifest
+
+
+class TestStreamedFees:
+    """fees and compare read the swaps 16 384 rows at a time through one handle, and attribute
+    each chunk as it comes. Their tables and manifests are those of attribute_fees on
+    load_swap_records, bit for bit: at the chunk edges, where a block of 3 swaps spans each,
+    and on every form of file."""
+
+    CHUNK = 16_384
+
+    @staticmethod
+    def runs(tmp_path, swaps, klines, per_block, held=False):
+        """fees' and compare's outputs on the swaps; held: through _held_ledger."""
+        runs = {}
+        for command in ("fees", "compare"):
+            out = tmp_path / f"{command}-{'held' if held else 'streamed'}"
+            feed = (["--klines", klines, "--interval-ms", 60_000, "--fee-bps", 5]
+                    if command == "compare" else [])
+            with (mock.patch.object(cli, "_attributed_file", _held_ledger) if held
+                  else contextlib.nullcontext()):
+                assert run_cli(command, "--swaps", swaps, *feed, "--position-liquidity", 500,
+                               "--concentration-k", 2, "--out", out,
+                               *(["--per-block"] if per_block else [])) == 0
+            runs[command] = _outputs(out)
+        return runs
+
+    def check(self, tmp_path, swaps, per_block, rows):
+        klines = write(tmp_path, "klines.csv", _klines(2_000))
+        streamed = self.runs(tmp_path, swaps, klines, per_block)
+        assert streamed == self.runs(tmp_path, swaps, klines, per_block, held=True)
+        fees_manifest = streamed["fees"][1]
+        assert fees_manifest["fill_counters"] == {"n_records": rows}
+        assert fees_manifest["results"]["n_periods"] == (-(-rows // 3) if per_block else rows)
+
+    @pytest.mark.parametrize("per_block", [False, True], ids=["per-swap", "per-block"])
+    @pytest.mark.parametrize("rows", [CHUNK - 1, CHUNK, CHUNK + 1,
+                                      2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1])
+    def test_chunk_edges(self, tmp_path, rows, per_block):
+        text = _swaps(rows)
+        blocks = [line.split(",", 1)[0] for line in text.splitlines()]
+        assert all(blocks[edge - 1] == blocks[edge] for edge in (self.CHUNK, 2 * self.CHUNK)
+                   if edge < rows)  # a block spans each chunk edge inside the file
+        self.check(tmp_path, write(tmp_path, "swaps.csv", text), per_block, rows)
+
+    @staticmethod
+    def quoted(text):
+        return re.sub(r"[^,\n]+", lambda cell: f'"{cell[0]}"', text)
+
+    @staticmethod
+    def on_line(text, line, change):
+        """text with change applied to its line (1-based)."""
+        lines = text.splitlines(keepends=True)
+        lines[line - 1] = change(lines[line - 1])
+        return "".join(lines)
+
+    FORMS = {
+        "header": lambda text: SWAP_HEADER + text,
+        "quoted": quoted.__func__,
+        "header-quoted": lambda text: SWAP_HEADER + TestStreamedFees.quoted(text),
+        # a quoted cell over two lines in each chunk, the first ending chunk 1
+        "cell-over-two-lines": lambda text: TestStreamedFees.on_line(
+            TestStreamedFees.on_line(text, 16_384, lambda line: re.sub(
+                r",([^,]*)\n$", r',"\1\n"\n', line)),
+            20_000, lambda line: re.sub(",([XY]),", r',"\1\n",', line)),
+        # np.loadtxt rejects the second chunk, which the row parser reads
+        "whitespace-line": lambda text: TestStreamedFees.on_line(
+            text, 20_000, lambda line: "  \n" + line),
+        "underscore": lambda text: TestStreamedFees.on_line(
+            text, 20_000, lambda line: line.replace(",0.003,", ",0.00_3,")),
+        # np.loadtxt misreads a padded token, which the row parser strips
+        "padded-token": lambda text: TestStreamedFees.on_line(
+            text, 20_000, lambda line: re.sub(",([XY]),", r", \1 ,", line)),
+    }
+
+    @pytest.mark.parametrize("per_block", [False, True], ids=["per-swap", "per-block"])
+    @pytest.mark.parametrize("form", [*FORMS, "gz", "header-gz"])
+    def test_file_forms(self, tmp_path, form, per_block):
+        rows = 2 * self.CHUNK + 1
+        text = _swaps(rows)
+        if form.endswith("gz"):
+            path = tmp_path / "swaps.csv.gz"
+            path.write_bytes(gzip.compress(
+                ((SWAP_HEADER if form == "header-gz" else "") + text).encode()))
+            swaps = str(path)
+        else:
+            swaps = write(tmp_path, "swaps.csv", self.FORMS[form](text))
+            assert self.FORMS[form](text) != text
+        self.check(tmp_path, swaps, per_block, rows)
+
+
+class TestStreamedFeesFaults:
+    """A row fault anywhere in the swaps file wins over an attribution fault at an earlier
+    swap, as when the whole file was loaded before attribution: exit 2, the row's line, and
+    no --out. 20 000 swaps in blocks of 3, read in two chunks; the position is 500."""
+
+    ROWS = 20_000
+    ATTRIBUTION_FAULTS = {
+        "liquidity": "position liquidity 500.0 exceeds pool in-range liquidity 100.0",
+        "overflow": "the fees of the swaps overflow the float range: returns must be finite "
+                    "and > -1",
+    }
+
+    def run(self, tmp_path, command, per_block, earlier, last=None):
+        """command's exit code on swaps with an attribution fault in the first chunk and, if
+        last is given, a row fault on the last line."""
+        rows = [line.split(",") for line in _swaps(self.ROWS).splitlines()]
+        if earlier == "liquidity":
+            rows[11][6] = "100.0"  # the end of the fourth block, below the position
+        else:
+            rows[10][3:6] = ["1e308", "0.003", "1e300"]  # an X fee past the float range in Y
+        if last == "bad-cell":
+            rows[-1][3] = "abc"
+        elif last == "timestamp-back":
+            rows[-1][1] = "1"
+        path = write(tmp_path, "swaps.csv", "".join(",".join(row) + "\n" for row in rows))
+        feed = (["--klines", write(tmp_path, "klines.csv", _klines(2_000)), "--interval-ms",
+                 60_000, "--fee-bps", 5] if command == "compare" else [])
+        code = run_cli(command, "--swaps", path, *feed, "--position-liquidity", 500,
+                       "--out", tmp_path / "out", *(["--per-block"] if per_block else []))
+        assert not (tmp_path / "out").exists()
+        return code, path
+
+    @pytest.mark.parametrize("command", ["fees", "compare"])
+    @pytest.mark.parametrize("per_block", [False, True], ids=["per-swap", "per-block"])
+    @pytest.mark.parametrize("earlier", ATTRIBUTION_FAULTS)
+    @pytest.mark.parametrize("last, message", [
+        ("bad-cell", "{path}:20000: bad amount_in: 'abc'"),
+        ("timestamp-back", "{path}:20000: timestamps decreasing: 1 after 19998000"),
+    ])
+    def test_row_fault_wins(self, tmp_path, capsys, command, per_block, earlier, last,
+                            message):
+        code, path = self.run(tmp_path, command, per_block, earlier, last)
+        assert (code, capsys.readouterr().err) == (2, f"error: {message.format(path=path)}\n")
+
+    @pytest.mark.parametrize("command", ["fees", "compare"])
+    @pytest.mark.parametrize("per_block", [False, True], ids=["per-swap", "per-block"])
+    @pytest.mark.parametrize("earlier", ATTRIBUTION_FAULTS)
+    def test_attribution_fault_without_a_row_fault(self, tmp_path, capsys, command, per_block,
+                                                   earlier):
+        code, _ = self.run(tmp_path, command, per_block, earlier)
+        assert (code, capsys.readouterr().err) == (
+            2, f"error: {self.ATTRIBUTION_FAULTS[earlier]}\n")
 
 
 class TestScheduleMemory:
@@ -1317,8 +1479,10 @@ class TestFeedStep:
 
 
 FEED_COMMANDS = ("simulate-arb", "compare", "sweep-blocktime", "sweep-fee")
+# the swaps are read by the fee attribution that reads them a chunk at a time, whose first
+# argument is their path
 LOADERS = {"--klines": "load_klines", "--quotes": "load_quote_updates",
-           "--blocks": "load_block_timestamps", "--swaps": "load_swap_records"}
+           "--blocks": "load_block_timestamps", "--swaps": "_attributed_file"}
 
 
 def _assembly_cases() -> list:
@@ -1430,7 +1594,7 @@ class TestRunAssembly:
                            "--out", out) == 0
         for flag, loader in loaders.items():
             expected = [(str(paths[flag]),)] if flag in paths else []
-            assert [call.args for call in loader.call_args_list] == expected, flag
+            assert [call.args[:1] for call in loader.call_args_list] == expected, flag
         recorded = json.loads((out / "manifest.json").read_text())["inputs"]
         assert recorded == {str(path): {"sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
                                         "bytes": path.stat().st_size}

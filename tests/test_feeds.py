@@ -12,6 +12,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import lvrsim.feeds as feeds
+import lvrsim.fees as fees
 import lvrsim.simulation as simulation
 from lvrsim import (
     BlockSchedule,
@@ -550,6 +551,23 @@ class TestChunkEdges:
             path = write(tmp_path, f"{r}.csv", "".join(",".join(row) + "\n" for row in rows))
             assert str(chunked) == str(whole)
             assert str(raised(ParseError, load_swap_records, path)) == f"{path}:{r + 1}: {whole}"
+
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    @pytest.mark.parametrize("rule", [rule for kind, rule in EDGE_FAULTS if kind == "swaps"])
+    def test_swaps_read_a_chunk_at_a_time(self, tmp_path, rule, chunk):
+        """fees and compare read the swaps chunk rows at a time, each chunk checked after
+        the last row of the one before, by np.loadtxt or by the row parser: the ParseError
+        of the whole file."""
+        for r in edge_rows(rule, chunk):
+            path = write(tmp_path, f"{r}.csv", "".join(
+                ",".join(row) + "\n" for row in faulty_rows("swaps", rule, r)))
+            whole = raised(ParseError, load_swap_records, path)
+            with mock.patch.object(fees, "_CHUNK", chunk):
+                streamed = raised(ParseError, fees._attributed_file, path, 1.0, True)
+                with mock.patch.object(feeds, "_read_chunks", lambda *args: iter([None])):
+                    parsed = raised(ParseError, fees._attributed_file, path, 1.0, True)
+            assert str(streamed) == str(parsed) == str(whole)
 
 
 KLINES = "timestamp_ms,open,high,low,close,volume\n" + KLINE + "2000,2.6,3,2,2.7,1\n"
