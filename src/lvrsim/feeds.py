@@ -149,88 +149,53 @@ def _iter_rows(path: str, n_columns: int, exact: bool = True):
         yield lineno, row
 
 
-def _loadtxt_setup(path: str, n_columns: int, exact: bool, dtypes) -> tuple | None:
-    """(lines before the first row, np.loadtxt's keywords) for a CSV; no keywords when it holds
-    no row, and None when it goes to the row parser before loadtxt.
+def _read_chunks(path: str, n_columns: int, exact: bool, dtypes, rows: int | None = None):
+    """The leading len(dtypes) columns of a CSV as np.loadtxt reads them: one chunk from one
+    call on the path (rows=None), else chunks of up to rows rows through one open handle, each
+    call going on from the row the last one ended at; a file with no row gives one empty chunk.
 
-    That is when the file is not a regular file (it could not be read twice) or its suffix is
-    one numpy would decompress. loadtxt splits quoted cells as csv.reader does, and starts at
-    the first row _csv_rows yields, whose ParseError is the row parser's. With exact=False,
-    column n_columns - 1 is read as well, into a zero-width field, so that a short row fails
-    in loadtxt too.
+    None, yielded last, sends the file to the row parser: a file that is not regular (it could
+    not be read twice) or whose suffix numpy would decompress, at once; one that loadtxt
+    rejects or that does not decompress, from there. loadtxt splits quoted cells as csv.reader
+    does, and starts at the first row _csv_rows yields, whose ParseError is the row parser's.
+    With exact=False, column n_columns - 1 is read as well, into a zero-width field, so that a
+    short row fails in loadtxt too. A path is read whole because numpy reads a str path in
+    blocks and any other source line by line: through a handle, klines parse 15-22 % slower
+    and quotes 13-17 %, which buys holding no more than a chunk.
     """
     if str(path).endswith((".bz2", ".xz", ".lzma")) or not os.path.isfile(path):
-        return None
-    with contextlib.closing(_csv_rows(path)) as rows:
-        first = next(rows, None)
+        yield None
+        return
+    with contextlib.closing(_csv_rows(path)) as data:
+        first = next(data, None)
     if first is None:  # loadtxt would warn that the file holds no data
-        return 0, None
+        yield tuple(np.empty(0, dtype) for dtype in dtypes)
+        return
     fields = [(f"c{i}", dtype) for i, dtype in enumerate(dtypes)]
     usecols = None
     if not exact:
         usecols = (*range(len(fields)), n_columns - 1)
         fields.append(("last", "U0"))
-    # comments=None: the row parser rejects what '#' would skip
-    return first[0] - 1, dict(dtype=fields, delimiter=",", comments=None, quotechar='"',
-                              usecols=usecols, ndmin=1, encoding="utf-8")
-
-
-def _fields(table: np.ndarray, n: int) -> tuple:
-    """The leading n fields of loadtxt's one structured array, not copies: strided views whose
-    records hold nothing but the columns returned."""
-    return tuple(table[name] for name in table.dtype.names[:n])
-
-
-def _read_columns(path: str, n_columns: int, exact: bool, dtypes) -> tuple | None:
-    """The leading len(dtypes) columns of a CSV in one np.loadtxt call on its path, or None.
-
-    None sends the file to the row parser: _loadtxt_setup's files, and those that loadtxt
-    rejects or that do not decompress.
-    """
-    setup = _loadtxt_setup(path, n_columns, exact, dtypes)
-    if setup is None:
-        return None
-    skip, keywords = setup
-    if keywords is None:
-        return tuple(np.empty(0, dtype) for dtype in dtypes)
-    try:
-        # a path, not a handle, so that numpy reads it in blocks, not line by line (through a
-        # handle klines and quotes parse 16-22 % slower); absolute, so that numpy does not
-        # take a name like a://b/k.csv for a URL
-        table = np.loadtxt(os.path.abspath(path), skiprows=skip, **keywords)
-    except (ValueError, *_GZIP_ERRORS):
-        return None
-    return _fields(table, len(dtypes))
-
-
-def _read_chunks(path: str, n_columns: int, exact: bool, dtypes, rows: int):
-    """_read_columns through one open handle, np.loadtxt reading up to rows rows a call: the
-    chunks loadtxt reads, then None if it rejects the rest or the rest does not decompress.
-
-    Through a handle, numpy reads line by line, which costs klines and quotes time but holds
-    no more than a chunk; each call goes on from the row the last one ended at.
-    """
-    setup = _loadtxt_setup(path, n_columns, exact, dtypes)
-    if setup is None:
-        yield None
-        return
-    skip, keywords = setup
-    if keywords is None:
-        return
-    with io.TextIOWrapper(_open_bytes(path), encoding="utf-8") as handle:
+    skip = first[0] - 1
+    # absolute, so that numpy does not take a name like a://b/k.csv for a URL
+    with (contextlib.nullcontext(os.path.abspath(path)) if rows is None else
+          io.TextIOWrapper(_open_bytes(path), encoding="utf-8")) as source:
         while True:
             try:
                 with warnings.catch_warnings():  # a file ending at a chunk's end has no more
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    table = np.loadtxt(handle, skiprows=skip, max_rows=rows, **keywords)
+                    # comments=None: the row parser rejects what '#' would skip
+                    table = np.loadtxt(source, dtype=fields, delimiter=",", comments=None,
+                                       quotechar='"', skiprows=skip, usecols=usecols,
+                                       max_rows=rows, ndmin=1, encoding="utf-8")
             except (ValueError, *_GZIP_ERRORS):
                 yield None
                 return
-            skip = 0
-            if len(table):
-                yield _fields(table, len(dtypes))
-            if len(table) < rows:
+            # strided views, not copies, whose records hold nothing but the columns yielded
+            yield tuple(table[name] for name in table.dtype.names[:len(dtypes)])
+            if rows is None or len(table) < rows:
                 return
+            skip = 0
 
 
 def _parse_int(path: str, lineno: int, text: str, name: str, int64: bool = True) -> int:
@@ -265,17 +230,16 @@ def _column_chunks(path: str, n_columns: int, exact: bool, columns, rules, rows=
     """The leading columns of a CSV as chunks of arrays, each checked as it is read, or the
     ParseError of the file's first faulty row.
 
-    rows=None gives one chunk, from one np.loadtxt call on the path; else loadtxt reads
-    chunks of rows rows through one open handle. columns holds a (name, cell parser, dtype)
-    per column; rules(*arrays) gives the loader's ordered (row mask, message for row i)
-    pairs, which _chunk_fault applies to each chunk, with the last row of the chunk before.
-    From the first chunk that loadtxt rejects or that a mask fires on, the row parser reads
-    the file instead (_parsed_chunks).
+    _read_chunks reads them: rows=None gives one chunk, from one np.loadtxt call on the
+    path; else loadtxt reads chunks of rows rows through one open handle. columns holds a
+    (name, cell parser, dtype) per column; rules(*arrays) gives the loader's ordered (row
+    mask, message for row i) pairs, which _chunk_fault applies to each chunk, with the last
+    row of the chunk before. From the first chunk that loadtxt rejects or that a mask fires
+    on, the row parser reads the file instead (_parsed_chunks).
     """
     dtypes = [dtype for _, _, dtype in columns]
     done, before, flagged = 0, None, None  # rows yielded, the last of them, the row flagged
-    for chunk in ([_read_columns(path, n_columns, exact, dtypes)] if rows is None
-                  else _read_chunks(path, n_columns, exact, dtypes, rows)):
+    for chunk in _read_chunks(path, n_columns, exact, dtypes, rows):
         if chunk is None:
             break
         if fault := _chunk_fault(rules, chunk, before):

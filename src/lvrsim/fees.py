@@ -30,8 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, ParseError
-from .feeds import (_CHUNK, _check, _column_chunks, _iter_rows, _load_columns, _not_positive,
-                    _parse_float, _parse_int, _stamp_order, _unchecked)
+from .feeds import (_CHUNK, _check, _column_chunks, _first_fault, _iter_rows, _load_columns,
+                    _not_positive, _parse_float, _parse_int, _stamp_order, _unchecked)
 from .pool import _fold_series, concentration_scale
 
 TOKEN_X = "X"
@@ -393,32 +393,49 @@ def convert_raw_swap_export(
     Raw schema: block_number,timestamp_ms,amount_x,amount_y,sqrt_price_x96,liquidity
     with amounts signed from the pool's perspective (positive = paid in).
     Amounts and liquidity are in raw integer token units. Returns the number
-    of rows written.
+    of rows written. The converted rows are checked with load_swap_records'
+    rules before dest is opened; a fault names the raw file's line, and the
+    first faulty row wins, as in load_swap_records.
     """
     if not (0.0 < fee_rate < 1.0):
         raise InputError(f"fee_rate must be in (0, 1), got {fee_rate}")
     scale_x = 10.0**decimals_x
     scale_y = 10.0**decimals_y
     scale_l = 10.0 ** ((decimals_x + decimals_y) / 2.0)
-    rows = []  # every row is checked before dest is opened
-    for lineno, row in _iter_rows(src, 6):
-        block = _parse_int(src, lineno, row[0], "block_number")
-        ts = _parse_int(src, lineno, row[1], "timestamp_ms")
-        amount_x = _parse_float(src, lineno, row[2], "amount_x")
-        amount_y = _parse_float(src, lineno, row[3], "amount_y")
-        sqrt_px = _parse_int(src, lineno, row[4], "sqrt_price_x96", int64=False)
-        liquidity = _parse_float(src, lineno, row[5], "liquidity")
-        if amount_x > 0:
-            token, amount = TOKEN_X, amount_x / scale_x
-        elif amount_y > 0:
-            token, amount = TOKEN_Y, amount_y / scale_y
-        else:
-            raise ParseError(str(src), lineno, "no positive input amount")
-        price = sqrt_price_x96_to_price(sqrt_px, decimals_x, decimals_y)
-        rows.append([block, ts, token, repr(amount), repr(fee_rate), repr(price),
-                     repr(liquidity / scale_l)])
+    values, lines, error = tuple([] for _ in _SWAP_COLUMNS), [], None
+    try:
+        for lineno, row in _iter_rows(src, 6):
+            block = _parse_int(src, lineno, row[0], "block_number")
+            ts = _parse_int(src, lineno, row[1], "timestamp_ms")
+            amount_x = _parse_float(src, lineno, row[2], "amount_x")
+            amount_y = _parse_float(src, lineno, row[3], "amount_y")
+            sqrt_px = _parse_int(src, lineno, row[4], "sqrt_price_x96", int64=False)
+            liquidity = _parse_float(src, lineno, row[5], "liquidity")
+            if amount_x > 0:
+                token, amount = TOKEN_X, amount_x / scale_x
+            elif amount_y > 0:
+                token, amount = TOKEN_Y, amount_y / scale_y
+            else:
+                raise ParseError(str(src), lineno, "no positive input amount")
+            try:
+                price = sqrt_price_x96_to_price(sqrt_px, decimals_x, decimals_y)
+            except InputError as exc:
+                raise ParseError(str(src), lineno, str(exc)) from None
+            except OverflowError:  # past the float range, which the swap rules reject
+                price = math.inf
+            for column, value in zip(values, (block, ts, token, amount, fee_rate, price,
+                                              liquidity / scale_l)):
+                column.append(value)
+            lines.append(lineno)
+    except ParseError as exc:  # a rule fault on an earlier row comes first
+        error = exc
+    columns = [np.array(column, dtype) for column, (_, _, dtype) in zip(values, _SWAP_COLUMNS)]
+    if fault := _first_fault(_swap_rules, columns):
+        raise ParseError(str(src), lines[fault[0]], fault[1])
+    if error:
+        raise error
     with open(dest, "w", encoding="utf-8", newline="") as out:
         writer = csv.writer(out)
         writer.writerow(name for name, _, _ in _SWAP_COLUMNS)
-        writer.writerows(rows)
-    return len(rows)
+        writer.writerows(zip(*values))  # a float is written as its repr
+    return len(lines)

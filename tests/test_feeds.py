@@ -184,7 +184,7 @@ LOADERS = {"klines": load_klines, "quotes": load_quote_updates, "blocks": load_b
 
 def row_path(load, path):
     """What the loader gives with its columnar fast path switched off."""
-    with mock.patch.object(feeds, "_read_columns", lambda *args: None):
+    with mock.patch.object(feeds, "_read_chunks", lambda *args: iter([None])):
         return load(path)
 
 
@@ -292,9 +292,57 @@ QUOTED = {
 }
 
 
+SWAP = "1,1000,X,1.5,0.003,2000.0,1000000.0\n"
+
+# what else the streamed reader meets: a header, a header alone, and swaps files, which
+# fees and compare read streamed
+STREAMED = {
+    "klines": {"header-only": "timestamp_ms,open,high,low,close,volume\n"},
+    "quotes": {"header": "timestamp_ms,bid,ask\n0,99,101\n1,99,101\n2,98,102\n",
+               "header-only": "timestamp_ms,bid,ask\n"},
+    "blocks": {"header": "block_number,timestamp_s\n100,12\n101,24\n102,36\n",
+               "header-only": "block_number,timestamp_s\n"},
+    "swaps": {
+        "rows": SWAP + "1,1000,Y,2.5,0.003,2001.0,1000000.0\n2,2000,X,1.5,0.003,1999.0,2e6\n",
+        "header": "block_number,timestamp_ms,input_token,amount_in,fee_rate,post_swap_price,"
+                  "post_swap_liquidity\n" + SWAP + "2,2000,Y,1.5,0.003,2000.0,1e6\n",
+        "header-only": "block_number,timestamp_ms,input_token,amount_in,fee_rate,"
+                       "post_swap_price,post_swap_liquidity\n",
+        "quoted-cells": SWAP + '"2","2000","Y",1.5,0.003,"2000.0",1e6\n',
+        "padded-token": SWAP + "2,2000, Y ,1.5,0.003,2000.0,1e6\n3,3000,X,1.5,0.003,2000.0,1e6\n",
+        "whitespace-line": SWAP + "  \n2,2000,Y,1.5,0.003,2000.0,1e6\n",
+        "bad-token": SWAP + "2,2000,Z,1.5,0.003,2000.0,1e6\n",
+        "decreasing": SWAP + "2,2000,Y,1.5,0.003,2000.0,1e6\n2,1500,Y,1.5,0.003,2000.0,1e6\n",
+        "short-row": SWAP + "2,2000,Y,1.5,0.003,2000.0\n",
+    },
+}
+LOAD_COLUMNS = feeds._load_columns
+
+
 def cases(table):
     return [pytest.param(kind, text, id=f"{kind}-{name}")
             for kind, files in table.items() for name, text in files.items()]
+
+
+def loaded_columns(load, path, rows=None):
+    """The columns that load(path) takes from feeds._load_columns, as (dtype, contents), or
+    its ParseError's text. With rows, _column_chunks(..., rows=rows) joined stand in for
+    them: the one reader's streamed mode, as fees and compare read the swaps."""
+    taken = []
+
+    def columns(*args):
+        chunks = [LOAD_COLUMNS(*args)] if rows is None else feeds._column_chunks(*args, rows)
+        joined = tuple(np.concatenate(parts) for parts in zip(*chunks))
+        taken.extend((c.dtype, c.tolist() if c.dtype == object else c.tobytes()) for c in joined)
+        return joined
+
+    with mock.patch.object(feeds, "_load_columns", columns), \
+            mock.patch.object(fees, "_load_columns", columns):
+        try:
+            load(path)
+        except ParseError as err:
+            return str(err)
+    return taken
 
 
 class TestColumnarParity:
@@ -321,6 +369,15 @@ class TestColumnarParity:
         result = columnar_only(LOADERS[kind], path)
         assert len(result) > 0
         assert_bitwise_equal(result, row_path(LOADERS[kind], path))
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gz"])
+    @pytest.mark.parametrize("kind, text", cases(MALFORMED) + cases(LOADTXT_REJECTS)
+                             + cases(QUOTED) + cases(STREAMED))
+    def test_streamed_reader_gives_the_loaded_columns(self, tmp_path, kind, text, compress):
+        path = save(tmp_path, (text, compress))
+        whole = loaded_columns(EDGE_LOADERS[kind], path)
+        for rows in [1, 2, 3, 7, feeds._CHUNK]:
+            assert loaded_columns(EDGE_LOADERS[kind], path, rows) == whole, rows
 
     def test_cr_line_ends(self, tmp_path):
         path = write(tmp_path, "k.csv", "1000,2.5,3,2,2.6,1\r2000,2.6,3,2,2.7,1\r")
@@ -436,21 +493,21 @@ class TestColumnarParity:
         n = 20_000
         path = write(tmp_path, "k.csv", "".join(
             ("   \n" if i == blank else "") + f"{1000 * i},2.5,3,2,2.6,1\n" for i in range(n)))
-        first_fault, read_columns, checked, fast = feeds._first_fault, feeds._read_columns, [], []
+        first_fault, read_chunks, checked, fast = feeds._first_fault, feeds._read_chunks, [], []
 
         def counting(rules, columns):
             checked.append(len(columns[0]))
             return first_fault(rules, columns)
 
         def reading(*args):
-            fast.append(read_columns(*args))
-            return fast[-1]
+            fast.append(list(read_chunks(*args)))
+            return iter(fast[-1])
 
         with mock.patch.object(feeds, "_first_fault", counting), \
-                mock.patch.object(feeds, "_read_columns", reading):
+                mock.patch.object(feeds, "_read_chunks", reading):
             series = load_klines(path)
         assert len(series) == n
-        assert (fast[0] is None) == (blank is not None)
+        assert (fast[0] == [None]) == (blank is not None)
         assert checked == [n]  # 44 576 rows in three checks, when the row pass had a schedule
 
     def test_same_millisecond_collapse_logged_alike(self, tmp_path, caplog):
@@ -779,13 +836,13 @@ class TestCheckMemory:
     """What a loader holds beyond the columns np.loadtxt returns and beyond what it returns,
     in traced bytes, grows by less than 0.1 byte a row from 100 000 to 400 000 rows: the
     rules and the dropping of repeats go through the columns a chunk at a time, and the
-    loaded columns are not checked again. _read_columns returns prebuilt columns, so that
+    loaded columns are not checked again. _read_chunks yields prebuilt columns, so that
     loadtxt's own growth as it reads, a quarter of each record, is not measured."""
 
     @staticmethod
     def held(kind, n):
         columns = prebuilt(kind, n)
-        with mock.patch.object(feeds, "_read_columns", lambda *args: columns):
+        with mock.patch.object(feeds, "_read_chunks", lambda *args: iter([columns])):
             tracemalloc.start()
             try:
                 loaded = EDGE_LOADERS[kind]("prebuilt.csv")

@@ -364,7 +364,7 @@ def test_table_and_file_report_a_fault_alike(tmp_path, column, value):
 
 def row_path(path):
     """Swap records with the columnar fast path switched off."""
-    with mock.patch.object(feeds, "_read_columns", lambda *args: None):
+    with mock.patch.object(feeds, "_read_chunks", lambda *args: iter([None])):
         return load_swap_records(path)
 
 
@@ -720,6 +720,13 @@ class TestRawConversion:
 
     RAW = f"100,1000,1,-1,{2**96},1\n101,2000,1,-1,{2**96},1\n"
 
+    def test_numpy_fee_rate_is_written_as_its_value(self, tmp_path):
+        # not as its repr, np.float64(0.003), which load_swap_records rejects
+        src, dest = tmp_path / "raw.csv", tmp_path / "swaps.csv"
+        src.write_text(self.RAW)
+        convert_raw_swap_export(str(src), str(dest), fee_rate=np.float64(0.003))
+        assert load_swap_records(str(dest)).fee_rates.tolist() == [0.003, 0.003]
+
     @pytest.mark.parametrize("existing", [None, b"kept\n"], ids=["no-dest", "dest-exists"])
     def test_bad_row_leaves_dest_as_it_was(self, tmp_path, existing):
         src, dest = tmp_path / "raw.csv", tmp_path / "swaps.csv"
@@ -737,6 +744,38 @@ class TestRawConversion:
         with pytest.raises(ParseError) as err:
             convert_raw_swap_export(str(src), str(dest), fee_rate=0.003)
         assert str(err.value) == f"{src}:3: not UTF-8 text: byte 0xff"
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("row, decimals, message", [
+        ("102,3000,1,-1,0,1", (18, 18), "sqrt_price_x96 must be positive"),
+        (f"102,1500,1,-1,{2**96},1", (18, 18), "timestamps decreasing: 1500 after 2000"),
+        (f"99,3000,1,-1,{2**96},1", (18, 18), "block numbers decreasing: 99 after 101"),
+        (f"102,3000,1,-1,{2**96},0", (18, 18), "post_swap_liquidity must be positive, got 0.0"),
+        (f"102,3000,1,-1,{2**96 * 10**160},1", (18, 18),
+         "post_swap_price must be positive, got inf"),  # the square is past the float range
+        (f"102,3000,1,-1,{2**96 * 10**5},1", (300, 0),
+         "post_swap_price must be positive, got inf"),  # the decimal scale takes it past
+        ("102,3000,1e-310,-1,1,1", (18, 18), "amount_in must be positive, got 0.0"),
+    ], ids=["zero-sqrt-price", "time-back", "block-back", "zero-liquidity", "price-squared-inf",
+            "price-scaled-inf", "amount-underflow"])
+    def test_converted_rows_meet_the_swap_rules(self, tmp_path, row, decimals, message):
+        """What convert_raw_swap_export writes passes load_swap_records; a row that would not
+        is named by the raw file's line, and nothing is written."""
+        src, dest = tmp_path / "raw.csv", tmp_path / "swaps.csv"
+        src.write_text(self.RAW + row + "\n")
+        with pytest.raises(ParseError) as err:
+            convert_raw_swap_export(str(src), str(dest), 0.003, *decimals)
+        assert str(err.value) == f"{src}:3: {message}"
+        assert not dest.exists()
+
+    def test_first_faulty_row_wins(self, tmp_path):
+        """A rule fault on an earlier row comes before a cell that does not parse, as in
+        load_swap_records."""
+        src, dest = tmp_path / "raw.csv", tmp_path / "swaps.csv"
+        src.write_text(self.RAW + f"102,1500,1,-1,{2**96},1\n103,4000,abc,-1,{2**96},1\n")
+        with pytest.raises(ParseError) as err:
+            convert_raw_swap_export(str(src), str(dest), fee_rate=0.003)
+        assert str(err.value) == f"{src}:3: timestamps decreasing: 1500 after 2000"
         assert not dest.exists()
 
     def test_block_number_beyond_int64_names_line(self, tmp_path):
