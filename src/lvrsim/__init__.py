@@ -6,6 +6,8 @@ position from historical swaps, and measures how arbitrage losses vary with
 block interval and pool fee.
 """
 
+import types
+
 __version__ = "0.1.0"
 
 from .arbitrage import (
@@ -64,53 +66,6 @@ from .simulation import (
     run_arb_sim,
 )
 
-__all__ = [
-    "ArbTrade",
-    "BlockSchedule",
-    "ComparisonReport",
-    "DEFAULT_INTERVALS_MS",
-    "Direction",
-    "EXTENDED_INTERVALS_MS",
-    "FitError",
-    "InputError",
-    "InsufficientDataError",
-    "LossSeries",
-    "ParseError",
-    "PoolState",
-    "PositionLedger",
-    "PriceSeries",
-    "Quote",
-    "QuoteSeries",
-    "SwapRecord",
-    "SwapTable",
-    "SwapResult",
-    "SweepResult",
-    "accumulate",
-    "align_to_blocks",
-    "apply_arbitrage",
-    "attribute_fees",
-    "blocktime_sweep",
-    "concentration_scale",
-    "convert_raw_swap_export",
-    "fee_earned",
-    "fee_sweep",
-    "fees_vs_losses",
-    "fixed_schedule",
-    "gbm_generate",
-    "load_block_timestamps",
-    "load_klines",
-    "load_quote_updates",
-    "load_swap_records",
-    "loglog_slope",
-    "no_arb_band",
-    "optimal_arb_trade",
-    "position_value",
-    "position_value_of_liquidity",
-    "quotes_from_prices",
-    "rebalancing_portfolio_value",
-    "relative_fee_return",
-    "run_arb_sim",
-    "spot_price",
-    "sqrt_price_x96_to_price",
-    "swap_exact_in",
-]
+# the public names: those imported above, and no submodule
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

@@ -16,7 +16,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .pool import Direction, PoolState, position_value, spot_price, swap_exact_in
+from .pool import Direction, PoolState, _in_band, position_value, spot_price, swap_exact_in
+
+
+# Quote's message, which the quotes loader and QuoteSeries give too, for a row outside _in_band
+_BAND_FAULT = "invalid quote bid={} ask={}"
 
 
 @dataclass(frozen=True)
@@ -28,10 +32,8 @@ class Quote:
     ask: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.bid) and self.bid > 0):
-            raise InputError(f"bid must be positive, got {self.bid}")
-        if not (math.isfinite(self.ask) and self.ask >= self.bid):
-            raise InputError(f"ask must be >= bid, got bid={self.bid} ask={self.ask}")
+        if not _in_band(self.bid, self.ask):
+            raise InputError(_BAND_FAULT.format(self.bid, self.ask))
 
     @property
     def mid(self) -> float:

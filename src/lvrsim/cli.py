@@ -12,6 +12,7 @@ the manifest's created_utc field differs between reruns.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -25,20 +26,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, simulation
-from .errors import FitError, InputError, InsufficientDataError
+from .errors import FitError, InputError, InsufficientDataError, ReplayError
 from .feeds import (
-    _CHUNK,
     QuoteSeries,
-    _check_coverage,
+    _block_fills,
     _locf_index,
-    _unchecked,
     load_block_timestamps,
     load_klines,
     load_quote_updates,
     quotes_from_prices,
 )
 from .fees import _attributed_file
-from .pool import PoolState, _fold
+from .pool import PoolState, _fold, _is_positive
 from .simulation import (
     DAY_MS,
     DEFAULT_INTERVALS_MS,
@@ -302,33 +301,36 @@ def _make_schedule(cfg: dict, quotes: QuoteSeries, feed: dict) -> tuple[BlockSch
                         np.searchsorted(blocks, window[1], "right")]
         if not len(blocks):
             raise InputError("--window {}:{} holds none of the --blocks".format(*window))
-    _check_coverage(quotes, blocks)
-    counters = {}
-    if feed["feed_kind"] == "mid":  # a block in a second with no kline reads the kline before
-        stamps = quotes.timestamps
-        fills = sum(int(np.count_nonzero(stamps[_locf_index(stamps, chunk)] != chunk))
-                    for chunk in (blocks[i:i + _CHUNK] for i in range(0, len(blocks), _CHUNK)))
-        counters = {"block_price_fills": fills, "blocks": int(len(blocks))}
-    # BlockSchedule checks that the blocks increase, as the loader has, and that there are some
-    return _unchecked(BlockSchedule, blocks, None, int(blocks[0]), len(blocks)), counters
+    fills = _block_fills(quotes, blocks)  # the coverage rule, then the blocks with no kline
+    counters = ({"block_price_fills": fills, "blocks": int(len(blocks))}
+                if feed["feed_kind"] == "mid" else {})
+    return BlockSchedule.from_blocks(blocks), counters
 
 
-def _initial_state(cfg: dict, quotes, start_ms: int, fee: float) -> PoolState:
-    """Pool at the --initial-price, or at the quote mid at start_ms, a checked schedule's start."""
+@contextlib.contextmanager
+def _initial_state(cfg: dict, quotes, start_ms: int, fee: float):
+    """Pool at the --initial-price, or at the quote mid at start_ms, a checked schedule's start;
+    a replay fault in the block is raised again with the words that name that price after its
+    own, as that option or the feed's mid set the pool so far off the quotes."""
     price, reserve_x = cfg["initial_price"], cfg["initial_reserve_x"]
     if price is None:
         i = _locf_index(quotes.timestamps, [start_ms])[0]
         price = 0.5 * (float(quotes.bids[i]) + float(quotes.asks[i]))
+        feed = _flag(_one_of(cfg, "quotes", "klines"))
+        named, comma = f"{price}, the {feed} mid at {start_ms}", ","
+    else:
+        named, comma = f"--initial-price {price}", ""
     reserve_y = reserve_x * price
-    named = (f"--initial-price {price}" if cfg["initial_price"] is not None
-             else f"{price}, the {_flag(_one_of(cfg, 'quotes', 'klines'))} mid at {start_ms},")
-    gives = f"--initial-reserve-x {reserve_x} times {named} gives a Y reserve of {reserve_y}"
-    if not 0.0 < reserve_y < math.inf:
+    gives = f"--initial-reserve-x {reserve_x} times {named}{comma} gives a Y reserve of {reserve_y}"
+    if not _is_positive(reserve_y):
         raise InputError(f"{gives}; it must be finite and positive")
-    if not 0.0 < reserve_x * reserve_y < math.inf:
+    if not _is_positive(reserve_x * reserve_y):
         raise InputError(f"{gives} and a reserve product of {reserve_x * reserve_y}; "
                          "the product must be finite and positive")
-    return PoolState(reserve_x, reserve_y, fee)
+    try:
+        yield PoolState(reserve_x, reserve_y, fee)
+    except ReplayError as exc:
+        raise InputError(f"{exc}; the pool is priced at {named}") from None
 
 
 def _arb_run(cfg: dict, fee: float):
@@ -336,11 +338,12 @@ def _arb_run(cfg: dict, fee: float):
     schedule, the manifest parameters of the run and its fill counters."""
     quotes, feed = _load_feed(cfg)
     schedule, counters = _make_schedule(cfg, quotes, feed)
-    initial = _initial_state(cfg, quotes, schedule.first_ms, fee)
+    with _initial_state(cfg, quotes, schedule.first_ms, fee) as initial:
+        run = run_arb_sim(initial, quotes, schedule)
     factor = cfg["concentration_k"]
     parameters = {**feed, "pair": cfg["pair"], "fee": fee, "seed": cfg["seed"],
                   "concentration_k": factor}
-    return run_arb_sim(initial, quotes, schedule).scaled(factor), schedule, parameters, counters
+    return run.scaled(factor), schedule, parameters, counters
 
 
 def _fee_ledger(cfg: dict):
@@ -466,12 +469,12 @@ def cmd_sweep(command: str, cfg: dict) -> Output:
                                                 else DEFAULT_INTERVALS_MS)
         grid = {"fee": fee, "intervals_ms": intervals}
     start = _grids(quotes, intervals, window, flag)[0].first_ms  # checked before pricing
-    pool = _initial_state(cfg, quotes, start, fee)
-    if command == "sweep-fee":
-        sweep = fee_sweep(pool.reserve_x, pool.reserve_y, quotes, intervals[0],
-                          [bps / 1e4 for bps in grid["fees_bps"]], window)
-    else:
-        sweep = blocktime_sweep(pool, quotes, intervals, window)
+    with _initial_state(cfg, quotes, start, fee) as pool:
+        if command == "sweep-fee":
+            sweep = fee_sweep(pool.reserve_x, pool.reserve_y, quotes, intervals[0],
+                              [bps / 1e4 for bps in grid["fees_bps"]], window)
+        else:
+            sweep = blocktime_sweep(pool, quotes, intervals, window)
     del quotes  # the quotes go before the fit, the table and the hashes
     return Output(
         {"sweep.csv": [{
@@ -524,8 +527,7 @@ _PATH = {"type": _text, "check": bool, "rule": "a path"}
 _NUMBER = {"type": functools.partial(_number, kind=float), "rule": "a number"}
 _INTEGER = {"type": functools.partial(_number, kind=int), "rule": "an integer"}
 _POSITIVE_INTEGER = {**_INTEGER, "check": lambda ms: ms > 0, "rule": "a positive integer"}
-_POSITIVE = {**_NUMBER, "check": lambda v: math.isfinite(v) and v > 0,
-             "rule": "finite and positive"}
+_POSITIVE = {**_NUMBER, "check": _is_positive, "rule": "finite and positive"}
 # an on/off flag given is True; its config value is JSON true or false
 _SWITCH = {"type": lambda value: value, "check": lambda value: isinstance(value, bool),
            "rule": "true or false", "default": False,

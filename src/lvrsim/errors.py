@@ -22,5 +22,9 @@ class InsufficientDataError(InputError):
     """Input data does not cover the requested window or grid."""
 
 
+class ReplayError(InputError):
+    """A replayed arbitrage leaves the float range or takes the whole position."""
+
+
 class FitError(InputError):
     """Regression could not be performed on the given points."""

@@ -29,8 +29,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .arbitrage import Quote
+from .arbitrage import _BAND_FAULT, Quote
 from .errors import InputError, InsufficientDataError, ParseError
+from .pool import _in_band, _is_positive
 
 _GZIP_ERRORS = (EOFError, zlib.error, gzip.BadGzipFile)  # reading a damaged or non-gzip .gz
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # a non-UTF-8 byte, as surrogateescape reads it
@@ -250,14 +251,17 @@ def _column_chunks(path: str, n_columns: int, exact: bool, columns, rules, rows=
             done, before = done + n, tuple(column[-1:].copy() for column in chunk)
     else:
         return
-    yield from _parsed_chunks(path, n_columns, exact, columns, rules, rows, done, before,
-                              flagged)
+    yield from _parsed_chunks(
+        path, n_columns, exact, lambda line, row: [
+            parse(path, line, text, name) for (name, parse, _), text in zip(columns, row)],
+        dtypes, rules, rows, done, before, flagged)
 
 
-def _parsed_chunks(path: str, n_columns: int, exact: bool, columns, rules, rows, done: int,
-                   before, flagged):
-    """_column_chunks from row done on, after the row before, read by _iter_rows through the
-    cell parsers.
+def _parsed_chunks(path: str, n_columns: int, exact: bool, cells, dtypes, rules, rows=None,
+                   done: int = 0, before=None, flagged=None):
+    """_column_chunks from row done on, after the row before, read by _iter_rows: cells(line,
+    row) gives a row's values, of dtypes, or raises its ParseError (the cell parsers, or
+    convert_raw_swap_export's conversion of a raw row).
 
     The rows before done are parsed too, so that the first row of the file that does not
     parse is the one named. The first chunk ends at the row flagged on loadtxt's columns, if
@@ -266,22 +270,22 @@ def _parsed_chunks(path: str, n_columns: int, exact: bool, columns, rules, rows,
     """
     def parsed():
         for number, (line, row) in enumerate(_iter_rows(path, n_columns, exact)):
-            cells = [parse(path, line, text, name) for (name, parse, _), text in zip(columns, row)]
+            row = cells(line, row)
             if number >= done:
-                yield line, cells
+                yield line, row
 
-    cells = parsed()
+    parsed_rows = parsed()
     first = [] if flagged is None else [flagged - done + 1]
     for size in itertools.chain(first, itertools.repeat(rows)):
-        values, lines, error = tuple([] for _ in columns), [], None
+        values, lines, error = tuple([] for _ in dtypes), [], None
         try:
-            for line, row in itertools.islice(cells, size):
+            for line, row in itertools.islice(parsed_rows, size):
                 for column, cell in zip(values, row):
                     column.append(cell)
                 lines.append(line)
         except ParseError as err:
             error = err
-        chunk = tuple(np.array(column, dtype) for column, (_, _, dtype) in zip(values, columns))
+        chunk = tuple(np.array(column, dtype) for column, dtype in zip(values, dtypes))
         if fault := _chunk_fault(rules, chunk, before):
             raise ParseError(str(path), lines[fault[0]], fault[1])
         if error:
@@ -331,13 +335,20 @@ def _check(rules, *columns) -> None:
 
 
 # The rules that loaders and series types share: each gives (row mask, message for row i)
-def _not_positive(values: np.ndarray) -> np.ndarray:
-    return ~((values > 0) & (values < np.inf))  # NaN fails both comparisons
+def _rule(holds, message: str, *columns) -> tuple:
+    """A value rule (pool._is_positive, pool._in_band, fees._SWAP_RULES) on columns: the rows
+    it does not hold of, and message formatted with row i's values, as a scalar type does."""
+    return ~holds(*columns), lambda i: message.format(*(column[i] for column in columns))
 
 
 def _positive(values: np.ndarray, name: str) -> tuple:
     """Each value finite and above 0."""
-    return _not_positive(values), lambda i: f"{name} must be positive, got {values[i]}"
+    return _rule(_is_positive, name + " must be positive, got {}", values)
+
+
+def _quote_band(bids: np.ndarray, asks: np.ndarray) -> tuple:
+    """0 < bid <= ask < inf, with Quote's message."""
+    return _rule(_in_band, _BAND_FAULT, bids, asks)
 
 
 def _stamp_order(values: np.ndarray, name: str = "timestamps", strict: bool = True) -> tuple:
@@ -346,12 +357,6 @@ def _stamp_order(values: np.ndarray, name: str = "timestamps", strict: bool = Tr
     (np.greater_equal if strict else np.greater)(values[:-1], values[1:], out=mask[1:])
     fault = "not strictly increasing" if strict else "decreasing"
     return mask, lambda i: f"{name} {fault}: {values[i]} after {values[i - 1]}"
-
-
-def _quote_band(bids: np.ndarray, asks: np.ndarray) -> tuple:
-    """0 < bid <= ask < inf."""
-    return (~((0 < bids) & (bids <= asks) & (asks < np.inf)),
-            lambda i: f"invalid quote bid={bids[i]} ask={asks[i]}")
 
 
 def load_klines(path: str) -> PriceSeries:
@@ -450,6 +455,15 @@ def _check_coverage(series: PriceSeries | QuoteSeries, instants) -> None:
         raise InsufficientDataError(f"{updates} cover {cover} but the schedule needs {needs}")
 
 
+def _block_fills(series: PriceSeries | QuoteSeries, blocks: np.ndarray) -> int:
+    """The coverage rule on increasing blocks, then the number of them whose instant has no
+    update of its own and reads the one before: _CHUNK blocks at a time."""
+    _check_coverage(series, blocks)
+    stamps = series.timestamps
+    return sum(int(np.count_nonzero(stamps[_locf_index(stamps, chunk)] != chunk))
+               for chunk in (blocks[i:i + _CHUNK] for i in range(0, len(blocks), _CHUNK)))
+
+
 def align_to_blocks(
     series: PriceSeries, block_timestamps_ms: np.ndarray
 ) -> tuple[PriceSeries, int]:
@@ -461,7 +475,5 @@ def align_to_blocks(
     carried forward; the number of such fills is returned so runs can report it.
     """
     blocks = np.asarray(block_timestamps_ms, dtype=np.int64)
-    _check_coverage(series, blocks)
-    idx = _locf_index(series.timestamps, blocks)
-    fills = int(np.sum(series.timestamps[idx] != blocks))
-    return PriceSeries(blocks, series.prices[idx]), fills
+    fills = _block_fills(series, blocks)
+    return PriceSeries(blocks, series.prices[_locf_index(series.timestamps, blocks)]), fills

@@ -30,12 +30,23 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, ParseError
-from .feeds import (_CHUNK, _check, _column_chunks, _first_fault, _iter_rows, _load_columns,
-                    _not_positive, _parse_float, _parse_int, _stamp_order, _unchecked)
-from .pool import _fold_series, concentration_scale
+from .feeds import (_CHUNK, _check, _column_chunks, _load_columns, _parse_float, _parse_int,
+                    _parsed_chunks, _rule, _stamp_order, _unchecked)
+from .pool import _fold_series, _is_positive, concentration_scale
 
 TOKEN_X = "X"
 TOKEN_Y = "Y"
+
+# SwapRecord's value rules in its order, field -> (predicate, message); each predicate holds
+# of a value or of each value of a column, so the swap loaders run them too (_swap_rules)
+_SWAP_RULES = {
+    "input_token": (lambda token: (token == TOKEN_X) | (token == TOKEN_Y),
+                    "input_token must be X or Y, got {!r}"),
+    "amount_in": (_is_positive, "amount_in must be positive, got {}"),
+    "fee_rate": (lambda rate: (rate > 0) & (rate < 1), "fee_rate must be in (0, 1), got {}"),
+    "post_swap_price": (_is_positive, "post_swap_price must be positive, got {}"),
+    "post_swap_liquidity": (_is_positive, "post_swap_liquidity must be positive, got {}"),
+}
 
 
 @dataclass(frozen=True)
@@ -51,18 +62,9 @@ class SwapRecord:
     post_swap_liquidity: float  # in L = sqrt(x*y) units
 
     def __post_init__(self):
-        if self.input_token not in (TOKEN_X, TOKEN_Y):
-            raise InputError(f"input_token must be X or Y, got {self.input_token!r}")
-        if not (math.isfinite(self.amount_in) and self.amount_in > 0):
-            raise InputError(f"amount_in must be positive, got {self.amount_in}")
-        if not (0.0 < self.fee_rate < 1.0):
-            raise InputError(f"fee_rate must be in (0, 1), got {self.fee_rate}")
-        if not (math.isfinite(self.post_swap_price) and self.post_swap_price > 0):
-            raise InputError(f"post_swap_price must be positive, got {self.post_swap_price}")
-        if not (math.isfinite(self.post_swap_liquidity) and self.post_swap_liquidity > 0):
-            raise InputError(
-                f"post_swap_liquidity must be positive, got {self.post_swap_liquidity}"
-            )
+        for name, (holds, message) in _SWAP_RULES.items():
+            if not holds(value := getattr(self, name)):
+                raise InputError(message.format(value))
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,7 @@ def _return_rule(returns: np.ndarray) -> list:
 
 
 def _check_position_liquidity(value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
+    if not _is_positive(value):
         raise InputError(f"position_liquidity must be finite and positive, got {value}")
 
 
@@ -174,7 +176,7 @@ def relative_fee_return(
     record: SwapRecord, fee_amount: float, position_value_y: float
 ) -> float:
     """Fee amount converted to Y at the post-swap price, over position value."""
-    if position_value_y <= 0:
+    if not _is_positive(position_value_y):
         raise InputError(f"position value must be positive, got {position_value_y}")
     fee_y = _fee_in_y(record.input_token, np.array(fee_amount, np.float64),
                       record.post_swap_price)
@@ -339,19 +341,12 @@ _SWAP_COLUMNS = [("block_number", _parse_int, np.int64), ("timestamp_ms", _parse
 
 
 def _swap_rules(*columns):
-    """Rows SwapRecord rejects, with its message; then a timestamp or block going back."""
-    blocks, ts, token, amount, fee_rate, price, liquidity = columns
-
-    def record_error(i):
-        try:
-            SwapRecord(*(column[i] for column in columns))
-        except InputError as exc:
-            return str(exc)
-
-    invalid = (~((token == TOKEN_X) | (token == TOKEN_Y)) | ~((fee_rate > 0) & (fee_rate < 1))
-               | _not_positive(amount) | _not_positive(price) | _not_positive(liquidity))
-    return [(invalid, record_error), _stamp_order(ts, strict=False),
-            _stamp_order(blocks, "block numbers", strict=False)]
+    """SwapRecord's rules, with its messages; then a timestamp or block going back."""
+    record = dict(zip((f.name for f in fields(SwapRecord)), columns))
+    return [*(_rule(holds, message, record[name])
+              for name, (holds, message) in _SWAP_RULES.items()),
+            _stamp_order(record["timestamp"], strict=False),
+            _stamp_order(record["block_number"], "block numbers", strict=False)]
 
 
 def load_swap_records(path: str) -> SwapTable:
@@ -375,10 +370,16 @@ def sqrt_price_x96_to_price(
     units; dividing out 2^96 and the token decimal difference yields the
     human-scale price.
     """
-    if sqrt_price_x96 <= 0:
+    if not _is_positive(sqrt_price_x96):
         raise InputError("sqrt_price_x96 must be positive")
-    ratio = (sqrt_price_x96 / Q96) ** 2
-    return ratio * 10.0 ** (decimals_x - decimals_y)
+    try:
+        price = (sqrt_price_x96 / Q96) ** 2 * 10.0 ** (decimals_x - decimals_y)
+    except OverflowError:  # the square or the decimal scale is past the float range
+        price = math.inf
+    if not _is_positive(price):
+        raise InputError(f"sqrt_price_x96 at decimals {decimals_x} and {decimals_y} gives a "
+                         f"price of {price}, outside the float range")
+    return price
 
 
 def convert_raw_swap_export(
@@ -393,49 +394,41 @@ def convert_raw_swap_export(
     Raw schema: block_number,timestamp_ms,amount_x,amount_y,sqrt_price_x96,liquidity
     with amounts signed from the pool's perspective (positive = paid in).
     Amounts and liquidity are in raw integer token units. Returns the number
-    of rows written. The converted rows are checked with load_swap_records'
-    rules before dest is opened; a fault names the raw file's line, and the
-    first faulty row wins, as in load_swap_records.
+    of rows written. Its row parser (feeds._parsed_chunks) reads, converts and
+    checks the rows with load_swap_records' rules before dest is opened; a
+    fault names the raw file's line, and the first faulty row wins, as in
+    load_swap_records.
     """
-    if not (0.0 < fee_rate < 1.0):
-        raise InputError(f"fee_rate must be in (0, 1), got {fee_rate}")
+    holds, message = _SWAP_RULES["fee_rate"]
+    if not holds(fee_rate):
+        raise InputError(message.format(fee_rate))
     scale_x = 10.0**decimals_x
     scale_y = 10.0**decimals_y
     scale_l = 10.0 ** ((decimals_x + decimals_y) / 2.0)
-    values, lines, error = tuple([] for _ in _SWAP_COLUMNS), [], None
-    try:
-        for lineno, row in _iter_rows(src, 6):
-            block = _parse_int(src, lineno, row[0], "block_number")
-            ts = _parse_int(src, lineno, row[1], "timestamp_ms")
-            amount_x = _parse_float(src, lineno, row[2], "amount_x")
-            amount_y = _parse_float(src, lineno, row[3], "amount_y")
-            sqrt_px = _parse_int(src, lineno, row[4], "sqrt_price_x96", int64=False)
-            liquidity = _parse_float(src, lineno, row[5], "liquidity")
-            if amount_x > 0:
-                token, amount = TOKEN_X, amount_x / scale_x
-            elif amount_y > 0:
-                token, amount = TOKEN_Y, amount_y / scale_y
-            else:
-                raise ParseError(str(src), lineno, "no positive input amount")
-            try:
-                price = sqrt_price_x96_to_price(sqrt_px, decimals_x, decimals_y)
-            except InputError as exc:
-                raise ParseError(str(src), lineno, str(exc)) from None
-            except OverflowError:  # past the float range, which the swap rules reject
-                price = math.inf
-            for column, value in zip(values, (block, ts, token, amount, fee_rate, price,
-                                              liquidity / scale_l)):
-                column.append(value)
-            lines.append(lineno)
-    except ParseError as exc:  # a rule fault on an earlier row comes first
-        error = exc
-    columns = [np.array(column, dtype) for column, (_, _, dtype) in zip(values, _SWAP_COLUMNS)]
-    if fault := _first_fault(_swap_rules, columns):
-        raise ParseError(str(src), lines[fault[0]], fault[1])
-    if error:
-        raise error
+
+    def converted(lineno, row):
+        block = _parse_int(src, lineno, row[0], "block_number")
+        ts = _parse_int(src, lineno, row[1], "timestamp_ms")
+        amount_x = _parse_float(src, lineno, row[2], "amount_x")
+        amount_y = _parse_float(src, lineno, row[3], "amount_y")
+        sqrt_px = _parse_int(src, lineno, row[4], "sqrt_price_x96", int64=False)
+        liquidity = _parse_float(src, lineno, row[5], "liquidity")
+        if amount_x > 0:
+            token, amount = TOKEN_X, amount_x / scale_x
+        elif amount_y > 0:
+            token, amount = TOKEN_Y, amount_y / scale_y
+        else:
+            raise ParseError(str(src), lineno, "no positive input amount")
+        try:
+            price = sqrt_price_x96_to_price(sqrt_px, decimals_x, decimals_y)
+        except InputError as exc:
+            raise ParseError(str(src), lineno, str(exc)) from None
+        return block, ts, token, amount, fee_rate, price, liquidity / scale_l
+
+    [columns] = _parsed_chunks(src, 6, True, converted,
+                               [dtype for _, _, dtype in _SWAP_COLUMNS], _swap_rules)
     with open(dest, "w", encoding="utf-8", newline="") as out:
         writer = csv.writer(out)
         writer.writerow(name for name, _, _ in _SWAP_COLUMNS)
-        writer.writerows(zip(*values))  # a float is written as its repr
-    return len(lines)
+        writer.writerows(zip(*(column.tolist() for column in columns)))  # a float as its repr
+    return len(columns[0])

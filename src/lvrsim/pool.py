@@ -20,6 +20,16 @@ from .errors import InputError
 _FOLD = 1024
 
 
+# The value rules of the scalar types and the loaders' column masks, each of a number or of
+# each value of an array; NaN fails every comparison
+def _is_positive(value):  # finite and above 0
+    return (value > 0) & (value < math.inf)
+
+
+def _in_band(bid, ask):  # a quote: 0 < bid <= ask < inf
+    return (bid > 0) & (bid <= ask) & (ask < math.inf)
+
+
 class Direction(str, Enum):
     """Swap direction, named by what the trader sends in."""
 
@@ -36,11 +46,11 @@ class PoolState:
     fee: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.reserve_x) and self.reserve_x > 0):
+        if not _is_positive(self.reserve_x):
             raise InputError(f"reserve_x must be positive, got {self.reserve_x}")
-        if not (math.isfinite(self.reserve_y) and self.reserve_y > 0):
+        if not _is_positive(self.reserve_y):
             raise InputError(f"reserve_y must be positive, got {self.reserve_y}")
-        if not 0.0 < self.reserve_x * self.reserve_y < math.inf:
+        if not _is_positive(self.reserve_x * self.reserve_y):
             raise InputError(f"reserve product must be finite and positive, got {self.k}")
         if not (0.0 <= self.fee < 1.0):
             raise InputError(f"fee must be in [0, 1), got {self.fee}")
@@ -66,7 +76,7 @@ def spot_price(state: PoolState) -> float:
 
 def position_value(state: PoolState, external_price: float) -> float:
     """Value of the pool position in Y units at an external price of X."""
-    if not (math.isfinite(external_price) and external_price > 0):
+    if not _is_positive(external_price):
         raise InputError(f"external price must be positive, got {external_price}")
     return state.reserve_x * external_price + state.reserve_y
 
@@ -77,10 +87,9 @@ def position_value_of_liquidity(liquidity: float, price: float) -> float:
     A full-range constant-product position with liquidity L holds
     x = L/sqrt(P) and y = L*sqrt(P), worth 2*L*sqrt(P).
     """
-    if liquidity <= 0:
-        raise InputError(f"liquidity must be positive, got {liquidity}")
-    if price <= 0:
-        raise InputError(f"price must be positive, got {price}")
+    for name, value in (("liquidity", liquidity), ("price", price)):
+        if not _is_positive(value):
+            raise InputError(f"{name} must be positive, got {value}")
     return 2.0 * liquidity * math.sqrt(price)
 
 

@@ -17,11 +17,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import FitError, InputError
+from .errors import FitError, InputError, ReplayError
 from .feeds import (_CHUNK, PriceSeries, QuoteSeries, _check, _check_coverage, _locf_index,
                     _stamp_order, _unchecked)
 from .fees import PositionLedger
-from .pool import _FOLD, PoolState, _fold_series, concentration_scale
+from .pool import _FOLD, PoolState, _fold_series, _is_positive, concentration_scale
 
 YEAR_MS = 365 * 86400 * 1000
 DAY_MS = 86400 * 1000
@@ -266,7 +266,7 @@ def _replay(initial: PoolState, quotes: QuoteSeries, schedule: BlockSchedule,
     replay resumes, as an array that exports its buffer cannot grow.
 
     A trade that overflows, a reserve that leaves the float range and a loss of 1
-    raise an InputError at their event, for every caller alike. In LVR's accounting
+    raise a ReplayError at their event, for every caller alike. In LVR's accounting
     a loss is the arbitrageur's profit over the pool's value, below 1 for a finite
     pool (arXiv:2208.06046), so a loss of 1 is rounding: the trade took the whole
     position.
@@ -330,12 +330,16 @@ def _replay(initial: PoolState, quotes: QuoteSeries, schedule: BlockSchedule,
             # guard against degenerate trades just outside the band at float noise
             if amount_in > 0 and profit > 0:
                 loss = profit / (rx * price + ry)
+                # pool._is_positive inline: this runs once per event, and a call costs more
                 if loss >= 1.0 or not (0.0 < new_x < inf and 0.0 < new_y < inf):
-                    PoolState(new_x, new_y, fee)  # raises the InputError naming a reserve
+                    try:
+                        PoolState(new_x, new_y, fee)
+                    except InputError as exc:  # it names the reserve
+                        raise ReplayError(str(exc)) from None
                     number = counted + len(events) - start + 1
                     which = "the first arbitrage" if number == 1 else f"arbitrage {number}"
                     at_ms = int(schedule._at(np.array([positions[j]], dtype=np.int64))[0])
-                    raise InputError(
+                    raise ReplayError(
                         f"{which}, at {at_ms} ms, takes the whole position"
                         f"{' from the initial pool' if number == 1 else ''}: a relative loss "
                         f"of {loss}")
@@ -345,9 +349,9 @@ def _replay(initial: PoolState, quotes: QuoteSeries, schedule: BlockSchedule,
                 rx, ry = new_x, new_y
             else:
                 if not math.isfinite(amount_in):
-                    raise InputError(f"the trade at price {price} overflows against reserves "
-                                     f"x={rx}, y={ry}; losses are scale-invariant: "
-                                     "use smaller ones")
+                    raise ReplayError(f"the trade at price {price} overflows against reserves "
+                                      f"x={rx}, y={ry}; losses are scale-invariant: "
+                                      "use smaller ones")
                 dropped += 1
             j += 1
         del bids, asks, bid_at, ask_at  # a block's gathered quotes go before it yields
@@ -494,7 +498,7 @@ def gbm_generate(
         )
     if not math.isfinite(mu):
         raise InputError(f"mu must be finite, got {mu}")
-    if not (math.isfinite(price0) and price0 > 0):
+    if not _is_positive(price0):
         raise InputError(f"price0 must be finite and positive, got {price0}")
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise InputError(f"seed must be a non-negative integer, got {seed}")
@@ -513,7 +517,7 @@ def gbm_generate(
         increments = ((mu - 0.5 * sigma * sigma) * dt
                       + sigma * math.sqrt(dt) * rng.standard_normal(n))
         prices[1:] = price0 * np.exp(np.cumsum(increments))
-    if not (np.isfinite(prices).all() and prices.min() > 0):
+    if not _is_positive(prices).all():
         # named as synth-gbm's flags, which pass these parameters here unchanged
         raise InputError(f"--sigma {sigma}, --mu {mu}, --price0 {price0} and --horizon-ms "
                          f"{horizon_ms} give a price path past the float range; it must be "

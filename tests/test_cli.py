@@ -1972,13 +1972,14 @@ class TestExit2NotExit1:
                                                                capsys, command, args):
         """The replay rejects a loss of 1 for every subcommand, with one message: it names
         the arbitrage that took the whole position, not the factor, which scales nothing at
-        its default of 1. The sweeps wrote a total loss of 1.0 for every point."""
+        its default of 1, and then the option that priced the pool. The sweeps wrote a total
+        loss of 1.0 for every point."""
         out = tmp_path / "out"
         assert run_cli(command, "--klines", gbm_klines, *args, "--initial-price", 1e-300,
                        "--out", out) == 2
         assert capsys.readouterr().err == (
             "error: the first arbitrage, at 0 ms, takes the whole position from the initial "
-            "pool: a relative loss of 1.0\n")
+            "pool: a relative loss of 1.0; the pool is priced at --initial-price 1e-300\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, named", [
@@ -2125,12 +2126,9 @@ class TestExitContract:
 
     # the words a message names an option by, besides its flag, its key and the key's words
     ALIASES = {"--concentration-k": "concentration factor"}
-    # messages that name no option, each pinned by a strict xfail below: the replay's event
-    # faults name the event, not the option that priced the pool far off the feed, and the
-    # sweeps' resolution rule names the interval, not the flag or the default grid it is from
-    UNNAMED = re.compile(r"^error: (reserve product must be finite and positive, got |the "
-                         r"first arbitrage, at \d+ ms, takes the whole position|interval \d+ms "
-                         r"is below the quote-update resolution of \d+ms$)")
+    # a message that names no option, pinned by a strict xfail below: the sweeps' resolution
+    # rule names the interval, not the flag or the default grid it is from
+    UNNAMED = re.compile(r"^error: interval \d+ms is below the quote-update resolution of \d+ms$")
 
     @staticmethod
     def run(files: dict, command: str, flag: str, value, as_config: bool) -> tuple:
@@ -2212,17 +2210,18 @@ class TestExitContract:
     def test_exit_0_or_2(self, exit_contract_files, case):
         self.check(exit_contract_files, case)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="the replay's event faults "
-                       "name the event, not the option that priced the pool")
     @pytest.mark.parametrize("flag, value", [("--initial-price", 5e-324),
                                              ("--initial-price", 1e300),
                                              ("--initial-price", FLOAT_MAX)])
     def test_replay_fault_names_the_pool_option(self, exit_contract_files, flag, value):
+        """A pool priced far off the feed fails at its first event, and the replay's fault
+        names the option that priced it after its own text."""
         code, err, _, _, argv, _ = self.run(exit_contract_files, "simulate-arb", flag, value,
                                             False)
-        if not (code == 2 and self.UNNAMED.match(err)):  # not the pinned finding: a failure
-            pytest.fail(f"{argv}: {code} {err}")
-        assert flag in err
+        assert code == 2, (argv, err)
+        assert re.match(r"error: (reserve product must be finite and positive, got |the first "
+                        r"arbitrage, at \d+ ms, takes the whole position)", err), (argv, err)
+        assert err.endswith(f"; the pool is priced at {flag} {value!r}\n"), (argv, err)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="the sweeps' resolution rule "
                        "names the interval, not the flag or the default grid it is from")

@@ -1,6 +1,7 @@
 import dataclasses
 import gzip
 import logging
+import math
 import os
 import re
 import tracemalloc
@@ -21,6 +22,7 @@ from lvrsim import (
     ParseError,
     PoolState,
     PriceSeries,
+    Quote,
     QuoteSeries,
     SwapTable,
     align_to_blocks,
@@ -126,6 +128,44 @@ class TestLoadBlocks:
             load_block_timestamps(path)
 
 
+# a value cell's text: the edges of the rules and of the float range (1.8e308 reads as inf),
+# any float, and tokens that are no number
+VALUE_TOKENS = (st.sampled_from(["0", "-0.0", "nan", "inf", "-inf", "5e-324", "1.8e308", "1.0",
+                                 "2.0", "-1.0", "", "abc", "1e", "0x1", "1.0.0"])
+                | st.floats().map(repr))
+
+
+def message(call, *args):
+    """The text of the InputError that call(*args) raises; None where it returns."""
+    try:
+        call(*args)
+    except InputError as err:
+        return str(err)
+    return None
+
+
+def check_as_the_loader(load, path, make, texts):
+    """make(*values), the text of the InputError that a scalar type raises on the values of
+    texts (None where it accepts), is the text that load(path), a one-row file of texts, gives
+    after its `path:1: ` prefix. A text that is no finite number is a cell the loader does not
+    read (`bad <column>: ...`): the type rejects the values of those that parse (NaN and inf)
+    too, and texts that do not parse stop the check there."""
+    loaded = message(load, path)
+    if loaded is not None:
+        assert loaded.startswith(f"{path}:1: "), loaded
+        loaded = loaded[len(f"{path}:1: "):]
+    try:
+        values = [float(text) for text in texts]
+    except ValueError:
+        assert loaded is not None and loaded.startswith("bad "), loaded
+        return
+    built = make(*values)
+    if loaded is not None and loaded.startswith("bad "):
+        assert not all(map(math.isfinite, values)) and built is not None, (loaded, built)
+    else:
+        assert built == loaded
+
+
 class TestOneMessage:
     """A loader and its series type state each rule once, in feeds: loading a file gives
     `file:line: M`, and building the type from the file's columns gives M, but for the column
@@ -149,6 +189,13 @@ class TestOneMessage:
         fields = len(dataclasses.fields(make))
         assert str(raised(ParseError, load, path)) == f"{path}:3: {message.format(in_file)}"
         assert str(raised(InputError, make, *columns[:fields])) == message.format(in_type)
+
+    @given(bid=VALUE_TOKENS, ask=VALUE_TOKENS)
+    def test_quote_and_loader(self, tmp_path_factory, bid, ask):
+        """Quote checks a bid and an ask with the quotes loader's rule and message."""
+        path = write(tmp_path_factory.mktemp("q"), "q.csv", f"0,{bid},{ask}\n")
+        check_as_the_loader(load_quote_updates, path,
+                            lambda bid, ask: message(Quote, 0, bid, ask), [bid, ask])
 
     def test_repeated_block_stamp(self, tmp_path):
         path = write(tmp_path, "b.csv", "block_number,timestamp_s\n1,12\n2,12\n")

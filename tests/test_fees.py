@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from test_feeds import (FLOAT_TEXT, INT_TEXT, INTS, POSITIVE, _swaps, cases, csv_file, save,
-                        write)
+from test_feeds import (FLOAT_TEXT, INT_TEXT, INTS, POSITIVE, VALUE_TOKENS, _swaps, cases,
+                        check_as_the_loader, csv_file, message, save, write)
 
 import lvrsim.feeds as feeds
 import lvrsim.fees as fees
@@ -57,6 +57,16 @@ class TestSwapRecord:
             record(fee_rate=0.0)
         with pytest.raises(InputError):
             record(fee_rate=1.0)
+
+    @given(token=st.sampled_from(["X", "Y", "Z", "x", "", "XY"]),
+           values=st.lists(VALUE_TOKENS | st.sampled_from(["0.003", "0.5", "1", "1e6"]),
+                           min_size=4, max_size=4))
+    def test_checks_as_the_loader(self, tmp_path_factory, token, values):
+        """SwapRecord checks a row with load_swap_records' rules, in its order, and gives its
+        messages."""
+        path = write(tmp_path_factory.mktemp("s"), "s.csv", ",".join(["1,1000", token, *values]))
+        check_as_the_loader(load_swap_records, path,
+                            lambda *floats: message(SwapRecord, 1, 1000, token, *floats), values)
 
 
 class TestFeeEarned:
@@ -108,6 +118,11 @@ class TestRelativeFeeReturn:
     def test_rejects_nonpositive_value(self):
         with pytest.raises(InputError):
             relative_fee_return(record(), 0.1, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_value_that_is_not_finite(self, value):
+        with pytest.raises(InputError, match="^position value must be positive, got "):
+            relative_fee_return(record(), 0.1, value)
 
 
 class TestAccumulate:
@@ -718,6 +733,19 @@ class TestRawConversion:
         assert records[0].post_swap_price == pytest.approx(2000.0, rel=1e-9)
         assert records[0].post_swap_liquidity == pytest.approx(5000.0)
 
+    @pytest.mark.parametrize("sqrt_price, decimals, price", [
+        (2**96 * 10**160, (18, 18), "inf"),  # the square is past the float range
+        (2**96, (400, 0), "inf"),  # the decimal scale is
+        (2**96 * 10**5, (300, 0), "inf"),  # the scaled price is
+        (2**96, (0, 400), "0.0"),  # the decimal scale underflows
+        (2**1200, (18, 18), "inf"),  # the division is past the float range
+    ], ids=["squared", "scale", "scaled", "scale-underflow", "divided"])
+    def test_price_outside_the_float_range_names_sqrt_price(self, sqrt_price, decimals, price):
+        with pytest.raises(InputError) as err:
+            sqrt_price_x96_to_price(sqrt_price, *decimals)
+        assert str(err.value) == (f"sqrt_price_x96 at decimals {decimals[0]} and {decimals[1]} "
+                                  f"gives a price of {price}, outside the float range")
+
     RAW = f"100,1000,1,-1,{2**96},1\n101,2000,1,-1,{2**96},1\n"
 
     def test_numpy_fee_rate_is_written_as_its_value(self, tmp_path):
@@ -751,10 +779,10 @@ class TestRawConversion:
         (f"102,1500,1,-1,{2**96},1", (18, 18), "timestamps decreasing: 1500 after 2000"),
         (f"99,3000,1,-1,{2**96},1", (18, 18), "block numbers decreasing: 99 after 101"),
         (f"102,3000,1,-1,{2**96},0", (18, 18), "post_swap_liquidity must be positive, got 0.0"),
-        (f"102,3000,1,-1,{2**96 * 10**160},1", (18, 18),
-         "post_swap_price must be positive, got inf"),  # the square is past the float range
-        (f"102,3000,1,-1,{2**96 * 10**5},1", (300, 0),
-         "post_swap_price must be positive, got inf"),  # the decimal scale takes it past
+        (f"102,3000,1,-1,{2**96 * 10**160},1", (18, 18),  # the square is past the float range
+         "sqrt_price_x96 at decimals 18 and 18 gives a price of inf, outside the float range"),
+        (f"102,3000,1,-1,{2**96 * 10**5},1", (300, 0),  # the decimal scale takes it past
+         "sqrt_price_x96 at decimals 300 and 0 gives a price of inf, outside the float range"),
         ("102,3000,1e-310,-1,1,1", (18, 18), "amount_in must be positive, got 0.0"),
     ], ids=["zero-sqrt-price", "time-back", "block-back", "zero-liquidity", "price-squared-inf",
             "price-scaled-inf", "amount-underflow"])

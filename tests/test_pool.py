@@ -88,6 +88,13 @@ class TestPositionValue:
             position_value(state, spot_price(state)), rel=1e-12
         )
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_liquidity_value_rejects_what_is_not_finite_and_positive(self, value):
+        with pytest.raises(InputError, match="^liquidity must be positive, got "):
+            position_value_of_liquidity(value, 2000.0)
+        with pytest.raises(InputError, match="^price must be positive, got "):
+            position_value_of_liquidity(1.0, value)
+
 
 class TestSwapExactIn:
     def test_zero_fee_doubling(self):
