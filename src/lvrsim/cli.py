@@ -37,7 +37,7 @@ from .feeds import (
     quotes_from_prices,
 )
 from .fees import _attributed_file
-from .pool import PoolState, _fold, _is_positive
+from .pool import PoolState, _fold, _is_concentration, _is_positive
 from .simulation import (
     DAY_MS,
     DEFAULT_INTERVALS_MS,
@@ -117,9 +117,10 @@ def _write_table(path: Path, blocks) -> None:
 def _sha256(path: str) -> dict:
     # here, not at the top: OpenSSL's libcrypto then loads after the run's data peak. Its
     # 3.5 MB of pages land on the heap the run leaves resident, as glibc keeps freed heap, so
-    # the load sets the peak RSS when that heap is within 3.5 MB of the data peak. It sets
-    # compare's: on the benchmark's fees_compare inputs, writing the report leaves 34.6 MB
-    # resident, and the load ends at 38.1 MB, 2.3 MB above fee attribution's 35.8 MB high
+    # main hashes only once every table is written and let go: the load lands on the run's
+    # low-water heap. It still sets compare's peak RSS: on the benchmark's fees_compare inputs
+    # it ends at about 35.5 MB, on the 32.1 MB left once the report is released, and within
+    # 0.8 MB of fee attribution's 34.7 MB high
     import hashlib
 
     digest = hashlib.sha256()
@@ -552,7 +553,7 @@ OPTIONS = {
     "--fee-bps": {**_NUMBER, "check": _in_fee_range, "rule": "in [0, 10000)",
                   "help": "pool fee in basis points"},
     "--interval-ms": {**_POSITIVE_INTEGER, "help": "fixed block interval"},
-    "--concentration-k": {**_NUMBER, "check": lambda k: math.isfinite(k) and k >= 1.0,
+    "--concentration-k": {**_NUMBER, "check": _is_concentration,
                           "rule": "finite and >= 1", "default": "1",
                           "help": "concentration factor applied to relative losses and fees"},
     "--swaps": {**_PATH, "help": "swap record CSV"},
@@ -636,8 +637,8 @@ def main(argv=None) -> int:
         cfg = _merge_config(args)
         out = _out_dir(cfg)
         output = COMMANDS[args.command][0](cfg)
-        for name, blocks in output.tables.items():
-            _write_table(out / name, blocks)
+        for name in list(output.tables):  # each table is let go once written: see _sha256
+            _write_table(out / name, output.tables.pop(name))
         _write_manifest(out, args.command, cfg, output)
         return 0
     except InsufficientDataError as exc:  # the feed misses an instant of the schedule

@@ -382,6 +382,19 @@ def sqrt_price_x96_to_price(
     return price
 
 
+def _decimals(name: str, decimals) -> int:
+    """A token's decimals as an int, or an InputError naming the parameter: a whole number
+    whose scale 10.0**decimals is finite and nonzero, so from -323 to 308."""
+    try:
+        whole = math.floor(decimals)
+        ok = whole == decimals and _is_positive(10.0**whole)
+    except (TypeError, ValueError, OverflowError):  # no number, NaN, inf, past the range
+        ok = False
+    if not ok:
+        raise InputError(f"{name} must be a whole number from -323 to 308, got {decimals!r}")
+    return whole
+
+
 def convert_raw_swap_export(
     src: str,
     dest: str,
@@ -402,9 +415,11 @@ def convert_raw_swap_export(
     holds, message = _SWAP_RULES["fee_rate"]
     if not holds(fee_rate):
         raise InputError(message.format(fee_rate))
+    decimals_x = _decimals("decimals_x", decimals_x)
+    decimals_y = _decimals("decimals_y", decimals_y)
     scale_x = 10.0**decimals_x
     scale_y = 10.0**decimals_y
-    scale_l = 10.0 ** ((decimals_x + decimals_y) / 2.0)
+    scale_l = 10.0 ** ((decimals_x + decimals_y) / 2.0)  # between the two: finite and nonzero
 
     def converted(lineno, row):
         block = _parse_int(src, lineno, row[0], "block_number")

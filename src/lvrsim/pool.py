@@ -30,6 +30,10 @@ def _in_band(bid, ask):  # a quote: 0 < bid <= ask < inf
     return (bid > 0) & (bid <= ask) & (ask < math.inf)
 
 
+def _is_concentration(k):  # a concentration factor: finite and at least 1
+    return (k >= 1.0) & (k < math.inf)
+
+
 class Direction(str, Enum):
     """Swap direction, named by what the trader sends in."""
 
@@ -131,7 +135,7 @@ def concentration_scale(relative_returns, factor_k: float) -> np.ndarray:
     the default, each value is its own scaled value: the series itself is
     returned, not a copy of it.
     """
-    if not (math.isfinite(factor_k) and factor_k >= 1.0):
+    if not _is_concentration(factor_k):
         raise InputError(f"concentration factor must be >= 1, got {factor_k}")
     series = np.asarray(relative_returns, dtype=float)
     return series if factor_k == 1.0 else series * factor_k

@@ -288,6 +288,14 @@ class TestSimulateArbMemory:
         assert peak / instants <= bound
 
 
+@pytest.fixture(scope="module")
+def compare_inputs(tmp_path_factory):
+    """100 000 swaps in blocks of 3, one a second, and 10 000 klines of 1 s."""
+    root = tmp_path_factory.mktemp("compare-inputs")
+    return (write(root, "swaps.csv", _swaps(TestCompareMemory.ROWS)),
+            write(root, "klines.csv", _klines(TestCompareMemory.ROWS // 10)))
+
+
 class TestCompareMemory:
     """Traced peak of an in-process compare on 100 000 swaps in blocks of 3, in bytes per
     swap. Fee attribution reads the swaps a chunk of 16 384 at a time, so the run never
@@ -302,8 +310,8 @@ class TestCompareMemory:
 
     @pytest.mark.parametrize("per_block, bound", [(False, 52), (True, 27)],
                              ids=["per-swap", "per-block"])
-    def test_peak_bytes_per_swap(self, tmp_path, inputs, per_block, bound):
-        swaps, klines = inputs
+    def test_peak_bytes_per_swap(self, tmp_path, compare_inputs, per_block, bound):
+        swaps, klines = compare_inputs
         args = ["compare", "--swaps", swaps, "--klines", klines, "--interval-ms", 12000,
                 "--fee-bps", 5, "--position-liquidity", 500, "--concentration-k", 2,
                 "--out", tmp_path / "run"] + (["--per-block"] if per_block else [])
@@ -317,11 +325,54 @@ class TestCompareMemory:
         assert manifest["fill_counters"] == {} and manifest["results"]["sum_fee_returns"] > 0
         assert peak / self.ROWS <= bound
 
-    @pytest.fixture(scope="class")
-    def inputs(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("compare-inputs")
-        return (write(root, "swaps.csv", _swaps(self.ROWS)),
-                write(root, "klines.csv", _klines(self.ROWS // 10)))
+
+class TestHashPoint:
+    """Traced bytes still held when the manifest hashes its first input. hashlib is imported
+    there, and OpenSSL's libcrypto loads about 3.5 MB onto the heap the run leaves resident,
+    so main lets each table go as soon as it is written: the hash runs on the run's low-water
+    heap, whatever the row count. While main held the tables to the end, compare's report
+    (five timeline-length columns) was still there, 2.9 MiB on the 125 000 swaps of the
+    benchmark's fees_compare inputs, and the load set compare's peak RSS."""
+
+    BOUND = 1 << 20
+
+    RUNS = {
+        "compare-per-swap": lambda swaps, klines: [
+            "compare", "--swaps", swaps, "--klines", klines, "--interval-ms", 12000,
+            "--fee-bps", 5, "--position-liquidity", 500, "--concentration-k", 2],
+        "compare-per-block": lambda swaps, klines: [
+            "compare", "--swaps", swaps, "--klines", klines, "--interval-ms", 12000,
+            "--fee-bps", 5, "--position-liquidity", 500, "--per-block"],
+        "fees": lambda swaps, klines: ["fees", "--swaps", swaps, "--position-liquidity", 500],
+        "simulate-arb": lambda swaps, klines: [
+            "simulate-arb", "--klines", klines, "--interval-ms", 1000, "--fee-bps", 0],
+        "sweep-blocktime": lambda swaps, klines: [
+            "sweep-blocktime", "--klines", klines, "--fee-bps", 0,
+            "--intervals-ms", "1000,2000,4000,12000"],
+    }
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_inputs_are_hashed_after_the_tables_go(self, tmp_path, compare_inputs, run):
+        args, held, sha256 = self.RUNS[run](*compare_inputs), [], cli._sha256
+
+        def probe(path):
+            if not held:
+                held.append(tracemalloc.get_traced_memory()[0])
+            return sha256(path)
+
+        out = tmp_path / "run"
+        with mock.patch.object(cli, "_sha256", probe):
+            tracemalloc.start()
+            try:
+                assert run_cli(*args, "--out", out) == 0
+            finally:
+                tracemalloc.stop()
+        assert held and held[0] <= self.BOUND, held
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert sorted(inputs) == sorted(set(compare_inputs) & set(args))
+        for path, entry in inputs.items():
+            data = Path(path).read_bytes()
+            assert entry == {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
 SWAP_HEADER = ("block_number,timestamp_ms,input_token,amount_in,fee_rate,post_swap_price,"
@@ -1767,6 +1818,28 @@ class TestOptionDeclarations:
                                                                               30.0, False, "")
         assert cfg["fee_bps"] is None and cfg["window"] is None
         assert merged(["sweep-fee"])[1]["fees_bps"] == [10.0, 20.0, 30.0, 50.0, 100.0]
+
+    KS = [math.nan, math.inf, -math.inf, 0.999, 1.0, 3.0, 1e308]
+
+    @pytest.mark.parametrize("k", KS)
+    def test_concentration_flag_and_scaling_accept_alike(self, k):
+        """--concentration-k and concentration_scale run one rule, pool._is_concentration,
+        each with its own message."""
+        code, flag = merged(["fees", f"--concentration-k={k!r}"])
+        try:
+            lvrsim.concentration_scale([0.5], k)
+            library = None
+        except InputError as exc:
+            library = str(exc)
+        assert (code == 0, library is None) == (k in (1.0, 3.0, 1e308),) * 2
+        if code:
+            assert flag == f"--concentration-k must be finite and >= 1, got {repr(k)!r}"
+            assert library == f"concentration factor must be >= 1, got {k}"
+
+    def test_concentration_rule_holds_of_a_column(self):
+        ks = np.array(self.KS)
+        assert lvrsim.pool._is_concentration(ks).tolist() == [
+            bool(lvrsim.pool._is_concentration(k)) for k in self.KS]
 
     @pytest.mark.parametrize("key, value", [("fee_bps", True), ("interval_ms", 2500.7),
                                             ("seed", 1.9), ("concentration_k", False)])

@@ -748,6 +748,39 @@ class TestRawConversion:
 
     RAW = f"100,1000,1,-1,{2**96},1\n101,2000,1,-1,{2**96},1\n"
 
+    @pytest.mark.parametrize("decimals", [
+        (309, 18), (18, 400),  # 10.0**d is past the float range
+        (-324, 18), (18, -400),  # 10.0**d is 0
+        (1.5, 18), (18, 6.5), (math.nan, 18), (18, math.inf), ("18", 18), (18, None),
+    ], ids=["x-309", "y-400", "x-neg-324", "y-neg-400", "x-half", "y-half", "x-nan", "y-inf",
+            "x-text", "y-none"])
+    def test_decimals_are_checked_before_any_row(self, tmp_path, decimals):
+        """Each decimals is a whole number whose scale is finite and nonzero, checked before
+        the raw file is read (it does not exist here) or dest is opened."""
+        dest = tmp_path / "swaps.csv"
+        dest.write_bytes(b"kept\n")
+        name, value = next((name, d) for name, d in zip(("decimals_x", "decimals_y"), decimals)
+                           if d != 18)
+        with pytest.raises(InputError) as err:
+            convert_raw_swap_export(str(tmp_path / "absent.csv"), str(dest), 0.003, *decimals)
+        assert type(err.value) is InputError
+        assert str(err.value) == f"{name} must be a whole number from -323 to 308, got {value!r}"
+        assert dest.read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("decimals, cell", [((308, 308), "1"), ((-323, -323), "1e-300"),
+                                                ((18.0, np.int64(6)), "1")],
+                             ids=["308", "neg-323", "float-and-numpy"])
+    def test_decimals_at_the_ends_of_the_range_convert(self, tmp_path, decimals, cell):
+        """The amounts and the liquidity are divided by finite, nonzero scales."""
+        src, dest = tmp_path / "raw.csv", tmp_path / "swaps.csv"
+        src.write_text(f"100,1000,{cell},-1,{2**96},{cell}\n")
+        assert convert_raw_swap_export(str(src), str(dest), 0.003, *decimals) == 1
+        dx, dy = (int(d) for d in decimals)
+        swaps = load_swap_records(str(dest))
+        assert swaps.amounts_in.tolist() == [float(cell) / 10.0**dx]
+        assert swaps.post_swap_prices.tolist() == [10.0 ** (dx - dy)]
+        assert swaps.post_swap_liquidities.tolist() == [float(cell) / 10.0 ** ((dx + dy) / 2)]
+
     def test_numpy_fee_rate_is_written_as_its_value(self, tmp_path):
         # not as its repr, np.float64(0.003), which load_swap_records rejects
         src, dest = tmp_path / "raw.csv", tmp_path / "swaps.csv"
