@@ -19,8 +19,10 @@ from .errors import InputError
 from .pool import Direction, PoolState, _in_band, position_value, spot_price, swap_exact_in
 
 
-# Quote's message, which the quotes loader and QuoteSeries give too, for a row outside _in_band
+# Quote's and optimal_arb_trade's messages, which the quote loaders and the replay give too
 _BAND_FAULT = "invalid quote bid={} ask={}"
+_OVERFLOW_FAULT = ("the trade at price {} overflows against reserves x={}, y={}; losses are "
+                   "scale-invariant: use smaller ones")
 
 
 @dataclass(frozen=True)
@@ -93,9 +95,7 @@ def optimal_arb_trade(state: PoolState, quote: Quote) -> Optional[ArbTrade]:
     # guard against degenerate trades just outside the band at float noise
     if not (amount_in > 0 and profit > 0):
         if not math.isfinite(amount_in):
-            raise InputError(f"the trade at price {price} overflows against reserves "
-                             f"x={state.reserve_x}, y={state.reserve_y}; losses are "
-                             "scale-invariant: use smaller ones")
+            raise InputError(_OVERFLOW_FAULT.format(price, state.reserve_x, state.reserve_y))
         return None
     loss = profit / position_value(state, price)
     return ArbTrade(direction, amount_in, amount_out, price, profit, loss)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, simulation
+from . import __version__
 from .errors import FitError, InputError, InsufficientDataError, ReplayError
 from .feeds import (
     QuoteSeries,
@@ -37,7 +37,7 @@ from .feeds import (
     quotes_from_prices,
 )
 from .fees import _attributed_file
-from .pool import PoolState, _fold, _is_concentration, _is_positive
+from .pool import PoolState, _fold, _in_int64, _is_concentration, _is_fee, _is_positive
 from .simulation import (
     DAY_MS,
     DEFAULT_INTERVALS_MS,
@@ -45,6 +45,7 @@ from .simulation import (
     BlockSchedule,
     _grids,
     _merged,
+    _resolution_rule,
     _running_sums,
     blocktime_sweep,
     fee_sweep,
@@ -234,10 +235,6 @@ def _grid(value, kind) -> list:
     return [_number(item, kind) for item in items]
 
 
-def _in_fee_range(value: float) -> bool:
-    return 0.0 <= value < 1e4  # NaN fails
-
-
 def _increasing(ok):
     """A grid check: non-empty, each value ok, strictly increasing."""
     return lambda grid: (len(grid) > 0 and all(map(ok, grid))
@@ -310,26 +307,23 @@ def _make_schedule(cfg: dict, quotes: QuoteSeries, feed: dict) -> tuple[BlockSch
 
 @contextlib.contextmanager
 def _initial_state(cfg: dict, quotes, start_ms: int, fee: float):
-    """Pool at the --initial-price, or at the quote mid at start_ms, a checked schedule's start;
-    a replay fault in the block is raised again with the words that name that price after its
-    own, as that option or the feed's mid set the pool so far off the quotes."""
+    """Pool at the --initial-price, or at the quote mid at start_ms, a checked schedule's start.
+    PoolState's fault, and a replay fault in the block, come out with the words naming that
+    price after their own: that option or the feed's mid set the pool out of range."""
     price, reserve_x = cfg["initial_price"], cfg["initial_reserve_x"]
     if price is None:
         i = _locf_index(quotes.timestamps, [start_ms])[0]
         price = 0.5 * (float(quotes.bids[i]) + float(quotes.asks[i]))
-        feed = _flag(_one_of(cfg, "quotes", "klines"))
-        named, comma = f"{price}, the {feed} mid at {start_ms}", ","
+        named = f"{price}, the {_flag(_one_of(cfg, 'quotes', 'klines'))} mid at {start_ms}"
     else:
-        named, comma = f"--initial-price {price}", ""
-    reserve_y = reserve_x * price
-    gives = f"--initial-reserve-x {reserve_x} times {named}{comma} gives a Y reserve of {reserve_y}"
-    if not _is_positive(reserve_y):
-        raise InputError(f"{gives}; it must be finite and positive")
-    if not _is_positive(reserve_x * reserve_y):
-        raise InputError(f"{gives} and a reserve product of {reserve_x * reserve_y}; "
-                         "the product must be finite and positive")
+        named = f"--initial-price {price}"
     try:
-        yield PoolState(reserve_x, reserve_y, fee)
+        pool = PoolState(reserve_x, reserve_x * price, fee)
+    except InputError as exc:  # a reserve or their product past the float range
+        raise InputError(f"{exc}; the pool is priced at --initial-reserve-x {reserve_x} "
+                         f"times {named}") from None
+    try:
+        yield pool
     except ReplayError as exc:
         raise InputError(f"{exc}; the pool is priced at {named}") from None
 
@@ -460,17 +454,21 @@ def cmd_sweep(command: str, cfg: dict) -> Output:
     window, fit_range = cfg["window"], cfg["fit_range"]
     if command == "sweep-fee":  # the pool is priced at fee 0; each point sets its own
         intervals, fee, flag = [_require(cfg, "interval_ms")], 0.0, "--interval-ms"
+        named = flag  # the grid, by its flag, in the resolution rule's fault
         grid = {"interval_ms": intervals[0], "fees_bps": cfg["fees_bps"]}
         if fit_range is not None:
             fit_range = (fit_range[0] / 1e4, fit_range[1] / 1e4)
     else:
         fee, flag = _require(cfg, "fee_bps") / 1e4, "--intervals-ms"
-        _one_of(cfg, "intervals_ms", "extended")
+        given = _one_of(cfg, "intervals_ms", "extended")
+        named = f"the {_flag(given) if given else 'default ' + flag} grid's interval"
         intervals = cfg["intervals_ms"] or list(EXTENDED_INTERVALS_MS if cfg["extended"]
                                                 else DEFAULT_INTERVALS_MS)
         grid = {"fee": fee, "intervals_ms": intervals}
-    start = _grids(quotes, intervals, window, flag)[0].first_ms  # checked before pricing
-    with _initial_state(cfg, quotes, start, fee) as pool:
+    grids = _grids(quotes, intervals, window, flag)  # checked before pricing
+    _resolution_rule(quotes, grids, named, f"the {_flag(_one_of(cfg, 'quotes', 'klines'))} "
+                     "feed's quote-update resolution")
+    with _initial_state(cfg, quotes, grids[0].first_ms, fee) as pool:
         if command == "sweep-fee":
             sweep = fee_sweep(pool.reserve_x, pool.reserve_y, quotes, intervals[0],
                               [bps / 1e4 for bps in grid["fees_bps"]], window)
@@ -491,13 +489,8 @@ def cmd_sweep(command: str, cfg: dict) -> Output:
 
 
 def cmd_synth_gbm(cfg: dict) -> Output:
-    sigma = _require(cfg, "sigma")
+    sigma, step, horizon = (_require(cfg, key) for key in ("sigma", "step_ms", "horizon_ms"))
     seed = 0 if cfg["seed"] is None else cfg["seed"]
-    step, horizon = _require(cfg, "step_ms"), _require(cfg, "horizon_ms")
-    # gbm_generate rejects this too, but names its parameters, not the flags
-    if (steps := horizon // step) > simulation.MAX_STEPS:
-        raise InputError(f"--horizon-ms {horizon} / --step-ms {step} is {steps} steps; "
-                         f"at most {simulation.MAX_STEPS} are generated")
     series = gbm_generate(sigma=sigma, mu=cfg["mu"], step_ms=step, horizon_ms=horizon, seed=seed,
                           price0=cfg["price0"], start_ms=cfg["start_ms"])
     fmt = cfg["format"]
@@ -529,6 +522,7 @@ _NUMBER = {"type": functools.partial(_number, kind=float), "rule": "a number"}
 _INTEGER = {"type": functools.partial(_number, kind=int), "rule": "an integer"}
 _POSITIVE_INTEGER = {**_INTEGER, "check": lambda ms: ms > 0, "rule": "a positive integer"}
 _POSITIVE = {**_NUMBER, "check": _is_positive, "rule": "finite and positive"}
+_FEE_BPS = {**_NUMBER, "check": lambda bps: _is_fee(bps / 1e4), "rule": "in [0, 10000)"}
 # an on/off flag given is True; its config value is JSON true or false
 _SWITCH = {"type": lambda value: value, "check": lambda value: isinstance(value, bool),
            "rule": "true or false", "default": False,
@@ -543,15 +537,14 @@ OPTIONS = {
     "--klines": {**_PATH, "help": "kline CSV (timestamp_ms,open,...)"},
     "--blocks": {**_PATH, "help": "block timestamp CSV (block_number,timestamp_s)"},
     "--window": {"type": functools.partial(_pair, kind=int),
-                 "check": lambda w: -(2**63) <= w[0] < w[1] < 2**63,
+                 "check": lambda w: w[0] < w[1] and _in_int64(w[0]) and _in_int64(w[1]),
                  "rule": "START_MS:END_MS with START_MS < END_MS, both in the int64 range",
                  "help": "schedule window START_MS:END_MS"},
     "--initial-price": {**_POSITIVE,
                         "help": "initial pool price (default: first prevailing quote mid)"},
     "--initial-reserve-x": {**_POSITIVE, "default": "1",
                             "help": "initial X reserve (losses are scale-invariant)"},
-    "--fee-bps": {**_NUMBER, "check": _in_fee_range, "rule": "in [0, 10000)",
-                  "help": "pool fee in basis points"},
+    "--fee-bps": {**_FEE_BPS, "help": "pool fee in basis points"},
     "--interval-ms": {**_POSITIVE_INTEGER, "help": "fixed block interval"},
     "--concentration-k": {**_NUMBER, "check": _is_concentration,
                           "rule": "finite and >= 1", "default": "1",
@@ -570,7 +563,7 @@ OPTIONS = {
     "--extended": {**_SWITCH, "help": "use the extended grid up to "
                                       f"{EXTENDED_INTERVALS_MS[-1]} ms"},
     "--fees-bps": {"type": functools.partial(_grid, kind=float),
-                   "check": _increasing(_in_fee_range),
+                   "check": _increasing(_FEE_BPS["check"]),
                    "rule": "strictly increasing values in [0, 10000)",
                    "default": "10,20,30,50,100", "help": "comma-separated fee grid in bps"},
     "--fit-range": {"type": functools.partial(_pair, kind=float),

@@ -31,7 +31,7 @@ import numpy as np
 
 from .arbitrage import _BAND_FAULT, Quote
 from .errors import InputError, InsufficientDataError, ParseError
-from .pool import _in_band, _is_positive
+from .pool import _in_band, _in_int64, _is_positive
 
 _GZIP_ERRORS = (EOFError, zlib.error, gzip.BadGzipFile)  # reading a damaged or non-gzip .gz
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # a non-UTF-8 byte, as surrogateescape reads it
@@ -204,7 +204,7 @@ def _parse_int(path: str, lineno: int, text: str, name: str, int64: bool = True)
         value = int(text)
     except ValueError:
         raise ParseError(str(path), lineno, f"bad {name}: {text!r}") from None
-    if int64 and not -(2**63) <= value < 2**63:
+    if int64 and not _in_int64(value):
         raise ParseError(str(path), lineno, f"bad {name}: {text!r} does not fit in 64 bits")
     return value
 

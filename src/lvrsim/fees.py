@@ -47,6 +47,8 @@ _SWAP_RULES = {
     "post_swap_price": (_is_positive, "post_swap_price must be positive, got {}"),
     "post_swap_liquidity": (_is_positive, "post_swap_liquidity must be positive, got {}"),
 }
+# fee_earned's message, which the array path gives too, for a position above a swap's pool
+_LIQUIDITY_FAULT = "position liquidity {} exceeds pool in-range liquidity {}"
 
 
 @dataclass(frozen=True)
@@ -158,10 +160,7 @@ def fee_earned(record: SwapRecord, position_liquidity: float) -> float:
     """
     _check_position_liquidity(position_liquidity)
     if position_liquidity > record.post_swap_liquidity:
-        raise InputError(
-            f"position liquidity {position_liquidity} exceeds pool in-range "
-            f"liquidity {record.post_swap_liquidity}"
-        )
+        raise InputError(_LIQUIDITY_FAULT.format(position_liquidity, record.post_swap_liquidity))
     share = position_liquidity / record.post_swap_liquidity
     return record.fee_rate * record.amount_in * share
 
@@ -321,8 +320,8 @@ def _attribute_chunk(columns, ends: np.ndarray, position_liquidity: float,
     del last
     over = position_liquidity > liquidity
     if over.any():  # the first such block holds the first such swap
-        raise InputError(f"position liquidity {position_liquidity} exceeds pool in-range "
-                         f"liquidity {float(liquidity[over.argmax()])}")
+        raise InputError(_LIQUIDITY_FAULT.format(position_liquidity,
+                                                 float(liquidity[over.argmax()])))
     block = np.cumsum(ends)
     block -= ends  # each swap's block in the chunk: the count of block ends before it
     fee = np.divide(position_liquidity, liquidity, out=liquidity).take(block)  # each share

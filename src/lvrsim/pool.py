@@ -34,6 +34,14 @@ def _is_concentration(k):  # a concentration factor: finite and at least 1
     return (k >= 1.0) & (k < math.inf)
 
 
+def _is_fee(fee):  # a pool fee fraction: in [0, 1)
+    return (fee >= 0.0) & (fee < 1.0)
+
+
+def _in_int64(value):  # an integer that fits in int64
+    return (value >= -(2**63)) & (value < 2**63)
+
+
 class Direction(str, Enum):
     """Swap direction, named by what the trader sends in."""
 
@@ -50,13 +58,12 @@ class PoolState:
     fee: float = 0.0
 
     def __post_init__(self):
-        if not _is_positive(self.reserve_x):
-            raise InputError(f"reserve_x must be positive, got {self.reserve_x}")
-        if not _is_positive(self.reserve_y):
-            raise InputError(f"reserve_y must be positive, got {self.reserve_y}")
+        for name, reserve in (("reserve_x", self.reserve_x), ("reserve_y", self.reserve_y)):
+            if not _is_positive(reserve):
+                raise InputError(f"{name} must be positive, got {reserve}")
         if not _is_positive(self.reserve_x * self.reserve_y):
             raise InputError(f"reserve product must be finite and positive, got {self.k}")
-        if not (0.0 <= self.fee < 1.0):
+        if not _is_fee(self.fee):
             raise InputError(f"fee must be in [0, 1), got {self.fee}")
 
     @property

@@ -17,11 +17,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .arbitrage import _OVERFLOW_FAULT
 from .errors import FitError, InputError, ReplayError
 from .feeds import (_CHUNK, PriceSeries, QuoteSeries, _check, _check_coverage, _locf_index,
                     _stamp_order, _unchecked)
 from .fees import PositionLedger
-from .pool import _FOLD, PoolState, _fold_series, _is_positive, concentration_scale
+from .pool import _FOLD, PoolState, _fold_series, _in_int64, _is_positive, concentration_scale
 
 YEAR_MS = 365 * 86400 * 1000
 DAY_MS = 86400 * 1000
@@ -199,10 +200,15 @@ def _grids(quotes: QuoteSeries, intervals_ms: Sequence[int],
     return grids
 
 
+def _resolution_rule(quotes, grids, grid="interval", feed="the quote-update resolution"):
+    """The sweeps' rule, no grid finer than the quotes' resolution, in grid's and feed's words."""
+    if (finest := min(schedule.interval_ms for schedule in grids)) < quotes.resolution_ms:
+        raise InputError(f"{grid} {finest}ms is below {feed} of {quotes.resolution_ms}ms")
+
+
 def fixed_schedule(quotes: QuoteSeries, interval_ms: int,
                    window: Optional[tuple[int, int]] = None) -> BlockSchedule:
-    """The fixed grid over the window (default: the quotes' span), once it lies inside the
-    quotes."""
+    """The fixed grid over the window (default: the quotes' span), once it lies in the quotes."""
     return _grids(quotes, [interval_ms], window)[0]
 
 
@@ -349,9 +355,7 @@ def _replay(initial: PoolState, quotes: QuoteSeries, schedule: BlockSchedule,
                 rx, ry = new_x, new_y
             else:
                 if not math.isfinite(amount_in):
-                    raise ReplayError(f"the trade at price {price} overflows against reserves "
-                                      f"x={rx}, y={ry}; losses are scale-invariant: "
-                                      "use smaller ones")
+                    raise ReplayError(_OVERFLOW_FAULT.format(price, rx, ry))
                 dropped += 1
             j += 1
         del bids, asks, bid_at, ask_at  # a block's gathered quotes go before it yields
@@ -422,10 +426,7 @@ def _sweep(parameter: str, values: Sequence[float], points: Sequence[tuple[PoolS
         raise InputError(f"{what}s must be strictly increasing")
     states, intervals = zip(*points)
     grids = _grids(quotes, intervals, window)
-    resolution, finest = quotes.resolution_ms, min(grid.interval_ms for grid in grids)
-    if resolution and finest < resolution:
-        raise InputError(f"interval {finest}ms is below the quote-update resolution "
-                         f"of {resolution}ms")
+    _resolution_rule(quotes, grids)
     totals, annuals, counts = [], [], []
     events, losses, profits = array("q"), array("d"), array("d")  # one block's events
     for state, schedule in zip(states, grids):
@@ -493,9 +494,8 @@ def gbm_generate(
     if step_ms <= 0:
         raise InputError(f"step must be positive, got {step_ms}")
     if horizon_ms <= 0 or horizon_ms % step_ms != 0:
-        raise InputError(
-            f"horizon_ms {horizon_ms} must be a positive multiple of step_ms {step_ms}"
-        )
+        raise InputError(f"horizon_ms {horizon_ms} must be a positive multiple of step_ms "
+                         f"{step_ms}")
     if not math.isfinite(mu):
         raise InputError(f"mu must be finite, got {mu}")
     if not _is_positive(price0):
@@ -503,12 +503,13 @@ def gbm_generate(
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise InputError(f"seed must be a non-negative integer, got {seed}")
     for name, value in (("start_ms", start_ms), ("start_ms + horizon_ms", start_ms + horizon_ms)):
-        if not -(2**63) <= value < 2**63:
+        if not _in_int64(value):
             raise InputError(f"{name} must fit in int64 milliseconds, got {value}")
+    # this fault and the path's name synth-gbm's flags, which pass these parameters unchanged
     n = horizon_ms // step_ms
     if n > MAX_STEPS:
-        raise InputError(f"horizon_ms {horizon_ms} / step_ms {step_ms} is {n} steps; "
-                         f"at most {MAX_STEPS} are generated")
+        raise InputError(f"--horizon-ms {horizon_ms} / --step-ms {step_ms} is {n} steps; at most "
+                         f"{MAX_STEPS} are generated")
     dt = step_ms / YEAR_MS
     rng = np.random.default_rng(seed)
     prices = np.empty(n + 1)
@@ -518,7 +519,6 @@ def gbm_generate(
                       + sigma * math.sqrt(dt) * rng.standard_normal(n))
         prices[1:] = price0 * np.exp(np.cumsum(increments))
     if not _is_positive(prices).all():
-        # named as synth-gbm's flags, which pass these parameters here unchanged
         raise InputError(f"--sigma {sigma}, --mu {mu}, --price0 {price0} and --horizon-ms "
                          f"{horizon_ms} give a price path past the float range; it must be "
                          "finite and positive")

@@ -776,6 +776,30 @@ class TestSweeps:
         assert code == 2
         assert "resolution" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("feed", ["klines", "quotes"])
+    @pytest.mark.parametrize("command, args, grid", [
+        ("sweep-blocktime", ["--fee-bps", 5, "--intervals-ms", "250,1000"],
+         "the --intervals-ms grid's interval 250ms"),
+        ("sweep-blocktime", ["--fee-bps", 5, "--extended"], "the --extended grid's interval 100ms"),
+        ("sweep-blocktime", ["--fee-bps", 5], "the default --intervals-ms grid's interval 100ms"),
+        ("sweep-fee", ["--interval-ms", 500], "--interval-ms 500ms"),
+    ], ids=["intervals-ms", "extended", "default", "sweep-fee"])
+    def test_resolution_fault_names_the_grid_and_the_feed(self, tmp_path, gbm_klines, capsys,
+                                                          feed, command, args, grid):
+        """The sweeps' resolution rule is checked before the pool is priced (at 1e300 here,
+        which would overflow its reserves), and names the grid's flag and the feed's."""
+        path = gbm_klines
+        if feed == "quotes":
+            path = tmp_path / "quotes.csv"
+            rows = (line.split(",") for line in Path(gbm_klines).read_text().splitlines())
+            path.write_text("".join(f"{stamp},{mid},{mid}\n" for stamp, mid, *_ in rows))
+        out = tmp_path / "bad"
+        assert run_cli(command, f"--{feed}", path, *args, "--initial-reserve-x", "1e300",
+                       "--initial-price", "1e300", "--out", out) == 2
+        assert capsys.readouterr().err == (f"error: {grid} is below the --{feed} feed's "
+                                           "quote-update resolution of 1000ms\n")
+        assert not out.exists()
+
     def test_fee_sweep_outputs(self, tmp_path, gbm_klines):
         out = tmp_path / "fsweep"
         assert run_cli("sweep-fee", "--klines", gbm_klines, "--interval-ms", 2000,
@@ -1381,29 +1405,31 @@ class TestBadInputExits2:
         assert not (tmp_path / "bad" / "manifest.json").exists()
 
     @pytest.mark.parametrize("feed", ["quotes", "klines"])
-    @pytest.mark.parametrize("price, reserve_x, named", [
-        ("1e200", "1e200", "times --initial-price 1e+200 gives a Y reserve of inf"),
-        ("1e-200", "1e-200", "times --initial-price 1e-200 gives a Y reserve of 0.0"),
-        (None, "1e308", "times 2.0, the --{feed} mid at 1000, gives a Y reserve of inf"),
+    @pytest.mark.parametrize("price, reserve_x, message", [
+        ("1e200", "1e200", "reserve_y must be positive, got inf; the pool is priced at "
+                           "--initial-reserve-x 1e+200 times --initial-price 1e+200"),
+        ("1e-200", "1e-200", "reserve_y must be positive, got 0.0; the pool is priced at "
+                             "--initial-reserve-x 1e-200 times --initial-price 1e-200"),
+        (None, "1e308", "reserve_y must be positive, got inf; the pool is priced at "
+                        "--initial-reserve-x 1e+308 times 2.0, the --{feed} mid at 1000"),
     ])
     def test_initial_reserve_y_out_of_range_names_the_flags(self, tmp_path, capsys, feed,
-                                                            price, reserve_x, named):
+                                                            price, reserve_x, message):
+        """PoolState's fault, then the options that priced the pool."""
         path = self.two_row_feed(tmp_path, feed)
         given = ["--initial-price", price] if price else []
         assert run_cli("simulate-arb", f"--{feed}", path, "--interval-ms", 1000, "--fee-bps", 30,
                        *given, "--initial-reserve-x", reserve_x, "--out", tmp_path / "bad") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: --initial-reserve-x") and "Traceback" not in err
-        assert named.format(feed=feed) in err
+        assert capsys.readouterr().err == f"error: {message.format(feed=feed)}\n"
         assert not (tmp_path / "bad" / "manifest.json").exists()
 
     @pytest.mark.parametrize("prices, reserve_x, named", [
         (("2.0", "2.1"), "1e160",
-         "--initial-reserve-x 1e+160 times 2.0, the --klines mid at 1000, gives a Y reserve "
-         "of 2e+160 and a reserve product of inf; the product must be finite and positive"),
+         "reserve product must be finite and positive, got inf; the pool is priced at "
+         "--initial-reserve-x 1e+160 times 2.0, the --klines mid at 1000\n"),
         (("2.0", "2.1"), "1e-320",
-         "--initial-reserve-x 1e-320 times 2.0, the --klines mid at 1000, gives a Y reserve "
-         "of 2e-320 and a reserve product of 0.0; the product must be finite and positive"),
+         "reserve product must be finite and positive, got 0.0; the pool is priced at "
+         "--initial-reserve-x 1e-320 times 2.0, the --klines mid at 1000\n"),
         (("1e200", "1.1e200"), None, "the trade at price 1.1e+200 overflows against reserves"),
     ], ids=["product-inf", "product-zero", "trade-overflow"])
     def test_pool_arithmetic_out_of_range_exits_2(self, tmp_path, capsys, prices, reserve_x,
@@ -1841,6 +1867,59 @@ class TestOptionDeclarations:
         assert lvrsim.pool._is_concentration(ks).tolist() == [
             bool(lvrsim.pool._is_concentration(k)) for k in self.KS]
 
+    # NaN, the infinities, both zeros, the largest float below 1e4 bps and 1e4 bps
+    FEES_BPS = [math.nan, math.inf, -math.inf, -0.0, 0.0, math.nextafter(1e4, 0.0), 1e4]
+
+    @pytest.mark.parametrize("bps", FEES_BPS)
+    def test_fee_flags_and_pool_accept_alike(self, bps):
+        """--fee-bps, --fees-bps and PoolState's fee run one rule, pool._is_fee, on bps / 1e4,
+        each with its own message."""
+        code, flag = merged(["simulate-arb", f"--fee-bps={bps!r}"])
+        grid_code, grid_flag = merged(["sweep-fee", f"--fees-bps={bps!r}"])
+        try:
+            PoolState(1.0, 1.0, bps / 1e4)
+            library = None
+        except InputError as exc:
+            library = str(exc)
+        accepted = 0.0 <= bps < 1e4
+        assert (code == 0, grid_code == 0, library is None) == (accepted,) * 3
+        if not accepted:
+            assert flag == f"--fee-bps must be in [0, 10000), got {repr(bps)!r}"
+            assert grid_flag == ("--fees-bps must be strictly increasing values in [0, 10000), "
+                                 f"got {repr(bps)!r}")
+            assert library == f"fee must be in [0, 1), got {bps / 1e4}"
+
+    def test_fee_rule_holds_of_a_column(self):
+        fees = np.array(self.FEES_BPS) / 1e4
+        assert lvrsim.pool._is_fee(fees).tolist() == [
+            bool(lvrsim.pool._is_fee(fee)) for fee in fees.tolist()]
+
+    @pytest.mark.parametrize("value", [-(2**63) - 1, -(2**63), 2**63 - 1, 2**63])
+    def test_int64_flag_loader_and_generator_accept_alike(self, tmp_path, value):
+        """--window, a feed's timestamp_ms cell and gbm_generate's stamps run one rule,
+        pool._in_int64, each with its own message: at both int64 edges and one past each."""
+        window = (value, 2**63 - 1) if value < 0 else (-(2**63), value)  # the other end fits
+        code, flag = merged(["simulate-arb", "--window={}:{}".format(*window)])
+        path = tmp_path / "k.csv"
+        path.write_text(f"{value},2,2,2,2,1\n")
+        stamps = (value, value + 1000) if value < 0 else (value - 1000, value)  # first, last
+        outcomes = []
+        for make in (lambda: load_klines(str(path)),
+                     lambda: gbm_generate(0.5, 0.0, 1000, 1000, seed=1, start_ms=stamps[0])):
+            try:
+                make()
+                outcomes.append(None)
+            except InputError as exc:
+                outcomes.append(str(exc))
+        accepted = -(2**63) <= value < 2**63
+        assert (code == 0, *(outcome is None for outcome in outcomes)) == (accepted,) * 3
+        if not accepted:
+            assert flag == ("--window must be START_MS:END_MS with START_MS < END_MS, both in "
+                            "the int64 range, got '{}:{}'".format(*window))
+            assert outcomes[0] == f"{path}:1: bad timestamp_ms: '{value}' does not fit in 64 bits"
+            name = "start_ms" if value < 0 else "start_ms + horizon_ms"
+            assert outcomes[1] == f"{name} must fit in int64 milliseconds, got {value}"
+
     @pytest.mark.parametrize("key, value", [("fee_bps", True), ("interval_ms", 2500.7),
                                             ("seed", 1.9), ("concentration_k", False)])
     def test_config_value_the_flag_text_would_reject(self, tmp_path, gbm_klines, capsys,
@@ -2199,9 +2278,6 @@ class TestExitContract:
 
     # the words a message names an option by, besides its flag, its key and the key's words
     ALIASES = {"--concentration-k": "concentration factor"}
-    # a message that names no option, pinned by a strict xfail below: the sweeps' resolution
-    # rule names the interval, not the flag or the default grid it is from
-    UNNAMED = re.compile(r"^error: interval \d+ms is below the quote-update resolution of \d+ms$")
 
     @staticmethod
     def run(files: dict, command: str, flag: str, value, as_config: bool) -> tuple:
@@ -2263,7 +2339,7 @@ class TestExitContract:
                 (argv, err)
             named = [name for name in names
                      if re.search(rf"(?<![\w-]){re.escape(name)}(?![\w])", err)]
-            assert named or self.UNNAMED.match(err), (argv, err)
+            assert named, (argv, err)
             assert not (out and Path(out).exists()), argv
             return
         assert err == "", (argv, err)
@@ -2296,12 +2372,12 @@ class TestExitContract:
                         r"arbitrage, at \d+ ms, takes the whole position)", err), (argv, err)
         assert err.endswith(f"; the pool is priced at {flag} {value!r}\n"), (argv, err)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="the sweeps' resolution rule "
-                       "names the interval, not the flag or the default grid it is from")
     @pytest.mark.parametrize("flag, value", [("--extended", True), ("--extended", False)])
     def test_grid_below_the_resolution_names_its_flag(self, exit_contract_files, flag, value):
+        """The sweeps' resolution rule names the grid by the flag it is from, or as the default
+        --intervals-ms grid, and the feed by its flag."""
         code, err, _, _, argv, _ = self.run(exit_contract_files, "sweep-blocktime", flag, value,
                                             False)
-        if not (code == 2 and self.UNNAMED.match(err)):  # not the pinned finding: a failure
-            pytest.fail(f"{argv}: {code} {err}")
-        assert "--intervals-ms" in err or "--extended" in err
+        grid = "the --extended grid's" if value else "the default --intervals-ms grid's"
+        assert (code, err) == (2, f"error: {grid} interval 100ms is below the --klines feed's "
+                                  "quote-update resolution of 1000ms\n"), argv

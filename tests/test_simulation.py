@@ -1411,7 +1411,9 @@ class TestGbmGenerate:
         assert len(gbm_generate(0.5, 0.0, 1000, 10_000, seed=1)) == 11
         with pytest.raises(InputError) as err:
             gbm_generate(0.5, 0.0, 1000, 11_000, seed=1)
-        assert str(err.value) == "horizon_ms 11000 / step_ms 1000 is 11 steps; at most 10 are generated"
+        # named as synth-gbm's flags, which pass these parameters unchanged
+        assert str(err.value) == ("--horizon-ms 11000 / --step-ms 1000 is 11 steps; "
+                                  "at most 10 are generated")
 
     def test_last_stamp_at_the_int64_limit(self):
         series = gbm_generate(0.5, 0.0, 1000, 10_000, seed=1, start_ms=2**63 - 1 - 10_000)
